@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.distsim.worker import WorkerConfig
+from repro import perfopts
 from repro.exec import DistributedBackend, RouteSimRequest
 from repro.ec import compute_prefix_group_ecs, compute_route_ecs, compute_flow_ecs
 from repro.ec.flow_ec import build_prefix_universe
@@ -75,13 +75,12 @@ def test_ec_ablation_runtime_and_equivalence(wan_world, record, benchmark):
     model, _, routes, flows = wan_world
 
     def run(use_ecs: bool):
-        backend = DistributedBackend(
-            worker_config=WorkerConfig(use_route_ecs=use_ecs)
-        )
+        backend = DistributedBackend()
         started = time.perf_counter()
-        result = backend.run_routes(
-            RouteSimRequest(model=model, inputs=routes, subtasks=10)
-        )
+        with perfopts.configured(route_ecs=use_ecs):
+            result = backend.run_routes(
+                RouteSimRequest(model=model, inputs=routes, subtasks=10)
+            )
         route_seconds = time.perf_counter() - started
 
         started = time.perf_counter()

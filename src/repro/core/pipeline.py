@@ -131,6 +131,13 @@ class VerificationReport:
         ]
         if self.incremental is not None:
             lines.append(self.incremental.describe())
+        solved = self.trace.total("route_sim.ec_groups") if self.trace else 0
+        if solved:  # some route simulation ran on §3.1 representatives
+            skipped = self.trace.total("route_sim.ec_members_skipped")
+            lines.append(
+                "route ECs: one representative per "
+                f"{(solved + skipped) / solved:.1f} prefix groups solved"
+            )
         for result in self.intent_results:
             lines.append(str(result))
         return "\n".join(lines)

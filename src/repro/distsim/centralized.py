@@ -10,11 +10,10 @@ prefixes before running out of memory.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from repro.distsim.partition import OrderingPartitioner
-from repro.ec.route_ec import compute_prefix_group_ecs, expand_group_rows
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute
 from repro.routing.isis import IgpState, compute_igp
@@ -51,15 +50,15 @@ class CentralizedRunner:
         igp: Optional[IgpState] = None,
         memory_limit_rows: Optional[int] = None,
         chunk_size: int = 64,
-        use_ecs: bool = True,
     ) -> None:
         self.model = model
         self.igp = igp if igp is not None else compute_igp(model)
         self.memory_limit_rows = memory_limit_rows
         self.chunk_size = chunk_size
-        self.use_ecs = use_ecs
 
-    def run(self, input_routes: Sequence[InputRoute]) -> CentralizedResult:
+    def run(
+        self, input_routes: Sequence[InputRoute], ctx=None
+    ) -> CentralizedResult:
         """Simulate everything on one server, chunk by chunk.
 
         Chunking models the original Hoyan's per-prefix processing: memory
@@ -81,29 +80,14 @@ class CentralizedRunner:
         for chunk in ordered:
             if not chunk:
                 continue
-            if self.use_ecs:
-                index = compute_prefix_group_ecs(self.model, chunk)
-                result = simulator.simulate(
-                    index.representative_routes, include_local_inputs=False
-                )
-                chunk_rows: List = []
-                for rib in result.device_ribs.values():
-                    chunk_rows.extend(rib.all_rows())
-                chunk_rows = expand_group_rows(index, chunk_rows)
-            else:
-                result = simulator.simulate(chunk, include_local_inputs=False)
-                chunk_rows = [
-                    row
-                    for rib in result.device_ribs.values()
-                    for row in rib.all_rows()
-                ]
-            for row in chunk_rows:
-                rib = merged.get(row.device)
+            result = simulator.simulate(chunk, include_local_inputs=False, ctx=ctx)
+            for name, chunk_rib in result.device_ribs.items():
+                rib = merged.get(name)
                 if rib is None:
-                    rib = DeviceRib(row.device)
-                    merged[row.device] = rib
-                rib.install(row.route, vrf=row.vrf, route_type=row.route_type)
-                rows += 1
+                    rib = merged[name] = DeviceRib(name)
+                for row in chunk_rib.all_rows():
+                    rib.install(row.route, vrf=row.vrf, route_type=row.route_type)
+                    rows += 1
             done += len(chunk)
             if self.memory_limit_rows is not None and rows > self.memory_limit_rows:
                 raise MemoryExhausted(done / total if total else 1.0, rows)

@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.distsim.mq import Message, MessageQueue
 from repro.distsim.storage import ObjectStore
 from repro.distsim.taskdb import FINISHED, RUNNING, SubtaskDB, SubtaskRecord
-from repro.ec.route_ec import compute_prefix_group_ecs, expand_group_rows
 from repro.net.addr import PrefixRange
 from repro.net.model import NetworkModel
 from repro.routing.isis import IgpState
@@ -57,13 +56,13 @@ def merge_device_ribs(
 class WorkerConfig:
     """Knobs for a worker.
 
-    ``use_route_ecs`` / ``use_flow_ecs`` toggle the EC technique (ablation);
-    ``load_all_ribs`` disables dependency reduction (the paper's "baseline"
+    ``use_flow_ecs`` toggles the flow-EC technique (ablation; route ECs are
+    the ``route_ecs`` perf flag of the shared simulator); ``load_all_ribs``
+    disables dependency reduction (the paper's "baseline"
     strategy in Figure 5(b)); ``failure_hook`` lets tests and the Table-4
     campaign inject subtask crashes.
     """
 
-    use_route_ecs: bool = True
     use_flow_ecs: bool = True
     load_all_ribs: bool = False
     failure_hook: Optional[Callable[[Message], bool]] = None
@@ -94,6 +93,9 @@ class Worker:
         #: optional repro.obs.RunContext for subtask counters (None inside
         #: process-mode children, whose counters cannot cross the boundary)
         self.ctx = ctx
+        self._route_simulator = RouteSimulator(
+            model, igp=igp, include_connected=False
+        )
 
     def _count(self, name: str, value: float = 1) -> None:
         if self.ctx is not None:
@@ -194,29 +196,13 @@ class Worker:
             )
             return
 
-        simulator = RouteSimulator(self.model, igp=self.igp, include_connected=False)
-        ribs: Dict[str, DeviceRib] = {}
-        if self.config.use_route_ecs:
-            # EC technique: simulate only representative prefix groups —
-            # jointly, so cross-prefix effects (aggregation, suppression)
-            # stay coherent — then clone rows onto the member prefixes.
-            index = compute_prefix_group_ecs(self.model, input_routes)
-            result = simulator.simulate(
-                index.representative_routes, include_local_inputs=False
-            )
-            cost_units = result.cost_units
-            all_rows = [
-                row
-                for rib in result.device_ribs.values()
-                for row in rib.all_rows()
-            ]
-            for row in expand_group_rows(index, all_rows):
-                rib = ribs.setdefault(row.device, DeviceRib(row.device))
-                rib.install(row.route, vrf=row.vrf, route_type=row.route_type)
-        else:
-            result = simulator.simulate(input_routes, include_local_inputs=False)
-            cost_units = result.cost_units
-            ribs = result.device_ribs
+        # The simulator solves one representative prefix group per route EC
+        # — jointly, so cross-prefix effects (aggregation, suppression) stay
+        # coherent — and clones the rows onto the member prefixes.
+        result = self._route_simulator.simulate(
+            input_routes, include_local_inputs=False, ctx=self.ctx
+        )
+        ribs = result.device_ribs
 
         self.store.put(result_key, ribs)
         if self.chaos is not None:
@@ -226,7 +212,7 @@ class Worker:
         self.db.update(
             message.subtask_id,
             ranges=self._result_ranges(ribs),
-            cost_units=cost_units,
+            cost_units=result.cost_units,
             result_key=result_key,
         )
 

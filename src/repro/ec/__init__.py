@@ -11,8 +11,7 @@ from repro.ec.route_ec import (
     RouteEcIndex,
     compute_prefix_group_ecs,
     compute_route_ecs,
-    expand_group_rows,
-    expand_rib_rows,
+    expand_device_ribs,
 )
 from repro.ec.flow_ec import FlowEc, FlowEcIndex, compute_flow_ecs
 
@@ -23,8 +22,7 @@ __all__ = [
     "RouteEcIndex",
     "compute_prefix_group_ecs",
     "compute_route_ecs",
-    "expand_group_rows",
-    "expand_rib_rows",
+    "expand_device_ribs",
     "FlowEc",
     "FlowEcIndex",
     "compute_flow_ecs",

@@ -15,12 +15,14 @@ can distinguish the members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
+from repro.routing.attributes import Route
 from repro.routing.inputs import InputRoute
-from repro.routing.rib import RibRoute
+from repro.routing.rib import DeviceRib
 
 
 @dataclass
@@ -34,10 +36,6 @@ class RouteEc:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def member_prefixes(self) -> List[Prefix]:
-        return [m.route.prefix for m in self.members]
-
 
 @dataclass
 class RouteEcIndex:
@@ -45,10 +43,6 @@ class RouteEcIndex:
 
     classes: List[RouteEc]
     total_routes: int
-
-    @property
-    def representatives(self) -> List[InputRoute]:
-        return [ec.representative for ec in self.classes]
 
     @property
     def reduction_factor(self) -> float:
@@ -63,42 +57,53 @@ class RouteEcIndex:
         return self.total_routes / len(self.classes)
 
 
-class _PrefixSignatureIndex:
+class PrefixSignatureIndex:
     """Evaluates the prefix-set matching signature of §3.1 condition (2).
 
     The signature of a prefix is the vector of its matching results against
     every prefix list on every device, every exact-prefix match clause in any
     policy, and containment in every aggregate prefix. Distinct prefixes with
     equal signatures are policy-indistinguishable.
+
+    The model-wide scan is made on the first :meth:`signature` call and the
+    signatures are memoized, so one index serves every EC computation over
+    the same (unchanged) model.
     """
 
     def __init__(self, model: NetworkModel) -> None:
-        self._plists: List[Tuple[object, object]] = []  # (plist, vendor)
-        self._exact_prefixes: List[Prefix] = []
-        self._aggregates: List[Prefix] = []
-        for device in model.devices.values():
+        self._model = model
+        self._cache: Dict[Prefix, Tuple] = {}
+
+    @cached_property
+    def _sets(self) -> Tuple[List[Tuple[object, object]], List[Prefix], List[Prefix]]:
+        """(prefix list, vendor) pairs, exact-match prefixes, aggregates."""
+        plists: List[Tuple[object, object]] = []
+        exact_prefixes: List[Prefix] = []
+        aggregates: List[Prefix] = []
+        for device in self._model.devices.values():
             vendor = device.vendor
             for plist in device.policy_ctx.prefix_lists.values():
-                self._plists.append((plist, vendor))
+                plists.append((plist, vendor))
             for policy in device.policy_ctx.policies.values():
                 for node in policy.nodes:
                     for clause in node.matches:
                         if clause.kind == "prefix":
-                            self._exact_prefixes.append(Prefix.parse(clause.value))
+                            exact_prefixes.append(Prefix.parse(clause.value))
             for agg in device.aggregates:
-                self._aggregates.append(agg.prefix)
-        self._cache: Dict[Prefix, Tuple] = {}
+                aggregates.append(agg.prefix)
+        return plists, exact_prefixes, aggregates
 
     def signature(self, prefix: Prefix) -> Tuple:
         cached = self._cache.get(prefix)
         if cached is not None:
             return cached
-        plist_bits = tuple(
-            plist.evaluate(prefix, vendor) for plist, vendor in self._plists
-        )
-        exact_bits = tuple(p == prefix for p in self._exact_prefixes)
+        plists, exact_prefixes, aggregates = self._sets
+        plist_bits = tuple(plist.evaluate(prefix, vendor) for plist, vendor in plists)
+        exact_bits = tuple(p == prefix for p in exact_prefixes)
+        # A prefix that *is* an aggregate shares its slot with the derived
+        # route, so it never stands for (or behind) another prefix.
         agg_bits = tuple(
-            agg.contains_prefix(prefix) and agg != prefix for agg in self._aggregates
+            (agg.contains_prefix(prefix), agg == prefix) for agg in aggregates
         )
         result = (plist_bits, exact_bits, agg_bits)
         self._cache[prefix] = result
@@ -109,7 +114,7 @@ def compute_route_ecs(
     model: NetworkModel, input_routes: Iterable[InputRoute]
 ) -> RouteEcIndex:
     """Group input routes into equivalence classes."""
-    signatures = _PrefixSignatureIndex(model)
+    signatures = PrefixSignatureIndex(model)
     classes: Dict[Tuple, RouteEc] = {}
     total = 0
     for item in input_routes:
@@ -146,10 +151,6 @@ class PrefixGroupEc:
     representative_routes: List[InputRoute]
     member_prefixes: List[Prefix] = field(default_factory=list)
 
-    @property
-    def size(self) -> int:
-        return len(self.member_prefixes)
-
 
 @dataclass
 class PrefixGroupEcIndex:
@@ -164,6 +165,10 @@ class PrefixGroupEcIndex:
             routes.extend(ec.representative_routes)
         return routes
 
+    def members_by_representative(self) -> Dict[Prefix, List[Prefix]]:
+        """Representative prefix -> all member prefixes of its class (itself too)."""
+        return {ec.representative_prefix: ec.member_prefixes for ec in self.classes}
+
     @property
     def reduction_factor(self) -> float:
         """prefix groups per simulated group; 1.0 for an empty input set."""
@@ -173,16 +178,25 @@ class PrefixGroupEcIndex:
 
 
 def compute_prefix_group_ecs(
-    model: NetworkModel, input_routes: Iterable[InputRoute]
+    model: NetworkModel,
+    input_routes: Iterable[InputRoute],
+    signatures: Optional[PrefixSignatureIndex] = None,
 ) -> PrefixGroupEcIndex:
-    """Group same-prefix route sets, then EC-reduce the groups."""
-    signatures = _PrefixSignatureIndex(model)
+    """Group same-prefix route sets, then EC-reduce the groups.
+
+    ``signatures`` is a :class:`PrefixSignatureIndex` of ``model`` to reuse.
+    """
     groups: Dict[Prefix, List[InputRoute]] = {}
     total_routes = 0
     for item in input_routes:
         total_routes += 1
         groups.setdefault(item.route.prefix, []).append(item)
 
+    # A lone group has nothing to merge with: no signature, no model scan.
+    if len(groups) < 2:
+        signatures = None
+    elif signatures is None:
+        signatures = PrefixSignatureIndex(model)
     classes: Dict[Tuple, PrefixGroupEc] = {}
     for prefix, members in groups.items():
         group_shape = tuple(
@@ -190,7 +204,11 @@ def compute_prefix_group_ecs(
                 (m.router, m.vrf, m.route.attribute_key()) for m in members
             )
         )
-        key = (prefix.length, signatures.signature(prefix), group_shape)
+        key = (
+            prefix.length,
+            signatures.signature(prefix) if signatures else (),
+            group_shape,
+        )
         ec = classes.get(key)
         if ec is None:
             classes[key] = PrefixGroupEc(
@@ -207,60 +225,24 @@ def compute_prefix_group_ecs(
     )
 
 
-def expand_group_rows(
-    index: PrefixGroupEcIndex, rows: Iterable[RibRoute]
-) -> List[RibRoute]:
-    """Clone each representative prefix's rows onto its EC's member prefixes.
+def expand_device_ribs(
+    index: PrefixGroupEcIndex, ribs: Mapping[str, DeviceRib]
+) -> None:
+    """Clone each representative prefix's slots onto its EC's other members.
 
-    Rows for prefixes that are not EC representatives (derived aggregates,
-    loopbacks, statics) pass through once, untouched.
+    In place, on RIBs assembled from a representative-space solve: every
+    row kind (best, ECMP, candidate) is copied with its prefix rewritten.
+    Slots at prefixes outside the index (derived aggregates) stay as they
+    are. A route instance recurs on every device that holds it unchanged —
+    routes are interned flyweights — so each distinct (route, member
+    prefix) pair is cloned once and the clone installed wherever it recurs.
     """
-    members_of: Dict[Prefix, List[Prefix]] = {
-        ec.representative_prefix: ec.member_prefixes for ec in index.classes
+    members_of = {
+        rep: [member for member in members if member != rep]
+        for rep, members in index.members_by_representative().items()
+        if len(members) > 1
     }
-    expanded: List[RibRoute] = []
-    for row in rows:
-        members = members_of.get(row.route.prefix)
-        if members is None:
-            expanded.append(row)
-            continue
-        for member in members:
-            if member == row.route.prefix:
-                expanded.append(row)
-            else:
-                expanded.append(
-                    RibRoute(
-                        device=row.device,
-                        vrf=row.vrf,
-                        route=row.route.evolve(prefix=member),
-                        route_type=row.route_type,
-                    )
-                )
-    return expanded
-
-
-def expand_rib_rows(ec: RouteEc, rows: Iterable[RibRoute]) -> List[RibRoute]:
-    """Clone the representative's RIB rows onto every member prefix.
-
-    Rows whose prefix is not the representative's (e.g. triggered aggregate
-    prefixes) are kept once, unduplicated.
-    """
-    rep_prefix = ec.representative.route.prefix
-    expanded: List[RibRoute] = []
-    for row in rows:
-        if row.route.prefix != rep_prefix:
-            expanded.append(row)
-            continue
-        for member in ec.members:
-            if member.route.prefix == rep_prefix:
-                expanded.append(row)
-            else:
-                expanded.append(
-                    RibRoute(
-                        device=row.device,
-                        vrf=row.vrf,
-                        route=row.route.evolve(prefix=member.route.prefix),
-                        route_type=row.route_type,
-                    )
-                )
-    return expanded
+    # id(route) is a sound memo key: ``ribs`` keeps every source route alive.
+    clones: Dict[Tuple[int, Prefix], Route] = {}
+    for rib in ribs.values():
+        rib.clone_slots(members_of, clones)

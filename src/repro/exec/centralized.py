@@ -21,8 +21,8 @@ from repro.exec.base import (
     TrafficSimRequest,
     resource_accounting,
 )
-from repro.exec.connected import install_connected_routes
 from repro.obs import RunContext, ensure_context
+from repro.routing.connected import install_connected_routes
 from repro.routing.inputs import InputRoute, build_local_input_routes
 from repro.routing.isis import compute_igp
 from repro.routing.simulator import RouteSimulator
@@ -40,7 +40,6 @@ class CentralizedBackend(ExecutionBackend):
         chunked: bool = False,
         memory_limit_rows: Optional[int] = None,
         chunk_size: int = 64,
-        use_ecs: bool = True,
         traffic_workers: Optional[int] = None,
         traffic_parallel_mode: str = "thread",
     ) -> None:
@@ -48,7 +47,6 @@ class CentralizedBackend(ExecutionBackend):
         self.chunked = chunked or memory_limit_rows is not None
         self.memory_limit_rows = memory_limit_rows
         self.chunk_size = chunk_size
-        self.use_ecs = use_ecs
         #: default forwarding fan-out for traffic requests (request.workers
         #: overrides per call); results are worker-count independent.
         self.traffic_workers = traffic_workers
@@ -73,9 +71,8 @@ class CentralizedBackend(ExecutionBackend):
                     igp=igp,
                     memory_limit_rows=self.memory_limit_rows,
                     chunk_size=self.chunk_size,
-                    use_ecs=self.use_ecs,
                 )
-                chunked = runner.run(inputs)
+                chunked = runner.run(inputs, ctx=ctx)
                 ctx.count("route_sim.rib_rows", chunked.rib_rows)
                 install_connected_routes(request.model, chunked.device_ribs)
                 return RouteSimOutcome(

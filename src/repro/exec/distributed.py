@@ -30,8 +30,8 @@ from repro.exec.base import (
     TrafficSimRequest,
     resource_accounting,
 )
-from repro.exec.connected import install_connected_routes
 from repro.obs import RunContext, ensure_context
+from repro.routing.connected import install_connected_routes
 from repro.routing.inputs import InputRoute, build_local_input_routes
 from repro.traffic.simulator import TrafficSimulator
 

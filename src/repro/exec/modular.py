@@ -31,10 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.ec.route_ec import (
-    PrefixGroupEcIndex,
-    compute_prefix_group_ecs,
-)
+from repro.ec.route_ec import PrefixGroupEcIndex
 from repro.exec.base import (
     ExecutionBackend,
     RouteSimOutcome,
@@ -43,7 +40,6 @@ from repro.exec.base import (
     TrafficSimRequest,
     resource_accounting,
 )
-from repro.exec.connected import install_connected_routes
 from repro.modular.regions import RegionAssignment
 from repro.modular.summaries import (
     RegionSummary,
@@ -97,17 +93,11 @@ class ModularBackend(ExecutionBackend):
         exchange_rounds: int = DEFAULT_EXCHANGE_ROUNDS,
         assume: Optional[Mapping[str, RegionSummary]] = None,
         summary_store=None,
-        use_route_ecs: bool = True,
         traffic_workers: Optional[int] = None,
         traffic_parallel_mode: str = "thread",
     ) -> None:
         self.max_rounds = max_rounds
         self.exchange_rounds = exchange_rounds
-        #: §3.1 prefix-group EC reduction inside the modular solve: simulate
-        #: representative groups only, clone rows (and border summaries)
-        #: onto member prefixes afterwards. Off in assume mode — operator
-        #: claims arrive in raw prefix space.
-        self.use_route_ecs = use_route_ecs
         #: operator-claimed summaries (trust-then-check); a mismatch falls
         #: back to full simulation with structured counter-examples.
         self.assume = dict(assume) if assume else None
@@ -159,25 +149,13 @@ class ModularBackend(ExecutionBackend):
             max_rounds=max_rounds,
             exchange_rounds=self.exchange_rounds,
         )
-        # Prefix-group EC reduction (the same §3.1 technique the distsim
-        # workers use): the regions solve representative groups only and the
-        # rows — and border summaries — are cloned onto member prefixes
-        # afterwards. Assume mode solves raw: operator claims name raw
-        # prefixes and must be checked against raw exports.
-        index: Optional[PrefixGroupEcIndex] = None
-        solve_inputs = inputs
-        if self.use_route_ecs and self.assume is None:
-            with ctx.span("route_ecs"):
-                index = compute_prefix_group_ecs(model, inputs)
-            if len(index.classes) >= index.total_groups:
-                index = None
-            else:
-                solve_inputs = index.representative_routes
-                ctx.count("modular.ec_groups", len(index.classes))
-                ctx.count(
-                    "modular.ec_members_skipped",
-                    index.total_groups - len(index.classes),
-                )
+        # The regions solve in the shared simulator's §3.1 representative
+        # space; rows — and border summaries — are cloned onto member
+        # prefixes afterwards. Assume mode solves raw: operator claims name
+        # raw prefixes and must be checked against raw exports.
+        simulator = RouteSimulator(model, igp=igp, max_rounds=max_rounds)
+        index = None if self.assume is not None else simulator.route_ecs(inputs, ctx)
+        solve_inputs = inputs if index is None else index.representative_routes
         seed = self._cached_summaries(verifier.assignment, ctx)
         if seed is not None and index is not None:
             seed = _restrict_to_representatives(seed, index)
@@ -192,27 +170,11 @@ class ModularBackend(ExecutionBackend):
             # the centralized answer exactly; the violations stay on
             # last_violations as structured counter-examples.
             ctx.count("modular.fallbacks")
-            simulator = RouteSimulator(model, igp=igp, max_rounds=max_rounds)
             return simulator.simulate(inputs, include_local_inputs=False, ctx=ctx)
         ctx.count("bgp.messages", modular.bgp.stats.messages)
+        ribs = simulator.assemble_ribs(modular.bgp, index, ctx)
         summaries = modular.summaries
-        if index is None:
-            simulator = RouteSimulator(model, igp=igp, max_rounds=max_rounds)
-            with ctx.span("assemble_ribs"):
-                ribs = simulator.assemble_ribs(modular.bgp)
-        else:
-            # Assemble in representative space without connected routes
-            # (mirroring the worker path), clone rows onto member prefixes,
-            # then install connected/static rows post-expansion — the same
-            # normalization the distributed merge uses.
-            simulator = RouteSimulator(
-                model, igp=igp, max_rounds=max_rounds, include_connected=False
-            )
-            with ctx.span("assemble_ribs"):
-                ribs = self._expand_ribs(
-                    index, simulator.assemble_ribs(modular.bgp)
-                )
-            install_connected_routes(model, ribs)
+        if index is not None:
             with ctx.span("expand_summaries"):
                 summaries = _expand_summaries(index, summaries)
         self._remember(model, igp, verifier.assignment, summaries)
@@ -223,43 +185,8 @@ class ModularBackend(ExecutionBackend):
             bgp=modular.bgp,
             elapsed_seconds=time.perf_counter() - started,
             cost_units=modular.bgp.stats.messages,
+            route_ecs=index,
         )
-
-    @staticmethod
-    def _expand_ribs(
-        index: PrefixGroupEcIndex, ribs: Dict[str, DeviceRib]
-    ) -> Dict[str, DeviceRib]:
-        # Preserve the assembled device key space: devices whose RIBs held
-        # no BGP rows keep their (empty) entries, exactly as centralized
-        # assembly would leave them. Clones are memoized per (route id,
-        # member prefix): routes are interned flyweights, so the same
-        # instance recurs across devices and the memo skips re-evolving it.
-        members_of = {
-            ec.representative_prefix: ec.member_prefixes for ec in index.classes
-        }
-        clone_memo: Dict[Tuple[int, object], object] = {}
-        expanded: Dict[str, DeviceRib] = {}
-        for name, rib in ribs.items():
-            target = DeviceRib(name)
-            expanded[name] = target
-            for row in rib.all_rows():
-                members = members_of.get(row.route.prefix)
-                if members is None:
-                    target.install(
-                        row.route, vrf=row.vrf, route_type=row.route_type
-                    )
-                    continue
-                for member in members:
-                    if member == row.route.prefix:
-                        route = row.route
-                    else:
-                        memo_key = (id(row.route), member)
-                        route = clone_memo.get(memo_key)
-                        if route is None:
-                            route = row.route.evolve(prefix=member)
-                            clone_memo[memo_key] = route
-                    target.install(route, vrf=row.vrf, route_type=row.route_type)
-        return expanded
 
     # -- region-scoped warm path ---------------------------------------------
 
@@ -484,9 +411,9 @@ def _restrict_to_representatives(
     """
     dropped = {
         member
-        for ec in index.classes
-        for member in ec.member_prefixes
-        if member != ec.representative_prefix
+        for rep, members in index.members_by_representative().items()
+        for member in members
+        if member != rep
     }
     if not dropped:
         return summaries
@@ -504,13 +431,11 @@ def _expand_summaries(
     The EC invariant (§3.1) is that member prefixes are indistinguishable
     to policy and decision logic, so a member's border export is exactly
     the representative's with the prefix field rewritten — the same cloning
-    :func:`expand_group_rows` performs for RIB rows. Expanded summaries are
+    :func:`expand_device_ribs` performs for RIB rows. Expanded summaries are
     what gets remembered and published: every later consumer (the scoped
     incremental path, the serve cache) compares against raw-space exports.
     """
-    members_of = {
-        ec.representative_prefix: ec.member_prefixes for ec in index.classes
-    }
+    members_of = index.members_by_representative()
     expanded: Dict[str, RegionSummary] = {}
     for region, summary in summaries.items():
         exports = {}

@@ -2,9 +2,10 @@
 
 The engine ties the subsystem together for ``ChangeVerifier``:
 
-1. After the base simulation, :meth:`IncrementalEngine.snapshot_base` stores
-   every device RIB in the content-addressed snapshot store (invalidating
-   the previous base world's snapshots first).
+1. After the base simulation, :meth:`IncrementalEngine.snapshot_base`
+   invalidates the previous base world's snapshots and, when the store has
+   a byte budget, stores every device RIB in it. An unbudgeted store is
+   left empty: the live RIBs the verifier holds are the base world.
 2. Per change plan, :meth:`IncrementalEngine.analyze` produces the model
    diff and blast radius.
 3. The verifier re-simulates only the covered input routes
@@ -13,7 +14,7 @@ The engine ties the subsystem together for ``ChangeVerifier``:
    :meth:`IncrementalEngine.splice` merges the partial result into the
    unaffected base state: covered slots come from the partial run, uncovered
    slots from the base snapshots, and devices without any covered slot reuse
-   their base RIB object wholesale (a snapshot-store hit).
+   their base RIB object wholesale (a snapshot-store hit when stored).
 
 Correctness rests on the blast-radius guarantee: a slot whose prefix the
 radius does not cover is byte-identical between base and updated runs, so
@@ -22,6 +23,7 @@ splicing base rows there reproduces exactly what the full run would emit.
 
 from __future__ import annotations
 
+import gc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
@@ -133,14 +135,35 @@ class IncrementalEngine:
     def snapshot_base(
         self, device_ribs: Mapping[str, DeviceRib], ctx=None
     ) -> None:
-        """Snapshot the base world's RIBs, invalidating the previous one."""
+        """Snapshot the base world's RIBs, invalidating the previous one.
+
+        Only a byte-budgeted store is written to. Without a budget nothing
+        ever needs the bytes or the content keys: :meth:`base_rib` hands
+        back the live RIB it is given, so fingerprinting and pickling every
+        device would produce state nobody reads.
+
+        From here on the base world is read, not changed, until its owner
+        drops it, and reference counting frees it then: a simulation builds
+        no reference cycle. So everything alive now moves to the cyclic
+        collector's permanent generation (``gc.freeze()``). Otherwise every
+        full collection that a later request — or the caller's own code —
+        triggers walks the whole base again and finds nothing. This acts
+        on the whole process: a cycle among the caller's objects alive now
+        that becomes garbage later stays until ``gc.unfreeze()``.
+        """
         with (
             ctx.span("incremental.snapshot_base", devices=len(device_ribs))
             if ctx
             else nullcontext()
         ):
-            evictions_before = self.snapshots.stats.lru_evictions
+            gc.freeze()
             self.snapshots.invalidate(BASE_WORLD_TOKEN)
+            if self.snapshots.max_bytes is None:
+                self._snapshot_keys = {}
+                if ctx:
+                    ctx.count("snapshots.deferred", len(device_ribs))
+                return
+            evictions_before = self.snapshots.stats.lru_evictions
             self._snapshot_keys = {
                 name: self.snapshots.put(
                     rib, deps=(BASE_WORLD_TOKEN, device_token(name))

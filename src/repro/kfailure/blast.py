@@ -137,11 +137,20 @@ class FailureBlastAnalyzer:
     def _collect_base_dependencies(self, base_result: SimulationResult) -> None:
         owner_cache: Dict[object, Optional[str]] = {}
         owner_of = self.model.owner_of_address
+        # The base fixpoint is representative-space: a slot stands for every
+        # member prefix of its route EC, whose candidates differ only by
+        # prefix — so they share the slot's senders and next-hop owners.
+        members_of = (
+            base_result.route_ecs.members_by_representative()
+            if base_result.route_ecs is not None
+            else {}
+        )
         for device, slots in base_result.bgp.selections.items():
             deps = self._cost_deps.setdefault(device, {})
             for (vrf, prefix), selection in slots.items():
-                self._sender_prefixes.setdefault((device, vrf), set()).add(
-                    prefix
+                prefixes = members_of.get(prefix) or (prefix,)
+                self._sender_prefixes.setdefault((device, vrf), set()).update(
+                    prefixes
                 )
                 for candidate in (
                     selection.best,
@@ -157,7 +166,7 @@ class FailureBlastAnalyzer:
                         owner_cache[nexthop] = owner
                     if owner is None or owner == device:
                         continue  # constant ingress cost across scenarios
-                    deps.setdefault(owner, set()).add(prefix)
+                    deps.setdefault(owner, set()).update(prefixes)
 
     # -- per-scenario fingerprint (cheap: no IGP solve) ---------------------
 

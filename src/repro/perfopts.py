@@ -70,6 +70,11 @@ class PerfOptions:
     #: ``multiprocessing.shared_memory`` segment instead of pickling the
     #: blob into every worker's pipe (``repro.distsim.shipping``)
     shm_ship: bool = True
+    #: §3.1 route equivalence classes in ``RouteSimulator``: solve the BGP
+    #: fixpoint for one representative prefix group per class and clone its
+    #: RIB rows onto the member prefixes. Off is the naive full solve the
+    #: benchmark's oracle arm (``all_disabled``) compares against.
+    route_ecs: bool = True
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(PerfOptions))

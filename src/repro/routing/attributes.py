@@ -136,6 +136,20 @@ class Route(_RouteCaches):
             return interning.intern_route(clone)
         return clone
 
+    def with_prefix(self, prefix: Prefix) -> "Route":
+        """This route re-announced for ``prefix`` (the §3.1 member clone).
+
+        What ``evolve(prefix=...)`` returns, minus its per-field change
+        lookup and the flyweight-store round trip: EC expansion makes tens
+        of thousands of these and shares each clone itself.
+        """
+        clone = object.__new__(Route)
+        assign = object.__setattr__
+        assign(clone, "prefix", prefix)
+        for name in _ROUTE_FIELD_ORDER[1:]:
+            assign(clone, name, getattr(self, name))
+        return clone
+
     # -- helpers used by policies and RCL ------------------------------------
 
     def has_community(self, value: str) -> bool:

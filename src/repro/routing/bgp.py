@@ -17,7 +17,17 @@ time faithfully.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import perfopts
 from repro.net.addr import IPAddress, Prefix
@@ -35,6 +45,9 @@ from repro.routing.decision import Candidate, Selection, make_candidate, select_
 from repro.routing.inputs import InputRoute
 from repro.routing.isis import IgpState, INFINITY
 from repro.routing.sr import effective_igp_cost
+
+if TYPE_CHECKING:
+    from repro.ec.route_ec import PrefixGroupEcIndex
 
 #: IGP cost stored for unreachable next hops (keeps keys comparable ints).
 UNREACHABLE_COST = 1 << 30
@@ -279,8 +292,20 @@ class BgpSimulator:
 
     # -- public API -----------------------------------------------------------
 
-    def run(self, input_routes: Iterable[InputRoute]) -> BgpResult:
-        """Simulate the propagation of the input routes to a fixpoint."""
+    def run(
+        self,
+        input_routes: Iterable[InputRoute],
+        route_ecs: Optional["PrefixGroupEcIndex"] = None,
+    ) -> BgpResult:
+        """Simulate the propagation of the input routes to a fixpoint.
+
+        ``route_ecs`` — the §3.1 classes of ``input_routes`` — lets the run
+        answer for all of them by solving one representative prefix group
+        per class: the result then holds representative prefixes only and
+        the caller clones their rows onto the members.
+        """
+        if route_ecs is not None:
+            input_routes = route_ecs.representative_routes
         self._reset()
         worklist = self.seed(input_routes)
         self.run_worklist(worklist)

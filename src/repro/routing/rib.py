@@ -124,6 +124,32 @@ class DeviceRib:
         self._tries_dirty = True
         self._generation += 1
 
+    def clone_slots(
+        self,
+        members_of: Dict[Prefix, List[Prefix]],
+        clones: Dict[Tuple[int, Prefix], Route],
+    ) -> None:
+        """Copy each slot keyed in ``members_of`` onto the mapped prefixes.
+
+        The §3.1 expansion: routes are re-announced for the target prefix,
+        route types and row order kept. ``clones`` shares one clone per
+        ``(id(route), prefix)`` with the other devices being expanded.
+        """
+        for table in self._tables.values():
+            for prefix in [p for p in table if p in members_of]:
+                entries = table[prefix]
+                for member in members_of[prefix]:
+                    cloned = []
+                    for route, route_type in entries:
+                        key = (id(route), member)
+                        clone = clones.get(key)
+                        if clone is None:
+                            clone = clones[key] = route.with_prefix(member)
+                        cloned.append((clone, route_type))
+                    table[member] = cloned
+        self._tries_dirty = True
+        self._generation += 1
+
     # -- queries -----------------------------------------------------------
 
     @property

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
-from repro.net.addr import Prefix
+from repro import perfopts
+from repro.ec.route_ec import (
+    PrefixGroupEcIndex,
+    PrefixSignatureIndex,
+    compute_prefix_group_ecs,
+    expand_device_ribs,
+)
 from repro.net.model import NetworkModel
-from repro.routing.attributes import Route, SOURCE_LOCAL
 from repro.routing.bgp import BgpResult, BgpSimulator, BgpStats
+from repro.routing.connected import install_connected_routes, resolve_contenders
 from repro.routing.inputs import InputRoute, build_local_input_routes
 from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import (
@@ -32,7 +38,15 @@ from repro.routing.rib import (
 
 @dataclass
 class SimulationResult:
-    """Output of one route-simulation (sub)task."""
+    """Output of one route-simulation (sub)task.
+
+    ``device_ribs`` always cover every input prefix. ``bgp`` is the
+    fixpoint state as it was *solved*: when ``route_ecs`` is set the solve
+    ran on one representative prefix group per equivalence class (§3.1), so
+    ``bgp.selections`` and ``bgp.stats`` hold representative prefixes only
+    and a consumer that needs raw prefixes maps each slot through
+    ``route_ecs.members_by_representative()``.
+    """
 
     device_ribs: Dict[str, DeviceRib]
     igp: IgpState
@@ -41,6 +55,9 @@ class SimulationResult:
     #: abstract work units (delivered BGP messages) — used by the
     #: distributed framework's simulated-makespan model.
     cost_units: int = 0
+    #: the equivalence classes the solve was reduced by; ``None`` when it
+    #: ran on the raw inputs.
+    route_ecs: Optional[PrefixGroupEcIndex] = None
 
     def global_rib(self, best_only: bool = False) -> GlobalRib:
         rib = GlobalRib.from_device_ribs(self.device_ribs.values())
@@ -71,6 +88,9 @@ class RouteSimulator:
         #: every subtask's result file, widening its recorded address range
         #: and defeating the ordering heuristic's dependency reduction.
         self.include_connected = include_connected
+        #: §3.1 prefix signatures of ``model``, shared by every ``simulate``
+        #: call (like ``igp``, valid while the model's configuration is)
+        self._signatures = PrefixSignatureIndex(model)
 
     def simulate(
         self,
@@ -85,20 +105,32 @@ class RouteSimulator:
         ``include_local_inputs=False`` when local routes are provided by the
         master's input-building phase instead. ``ctx`` (an optional
         :class:`repro.obs.RunContext`) records fixpoint/assembly sub-spans
-        and BGP message counters; omitted on hot subtask paths.
+        and the BGP message and route-EC counters.
+
+        The fixpoint runs in representative space whenever the inputs hold
+        prefix groups that §3.1 cannot tell apart (see :meth:`route_ecs`);
+        the RIBs are expanded back to every input prefix.
         """
         started = time.perf_counter()
         inputs: List[InputRoute] = list(input_routes or [])
         if include_local_inputs:
             inputs.extend(build_local_input_routes(self.model))
 
+        index = self.route_ecs(inputs, ctx)
         bgp = BgpSimulator(self.model, self.igp, max_rounds=self.max_rounds)
-        with ctx.span("bgp_fixpoint", inputs=len(inputs)) if ctx else nullcontext():
-            result = bgp.run(inputs)
+        with (
+            ctx.span(
+                "bgp_fixpoint",
+                inputs=len(inputs),
+                solved_inputs=len(index.representative_routes if index else inputs),
+            )
+            if ctx
+            else nullcontext()
+        ):
+            result = bgp.run(inputs, route_ecs=index)
         if ctx is not None:
             ctx.count("bgp.messages", result.stats.messages)
-        with ctx.span("assemble_ribs") if ctx else nullcontext():
-            ribs = self._assemble_ribs(result)
+        ribs = self.assemble_ribs(result, index, ctx)
         elapsed = time.perf_counter() - started
         return SimulationResult(
             device_ribs=ribs,
@@ -106,92 +138,71 @@ class RouteSimulator:
             bgp=result,
             elapsed_seconds=elapsed,
             cost_units=result.stats.messages,
+            route_ecs=index,
         )
 
-    def assemble_ribs(self, bgp: BgpResult) -> Dict[str, DeviceRib]:
-        """Assemble per-device RIBs from an externally computed BGP state.
+    def route_ecs(
+        self, inputs: Iterable[InputRoute], ctx=None
+    ) -> Optional[PrefixGroupEcIndex]:
+        """The §3.1 reduction of ``inputs``, or ``None`` when there is none.
 
-        Modular verification composes per-region fixpoints into one merged
+        ``None`` — solve the raw inputs — with the ``route_ecs`` perf flag
+        off and whenever no two prefix groups fall into one class (a
+        bounded change's covered inputs usually span a single group).
+        """
+        if not perfopts.OPTS.route_ecs:
+            return None
+        index = compute_prefix_group_ecs(self.model, inputs, self._signatures)
+        skipped = index.total_groups - len(index.classes)
+        if not skipped:
+            return None
+        if ctx is not None:
+            ctx.count("route_sim.ec_groups", len(index.classes))
+            ctx.count("route_sim.ec_members_skipped", skipped)
+        return index
+
+    def assemble_ribs(
+        self,
+        bgp: BgpResult,
+        route_ecs: Optional[PrefixGroupEcIndex] = None,
+        ctx=None,
+    ) -> Dict[str, DeviceRib]:
+        """Assemble per-device RIBs from a BGP fixpoint state.
+
+        Also the entry point for externally computed states: modular
+        verification composes per-region fixpoints into one merged
         :class:`BgpResult` (device key spaces are disjoint) and runs the
         exact assembly ``simulate`` would, so RIB rows stay byte-identical
-        to a monolithic pass.
+        to a monolithic pass. ``route_ecs`` names the classes a
+        representative-space state was reduced by: its rows are cloned onto
+        the member prefixes before connected routes compete for any slot.
         """
-        return self._assemble_ribs(bgp)
+        with ctx.span("assemble_ribs") if ctx else nullcontext():
+            ribs = self._assemble_bgp_ribs(bgp)
+            if route_ecs is not None:
+                with ctx.span("expand_ribs") if ctx else nullcontext():
+                    expand_device_ribs(route_ecs, ribs)
+            if self.include_connected:
+                install_connected_routes(self.model, ribs)
+        return ribs
 
-    def _assemble_ribs(self, bgp: BgpResult) -> Dict[str, DeviceRib]:
+    def _assemble_bgp_ribs(self, bgp: BgpResult) -> Dict[str, DeviceRib]:
+        """One RIB per device holding its BGP selections (none when down)."""
         ribs: Dict[str, DeviceRib] = {}
-        for name, device in self.model.devices.items():
+        router_is_up = self.model.topology.router_is_up
+        for name in self.model.devices:
             rib = DeviceRib(name)
             ribs[name] = rib
-            if not self.model.topology.router_is_up(name):
+            if not router_is_up(name):
                 continue
-
-            # Competing protocol routes per (vrf, prefix): admin preference
-            # picks the active protocol; losers stay visible as candidates.
-            contenders: Dict[Tuple[str, Prefix], List[Tuple[Route, str]]] = {}
-
-            if self.include_connected:
-                for static in device.statics:
-                    route = Route(
-                        prefix=static.prefix,
-                        nexthop=static.nexthop,
-                        protocol="static",
-                        source=SOURCE_LOCAL,
-                        preference=static.preference,
-                        origin_router=name,
-                        origin_vrf=static.vrf,
-                    )
-                    contenders.setdefault((static.vrf, static.prefix), []).append(
-                        (route, ROUTE_TYPE_BEST)
-                    )
-
-                loopback = self.model.loopback_of(name)
-                if loopback is not None:
-                    direct = Route(
-                        prefix=Prefix.from_address(loopback),
-                        protocol="direct",
-                        source=SOURCE_LOCAL,
-                        preference=0,
-                        origin_router=name,
-                    )
-                    contenders.setdefault(("global", direct.prefix), []).append(
-                        (direct, ROUTE_TYPE_BEST)
-                    )
-
             for (vrf, prefix), selection in bgp.selections.get(name, {}).items():
-                entries = contenders.setdefault((vrf, prefix), [])
-                entries.append((selection.best.route, ROUTE_TYPE_BEST))
+                entries = [(selection.best.route, ROUTE_TYPE_BEST)]
                 for candidate in selection.ecmp:
                     entries.append((candidate.route, ROUTE_TYPE_ECMP))
                 if self.keep_candidates:
                     for candidate in selection.rejected:
                         entries.append((candidate.route, ROUTE_TYPE_CANDIDATE))
-
-            for (vrf, prefix), entries in contenders.items():
-                if len(entries) == 1 and entries[0][1] == ROUTE_TYPE_BEST:
-                    # Overwhelmingly common case: a single BGP best route
-                    # with no competing protocol — nothing to demote.
-                    rib.replace_prefix(vrf, prefix, entries)
-                    continue
-                best_pref = min(r.preference for r, t in entries if t != ROUTE_TYPE_CANDIDATE)
-                final: List[Tuple[Route, str]] = []
-                for route, route_type in entries:
-                    if route_type == ROUTE_TYPE_CANDIDATE:
-                        final.append((route, route_type))
-                    elif route.preference == best_pref:
-                        final.append((route, route_type))
-                    else:
-                        final.append((route, ROUTE_TYPE_CANDIDATE))
-                # Exactly one BEST per (vrf, prefix): demote extras to ECMP.
-                seen_best = False
-                normalized: List[Tuple[Route, str]] = []
-                for route, route_type in final:
-                    if route_type == ROUTE_TYPE_BEST:
-                        if seen_best:
-                            route_type = ROUTE_TYPE_ECMP
-                        seen_best = True
-                    normalized.append((route, route_type))
-                rib.replace_prefix(vrf, prefix, normalized)
+                rib.replace_prefix(vrf, prefix, resolve_contenders(entries))
         return ribs
 
 

@@ -3,6 +3,7 @@ centralized runner, dependency reduction, retry, EC ablation."""
 
 import pytest
 
+from repro import perfopts
 from repro.distsim import (
     CentralizedRunner,
     DistributedRouteSimulation,
@@ -52,9 +53,8 @@ class TestRouteSimulationCorrectness:
     def test_ec_ablation_same_results(self, wan):
         model, _, routes, _ = wan
         with_ecs = DistributedRouteSimulation(model).run(routes, subtasks=4)
-        without = DistributedRouteSimulation(
-            model, worker_config=WorkerConfig(use_route_ecs=False)
-        ).run(routes, subtasks=4)
+        with perfopts.configured(route_ecs=False):
+            without = DistributedRouteSimulation(model).run(routes, subtasks=4)
         assert with_ecs.global_rib(best_only=True) == without.global_rib(
             best_only=True
         )

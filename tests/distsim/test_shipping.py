@@ -22,6 +22,13 @@ _SHM_AVAILABLE = shipping._shared_memory is not None
 PAYLOAD = {"model": ["r1", "r2"], "ribs": {"r1": [("10.0.0.0/24", 100)]}, "n": 7}
 
 
+@pytest.fixture(autouse=True)
+def shm_ship_on():
+    """These tests are about the shared-memory path: pin its flag on."""
+    with perfopts.configured(shm_ship=True):
+        yield
+
+
 class TestRoundtrip:
     def test_shared_memory_roundtrip(self):
         if not _SHM_AVAILABLE:

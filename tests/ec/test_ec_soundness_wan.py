@@ -4,7 +4,7 @@ test_route_ec.py)."""
 
 import pytest
 
-from repro.distsim.worker import WorkerConfig
+from repro import perfopts
 from repro.exec import DistributedBackend, RouteSimRequest
 from repro.net.addr import Prefix
 from repro.routing.simulator import simulate_routes
@@ -19,7 +19,8 @@ def test_ec_distributed_matches_monolithic_on_wan(seed):
     routes = generate_input_routes(inventory, n_prefixes=30, redundancy=2,
                                    seed=seed + 1)
 
-    mono = simulate_routes(model, routes, include_local_inputs=False)
+    with perfopts.configured(route_ecs=False):
+        mono = simulate_routes(model, routes, include_local_inputs=False)
     loops = {Prefix.from_address(lb) for lb in model.loopbacks.values()}
 
     def strip(rib):
@@ -32,9 +33,10 @@ def test_ec_distributed_matches_monolithic_on_wan(seed):
     with_ecs = DistributedBackend().run_routes(
         RouteSimRequest(model=model, inputs=routes, subtasks=7)
     )
-    without = DistributedBackend(
-        worker_config=WorkerConfig(use_route_ecs=False)
-    ).run_routes(RouteSimRequest(model=model, inputs=routes, subtasks=7))
+    with perfopts.configured(route_ecs=False):
+        without = DistributedBackend().run_routes(
+            RouteSimRequest(model=model, inputs=routes, subtasks=7)
+        )
 
     reference = strip(mono.global_rib(best_only=True))
     assert strip(with_ecs.global_rib(best_only=True)) == reference

@@ -1,9 +1,10 @@
 """Tests for route equivalence classes (§3.1)."""
 
-from repro.ec import compute_route_ecs, expand_rib_rows
+from repro import perfopts
+from repro.ec import compute_prefix_group_ecs, compute_route_ecs, expand_device_ribs
 from repro.net.addr import Prefix
 from repro.routing.inputs import inject_external_route
-from repro.routing.rib import RibRoute, ROUTE_TYPE_BEST
+from repro.routing.rib import DeviceRib
 from repro.routing.simulator import simulate_routes
 
 from tests.helpers import build_model, full_mesh_ibgp
@@ -108,31 +109,32 @@ class TestSoundness:
             inject_external_route("A", f"203.0.{i}.0/24", (65010,)) for i in range(6)
         ]
 
-        # Full simulation
-        full = simulate_routes(model, inputs).global_rib(best_only=True)
+        # Full simulation (the simulator's own reduction off)
+        with perfopts.configured(route_ecs=False):
+            full = simulate_routes(model, inputs).global_rib(best_only=True)
 
-        # EC-reduced simulation + expansion
-        index = compute_route_ecs(model, inputs)
-        assert len(index.classes) == 2  # SPECIAL vs the rest
-        expanded_rows = []
+            # EC-reduced simulation + expansion
+            index = compute_prefix_group_ecs(model, inputs)
+            assert len(index.classes) == 2  # SPECIAL vs the rest
+            reduced = simulate_routes(
+                model, index.representative_routes, include_connected=False
+            )
+        expand_device_ribs(index, reduced.device_ribs)
+
         loopback_prefixes = {
             Prefix.from_address(model.loopback_of(n)) for n in ("A", "B")
         }
-        for ec in index.classes:
-            result = simulate_routes(model, [ec.representative])
-            rows = [
-                row
-                for row in result.global_rib(best_only=True)
-                if row.route.prefix not in loopback_prefixes
-            ]
-            expanded_rows.extend(expand_rib_rows(ec, rows))
-
         full_rows = {
             row.identity()
             for row in full
             if row.route.prefix not in loopback_prefixes
         }
-        assert {row.identity() for row in expanded_rows} == full_rows
+        expanded_rows = {
+            row.identity()
+            for row in reduced.global_rib(best_only=True)
+            if row.route.prefix not in loopback_prefixes
+        }
+        assert expanded_rows == full_rows
 
     def test_expand_keeps_foreign_prefix_rows_once(self):
         model = simple_model()
@@ -140,19 +142,13 @@ class TestSoundness:
             inject_external_route("A", "203.0.0.0/24", (65010,)),
             inject_external_route("A", "203.0.1.0/24", (65010,)),
         ]
-        index = compute_route_ecs(model, inputs)
+        index = compute_prefix_group_ecs(model, inputs)
         (ec,) = index.classes
-        foreign = RibRoute(
-            device="A",
-            vrf="global",
-            route=inputs[0].route.evolve(prefix=Prefix.parse("10.0.0.0/8")),
-            route_type=ROUTE_TYPE_BEST,
-        )
-        rep_row = RibRoute(
-            device="A", vrf="global", route=ec.representative.route
-        )
-        expanded = expand_rib_rows(ec, [foreign, rep_row])
-        prefixes = sorted(str(r.route.prefix) for r in expanded)
+        rib = DeviceRib("A")
+        rib.install(inputs[0].route.evolve(prefix=Prefix.parse("10.0.0.0/8")))
+        rib.install(ec.representative_routes[0].route)
+        expand_device_ribs(index, {"A": rib})
+        prefixes = sorted(str(row.route.prefix) for row in rib.all_rows())
         assert prefixes == ["10.0.0.0/8", "203.0.0.0/24", "203.0.1.0/24"]
 
 

@@ -11,7 +11,7 @@ from repro.incremental.engine import (
     IncrementalEngine,
     IncrementalStats,
 )
-from repro.incremental.snapshots import device_rib_fingerprint
+from repro.incremental.snapshots import RibSnapshotStore, device_rib_fingerprint
 from repro.net.addr import as_prefix
 from repro.routing.inputs import inject_external_route
 from repro.routing.rib import DeviceRib
@@ -80,7 +80,10 @@ class TestSplice:
         assert result.affected_devices == 1
 
     def test_reuse_is_served_through_snapshot_store(self):
-        engine = IncrementalEngine(build_model([("B", 100)], []))
+        # only a byte-budgeted store holds the base world
+        engine = IncrementalEngine(
+            build_model([("B", 100)], []), RibSnapshotStore(max_bytes=1 << 20)
+        )
         base = {"B": make_rib("B", "10.2.0.0/16")}
         engine.snapshot_base(base)
         hits_before = engine.snapshots.stats.get_hits

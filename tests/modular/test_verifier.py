@@ -7,7 +7,7 @@ from repro.distsim import (
     RegionPartitioner,
     rib_fingerprint,
 )
-from repro.exec.connected import install_connected_routes
+from repro.routing.connected import install_connected_routes
 from repro.modular import RegionSummary, SummaryGuidedVerifier
 from repro.modular.verifier import simulate_region_subtask
 from repro.obs import RunContext
