@@ -50,6 +50,8 @@ class IntentResult:
     intent: str
     satisfied: bool
     counterexamples: List[str] = field(default_factory=list)
+    #: global-RIB rows an RCL intent read (``rcl.VerificationResult``)
+    rows_scanned: int = 0
 
     def __str__(self) -> str:
         status = "OK " if self.satisfied else "FAIL"
@@ -92,6 +94,7 @@ class RclIntent(Intent):
             intent=self.describe(),
             satisfied=result.satisfied,
             counterexamples=[str(v) for v in result.violations],
+            rows_scanned=result.rows_scanned,
         )
 
 

@@ -56,12 +56,9 @@ from repro.routing.inputs import (
     build_local_inputs_for_device,
 )
 from repro.routing.isis import IgpState, compute_igp
-from repro.routing.rib import DeviceRib, GlobalRib
+from repro.routing.rib import DeviceRib, GlobalRib, PatchedGlobalRib
 from repro.traffic.flow import Flow
 from repro.traffic.simulator import TrafficSimulationResult
-
-# Backwards-compatible alias: the dataclass formerly private to this module.
-_World = World
 
 #: numeric IncrementalStats fields mirrored into ``incremental.*`` counters
 _STATS_COUNTERS = (
@@ -71,6 +68,7 @@ _STATS_COUNTERS = (
     "resimulated_inputs",
     "total_inputs",
     "spliced_slots",
+    "touched_slots",
     "reused_slots",
     "reused_devices",
     "skipped_subtasks",
@@ -257,7 +255,7 @@ class ChangeVerifier:
             report.updated_world = updated_world
 
             base = self.base_world
-            with ctx.span("check_intents", intents=len(plan.intents)):
+            with ctx.span("check_intents", intents=len(plan.intents)) as checking:
                 vctx = VerificationContext(
                     base_model=self.base_model,
                     updated_model=updated_model,
@@ -271,6 +269,11 @@ class ChangeVerifier:
                 )
                 for intent in plan.intents:
                     report.intent_results.append(intent.evaluate(vctx))
+                # how much of the two worlds the RCL intents had to read
+                rows_scanned = sum(r.rows_scanned for r in report.intent_results)
+                checking.meta["rows_scanned"] = rows_scanned
+                if rows_scanned:
+                    ctx.count("rcl.rows_scanned", rows_scanned)
                 ctx.count("intents.checked", len(plan.intents))
                 ctx.count(
                     "intents.violated",
@@ -421,7 +424,15 @@ class ChangeVerifier:
         world = World(
             model=updated_model,
             device_ribs=device_ribs,
-            global_rib=GlobalRib.from_device_ribs(device_ribs.values()).best_routes(),
+            # the base table, patched at the slots the splice touched:
+            # intents compare the two worlds there and nowhere else
+            global_rib=PatchedGlobalRib(
+                base.global_rib,
+                base.device_ribs,
+                device_ribs,
+                splice.dropped,
+                splice.installed,
+            ),
             traffic=traffic,
         )
         return world, IncrementalStats(
@@ -432,6 +443,7 @@ class ChangeVerifier:
             resimulated_inputs=len(covered),
             total_inputs=len(all_inputs),
             spliced_slots=splice.spliced_slots,
+            touched_slots=sum(len(slots) for slots in splice.touched.values()),
             reused_slots=splice.reused_slots,
             reused_devices=splice.reused_devices,
             igp_reused=igp_reused,
@@ -440,6 +452,9 @@ class ChangeVerifier:
         )
 
     def _snapshot_delta(self, before: Dict[str, int]) -> Dict[str, int]:
+        """Store counters this call moved; none for a store never written."""
+        if self._engine.snapshots.max_bytes is None:
+            return {}
         after = self._engine.snapshots.stats.as_dict()
         return {key: after[key] - before.get(key, 0) for key in after}
 

@@ -14,7 +14,9 @@ The engine ties the subsystem together for ``ChangeVerifier``:
    :meth:`IncrementalEngine.splice` merges the partial result into the
    unaffected base state: covered slots come from the partial run, uncovered
    slots from the base snapshots, and devices without any covered slot reuse
-   their base RIB object wholesale (a snapshot-store hit when stored).
+   their base RIB object wholesale (a snapshot-store hit when stored). The
+   :class:`SpliceResult` names the slots it dropped and installed, so that
+   the verifier patches the base global RIB instead of rebuilding it.
 
 Correctness rests on the blast-radius guarantee: a slot whose prefix the
 radius does not cover is byte-identical between base and updated runs, so
@@ -35,6 +37,7 @@ from repro.incremental.snapshots import (
     RibSnapshotStore,
     device_token,
 )
+from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute
 from repro.routing.rib import DeviceRib
@@ -58,10 +61,15 @@ class IncrementalStats:
     resimulated_inputs: int = 0
     total_inputs: int = 0
     spliced_slots: int = 0
+    #: slots that may differ from the base world: spliced ones plus base
+    #: slots the partial run withdrew (what the intent check looks at)
+    touched_slots: int = 0
     reused_slots: int = 0
     reused_devices: int = 0
     igp_reused: bool = False
     skipped_subtasks: int = 0
+    #: snapshot-store counters this call moved; empty without a byte
+    #: budget, because such a store is never written
     snapshot_stats: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
@@ -74,6 +82,7 @@ class IncrementalStats:
             "resimulated_inputs": self.resimulated_inputs,
             "total_inputs": self.total_inputs,
             "spliced_slots": self.spliced_slots,
+            "touched_slots": self.touched_slots,
             "reused_slots": self.reused_slots,
             "reused_devices": self.reused_devices,
             "igp_reused": self.igp_reused,
@@ -92,14 +101,15 @@ class IncrementalStats:
                 "incremental: no routing-visible change, "
                 f"reused base RIBs of {self.total_devices} devices"
             )
-        snapshot_hits = self.snapshot_stats.get("get_hits", 0)
         parts = [
             f"blast radius {self.affected_devices}/{self.total_devices} devices",
             f"{self.affected_prefixes} prefixes",
             f"re-simulated {self.resimulated_inputs}/{self.total_inputs} inputs",
-            f"spliced {self.spliced_slots} slots, reused {self.reused_slots}",
-            f"snapshot hits {snapshot_hits}",
+            f"spliced {self.spliced_slots} slots, "
+            f"touched {self.touched_slots} slots, reused {self.reused_slots}",
         ]
+        if self.snapshot_stats:
+            parts.append(f"snapshot hits {self.snapshot_stats.get('get_hits', 0)}")
         if self.skipped_subtasks:
             parts.append(f"skipped {self.skipped_subtasks} subtasks")
         if self.igp_reused:
@@ -107,15 +117,43 @@ class IncrementalStats:
         return "incremental: " + ", ".join(parts)
 
 
+#: Slots of one device RIB: per VRF, prefixes in the order the RIB lists
+#: them (a dict as an ordered set — the splice tests membership, the
+#: patched global RIB replays the order). VRFs without a slot are absent.
+Slots = Dict[str, Dict[Prefix, None]]
+
+
 @dataclass
 class SpliceResult:
-    """Spliced device RIBs plus the reuse accounting."""
+    """Spliced device RIBs plus the reuse accounting.
+
+    ``dropped`` and ``installed`` say, for every device whose RIB is not
+    the base object, which base slots the splice left out and which slots
+    it took from the partial run. Everything else of the spliced world
+    *is* the base world, so a consumer can patch what it derived from the
+    base instead of deriving it again (``routing.rib.PatchedGlobalRib``).
+    """
 
     device_ribs: Dict[str, DeviceRib]
     affected_devices: int = 0
     reused_devices: int = 0
     spliced_slots: int = 0
     reused_slots: int = 0
+    dropped: Dict[str, Slots] = field(default_factory=dict)
+    installed: Dict[str, Slots] = field(default_factory=dict)
+
+    @property
+    def touched(self) -> Dict[str, Set[Tuple[str, Prefix]]]:
+        """Per device, every ``(vrf, prefix)`` that may differ from the base."""
+        return {
+            name: {
+                (vrf, prefix)
+                for slots in (self.dropped[name], self.installed[name])
+                for vrf, prefixes in slots.items()
+                for prefix in prefixes
+            }
+            for name in self.dropped
+        }
 
 
 class IncrementalEngine:
@@ -306,12 +344,14 @@ class IncrementalEngine:
                 )
                 result.device_ribs[name] = replacement
                 result.affected_devices += 1
+                result.dropped[name] = _slots(base_rib)
+                result.installed[name] = _slots(replacement)
                 result.spliced_slots += sum(
-                    len(replacement.prefixes(vrf)) for vrf in replacement.vrfs
+                    len(prefixes) for prefixes in result.installed[name].values()
                 )
                 continue
-            covered_base = _covered_slots(base_rib, blast)
-            covered_partial = _covered_slots(partial_rib, blast)
+            covered_base = _slots(base_rib, blast)
+            covered_partial = _slots(partial_rib, blast)
             if not covered_base and not covered_partial and base_rib is not None:
                 result.device_ribs[name] = self.base_rib(name, base_rib)
                 result.reused_devices += 1
@@ -323,32 +363,33 @@ class IncrementalEngine:
             spliced = DeviceRib(name)
             if base_rib is not None:
                 for vrf in base_rib.vrfs:
+                    covered = covered_base.get(vrf, ())
                     for prefix in base_rib.prefixes(vrf):
-                        if (vrf, prefix) not in covered_base:
+                        if prefix not in covered:
                             spliced.replace_prefix(
                                 vrf, prefix, base_rib.entries_for(prefix, vrf)
                             )
                             result.reused_slots += 1
-            if partial_rib is not None:
-                for vrf, prefix in covered_partial:
+            for vrf, prefixes in covered_partial.items():
+                for prefix in prefixes:
                     spliced.replace_prefix(
                         vrf, prefix, partial_rib.entries_for(prefix, vrf)
                     )
                     result.spliced_slots += 1
             result.device_ribs[name] = spliced
             result.affected_devices += 1
+            result.dropped[name] = covered_base
+            result.installed[name] = covered_partial
         return result
 
 
-def _covered_slots(
-    rib: Optional[DeviceRib], blast: BlastRadius
-) -> Set[Tuple[str, object]]:
-    """The (vrf, prefix) slots of a RIB inside the blast radius."""
-    if rib is None:
-        return set()
-    return {
-        (vrf, prefix)
-        for vrf in rib.vrfs
-        for prefix in rib.prefixes(vrf)
-        if blast.covers(prefix)
-    }
+def _slots(rib: Optional[DeviceRib], blast: Optional[BlastRadius] = None) -> Slots:
+    """A RIB's slots — all of them, or those ``blast`` covers."""
+    slots: Slots = {}
+    for vrf in rib.vrfs if rib is not None else ():
+        prefixes = rib.prefixes(vrf)
+        if blast is not None:
+            prefixes = [prefix for prefix in prefixes if blast.covers(prefix)]
+        if prefixes:
+            slots[vrf] = dict.fromkeys(prefixes)
+    return slots

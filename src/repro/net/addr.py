@@ -281,7 +281,13 @@ class Prefix:
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def __str__(self) -> str:
-        return f"{self.first_address._text()}/{self.length}"
+        # Row identities, RCL field access and fingerprints render the same
+        # prefix once per row; the ipaddress round trip is paid once.
+        text = self.__dict__.get("_str")
+        if text is None:
+            text = f"{self.first_address._text()}/{self.length}"
+            self.__dict__["_str"] = text
+        return text
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"

@@ -10,7 +10,18 @@ RCL intents are written against (§4.1, Figure 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.net.addr import IPAddress, Prefix
 from repro.net.trie import PrefixTrie
@@ -19,6 +30,8 @@ from repro.routing.attributes import Route
 ROUTE_TYPE_BEST = "BEST"
 ROUTE_TYPE_ECMP = "ECMP"
 ROUTE_TYPE_CANDIDATE = "CANDIDATE"
+#: the route types of a FIB-relevant row (what ``best_routes()`` keeps)
+_BEST_TYPES = (ROUTE_TYPE_BEST, ROUTE_TYPE_ECMP)
 
 #: RCL field names resolvable on a row, mapped to extractor functions.
 _FIELD_EXTRACTORS = {
@@ -46,6 +59,16 @@ class UnknownFieldError(KeyError):
     """Raised when an RCL specification references an unknown RIB field."""
 
 
+def field_extractor(name: str) -> Callable[["RibRoute"], object]:
+    """The function reading RCL field ``name`` off a row."""
+    try:
+        return _FIELD_EXTRACTORS[name]
+    except KeyError:
+        raise UnknownFieldError(
+            f"unknown RIB field {name!r}; known: {sorted(_FIELD_EXTRACTORS)}"
+        ) from None
+
+
 @dataclass(frozen=True, slots=True)
 class RibRoute:
     """One row of a RIB table: a route located at (device, vrf).
@@ -63,13 +86,7 @@ class RibRoute:
 
     def field(self, name: str):
         """Field access by RCL name (e.g. ``localPref``, ``routeType``)."""
-        try:
-            extractor = _FIELD_EXTRACTORS[name]
-        except KeyError:
-            raise UnknownFieldError(
-                f"unknown RIB field {name!r}; known: {sorted(_FIELD_EXTRACTORS)}"
-            ) from None
-        return extractor(self)
+        return field_extractor(name)(self)
 
     def identity(self) -> Tuple:
         """Full-row identity used for RIB set comparison (PRE = POST)."""
@@ -295,9 +312,7 @@ class GlobalRib:
         return GlobalRib(list(self.rows) + list(other.rows))
 
     def best_routes(self) -> "GlobalRib":
-        return self.filter(
-            lambda r: r.route_type in (ROUTE_TYPE_BEST, ROUTE_TYPE_ECMP)
-        )
+        return self.filter(lambda r: r.route_type in _BEST_TYPES)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -323,3 +338,77 @@ class GlobalRib:
         if len(self.rows) > 20:
             lines.append(f"  ... and {len(self.rows) - 20} more")
         return "\n".join(lines)
+
+
+class PatchedGlobalRib(GlobalRib):
+    """Best routes of a spliced world, held as a patch of the base table.
+
+    A splice leaves most of the world as it was: untouched devices keep
+    their base RIB object, and a spliced device differs from its base RIB
+    only at the slots the splice dropped from the base and installed from
+    the partial run. So this table is ``base`` without the base rows at
+    dropped slots (``dropped``) plus the rows at installed slots
+    (``installed``), and the rest — never enumerated here — is shared with
+    ``base`` row for row. A row's identity contains its device, VRF and
+    prefix, so no shared row can equal a dropped or an installed one; RCL
+    evaluation relies on that to compare ``PRE`` and ``POST`` through the
+    two short lists alone.
+
+    Nothing is built up front: ``len()`` is arithmetic over the three
+    parts, and ``rows`` — the rows of
+    ``GlobalRib.from_device_ribs(device_ribs.values()).best_routes()`` —
+    is built when something first reads it. The table is read-only.
+    """
+
+    def __init__(
+        self,
+        base: GlobalRib,
+        base_ribs: Mapping[str, DeviceRib],
+        device_ribs: Mapping[str, DeviceRib],
+        dropped: Mapping[str, Mapping[str, Iterable[Prefix]]],
+        installed: Mapping[str, Mapping[str, Iterable[Prefix]]],
+    ) -> None:
+        self.base = base
+        self._device_ribs = device_ribs
+        self.dropped: List[RibRoute] = [
+            row
+            for name, slots in dropped.items()
+            if name in base_ribs
+            for row in _best_rows_at(base_ribs[name], slots)
+        ]
+        self.installed: List[RibRoute] = [
+            row
+            for name, slots in installed.items()
+            for row in _best_rows_at(device_ribs[name], slots)
+        ]
+        self._rows: Optional[List[RibRoute]] = None
+
+    @property
+    def rows(self) -> List[RibRoute]:  # type: ignore[override]
+        if self._rows is None:
+            rebuilt = GlobalRib.from_device_ribs(self._device_ribs.values())
+            self._rows = rebuilt.best_routes().rows
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.base) - len(self.dropped) + len(self.installed)
+
+    def add(self, row: RibRoute) -> None:
+        raise TypeError("a patched global RIB is read-only")
+
+    def extend(self, rows: Iterable[RibRoute]) -> None:
+        raise TypeError("a patched global RIB is read-only")
+
+
+def _best_rows_at(
+    rib: DeviceRib, slots: Mapping[str, Iterable[Prefix]]
+) -> Iterator[RibRoute]:
+    """Best/ECMP rows of ``rib`` at ``slots``, in the order ``all_rows`` has them.
+
+    ``slots`` lists, per VRF, prefixes in the order the RIB holds them.
+    """
+    for vrf in rib.vrfs:
+        for prefix in slots.get(vrf, ()):
+            for route, route_type in rib.entries_for(prefix, vrf):
+                if route_type in _BEST_TYPES:
+                    yield RibRoute(rib.device, vrf, route, route_type)

@@ -1,6 +1,7 @@
 """Tests for the warm-start incremental engine and its pipeline wiring."""
 
 from repro.core.change_plan import ChangePlan
+from repro.core.intents import RclIntent
 from repro.core.pipeline import ChangeVerifier
 from repro.incremental.blast import BlastRadius
 from repro.incremental.engine import (
@@ -101,6 +102,86 @@ class TestSplice:
         result = engine.splice(base, partial, radius("10.1.0.0/16"))
         assert "NEW" in result.device_ribs
         assert result.device_ribs["NEW"].prefixes() == [as_prefix("10.1.0.0/16")]
+
+
+class TestTouchedSlots:
+    """What the splice reports it changed, for consumers that patch."""
+
+    def test_affected_device_reports_covered_slots_of_both_sides(self):
+        engine = IncrementalEngine(build_model([("A", 100)], []))
+        base = {"A": make_rib("A", "10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16")}
+        partial = {"A": make_rib("A", "10.4.0.0/16", "10.2.0.0/16")}
+        result = engine.splice(
+            base, partial, radius("10.2.0.0/16", "10.3.0.0/16", "10.4.0.0/16")
+        )
+
+        def prefixes(*texts):
+            return [as_prefix(text) for text in texts]
+
+        # withdrawn 10.3 is dropped only, new 10.4 installed only; each side
+        # in the order its RIB lists the slots
+        assert list(result.dropped["A"]["global"]) == prefixes(
+            "10.2.0.0/16", "10.3.0.0/16"
+        )
+        assert list(result.installed["A"]["global"]) == prefixes(
+            "10.4.0.0/16", "10.2.0.0/16"
+        )
+        assert result.device_ribs["A"].prefixes() == prefixes(
+            "10.1.0.0/16", "10.4.0.0/16", "10.2.0.0/16"
+        )
+        assert result.touched == {
+            "A": {
+                ("global", prefix)
+                for prefix in prefixes("10.2.0.0/16", "10.3.0.0/16", "10.4.0.0/16")
+            }
+        }
+
+    def test_reused_device_reports_nothing(self):
+        engine = IncrementalEngine(build_model([("A", 100), ("B", 100)], []))
+        base = {
+            "A": make_rib("A", "10.1.0.0/16"),
+            "B": make_rib("B", "10.2.0.0/16"),
+        }
+        partial = {"A": make_rib("A", "10.1.0.0/16"), "B": DeviceRib("B")}
+        result = engine.splice(base, partial, radius("10.1.0.0/16"))
+        assert set(result.touched) == {"A"}
+
+    def test_full_device_is_touched_wholesale(self):
+        engine = IncrementalEngine(build_model([("A", 100), ("B", 100)], []))
+        base = {
+            "A": make_rib("A", "10.1.0.0/16", "10.2.0.0/16"),
+            "B": make_rib("B", "10.2.0.0/16"),
+        }
+        partial = {"A": make_rib("A", "10.9.0.0/16")}
+        # nothing of A is inside the radius, yet all of it is replaced
+        result = engine.splice(
+            base, partial, radius("10.7.0.0/16"), full_devices=["A"]
+        )
+        assert result.touched == {
+            "A": {
+                ("global", as_prefix(p))
+                for p in ("10.1.0.0/16", "10.2.0.0/16", "10.9.0.0/16")
+            }
+        }
+        assert len(result.dropped["A"]["global"]) == 2
+        assert len(result.installed["A"]["global"]) == 1
+
+    def test_scoped_splice_reports_nothing_outside_the_scope(self):
+        engine = IncrementalEngine(build_model([("A", 100), ("B", 100)], []))
+        base = {
+            "A": make_rib("A", "10.1.0.0/16"),
+            "B": make_rib("B", "10.1.0.0/16"),
+        }
+        partial = {
+            "A": make_rib("A", "10.1.0.0/16"),
+            "B": make_rib("B", "10.1.0.0/16"),
+        }
+        result = engine.splice_scoped(
+            base, partial, radius("10.1.0.0/16"), scoped_devices=["A"]
+        )
+        # B holds a covered slot, but the scope proves it kept its base state
+        assert result.device_ribs["B"] is base["B"]
+        assert set(result.touched) == {"A"}
 
 
 class TestCoveredInputs:
@@ -218,6 +299,54 @@ class TestPipelineIntegration:
         assert report.incremental is not None
         assert "incremental:" in report.summary()
         assert "blast radius" in report.incremental.describe()
+
+
+    def test_report_line_names_touched_slots_and_only_real_snapshot_hits(self):
+        plan = ChangePlan(
+            name="add-static",
+            change_type="static-route-modification",
+            device_commands={"A": ["ip route 172.20.0.0/16 10.255.0.2"]},
+        )
+        verifier = small_verifier(incremental=True)
+        verifier.prepare_base()
+        stats = verifier.verify(plan).incremental
+        assert stats.touched_slots >= stats.spliced_slots > 0
+        assert f"touched {stats.touched_slots} slots" in stats.describe()
+        # nothing is ever written to an unbudgeted store: no hit count to print
+        assert stats.snapshot_stats == {}
+        assert "snapshot hits" not in stats.describe()
+
+        model = verifier.base_model
+        budgeted = ChangeVerifier(
+            model,
+            verifier.input_routes,
+            snapshot_store=RibSnapshotStore(max_bytes=1 << 20),
+        )
+        budgeted.prepare_base()
+        assert "snapshot hits" in budgeted.verify(plan).incremental.describe()
+
+    def test_intent_check_reads_the_touched_rows_only(self):
+        plan = ChangePlan(
+            name="add-static",
+            change_type="static-route-modification",
+            device_commands={"A": ["ip route 172.20.0.0/16 10.255.0.2"]},
+            intents=[RclIntent("not prefix = 172.20.0.0/16 => PRE = POST")],
+        )
+        scanned = {}
+        for incremental in (True, False):
+            verifier = small_verifier(incremental=incremental)
+            verifier.prepare_base()
+            report = verifier.verify(plan)
+            assert report.ok
+            span = report.trace.find("check_intents")
+            scanned[incremental] = span.meta["rows_scanned"]
+            assert report.trace.total("rcl.rows_scanned") == scanned[incremental]
+            assert report.intent_results[0].rows_scanned == scanned[incremental]
+        # the full run filters and fingerprints both tables; the spliced one
+        # only the rows at the slot the static route landed in
+        rows = len(verifier.base_world.global_rib)
+        assert scanned[False] >= 2 * rows
+        assert 0 < scanned[True] < rows
 
 
 class TestStatsDescribe:

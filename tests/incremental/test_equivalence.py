@@ -123,6 +123,46 @@ def test_incremental_equivalence(change_type, distributed, plans, verifier_pairs
         )
 
 
+@pytest.mark.parametrize("change_type", ALL_CHANGE_TYPES)
+def test_touched_slots_bound_the_real_diff(
+    change_type, plans, verifier_pairs, monkeypatch
+):
+    """Every slot a full re-simulation changes is one the splice reported."""
+    inc, full = verifier_pairs[False]
+    engine, splices = inc._engine, []
+    splice = engine._splice
+    monkeypatch.setattr(
+        engine, "_splice", lambda *args: splices.append(splice(*args)) or splices[-1]
+    )
+    _, stats = inc.simulate_plan(plans[change_type])
+    updated = full.simulate_plan(plans[change_type])[0].device_ribs
+    base = inc.base_world.device_ribs
+
+    differing = set()
+    for name in set(base) | set(updated):
+        before, after = base.get(name), updated.get(name)
+        for rib in filter(None, (before, after)):
+            for vrf in rib.vrfs:
+                for prefix in rib.prefixes(vrf):
+                    entries = [
+                        side.entries_for(prefix, vrf) if side is not None else []
+                        for side in (before, after)
+                    ]
+                    if entries[0] != entries[1]:
+                        differing.add((name, vrf, prefix))
+
+    if stats.mode != MODE_INCREMENTAL:
+        assert not splices
+        assert stats.mode != MODE_NOOP or not differing
+        return
+    (result,) = splices
+    touched = {
+        (name, *slot) for name, slots in result.touched.items() for slot in slots
+    }
+    assert differing and differing <= touched
+    assert stats.touched_slots == len(touched) >= stats.spliced_slots
+
+
 def test_all_change_types_covered(plans):
     assert set(plans) == set(ALL_CHANGE_TYPES)
     assert len(ALL_CHANGE_TYPES) == 12
