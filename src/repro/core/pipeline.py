@@ -58,7 +58,7 @@ from repro.routing.inputs import (
 from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import DeviceRib, GlobalRib, PatchedGlobalRib
 from repro.traffic.flow import Flow
-from repro.traffic.simulator import TrafficSimulationResult
+from repro.traffic.simulator import SpreadReuse, TrafficSimulationResult
 
 #: numeric IncrementalStats fields mirrored into ``incremental.*`` counters
 _STATS_COUNTERS = (
@@ -136,6 +136,15 @@ class VerificationReport:
                 "route ECs: one representative per "
                 f"{(solved + skipped) / solved:.1f} prefix groups solved"
             )
+        reusing = [
+            span
+            for span in (self.trace.find_all("traffic.forward") if self.trace else ())
+            if "reused" in span.meta
+        ]
+        if reusing:  # traffic kept the base spreads the change cannot reach
+            forwarded = sum(span.meta["work"] for span in reusing)
+            total = forwarded + sum(span.meta["reused"] for span in reusing)
+            lines.append(f"traffic: re-forwarded {forwarded}/{total} flow ECs")
         for result in self.intent_results:
             lines.append(str(result))
         return "\n".join(lines)
@@ -318,6 +327,7 @@ class ChangeVerifier:
                     igp=igp,
                     local_inputs=local_inputs,
                     ctx=ctx,
+                    reuse_declined="incremental_off",
                 )
                 stats = IncrementalStats(
                     mode=MODE_FULL,
@@ -370,6 +380,7 @@ class ChangeVerifier:
                 igp=igp,
                 local_inputs=local_inputs,
                 ctx=ctx,
+                reuse_declined="widened",
             )
             return world, IncrementalStats(
                 mode=MODE_WIDENED,
@@ -380,14 +391,19 @@ class ChangeVerifier:
             )
 
         if blast.is_empty:
-            # No slot can differ: reuse the base RIBs wholesale. Traffic must
-            # still run against the updated model when the change touches
-            # traffic-only state (ACL/PBR) or the model differs at all.
+            # No slot can differ: reuse the base RIBs wholesale. Traffic
+            # still runs against the updated model when the model differs
+            # at all; with no slot touched it forwards nothing unless the
+            # change touches forwarding state (ACL/PBR/SR/IS-IS).
             if diff.is_empty:
                 traffic = base.traffic
             else:
                 traffic = self._traffic_sim(
-                    updated_model, base.device_ribs, igp, ctx
+                    updated_model,
+                    base.device_ribs,
+                    igp,
+                    ctx,
+                    *self._spread_reuse(diff, igp_reused, {}),
                 )
             world = World(
                 model=updated_model,
@@ -420,7 +436,13 @@ class ChangeVerifier:
         )
         splice = outcome.splice
         device_ribs = outcome.device_ribs
-        traffic = self._traffic_sim(updated_model, device_ribs, igp, ctx)
+        traffic = self._traffic_sim(
+            updated_model,
+            device_ribs,
+            igp,
+            ctx,
+            *self._spread_reuse(diff, igp_reused, splice.touched),
+        )
         world = World(
             model=updated_model,
             device_ribs=device_ribs,
@@ -483,15 +505,43 @@ class ChangeVerifier:
                 inputs.extend(cached)
         return inputs
 
+    def _spread_reuse(
+        self, diff, igp_reused: bool, touched
+    ) -> Tuple[Optional[SpreadReuse], Optional[str]]:
+        """The base spreads a bounded change keeps, or why there are none.
+
+        Only RIB slots in ``touched`` may differ from the base, so a spread
+        is reusable when everything else forwarding reads is the base's:
+        no forwarding-section delta, the base IGP object, and a base
+        traffic run to take spreads from.
+        """
+        if diff.forwarding_affecting:
+            return None, "forwarding_affecting"
+        if not igp_reused:
+            return None, "igp_recomputed"
+        base_traffic = self.base_world.traffic
+        if base_traffic is None:
+            return None, "no_base_traffic"
+        return SpreadReuse(base_traffic.paths, touched), None
+
     def _traffic_sim(
         self,
         model: NetworkModel,
         device_ribs: Dict[str, DeviceRib],
         igp: IgpState,
         ctx: RunContext,
+        reuse: Optional[SpreadReuse] = None,
+        reuse_declined: Optional[str] = None,
     ) -> Optional[TrafficSimulationResult]:
+        """Traffic over ``device_ribs``, keeping what ``reuse`` allows.
+
+        ``reuse_declined`` (why a change got no reuse) is recorded on the
+        ``traffic_sim`` span the backend opens.
+        """
         if not self.input_flows:
             return None
+        parent = ctx.current
+        opened = len(parent.children)
         # The pipeline always runs traffic in-process over the merged RIBs
         # (no route-task artifacts are passed), even with a distributed
         # backend — full per-flow path detail is needed for intent checks.
@@ -501,9 +551,14 @@ class ChangeVerifier:
                 flows=self.input_flows,
                 device_ribs=device_ribs,
                 igp=igp,
+                reuse=reuse,
             ),
             ctx,
         )
+        if reuse_declined is not None:
+            for span in parent.children[opened:]:
+                if span.name == "traffic_sim":
+                    span.meta["reuse_declined"] = reuse_declined
         return outcome.result
 
     def _simulate(
@@ -513,6 +568,7 @@ class ChangeVerifier:
         igp: Optional[IgpState] = None,
         local_inputs: Optional[List[InputRoute]] = None,
         ctx: Optional[RunContext] = None,
+        reuse_declined: Optional[str] = None,
     ) -> World:
         ctx = ctx if ctx is not None else self.ctx
         all_inputs = list(input_routes) + (
@@ -533,7 +589,9 @@ class ChangeVerifier:
             ctx,
         )
         device_ribs = outcome.device_ribs
-        traffic = self._traffic_sim(model, device_ribs, igp, ctx)
+        traffic = self._traffic_sim(
+            model, device_ribs, igp, ctx, reuse_declined=reuse_declined
+        )
         return World(
             model=model,
             device_ribs=device_ribs,

@@ -34,6 +34,7 @@ from repro.routing.inputs import InputRoute
 from repro.routing.isis import IgpState
 from repro.routing.rib import DeviceRib, GlobalRib
 from repro.traffic.flow import Flow
+from repro.traffic.simulator import SpreadReuse, TrafficSimulator
 
 
 @contextmanager
@@ -137,7 +138,9 @@ class TrafficSimRequest:
     :class:`RouteSimOutcome` whose ``task`` holds the route store/DB —
     enables genuinely distributed traffic subtasks with RIB-file dependency
     reduction; without it a distributed backend falls back to the
-    in-process simulator over the merged RIBs.
+    in-process simulator over the merged RIBs. ``reuse`` lets the
+    in-process path keep base spreads the change cannot reach; distributed
+    traffic subtasks ignore it.
     """
 
     model: NetworkModel
@@ -151,6 +154,7 @@ class TrafficSimRequest:
     partitioner: Any = None
     worker_config: Any = None
     task_name: str = "traffic-task"
+    reuse: Optional[SpreadReuse] = None
 
 
 @dataclass
@@ -173,6 +177,52 @@ class TrafficSimOutcome:
     @property
     def loaded_rib_fractions(self) -> List[float]:
         return list(self.task.loaded_rib_fractions) if self.task is not None else []
+
+
+def run_traffic_in_process(
+    request: TrafficSimRequest,
+    ctx: RunContext,
+    backend: str,
+    workers: Optional[int] = None,
+    parallel_mode: str = "thread",
+) -> TrafficSimOutcome:
+    """The in-process traffic path every backend shares.
+
+    Simulates over ``request.device_ribs`` (or the route outcome's) inside
+    one ``traffic_sim`` span tagged ``backend``; ``request.workers``
+    overrides the backend's default ``workers``.
+    """
+    route = request.route_outcome
+    device_ribs = request.device_ribs
+    if device_ribs is None and route is not None:
+        device_ribs = route.device_ribs
+    if device_ribs is None:
+        raise ValueError("traffic simulation needs device_ribs or route_outcome")
+    igp = request.igp
+    if igp is None and route is not None:
+        igp = route.igp
+    if request.workers is not None:
+        workers = request.workers
+    with ctx.span("traffic_sim", backend=backend, flows=len(request.flows)), \
+            resource_accounting(ctx):
+        ctx.count("traffic_sim.calls")
+        simulator = TrafficSimulator(
+            request.model, device_ribs, igp=igp, use_ecs=request.use_ecs
+        )
+        result = simulator.simulate(
+            request.flows,
+            ctx=ctx,
+            workers=workers,
+            parallel_mode=parallel_mode,
+            reuse=request.reuse,
+        )
+        ctx.count("traffic_sim.cost_units", result.cost_units)
+        return TrafficSimOutcome(
+            loads=result.loads,
+            paths=result.paths,
+            backend=backend,
+            result=result,
+        )
 
 
 class ExecutionBackend(abc.ABC):

@@ -29,11 +29,11 @@ from repro.exec.base import (
     TrafficSimOutcome,
     TrafficSimRequest,
     resource_accounting,
+    run_traffic_in_process,
 )
 from repro.obs import RunContext, ensure_context
 from repro.routing.connected import install_connected_routes
 from repro.routing.inputs import InputRoute, build_local_input_routes
-from repro.traffic.simulator import TrafficSimulator
 
 #: Supported worker-pool modes.
 MODES = ("thread", "process")
@@ -152,30 +152,6 @@ class DistributedBackend(ExecutionBackend):
                     task=task,
                 )
         # No route-task artifacts to share: run in-process over merged RIBs.
-        device_ribs = request.device_ribs
-        if device_ribs is None and route is not None:
-            device_ribs = route.device_ribs
-        if device_ribs is None:
-            raise ValueError("traffic simulation needs device_ribs or route_outcome")
-        igp = request.igp
-        if igp is None and route is not None:
-            igp = route.igp
-        workers = request.workers if request.workers is not None else self.workers
-        with ctx.span("traffic_sim", backend="centralized", flows=len(request.flows)), \
-                resource_accounting(ctx):
-            ctx.count("traffic_sim.calls")
-            result = TrafficSimulator(
-                request.model, device_ribs, igp=igp, use_ecs=request.use_ecs
-            ).simulate(
-                request.flows,
-                ctx=ctx,
-                workers=workers,
-                parallel_mode=self.mode,
-            )
-            ctx.count("traffic_sim.cost_units", result.cost_units)
-            return TrafficSimOutcome(
-                loads=result.loads,
-                paths=result.paths,
-                backend="centralized",
-                result=result,
-            )
+        return run_traffic_in_process(
+            request, ctx, "centralized", self.workers, self.mode
+        )

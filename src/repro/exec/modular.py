@@ -39,6 +39,7 @@ from repro.exec.base import (
     TrafficSimOutcome,
     TrafficSimRequest,
     resource_accounting,
+    run_traffic_in_process,
 )
 from repro.modular.regions import RegionAssignment
 from repro.modular.summaries import (
@@ -61,7 +62,6 @@ from repro.routing.inputs import InputRoute, build_local_input_routes
 from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import DeviceRib
 from repro.routing.simulator import RouteSimulator, SimulationResult
-from repro.traffic.simulator import TrafficSimulator
 
 
 @dataclass
@@ -330,37 +330,13 @@ class ModularBackend(ExecutionBackend):
     def run_traffic(
         self, request: TrafficSimRequest, ctx: Optional[RunContext] = None
     ) -> TrafficSimOutcome:
-        ctx = ensure_context(ctx)
-        device_ribs = request.device_ribs
-        if device_ribs is None and request.route_outcome is not None:
-            device_ribs = request.route_outcome.device_ribs
-        if device_ribs is None:
-            raise ValueError("traffic simulation needs device_ribs or route_outcome")
-        igp = request.igp
-        if igp is None and request.route_outcome is not None:
-            igp = request.route_outcome.igp
-        workers = (
-            request.workers if request.workers is not None else self.traffic_workers
+        return run_traffic_in_process(
+            request,
+            ensure_context(ctx),
+            self.name,
+            self.traffic_workers,
+            self.traffic_parallel_mode,
         )
-        with ctx.span("traffic_sim", backend=self.name, flows=len(request.flows)), \
-                resource_accounting(ctx):
-            ctx.count("traffic_sim.calls")
-            simulator = TrafficSimulator(
-                request.model, device_ribs, igp=igp, use_ecs=request.use_ecs
-            )
-            result = simulator.simulate(
-                request.flows,
-                ctx=ctx,
-                workers=workers,
-                parallel_mode=self.traffic_parallel_mode,
-            )
-            ctx.count("traffic_sim.cost_units", result.cost_units)
-            return TrafficSimOutcome(
-                loads=result.loads,
-                paths=result.paths,
-                backend=self.name,
-                result=result,
-            )
 
     # -- state / cache --------------------------------------------------------
 

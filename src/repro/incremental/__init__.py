@@ -21,6 +21,7 @@ from repro.incremental.blast import (
 )
 from repro.incremental.diff import (
     DeviceDelta,
+    FORWARDING_SECTIONS,
     IGP_SECTIONS,
     LOCAL_INPUT_SECTIONS,
     ModelDiff,
@@ -53,6 +54,7 @@ __all__ = [
     "BASE_WORLD_TOKEN",
     "BlastRadius",
     "DeviceDelta",
+    "FORWARDING_SECTIONS",
     "IGP_SECTIONS",
     "IncrementalEngine",
     "IncrementalStats",

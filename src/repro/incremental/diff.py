@@ -67,6 +67,12 @@ LOCAL_INPUT_SECTIONS: FrozenSet[str] = frozenset(
     {"statics", "redistributions", "policies", "identity"}
 )
 
+#: Sections a forwarding decision reads besides the RIB (identity and VRFs
+#: conservatively, since both reshape everything a device does).
+FORWARDING_SECTIONS: FrozenSet[str] = frozenset(
+    {"identity", "isis", "sr", "pbr", "acls", "vrfs"}
+)
+
 
 def device_section_fingerprints(config: DeviceConfig) -> Dict[str, str]:
     """Canonical per-section fingerprints of one device configuration."""
@@ -143,6 +149,16 @@ class ModelDiff:
             return True
         return any(
             delta.sections & IGP_SECTIONS for delta in self.device_deltas.values()
+        )
+
+    @property
+    def forwarding_affecting(self) -> bool:
+        """Whether a forwarding decision could move other than via the RIBs."""
+        if self.structure_changed:
+            return True
+        return any(
+            delta.sections & FORWARDING_SECTIONS
+            for delta in self.device_deltas.values()
         )
 
     def local_inputs_affected(self) -> Set[str]:

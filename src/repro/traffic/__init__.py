@@ -9,9 +9,14 @@ from repro.traffic.fastpath import CompiledFib, FastPathStats, FibEntry
 from repro.traffic.flow import Flow, make_flow
 from repro.traffic.forwarding import FlowPath, ForwardingEngine
 from repro.traffic.load import LinkLoadMap, aggregate_loads
-from repro.traffic.simulator import TrafficSimulationResult, TrafficSimulator
+from repro.traffic.simulator import (
+    SpreadReuse,
+    TrafficSimulationResult,
+    TrafficSimulator,
+)
 
 __all__ = [
+    "SpreadReuse",
     "CompiledFib",
     "FastPathStats",
     "FibEntry",

@@ -10,18 +10,26 @@ Forwarding can fan out across threads or processes (``workers`` /
 each batch forwards independently, and paths/loads are merged centrally in
 the original work order — so worker count and scheduling never change the
 result (float accumulation order is part of the contract).
+
+A change verification can hand ``simulate`` a :class:`SpreadReuse`: the
+base run's spreads plus the RIB slots the change touched. Representatives
+whose base walk never met a touched slot covering their destination keep
+their base spread; only the rest are forwarded (see
+``docs/incremental.md``, "Traffic that follows the change").
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro import perfopts
 from repro.ec.flow_ec import FlowEcIndex, build_prefix_universe, compute_flow_ecs
+from repro.net.addr import IPAddress, Prefix
 from repro.net.model import NetworkModel
+from repro.net.trie import PrefixTrie
 from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import DeviceRib
 from repro.traffic.flow import Flow
@@ -30,6 +38,9 @@ from repro.traffic.load import LinkLoadMap
 
 #: Accepted values for ``parallel_mode``.
 PARALLEL_MODES = ("thread", "process")
+
+#: One flow's ECMP paths with their volume fractions.
+Spread = List[Tuple[FlowPath, float]]
 
 # Process-pool worker state. The pool initializer installs only a shipping
 # token (shared-memory segment name, or inline bytes with ``shm_ship`` off);
@@ -98,6 +109,63 @@ class TrafficSimulationResult:
         return counts
 
 
+class SpreadReuse:
+    """Base-run spreads that a change cannot reach.
+
+    ``base_paths`` is the base run's :attr:`TrafficSimulationResult.paths`;
+    ``touched`` names, per device, every ``(vrf, prefix)`` RIB slot that
+    may differ from the base (``SpliceResult.touched``, or any superset).
+    The caller guarantees that nothing else a forwarding decision reads
+    moved: topology, addresses, IGP, and every device's ACL, PBR and SR
+    configuration are the base's.
+
+    A spread walk decides at exactly the routers on its paths, and a
+    router's decision for a flow can then only differ through its LPM
+    entry for the destination — which only a touched slot at a prefix
+    covering the destination can move. So a base spread none of whose
+    routers holds such a slot is the spread a fresh forward would return.
+    """
+
+    def __init__(
+        self,
+        base_paths: Mapping[Flow, Spread],
+        touched: Mapping[str, Iterable[Tuple[str, Prefix]]],
+    ) -> None:
+        self.base_paths = base_paths
+        self._touched: Dict[str, PrefixTrie] = {}
+        for device, slots in touched.items():
+            for vrf, prefix in slots:
+                trie = self._touched.get(vrf)
+                if trie is None:
+                    trie = self._touched[vrf] = PrefixTrie()
+                trie.insert(prefix, device)
+        self._devices: Dict[Tuple[str, IPAddress], FrozenSet[str]] = {}
+
+    def _touched_devices(self, vrf: str, dst: IPAddress) -> FrozenSet[str]:
+        """Devices with a touched ``vrf`` slot at a prefix containing ``dst``."""
+        key = (vrf, dst)
+        devices = self._devices.get(key)
+        if devices is None:
+            trie = self._touched.get(vrf)
+            devices = frozenset(
+                trie.covering_values(Prefix.from_address(dst))
+                if trie is not None
+                else ()
+            )
+            self._devices[key] = devices
+        return devices
+
+    def spread_for(self, flow: Flow) -> Optional[Spread]:
+        """The base spread of ``flow`` if the change cannot reach it, else None."""
+        spread = self.base_paths.get(flow)
+        if spread is None:
+            return None
+        devices = self._touched_devices(flow.vrf, flow.dst)
+        if devices and any(not devices.isdisjoint(path.routers) for path, _ in spread):
+            return None
+        return spread
+
+
 class TrafficSimulator:
     """Simulates forwarding and link loads for input flows."""
 
@@ -125,6 +193,7 @@ class TrafficSimulator:
         ctx=None,
         workers: Optional[int] = None,
         parallel_mode: str = "thread",
+        reuse: Optional[SpreadReuse] = None,
     ) -> TrafficSimulationResult:
         """Forward the flows and aggregate link loads.
 
@@ -135,6 +204,11 @@ class TrafficSimulator:
         "thread"``) or processes (``"process"``); loads are always merged
         centrally in work order, so results are identical for any worker
         count or mode.
+
+        With ``reuse``, representatives it has a spread for are not
+        forwarded (counters ``traffic.ecs_reused`` /
+        ``traffic.ecs_reforwarded``); the merge still adds every spread
+        in work order, so loads are the floats a full forward produces.
         """
         if parallel_mode not in PARALLEL_MODES:
             raise ValueError(
@@ -162,15 +236,27 @@ class TrafficSimulator:
             index = None
             work = [(flow, flow.volume) for flow in flows]
 
-        with ctx.span(
-            "traffic.forward", work=len(work), workers=workers or 1
-        ) if ctx else nullcontext():
-            if workers is not None and workers > 1 and len(work) > 1:
-                spreads = self._forward_parallel(
-                    [flow for flow, _ in work], workers, parallel_mode
-                )
+        spreads: List[Optional[Spread]] = (
+            [reuse.spread_for(flow) for flow, _ in work]
+            if reuse is not None
+            else [None] * len(work)
+        )
+        pending = [i for i, spread in enumerate(spreads) if spread is None]
+        forward = [work[i][0] for i in pending]
+        meta = {"work": len(forward), "workers": workers or 1}
+        if reuse is not None:
+            meta["reused"] = len(work) - len(forward)
+            if ctx is not None:
+                ctx.count("traffic.ecs_reused", meta["reused"])
+                ctx.count("traffic.ecs_reforwarded", len(forward))
+
+        with ctx.span("traffic.forward", **meta) if ctx else nullcontext():
+            if workers is not None and workers > 1 and len(forward) > 1:
+                forwarded = self._forward_parallel(forward, workers, parallel_mode)
             else:
-                spreads = [self.engine.forward_spread(flow) for flow, _ in work]
+                forwarded = [self.engine.forward_spread(flow) for flow in forward]
+        for i, spread in zip(pending, forwarded):
+            spreads[i] = spread
 
         with ctx.span("traffic.merge", work=len(work)) if ctx else nullcontext():
             for (flow, volume), spread in zip(work, spreads):

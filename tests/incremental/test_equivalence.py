@@ -91,9 +91,20 @@ def device_fingerprints(world_state):
     }
 
 
+def traffic_snapshot(traffic, flows):
+    """Every flow's spread, the status counts and the loads at ``.9g``."""
+    return (
+        [traffic.path_of(flow) for flow in flows],
+        traffic.status_counts(),
+        sorted(f"{key}:{volume:.9g}" for key, volume in traffic.loads.loads.items()),
+    )
+
+
 @pytest.mark.parametrize("distributed", [False, True], ids=["central", "dist"])
 @pytest.mark.parametrize("change_type", ALL_CHANGE_TYPES)
-def test_incremental_equivalence(change_type, distributed, plans, verifier_pairs):
+def test_incremental_equivalence(
+    change_type, distributed, world, plans, verifier_pairs
+):
     plan = plans[change_type]
     inc, full = verifier_pairs[distributed]
 
@@ -106,6 +117,13 @@ def test_incremental_equivalence(change_type, distributed, plans, verifier_pairs
     assert device_fingerprints(world_inc) == device_fingerprints(world_full)
     assert rib_fingerprint(world_inc.device_ribs) == rib_fingerprint(
         world_full.device_ribs
+    )
+
+    # Traffic equivalence: kept base spreads are what a full re-forward
+    # of the updated network produces, flow by flow and link by link.
+    flows = world[3]
+    assert traffic_snapshot(world_inc.traffic, flows) == traffic_snapshot(
+        world_full.traffic, flows
     )
 
     # Intent equivalence: same verdict per intent, in order.

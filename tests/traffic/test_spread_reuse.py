@@ -1,0 +1,415 @@
+"""Reused base spreads are exactly what a full re-forward produces.
+
+A bounded change keeps the base run's spread for every flow EC whose base
+paths meet no touched RIB slot covering its destination
+(:class:`~repro.traffic.simulator.SpreadReuse`). These tests pin that the
+kept spreads, the status counts and the link loads equal a fresh forward
+of the updated network — for the real touched set, for hypothesis-drawn
+supersets of it, and across worker counts and parallel modes — that a
+more specific slot on a path router does force a re-forward, and that
+changes to forwarding state besides the RIBs never build a reuse.
+The all-change-types comparison against ``incremental=False`` lives in
+``tests/incremental/test_equivalence.py``.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from benchmarks.test_table2_change_types import build_plans
+from repro.core.change_plan import ChangePlan
+from repro.core.pipeline import ChangeVerifier
+from repro.incremental.diff import FORWARDING_SECTIONS, DeviceDelta, ModelDiff
+from repro.incremental.engine import MODE_INCREMENTAL, MODE_NOOP
+from repro.net.addr import Prefix
+from repro.obs import RunContext
+from repro.traffic.simulator import SpreadReuse, TrafficSimulator
+from repro.workload import (
+    WanParams,
+    generate_flows,
+    generate_input_routes,
+    generate_wan,
+)
+
+#: plans the incremental path bounds (``build_plans`` names)
+BOUNDED = ("static-route-modification", "new-prefix-announcement")
+
+
+@pytest.fixture(scope="module")
+def world():
+    model, inventory = generate_wan(
+        WanParams(regions=2, cores_per_region=3, seed=7)
+    )
+    routes = generate_input_routes(inventory, n_prefixes=48, seed=11)
+    flows = generate_flows(inventory, routes, n_flows=150, seed=13)
+    return model, inventory, routes, flows
+
+
+@pytest.fixture(scope="module")
+def verifier(world):
+    model, _, routes, flows = world
+    verifier = ChangeVerifier(model, routes, input_flows=flows)
+    verifier.prepare_base()
+    return verifier
+
+
+@pytest.fixture(scope="module")
+def plans(world):
+    model, inventory, routes, _ = world
+    return build_plans(model, inventory, routes)
+
+
+def snapshot(traffic, flows):
+    """Every flow's spread, the status counts and the loads at ``.9g``."""
+    return (
+        [traffic.path_of(flow) for flow in flows],
+        traffic.status_counts(),
+        sorted(f"{key}:{volume:.9g}" for key, volume in traffic.loads.loads.items()),
+    )
+
+
+def slot_diff(before, after):
+    """Per device, the ``(vrf, prefix)`` slots whose rows differ."""
+    touched = {}
+    for name in set(before) | set(after):
+        sides = (before.get(name), after.get(name))
+        for rib in filter(None, sides):
+            for vrf in rib.vrfs:
+                for prefix in rib.prefixes(vrf):
+                    rows = [s.entries_for(prefix, vrf) if s else [] for s in sides]
+                    if rows[0] != rows[1]:
+                        touched.setdefault(name, set()).add((vrf, prefix))
+    return touched
+
+
+def reuse_spans(report):
+    return [s for s in report.trace.find_all("traffic.forward") if "reused" in s.meta]
+
+
+def declined(report):
+    return [s.meta.get("reuse_declined") for s in report.trace.find_all("traffic_sim")]
+
+
+def dialect(model, device, a_cmds, b_cmds):
+    return a_cmds if model.device(device).vendor_name == "vendor-a" else b_cmds
+
+
+def static_route(model, device, prefix, nexthop):
+    network, length = str(prefix).split("/")
+    return dialect(
+        model,
+        device,
+        [f"ip route {prefix} {nexthop}"],
+        [f"ip route-static {network} {length} {nexthop}"],
+    )
+
+
+def pin_host_plan(verifier):
+    """A host route at a multi-hop flow's ingress, towards an off-path router.
+
+    Returns ``(plan, flow, detour)``: the /32 is more specific than the
+    base LPM of ``flow`` at its ingress, so the flow must leave its base
+    path for ``detour``.
+    """
+    base = verifier.base_world.traffic
+    model = verifier.base_model
+    flow, spread = next(
+        (flow, spread)
+        for flow, spread in base.paths.items()
+        if len(spread) == 1 and len(spread[0][0].routers) >= 3 and spread[0][0].ok
+    )
+    path = spread[0][0]
+    ingress = path.routers[0]
+    detour = next(
+        name
+        for name in sorted(model.devices)
+        if name not in path.routers and model.loopback_of(name) is not None
+    )
+    plan = ChangePlan(
+        name="pin-host",
+        change_type="static-route-modification",
+        device_commands={
+            ingress: static_route(
+                model, ingress, Prefix.from_address(flow.dst), model.loopback_of(detour)
+            )
+        },
+    )
+    return plan, flow, detour
+
+
+# -- the updated network of a bounded plan ------------------------------------
+
+
+@pytest.fixture(scope="module", params=BOUNDED + ("pin-host",))
+def updated(request, verifier, plans):
+    """(updated world, real slot diff, full re-forward) of one plan."""
+    if request.param == "pin-host":
+        plan = pin_host_plan(verifier)[0]
+    else:
+        plan = plans[request.param]
+    report = verifier.verify(plan)
+    assert report.incremental.mode == MODE_INCREMENTAL
+    world = report.updated_world
+    touched = slot_diff(verifier.base_world.device_ribs, world.device_ribs)
+    full = TrafficSimulator(
+        world.model, world.device_ribs, verifier._base_igp
+    ).simulate(verifier.input_flows)
+    return world, touched, full
+
+
+def reuse_run(verifier, world, touched, **options):
+    ctx = RunContext("reuse")
+    result = TrafficSimulator(
+        world.model, world.device_ribs, verifier._base_igp
+    ).simulate(
+        verifier.input_flows,
+        ctx=ctx,
+        reuse=SpreadReuse(verifier.base_world.traffic.paths, touched),
+        **options,
+    )
+    return result, ctx.counters()
+
+
+def test_real_slot_diff_reuses_and_matches_full(verifier, updated):
+    world, touched, full = updated
+    result, counters = reuse_run(verifier, world, touched)
+    assert snapshot(result, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+    assert result.cost_units == full.cost_units
+    assert counters["traffic.ecs_reused"] > 0
+    assert (
+        counters["traffic.ecs_reused"] + counters["traffic.ecs_reforwarded"]
+        == len(full.ec_index.classes)
+    )
+
+
+@st.composite
+def extra_slots(draw, verifier):
+    """Extra (device, vrf, prefix) slots: base slots and supernets of dsts."""
+    ribs = verifier.base_world.device_ribs
+    devices = sorted(ribs)
+    base_slots = sorted(
+        {(vrf, p) for rib in ribs.values() for vrf in rib.vrfs for p in rib.prefixes(vrf)},
+        key=str,
+    )
+    dst_slots = sorted(
+        {
+            (flow.vrf, Prefix.from_address(flow.dst, length))
+            for flow in verifier.input_flows
+            for length in (0, 8, 16, 24, 28, 32)
+        },
+        key=str,
+    )
+    slot = st.one_of(st.sampled_from(base_slots), st.sampled_from(dst_slots))
+    return draw(st.lists(st.tuples(st.sampled_from(devices), slot), max_size=6))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_touched_supersets_give_the_full_result(verifier, updated, data):
+    world, touched, full = updated
+    superset = {name: set(slots) for name, slots in touched.items()}
+    for device, slot in data.draw(extra_slots(verifier)):
+        superset.setdefault(device, set()).add(slot)
+    result, _ = reuse_run(verifier, world, superset)
+    assert snapshot(result, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
+@pytest.mark.parametrize(
+    "workers,mode", [(2, "thread"), (2, "process")], ids=["thread", "process"]
+)
+def test_parallel_modes_match_serial(verifier, updated, workers, mode):
+    world, touched, full = updated
+    # every slot of a busy device: many ECs re-forward, so the pool works
+    busy = max(
+        world.device_ribs,
+        key=lambda name: sum(
+            name in path.routers
+            for spread in full.paths.values()
+            for path, _ in spread
+        ),
+    )
+    wide = dict(touched)
+    wide[busy] = {("global", Prefix.parse("0.0.0.0/0"))}
+    serial, serial_counters = reuse_run(verifier, world, wide, workers=1)
+    fanned, fanned_counters = reuse_run(
+        verifier, world, wide, workers=workers, parallel_mode=mode
+    )
+    assert fanned_counters["traffic.ecs_reforwarded"] > 1
+    assert serial_counters["traffic.ecs_reforwarded"] == (
+        fanned_counters["traffic.ecs_reforwarded"]
+    )
+    assert snapshot(fanned, verifier.input_flows) == snapshot(
+        serial, verifier.input_flows
+    )
+    assert snapshot(serial, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
+# -- the reuse rule -------------------------------------------------------------
+
+
+def test_touched_slot_off_the_path_is_reused(verifier):
+    base = verifier.base_world.traffic
+    flow, spread = next(
+        (flow, spread)
+        for flow, spread in base.paths.items()
+        if all(path.routers for path, _ in spread)
+    )
+    on_path = spread[0][0].routers[0]
+    off_path = next(
+        name
+        for name in verifier.base_world.device_ribs
+        if all(name not in path.routers for path, _ in spread)
+    )
+    slot = (flow.vrf, Prefix.from_address(flow.dst))
+    assert SpreadReuse(base.paths, {off_path: [slot]}).spread_for(flow) is spread
+    assert SpreadReuse(base.paths, {on_path: [slot]}).spread_for(flow) is None
+    # a slot elsewhere in the address space reaches nobody
+    other = ("global", Prefix.parse("203.0.113.0/24"))
+    assert SpreadReuse(base.paths, {on_path: [other]}).spread_for(flow) is spread
+
+    # through a simulation: only ECs to that destination whose paths cross
+    # the touched device re-forward, and the counters say so
+    ctx = RunContext("off-path")
+    result = TrafficSimulator(
+        verifier.base_model, verifier.base_world.device_ribs, verifier._base_igp
+    ).simulate(
+        verifier.input_flows,
+        ctx=ctx,
+        reuse=SpreadReuse(base.paths, {off_path: [slot]}),
+    )
+    counters = ctx.counters()
+    expected = sum(
+        1
+        for ec in result.ec_index.classes
+        if (ec.representative.vrf, ec.representative.dst) == (flow.vrf, flow.dst)
+        and any(off_path in p.routers for p, _ in base.paths[ec.representative])
+    )
+    assert counters["traffic.ecs_reforwarded"] == expected
+    assert counters["traffic.ecs_reused"] == len(result.ec_index.classes) - expected
+    assert result.paths[flow] is spread
+
+
+def test_more_specific_slot_on_the_path_forces_a_reforward(verifier):
+    """A host route at the ingress beats the base LPM and moves the path."""
+    base = verifier.base_world.traffic
+    plan, flow, detour = pin_host_plan(verifier)
+    report = verifier.verify(plan)
+    assert report.incremental.mode == MODE_INCREMENTAL
+    assert report.trace.total("traffic.ecs_reforwarded") >= 1
+    updated = report.updated_world.traffic
+    assert updated.path_of(flow) != base.path_of(flow)
+    assert detour in {r for p, _ in updated.path_of(flow) for r in p.routers}
+
+    world = report.updated_world
+    full = TrafficSimulator(
+        world.model, world.device_ribs, verifier._base_igp
+    ).simulate(verifier.input_flows)
+    assert snapshot(updated, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
+# -- when the pipeline builds a reuse ---------------------------------------------
+
+
+@pytest.mark.parametrize("section", sorted(FORWARDING_SECTIONS))
+def test_forwarding_sections_are_forwarding_affecting(section):
+    diff = ModelDiff(device_deltas={"r1": DeviceDelta("r1", frozenset({section}))})
+    assert diff.forwarding_affecting
+
+
+@pytest.mark.parametrize("section", ["statics", "policies", "peers", "aggregates"])
+def test_routing_sections_are_not_forwarding_affecting(section):
+    diff = ModelDiff(device_deltas={"r1": DeviceDelta("r1", frozenset({section}))})
+    assert not diff.forwarding_affecting
+
+
+def test_structure_changes_are_forwarding_affecting():
+    assert ModelDiff(topology_changed=True).forwarding_affecting
+    assert ModelDiff(loopbacks_changed=True).forwarding_affecting
+    assert not ModelDiff().forwarding_affecting
+
+
+def test_bounded_plans_build_a_reuse(verifier, plans):
+    for name in BOUNDED:
+        report = verifier.verify(plans[name])
+        (span,) = reuse_spans(report)
+        assert declined(report) == [None]
+        total = span.meta["work"] + span.meta["reused"]
+        assert f"traffic: re-forwarded {span.meta['work']}/{total} flow ECs" in (
+            report.summary()
+        )
+
+
+def forwarding_plans(plans):
+    core0 = "region0-core0"
+    return {
+        "acl": (plans["acl-modification"], "forwarding_affecting"),
+        "pbr": (plans["pbr-modification"], "forwarding_affecting"),
+        "isis-cost": (plans["topology-adjustment"], "widened"),
+        "sr": (
+            ChangePlan(
+                name="sr-steer",
+                change_type="traffic-steering",
+                device_commands={
+                    core0: [
+                        "segment-routing policy SRP1 endpoint region1-core0 color 100"
+                    ]
+                },
+            ),
+            "widened",
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["acl", "pbr", "isis-cost", "sr"])
+def test_forwarding_deltas_build_no_reuse(verifier, plans, kind):
+    plan, reason = forwarding_plans(plans)[kind]
+    report = verifier.verify(plan)
+    assert not reuse_spans(report)
+    assert declined(report) == [reason]
+    assert "traffic: re-forwarded" not in report.summary()
+
+
+def test_noop_plan_reuses_every_ec(verifier, world):
+    """An empty blast with a non-forwarding diff forwards nothing."""
+    model = world[0]
+    edge0 = "region0-dcedge0"
+    plan = ChangePlan(
+        name="redistribute-nothing",
+        change_type="os-patch",
+        device_commands={
+            edge0: dialect(
+                model,
+                edge0,
+                [f"router bgp {model.device(edge0).asn}", " redistribute static"],
+                [f"bgp {model.device(edge0).asn}", " import-route static"],
+            )
+        },
+    )
+    report = verifier.verify(plan)
+    assert report.incremental.mode == MODE_NOOP
+    (span,) = reuse_spans(report)
+    assert span.meta["work"] == 0 and span.meta["reused"] > 0
+    assert report.updated_world.traffic.loads.loads == (
+        verifier.base_world.traffic.loads.loads
+    )
+
+
+def test_full_mode_records_why(world, plans):
+    model, _, routes, flows = world
+    verifier = ChangeVerifier(model, routes, input_flows=flows, incremental=False)
+    verifier.prepare_base()
+    report = verifier.verify(plans["static-route-modification"])
+    assert not reuse_spans(report)
+    assert declined(report) == ["incremental_off"]
