@@ -5,8 +5,8 @@ Times the three hot layers on small/medium synthetic WANs and writes
 
 * **route-sim** — one ``RouteSimulator.simulate`` pass (the BGP fixpoint
   dominates), small and medium WAN;
-* **policy-eval** — ``apply_policy`` over a border-style policy with a large
-  prefix list, with the optimization flags on vs. off (trie + memo);
+* **traffic-sim** — ``TrafficSimulator.simulate`` over a converged WAN,
+  with the data-plane flags on vs. off;
 * **distributed e2e** — ``DistributedRouteSimulation.run`` with thread
   workers vs. ``processes=True``.
 
@@ -34,11 +34,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import perfopts
 from repro.exec import CentralizedBackend, DistributedBackend, RouteSimRequest
-from repro.net.policy import PolicyContext, apply_policy
-from repro.net.vendors import VENDOR_A
 from repro.obs import RunContext
-from repro.routing.attributes import Route, SOURCE_EBGP
-from repro.net.addr import Prefix
 from repro.traffic import TrafficSimulator
 from repro.workload.flows import generate_flows
 from repro.workload.routes import generate_input_routes
@@ -136,66 +132,6 @@ def bench_route_sim(regions: int, n_prefixes: int, repeats: int) -> Dict[str, An
     }
 
 
-def _border_policy_ctx() -> PolicyContext:
-    """A border-import-style policy over a large prefix list."""
-    ctx = PolicyContext(vendor=VENDOR_A)
-    plist = ctx.define_prefix_list("CUSTOMER-AGG")
-    for index in range(64):
-        plist.add(f"10.{index}.0.0/16", ge=16, le=24)
-    ctx.define_aspath_list("BOGON").add("65013")
-    policy = ctx.define_policy("ISP-IN")
-    policy.node(5, "deny").match("aspath-list", "BOGON")
-    node = policy.node(10, "permit")
-    node.match("prefix-list", "CUSTOMER-AGG")
-    node.set("community-add", "65000:100").set("local-pref", "120")
-    policy.node(20, "permit")
-    return ctx
-
-
-def _policy_routes(count: int) -> list:
-    routes = []
-    for index in range(count):
-        routes.append(
-            Route(
-                prefix=Prefix.parse(f"10.{index % 96}.{(index * 4) % 256}.0/24"),
-                as_path=(65100 + index % 7, 65013 + index % 3),
-                source=SOURCE_EBGP,
-                nexthop=None,
-            )
-        )
-    return routes
-
-
-def bench_policy_eval(repeats: int, rounds: int = 40) -> Dict[str, Any]:
-    """apply_policy over repeated route populations, flags on vs. off.
-
-    The fixpoint re-applies the same policies to the same routes every
-    round; ``rounds`` models that revisit ratio, which is what the memo
-    exploits. The trie matters even on the first pass.
-    """
-    routes = _policy_routes(256)
-
-    def run_all() -> int:
-        ctx = _border_policy_ctx()  # fresh context: no carried-over memo
-        permitted = 0
-        for _ in range(rounds):
-            for route in routes:
-                if apply_policy("ISP-IN", route, ctx).permitted:
-                    permitted += 1
-        return permitted
-
-    with perfopts.all_disabled():
-        unoptimized, check_off = _best_of(run_all, repeats)
-    optimized, check_on = _best_of(run_all, repeats)
-    assert check_on == check_off, "policy flags changed observable results"
-    return {
-        "optimized_seconds": round(optimized, 4),
-        "unoptimized_seconds": round(unoptimized, 4),
-        "speedup": round(unoptimized / optimized, 2) if optimized else None,
-        "applications": 256 * rounds,
-    }
-
-
 def bench_traffic_sim(
     regions: int, n_prefixes: int, n_flows: int, repeats: int
 ) -> Dict[str, Any]:
@@ -203,7 +139,7 @@ def bench_traffic_sim(
 
     Route simulation runs once outside the timed region; each timed run
     builds a fresh :class:`TrafficSimulator` (fresh forwarding engine, no
-    carried-over FIBs or memo tables) and simulates the full flow set —
+    carried-over memo tables) and simulates the full flow set —
     EC reduction, spread forwarding, load aggregation. The flags-off run
     exercises the interpreted scans the fast path replaces, and both runs
     must agree byte-for-byte on the link loads.
@@ -224,9 +160,7 @@ def bench_traffic_sim(
         last["ctx"] = ctx
         return result
 
-    with perfopts.configured(
-        topo_index=False, compiled_fib=False, spread_memo=False
-    ):
+    with perfopts.configured(topo_index=False, spread_memo=False):
         unoptimized, check_off = _best_of(run, repeats)
     optimized, check_on = _best_of(run, repeats)
     assert check_on.loads.loads == check_off.loads.loads, (
@@ -721,7 +655,6 @@ def run_benchmarks(smoke: bool = False, large: bool = False) -> Dict[str, Any]:
     repeats = 2 if smoke else 3
     scenarios: Dict[str, Any] = {
         "route_sim_small": bench_route_sim(2, 50, repeats),
-        "policy_eval": bench_policy_eval(repeats, rounds=10 if smoke else 40),
         "traffic_sim_small": bench_traffic_sim(2, 40, 300, repeats),
         "serve_warm_small": bench_serve_warm(2, 40, 300, repeats),
     }

@@ -127,7 +127,7 @@ def compute_flow_ecs(
         if model is not None
         else []
     )
-    policy_cache: Dict[Tuple, Tuple] = {}
+    policy_sigs: Dict[Tuple, Tuple] = {}
     for flow in flows:
         total += 1
         dst_key = (flow.dst, flow.vrf)
@@ -139,10 +139,10 @@ def compute_flow_ecs(
             dst_cache[dst_key] = signature
         if policy_devices:
             policy_key = (flow.src, flow.dst, flow.protocol, flow.dst_port)
-            policy_sig = policy_cache.get(policy_key)
+            policy_sig = policy_sigs.get(policy_key)
             if policy_sig is None:
                 policy_sig = _policy_signature(policy_devices, flow)
-                policy_cache[policy_key] = policy_sig
+                policy_sigs[policy_key] = policy_sig
         else:
             policy_sig = ()
         key = (

@@ -115,9 +115,6 @@ def _flawed_config_parsing(setup: HoyanSetup, rng: random.Random) -> str:
         ctx.prefix_lists.clear()
         ctx.community_lists.clear()
         ctx.aspath_lists.clear()
-        # Direct surgery on the definition dicts bypasses the define_* hooks,
-        # so memoized policy results must be dropped by hand.
-        ctx.invalidate_cache()
     return f"filter-list definitions lost on {victims}"
 
 

@@ -87,9 +87,6 @@ class DialectParser:
             self._dispatch(line)
         self._context = None
         self._config = None
-        # Command handlers edit policies and filters in place (node edits,
-        # pop on negation); any memoized policy results are now stale.
-        config.policy_ctx.invalidate_cache()
 
     @property
     def config(self) -> DeviceConfig:

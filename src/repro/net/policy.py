@@ -17,23 +17,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import perfopts
 from repro.net.addr import Prefix, as_prefix
-from repro.net.trie import PrefixTrie
 from repro.net.vendors import VendorProfile
 from repro.routing.attributes import Route
 
 PERMIT = "permit"
 DENY = "deny"
-
-#: Prefix lists at least this long are compiled into a binary trie; shorter
-#: lists stay on the linear scan (the trie walk has fixed overhead).
-_TRIE_THRESHOLD = 8
-
-#: Bound on memoized policy results per context (LRU eviction). Sized for
-#: the route-EC representative population of a large subtask, not the full
-#: route table.
-_POLICY_MEMO_LIMIT = 1 << 16
 
 
 class PolicyError(Exception):
@@ -85,25 +74,7 @@ class PrefixList:
         le: Optional[int] = None,
     ) -> "PrefixList":
         self.entries.append(PrefixListEntry(as_prefix(prefix), action, ge, le))
-        self.invalidate()
         return self
-
-    def invalidate(self) -> None:
-        """Drop the compiled trie (call after mutating ``entries`` directly)."""
-        self.__dict__.pop("_compiled", None)
-
-    def _compile(self) -> PrefixTrie:
-        """Index entries by prefix so evaluation walks one trie path.
-
-        Every list entry whose prefix contains a candidate lies on the
-        candidate's bit path; first-match semantics are preserved by storing
-        each entry's position and taking the lowest matching position.
-        """
-        trie: PrefixTrie = PrefixTrie()
-        for position, entry in enumerate(self.entries):
-            trie.insert(entry.prefix, (position, entry))
-        self.__dict__["_compiled"] = (len(self.entries), trie)
-        return trie
 
     def evaluate(self, candidate: Prefix, vendor: VendorProfile) -> bool:
         """True if the candidate prefix is permitted by this list."""
@@ -114,24 +85,10 @@ class PrefixList:
             if self.family == 4 and candidate.family == 6:
                 return vendor.ip_prefix_permits_ipv6
             return False
-        if perfopts.OPTS.policy_trie and len(self.entries) >= _TRIE_THRESHOLD:
-            compiled = self.__dict__.get("_compiled")
-            if compiled is not None and compiled[0] == len(self.entries):
-                trie = compiled[1]
-            else:
-                trie = self._compile()
-            best: Optional[Tuple[int, PrefixListEntry]] = None
-            for position, entry in trie.covering_values(candidate):
-                if (best is None or position < best[0]) and entry.matches(candidate):
-                    best = (position, entry)
-            return best is not None and best[1].action == PERMIT
         for entry in self.entries:
             if entry.matches(candidate):
                 return entry.action == PERMIT
         return False
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass
@@ -295,59 +252,26 @@ class PolicyContext:
     policies: Dict[str, RoutePolicy] = field(default_factory=dict)
     aspath_fullmatch: bool = False
 
-    # -- result memoization --------------------------------------------------
-    #
-    # ``apply_policy`` is a pure function of (policy name, route, context
-    # contents), so results are memoized per context in ``_memo`` (an LRU
-    # keyed on the route's canonical key). The cache is dropped whenever the
-    # context's behaviour can change: new definitions via define_*, vendor
-    # or aspath_fullmatch reassignment (caught by __setattr__ below), or an
-    # explicit invalidate_cache() after direct surgery on the definition
-    # dicts / node lists (see docs/performance.md for the rules).
-
-    def invalidate_cache(self) -> None:
-        """Drop memoized policy results (and compiled filter indexes)."""
-        memo = self.__dict__.get("_memo")
-        if memo:
-            memo.clear()
-        for plist in self.prefix_lists.values():
-            plist.invalidate()
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in ("vendor", "aspath_fullmatch"):
-            memo = self.__dict__.get("_memo")
-            if memo:
-                memo.clear()
-
-    def __getstate__(self) -> dict:
-        # The memo holds per-process hash-keyed entries; never ship it.
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
     # -- definition helpers --------------------------------------------------
 
     def define_prefix_list(self, name: str, family: int = 4) -> PrefixList:
         plist = PrefixList(name=name, family=family)
         self.prefix_lists[name] = plist
-        self.invalidate_cache()
         return plist
 
     def define_community_list(self, name: str) -> CommunityList:
         clist = CommunityList(name=name)
         self.community_lists[name] = clist
-        self.invalidate_cache()
         return clist
 
     def define_aspath_list(self, name: str) -> AsPathList:
         alist = AsPathList(name=name)
         self.aspath_lists[name] = alist
-        self.invalidate_cache()
         return alist
 
     def define_policy(self, name: str) -> RoutePolicy:
         policy = RoutePolicy(name=name)
         self.policies[name] = policy
-        self.invalidate_cache()
         return policy
 
     def copy(self) -> "PolicyContext":
@@ -458,34 +382,7 @@ def apply_policy(
     the "undefined route policy" VSB. A route matching no node falls to the
     "default route policy" VSB; a matching node lacking an explicit action
     resolves via "no explicit permit/deny".
-
-    Results are memoized per context: policy evaluation is a pure function
-    of the route (the BGP engine re-applies the same policies to the same
-    routes on every fixpoint round and across subtasks), so equal canonical
-    route keys always yield the same (immutable) result. See
-    :meth:`PolicyContext.invalidate_cache` for the invalidation contract.
     """
-    if not perfopts.OPTS.policy_cache:
-        return _apply_policy_uncached(policy_name, route, ctx)
-    memo = ctx.__dict__.get("_memo")
-    if memo is None:
-        memo = {}
-        ctx.__dict__["_memo"] = memo
-    key = (policy_name, route.canonical_key())
-    hit = memo.pop(key, None)
-    if hit is not None:
-        memo[key] = hit  # re-insert: dict order doubles as LRU order
-        return hit
-    result = _apply_policy_uncached(policy_name, route, ctx)
-    if len(memo) >= _POLICY_MEMO_LIMIT:
-        memo.pop(next(iter(memo)))
-    memo[key] = result
-    return result
-
-
-def _apply_policy_uncached(
-    policy_name: Optional[str], route: Route, ctx: PolicyContext
-) -> PolicyResult:
     vendor = ctx.vendor
     if policy_name is None:
         if vendor.missing_policy_accepts:

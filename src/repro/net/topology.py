@@ -132,7 +132,7 @@ class Topology:
         self._iface_counter = itertools.count(1)
         #: monotonically increasing mutation counter; every inventory or
         #: failure-overlay change bumps it so derived caches (the indices
-        #: below, compiled FIBs) can detect staleness in O(1).
+        #: below, the spread memo) can detect staleness in O(1).
         self._version = 0
         self._addr_index: Optional[Dict[IPAddress, str]] = None
         self._addr_index_version = -1

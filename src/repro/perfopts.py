@@ -1,16 +1,16 @@
 """Global switches for the hot-path optimizations.
 
-The simulation core carries several caching layers (policy-result
-memoization, compiled prefix-list tries, per-run IGP-cost memoization,
-parse-time interning of addresses and prefixes). They are all *semantically
-transparent*: enabled or disabled, a simulation must produce byte-identical
-RIBs and statistics. This module is the single switchboard that turns them
-off, which exists for three reasons:
+The simulation core carries several optimization layers (parse-time and
+route-attribute interning, topology indices, the spread-mode forwarding
+memo, shared-memory shipping to process pools, §3.1 route equivalence
+classes). They are all *semantically transparent*: enabled or disabled, a
+simulation must produce byte-identical RIBs and statistics. This module is
+the single switchboard that turns them off, which exists for three reasons:
 
 * the perf harness (``benchmarks/perf``) measures the unoptimized baseline
-  by disabling the caches, so ``BENCH_perf.json`` carries true
+  by disabling the layers, so ``BENCH_perf.json`` carries true
   before/after numbers on the same code revision;
-* the soundness test suite re-runs seeded simulations with every cache
+* the soundness test suite re-runs seeded simulations with every layer
   disabled and asserts the results are identical to the cached run; and
 * the ``repro serve`` daemon runs concurrent jobs that may request
   different flag sets, which must not leak into each other.
@@ -21,7 +21,7 @@ frames first and fall back to the process-wide base options. The context
 managers (:func:`configured`, :func:`all_disabled`, :func:`applied`) push a
 per-thread frame, so two threads inside different ``configured()`` blocks
 see different flags — this is what isolates concurrent server jobs. A bare
-``OPTS.policy_cache = False`` outside any frame still mutates the
+``OPTS.spread_memo = False`` outside any frame still mutates the
 process-wide base, preserving the historical single-threaded behaviour.
 
 Worker threads spawned *inside* a scoped block (distsim thread pools,
@@ -43,22 +43,12 @@ from typing import Dict, Iterator, List
 class PerfOptions:
     """Feature flags for each optimization layer (all on by default)."""
 
-    #: memoize ``apply_policy`` results per policy context
-    policy_cache: bool = True
-    #: compile large prefix lists into a binary trie for O(prefix-length)
-    #: matching instead of a linear entry scan
-    policy_trie: bool = True
-    #: memoize next-hop IGP-cost resolution per BGP run
-    igp_cost_cache: bool = True
     #: intern ``Prefix.parse`` / ``IPAddress.parse`` results
     intern_parse: bool = True
     #: one-time topology indices: interface-address -> owner, ingress-ACL
     #: lookup per (neighbor, router), and the up-link adjacency cache
     #: (version-invalidated on every topology mutation)
     topo_index: bool = True
-    #: per-device compiled FIBs: memoized LPM hits with ECMP-presorted route
-    #: lists and precomputed spread-mode branch resolution
-    compiled_fib: bool = True
     #: memoize spread-mode forwarding decisions per
     #: (router, ingress-ACL class, flow EC signature)
     spread_memo: bool = True
@@ -77,7 +67,8 @@ class PerfOptions:
     route_ecs: bool = True
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(PerfOptions))
+#: The flag names, in declaration order.
+FLAG_NAMES = tuple(f.name for f in fields(PerfOptions))
 
 #: Process-wide base values, read when no thread-local frame overrides them.
 _BASE = PerfOptions()
@@ -105,7 +96,7 @@ class _OptionsProxy:
         return frames
 
     def __getattr__(self, name: str) -> bool:
-        if name not in _FIELD_NAMES:
+        if name not in FLAG_NAMES:
             raise AttributeError(name)
         for frame in reversed(self._frames()):
             if name in frame:
@@ -113,7 +104,7 @@ class _OptionsProxy:
         return getattr(_BASE, name)
 
     def __setattr__(self, name: str, value: bool) -> None:
-        if name not in _FIELD_NAMES:
+        if name not in FLAG_NAMES:
             raise AttributeError(f"unknown perf option {name!r}")
         frames = self._frames()
         if frames:
@@ -136,7 +127,7 @@ def effective() -> PerfOptions:
     worker via :func:`applied`, so worker threads run under the flags of
     the code that spawned them rather than the process-wide base.
     """
-    return PerfOptions(**{name: getattr(OPTS, name) for name in _FIELD_NAMES})
+    return PerfOptions(**{name: getattr(OPTS, name) for name in FLAG_NAMES})
 
 
 def reset() -> None:
@@ -146,7 +137,7 @@ def reset() -> None:
     """
     OPTS._frames().clear()
     defaults = PerfOptions()
-    for name in _FIELD_NAMES:
+    for name in FLAG_NAMES:
         setattr(_BASE, name, getattr(defaults, name))
 
 
@@ -162,12 +153,12 @@ def _frame(values: Dict[str, bool]) -> Iterator[PerfOptions]:
 
 def all_disabled() -> Iterator[PerfOptions]:
     """Temporarily disable every optimization layer (calling thread only)."""
-    return _frame({name: False for name in _FIELD_NAMES})
+    return _frame({name: False for name in FLAG_NAMES})
 
 
 def configured(**flags: bool) -> Iterator[PerfOptions]:
     """Temporarily set the given flags (by field name, calling thread only)."""
-    unknown = set(flags) - set(_FIELD_NAMES)
+    unknown = set(flags) - set(FLAG_NAMES)
     if unknown:
         raise ValueError(f"unknown perf option(s): {sorted(unknown)}")
     return _frame(flags)
@@ -175,4 +166,4 @@ def configured(**flags: bool) -> Iterator[PerfOptions]:
 
 def applied(options: PerfOptions) -> Iterator[PerfOptions]:
     """Temporarily apply a full :func:`effective` snapshot (all fields)."""
-    return _frame({name: getattr(options, name) for name in _FIELD_NAMES})
+    return _frame({name: getattr(options, name) for name in FLAG_NAMES})

@@ -29,7 +29,6 @@ from typing import (
     Tuple,
 )
 
-from repro import perfopts
 from repro.net.addr import IPAddress, Prefix
 from repro.net.device import BgpPeerConfig, DeviceConfig, GLOBAL_VRF
 from repro.net.model import NetworkModel
@@ -282,12 +281,9 @@ class BgpSimulator:
         self._suppressed: Dict[str, Dict[str, Set[Prefix]]] = {}
         # id(session) -> prefix.ident -> last advertised route tuple
         self._last_sent: Dict[int, Dict[int, Tuple[Route, ...]]] = {}
-        self._igp_cost_cache: Dict[Tuple[str, IPAddress], int] = {}
         # prefix.ident -> delivered message count / representative Prefix
         self._pm_count: Dict[int, int] = {}
         self._pm_prefix: Dict[int, Prefix] = {}
-        # Snapshot of the igp_cost_cache flag, refreshed per run by _reset.
-        self._igp_cache_on = perfopts.OPTS.igp_cost_cache
         self._stats = BgpStats()
 
     # -- public API -----------------------------------------------------------
@@ -406,10 +402,8 @@ class BgpSimulator:
         self._locs = {}
         self._suppressed = {}
         self._last_sent = {}
-        self._igp_cost_cache = {}
         self._pm_count = {}
         self._pm_prefix = {}
-        self._igp_cache_on = perfopts.OPTS.igp_cost_cache
         self._stats = BgpStats()
 
     def _candidates(self, device: str, vrf: str, prefix: Prefix) -> List[Candidate]:
@@ -682,18 +676,8 @@ class BgpSimulator:
         source = SOURCE_EBGP if session.ebgp else SOURCE_IBGP
         ebgp_pref, ibgp_pref = vendor.default_bgp_preference
         preference = ebgp_pref if session.ebgp else ibgp_pref
-        # Inlined _resolve_igp_cost: one memo lookup per accepted route.
         nexthop = processed.nexthop
-        if nexthop is None:
-            igp_cost = 0
-        elif self._igp_cache_on:
-            cache_key = (receiver.name, nexthop)
-            igp_cost = self._igp_cost_cache.get(cache_key)
-            if igp_cost is None:
-                igp_cost = self._resolve_igp_cost_uncached(receiver, nexthop)
-                self._igp_cost_cache[cache_key] = igp_cost
-        else:
-            igp_cost = self._resolve_igp_cost_uncached(receiver, nexthop)
+        igp_cost = 0 if nexthop is None else self._resolve_igp_cost(receiver, nexthop)
         if (
             processed.source != source
             or processed.protocol != PROTO_BGP
@@ -713,9 +697,7 @@ class BgpSimulator:
             path_id=path_id,
         )
 
-    def _resolve_igp_cost_uncached(
-        self, device: DeviceConfig, nexthop: IPAddress
-    ) -> int:
+    def _resolve_igp_cost(self, device: DeviceConfig, nexthop: IPAddress) -> int:
         owner = self.model.owner_of_address(nexthop)
         if owner is None:
             return UNREACHABLE_COST

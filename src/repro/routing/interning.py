@@ -105,8 +105,8 @@ def intern_attribute_key(key: Tuple) -> Tuple:
 
     One announcement typically fans out over many prefixes and devices, so
     the same attribute tuple recurs on thousands of routes — and it also
-    keys the route-EC grouping and the policy memo, so sharing one instance
-    makes those dict lookups hit the pointer-equality fast path.
+    keys the route-EC grouping, so sharing one instance makes those dict
+    lookups hit the pointer-equality fast path.
     """
     found = _ATTRIBUTE_KEYS.get(key)
     if found is None:

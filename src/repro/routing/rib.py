@@ -111,7 +111,7 @@ class DeviceRib:
         self._tables: Dict[str, Dict[Prefix, List[Tuple[Route, str]]]] = {}
         self._tries: Dict[str, PrefixTrie] = {}
         self._tries_dirty = True
-        #: mutation counter consumed by compiled FIBs to detect staleness
+        #: mutation counter consumed by the spread memo to detect staleness
         self._generation = 0
 
     @property

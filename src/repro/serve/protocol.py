@@ -50,6 +50,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
+from repro import perfopts
+
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7341
 SERVER_ID = "repro-serve/1"
@@ -117,6 +119,10 @@ def validate_job_spec(spec: Any) -> Optional[str]:
         isinstance(v, bool) for v in flags.values()
     ):
         return "perf_flags must map flag names to booleans"
+    unknown = sorted(set(flags) - set(perfopts.FLAG_NAMES))
+    if unknown:
+        return (f"unknown perf flag(s) {unknown}; expected one of "
+                f"{sorted(perfopts.FLAG_NAMES)}")
     return None
 
 

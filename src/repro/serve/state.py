@@ -9,7 +9,7 @@ matter how clients name them:
 * **Verifier cache** — one prepared :class:`~repro.core.ChangeVerifier`
   per (model hash, backend, incremental): the base world is simulated once
   (``prepare_base``) and every later verify / what-if on that model
-  warm-starts from its snapshots, compiled FIBs, cached IGP, and local
+  warm-starts from its snapshots, base traffic spreads, cached IGP, and local
   inputs. Each verifier owns a byte-budgeted
   :class:`~repro.incremental.snapshots.RibSnapshotStore`; budget evictions
   are mirrored into the server context's ``snapshots.lru_evicted`` counter.

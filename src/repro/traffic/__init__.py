@@ -5,9 +5,8 @@ RIBs and the input flows, compute every flow's forwarding path and every
 link's traffic load.
 """
 
-from repro.traffic.fastpath import CompiledFib, FastPathStats, FibEntry
 from repro.traffic.flow import Flow, make_flow
-from repro.traffic.forwarding import FlowPath, ForwardingEngine
+from repro.traffic.forwarding import FastPathStats, FlowPath, ForwardingEngine
 from repro.traffic.load import LinkLoadMap, aggregate_loads
 from repro.traffic.simulator import (
     SpreadReuse,
@@ -17,9 +16,7 @@ from repro.traffic.simulator import (
 
 __all__ = [
     "SpreadReuse",
-    "CompiledFib",
     "FastPathStats",
-    "FibEntry",
     "Flow",
     "make_flow",
     "FlowPath",

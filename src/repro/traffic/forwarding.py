@@ -5,13 +5,11 @@ selection by flow hash, and recursive next-hop resolution (IGP next hops, or
 the SR tunnel when an SR policy steers towards the next hop's owner — the
 forwarding half of the Figure 9 behaviour).
 
-The engine carries a compiled fast path (``repro.traffic.fastpath``): per
-device a :class:`~repro.traffic.fastpath.CompiledFib` memoizes LPM hits
-with ECMP-presorted route lists, and spread-mode decisions are memoized per
-``(router, ingress-ACL class, flow EC signature)`` so a whole flow EC pays
-the interpreted cost once per device instead of once per flow per hop. All
-of it is gated on ``repro.perfopts`` flags and invalidated against
-``Topology.version`` / ``DeviceRib.generation`` (plus an explicit
+Spread-mode decisions are memoized per ``(router, ingress-ACL class, flow
+EC signature)`` so a whole flow EC pays the interpreted cost once per device
+instead of once per flow per hop. The memo is gated on the ``spread_memo``
+flag of ``repro.perfopts`` and invalidated against ``Topology.version`` /
+``DeviceRib.generation`` (plus an explicit
 :meth:`ForwardingEngine.invalidate` escape hatch); enabled or disabled,
 forwarding results are byte-identical.
 """
@@ -23,13 +21,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import perfopts
 from repro.net.addr import IPAddress
-from repro.net.device import AclConfig, DeviceConfig, SrPolicyConfig
+from repro.net.device import AclConfig, DeviceConfig
 from repro.net.model import NetworkModel
 from repro.routing.attributes import Route, SOURCE_EBGP
 from repro.routing.isis import IgpState
 from repro.routing.rib import DeviceRib
 from repro.routing.sr import first_tunnel_hops
-from repro.traffic.fastpath import CompiledFib, FastPathStats, FibEntry
 from repro.traffic.flow import Flow
 
 STATUS_DELIVERED = "delivered"
@@ -41,8 +38,25 @@ STATUS_STRANDED = "stranded"      # route present but next hop unresolvable
 
 MAX_HOPS = 64
 
-#: Sentinel distinguishing "memoized" from "absent" in cache dicts.
+#: Sentinel distinguishing "memoized" from "absent" in the spread memo.
 _MISSING = object()
+
+
+@dataclass
+class FastPathStats:
+    """Spread-memo counters of one :class:`ForwardingEngine`."""
+
+    memo_hits: int = 0
+    memo_misses: int = 0
+    invalidations: int = 0
+
+    def as_counters(self) -> Dict[str, int]:
+        """Counter-name to value map (``traffic.*`` namespace)."""
+        return {
+            "traffic.spread_memo_hits": self.memo_hits,
+            "traffic.spread_memo_misses": self.memo_misses,
+            "traffic.fastpath_invalidations": self.invalidations,
+        }
 
 
 @dataclass
@@ -80,26 +94,22 @@ class ForwardingEngine:
         self.model = model
         self.ribs = ribs
         self.igp = igp
-        #: cache hit/miss counters of the compiled fast path
+        #: hit/miss counters of the spread memo
         self.stats = FastPathStats()
-        self._fibs: Dict[str, CompiledFib] = {}
         self._spread_memo: Dict[Tuple, Any] = {}
-        self._sr_cache: Dict[Tuple[str, str], Optional[SrPolicyConfig]] = {}
         self._topo_version = -1
         self._rib_stamp: Tuple[int, int] = (-1, -1)
 
-    # -- compiled-state lifecycle ------------------------------------------
+    # -- memo lifecycle -----------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every piece of compiled state (FIBs, memo tables, caches).
+        """Drop the spread memo.
 
         Called automatically when the topology version or any RIB
         generation changes between forwards; call it explicitly after
         mutating device configs (ACLs, PBR, SR policies) on a live engine.
         """
-        self._fibs.clear()
         self._spread_memo.clear()
-        self._sr_cache.clear()
         self._topo_version = self.model.topology.version
         self._rib_stamp = self._rib_fingerprint()
         self.stats.invalidations += 1
@@ -108,21 +118,12 @@ class ForwardingEngine:
         return (len(self.ribs), sum(r.generation for r in self.ribs.values()))
 
     def _ensure_fresh(self) -> None:
-        """Invalidate compiled state if the model moved under the engine."""
+        """Invalidate the memo if the model moved under the engine."""
         if (
             self.model.topology.version != self._topo_version
             or self._rib_fingerprint() != self._rib_stamp
         ):
             self.invalidate()
-
-    def _fib(self, router: str) -> CompiledFib:
-        fib = self._fibs.get(router)
-        rib = self.ribs.get(router)
-        if fib is None or fib.rib is not rib or not fib.fresh():
-            fib = CompiledFib(router, rib, self.stats)
-            self._fibs[router] = fib
-            self.stats.fib_compiles += 1
-        return fib
 
     # -- public -----------------------------------------------------------
 
@@ -168,18 +169,6 @@ class ForwardingEngine:
             return None
         return device.acls.get(acl_name)
 
-    def _sr_policy(self, router: str, target: str) -> Optional[SrPolicyConfig]:
-        """``device.sr_policy_towards`` with a per-engine cache."""
-        if not perfopts.OPTS.compiled_fib:
-            return self.model.device(router).sr_policy_towards(target)
-        key = (router, target)
-        hit = self._sr_cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit  # type: ignore[return-value]
-        policy = self.model.device(router).sr_policy_towards(target)
-        self._sr_cache[key] = policy
-        return policy
-
     # -- per-hop logic ------------------------------------------------------
 
     def _step(
@@ -207,27 +196,18 @@ class ForwardingEngine:
             if rule.matches_flow(flow):
                 return self._towards(flow, router, rule.nexthop, "pbr")
 
-        # RIB longest-prefix match (compiled FIB when enabled).
-        if perfopts.OPTS.compiled_fib:
-            entry = self._fib(router).lookup(flow.dst, flow.vrf)
-            if entry is None:
-                if owner is not None and self.igp.reachable(router, owner):
-                    return self._towards(flow, router, owner, "igp")
-                return (None, STATUS_DROPPED)
-            matched.append(entry.prefix_str)
-            route = entry.pick(flow.ecmp_hash())
-        else:
-            rib = self.ribs.get(router)
-            hit = rib.lpm(flow.dst, vrf=flow.vrf) if rib is not None else None
-            if hit is None:
-                # Internal destinations (loopbacks, link subnets) are reachable
-                # through IS-IS even without a BGP/static RIB entry.
-                if owner is not None and self.igp.reachable(router, owner):
-                    return self._towards(flow, router, owner, "igp")
-                return (None, STATUS_DROPPED)
-            prefix, routes = hit
-            matched.append(str(prefix))
-            route = self._pick_ecmp(flow, routes)
+        # RIB longest-prefix match.
+        rib = self.ribs.get(router)
+        hit = rib.lpm(flow.dst, vrf=flow.vrf) if rib is not None else None
+        if hit is None:
+            # Internal destinations (loopbacks, link subnets) are reachable
+            # through IS-IS even without a BGP/static RIB entry.
+            if owner is not None and self.igp.reachable(router, owner):
+                return self._towards(flow, router, owner, "igp")
+            return (None, STATUS_DROPPED)
+        prefix, routes = hit
+        matched.append(str(prefix))
+        route = self._pick_ecmp(flow, routes)
 
         # A border router exits traffic for routes it learned over eBGP or
         # injected locally from an external feed.
@@ -248,7 +228,7 @@ class ForwardingEngine:
         if self.model.topology.has_up_link(router, target):
             return (target, why)
         # SR tunnel towards the target, if configured and resolvable.
-        policy = self._sr_policy(router, target)
+        policy = self.model.device(router).sr_policy_towards(target)
         if policy is not None:
             hops = first_tunnel_hops(self.model, self.igp, router, policy)
             if hops:
@@ -376,19 +356,6 @@ class ForwardingEngine:
                 if not hops:
                     return ("terminal", STATUS_STRANDED)
                 return ("hops", ([], sorted(hops)))
-        if perfopts.OPTS.compiled_fib:
-            entry = self._fib(router).lookup(flow.dst, flow.vrf)
-            if entry is None:
-                if owner is not None and self.igp.reachable(router, owner):
-                    hops = self._hops_towards(flow, router, owner)
-                    if hops:
-                        return ("hops", ([], sorted(hops)))
-                return ("terminal", STATUS_DROPPED)
-            branch = entry.spread_branch
-            if branch is None:
-                branch = self._resolve_spread_branch(router, entry)
-                entry.spread_branch = branch
-            return branch
         rib = self.ribs.get(router)
         hit = rib.lpm(flow.dst, vrf=flow.vrf) if rib is not None else None
         if hit is None:
@@ -397,15 +364,9 @@ class ForwardingEngine:
                 if hops:
                     return ("hops", ([], sorted(hops)))
             return ("terminal", STATUS_DROPPED)
+        # Resolve the LPM hit in RIB insertion order: the first terminal
+        # route decides, otherwise every resolvable next hop is a branch.
         prefix, routes = hit
-        return self._resolve_rib_routes(router, str(prefix), routes)
-
-    def _resolve_spread_branch(self, router: str, entry: FibEntry):
-        """Flow-independent spread resolution of a compiled FIB entry."""
-        return self._resolve_rib_routes(router, entry.prefix_str, entry.routes)
-
-    def _resolve_rib_routes(self, router: str, prefix_str: str, routes):
-        """Spread-mode resolution of an LPM hit (RIB insertion order)."""
         options: set = set()
         for route in routes:
             if route.source == SOURCE_EBGP and route.origin_router == router:
@@ -422,7 +383,7 @@ class ForwardingEngine:
             options.update(self._hops_towards(None, router, nh_owner))
         if not options:
             return ("terminal", STATUS_STRANDED)
-        return ("hops", ([prefix_str], sorted(options)))
+        return ("hops", ([str(prefix)], sorted(options)))
 
     def _hops_towards(
         self, flow: Optional[Flow], router: str, target: str
@@ -430,7 +391,7 @@ class ForwardingEngine:
         """All physical next hops towards a target router (spread mode)."""
         if self.model.topology.has_up_link(router, target):
             return (target,)
-        policy = self._sr_policy(router, target)
+        policy = self.model.device(router).sr_policy_towards(target)
         if policy is not None:
             hops = first_tunnel_hops(self.model, self.igp, router, policy)
             if hops:

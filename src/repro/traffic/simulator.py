@@ -300,8 +300,8 @@ class TrafficSimulator:
     ) -> List[List[Tuple[FlowPath, float]]]:
         from concurrent.futures import ThreadPoolExecutor
 
-        # Warm the engine's compiled state up front: the first forward
-        # triggers freshness checks and FIB compiles, and doing it once
+        # Warm the engine's memo state up front: the first forward
+        # triggers the freshness check, and doing it once
         # here keeps the concurrent phase read-mostly. (CPython dict ops
         # are atomic under the GIL, and the memo tables are insert-only
         # with value-identical entries, so concurrent fills are benign.)

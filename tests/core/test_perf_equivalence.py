@@ -62,13 +62,7 @@ def test_each_flag_is_individually_transparent():
         raw = simulate_routes(model, inputs)
     assert raw.route_ecs is None
     assert _signature(raw)[0] == reference[0]
-    for flag in (
-        "policy_cache",
-        "policy_trie",
-        "igp_cost_cache",
-        "intern_parse",
-        "intern_routes",
-    ):
+    for flag in ("intern_parse", "intern_routes"):
         with perfopts.configured(**{flag: False}):
             assert _signature(simulate_routes(model, inputs)) == reference, flag
 

@@ -20,7 +20,7 @@ from repro.workload import (
 
 SEED = 11
 
-FASTPATH_OFF = dict(topo_index=False, compiled_fib=False, spread_memo=False)
+FASTPATH_OFF = dict(topo_index=False, spread_memo=False)
 
 
 @pytest.fixture(scope="module")

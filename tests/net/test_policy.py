@@ -59,6 +59,48 @@ class TestPrefixList:
         plist = PrefixList("P", family=6).add("2001:db8::/32")
         assert not plist.evaluate(Prefix.parse("10.0.0.0/8"), VENDOR_B)
 
+    def test_long_list_first_match_table(self):
+        # Earlier denies overlap later permits; ge/le bounds decide which
+        # entry a candidate reaches first.
+        plist = (
+            PrefixList("P", family=4)
+            .add("10.1.0.0/16", action="deny", ge=24, le=28)  # 0
+            .add("10.1.2.0/24")                               # 1: shadowed by 0
+            .add("10.0.0.0/8", action="deny", ge=30)          # 2
+            .add("10.1.0.0/16", le=32)                        # 3
+            .add("172.16.0.0/12", ge=16, le=24)               # 4
+            .add("172.16.5.0/24", action="deny")              # 5: shadowed by 4
+            .add("192.168.0.0/16", action="deny", le=24)      # 6
+            .add("192.168.0.0/16", ge=25)                     # 7
+            .add("0.0.0.0/0", ge=8, le=8)                     # 8
+            .add("0.0.0.0/0", action="deny", le=32)           # 9
+        )
+        # candidate -> (verdict on VENDOR_A, verdict on VENDOR_B)
+        expected = {
+            "10.1.2.0/24": (False, False),      # 0 before 1
+            "10.1.0.0/23": (True, True),        # below 0's ge -> 3
+            "10.1.2.128/29": (True, True),      # above 0's le -> 3
+            "10.1.2.4/30": (False, False),      # 2 before 3
+            "10.1.0.0/16": (True, True),        # 3
+            "10.2.0.0/16": (False, False),      # 9
+            "10.0.0.0/8": (True, True),         # 8
+            "11.0.0.0/8": (True, True),         # 8
+            "172.16.5.0/24": (True, True),      # 4 before 5
+            "172.16.5.128/25": (False, False),  # above 4's le, not 5 -> 9
+            "172.16.0.0/12": (False, False),    # below 4's ge -> 9
+            "192.168.1.0/24": (False, False),   # 6
+            "192.168.1.0/25": (True, True),     # 7
+            "2001:db8::/32": (False, True),     # cross-family VSB
+        }
+        actual = {
+            text: (
+                plist.evaluate(Prefix.parse(text), VENDOR_A),
+                plist.evaluate(Prefix.parse(text), VENDOR_B),
+            )
+            for text in expected
+        }
+        assert actual == expected
+
 
 class TestCommunityAndAsPathLists:
     def test_community_list(self):

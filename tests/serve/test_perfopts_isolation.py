@@ -1,7 +1,7 @@
 """Cross-job perfopts isolation: concurrent jobs must not leak flags.
 
 The satellite audit of this PR found the original ``perfopts.OPTS`` was one
-process-global mutable dataclass — job A disabling ``compiled_fib`` would
+process-global mutable dataclass — job A disabling ``spread_memo`` would
 turn it off for job B running concurrently. These tests pin the fix: scoped
 overrides are thread-local frames over a process-wide base, and concurrent
 serve jobs carrying different flag sets each see exactly their own.
@@ -24,9 +24,9 @@ class TestThreadFrames:
         seen = {}
 
         def worker(name, value):
-            with perfopts.configured(compiled_fib=value):
+            with perfopts.configured(spread_memo=value):
                 barrier.wait(timeout=5.0)
-                seen[name] = perfopts.OPTS.compiled_fib
+                seen[name] = perfopts.OPTS.spread_memo
                 barrier.wait(timeout=5.0)
 
         threads = [
@@ -39,24 +39,24 @@ class TestThreadFrames:
             thread.join()
         assert seen == {"on": True, "off": False}
         # The process-wide base never moved.
-        assert perfopts.OPTS.compiled_fib is True
+        assert perfopts.OPTS.spread_memo is True
 
     def test_frames_nest_and_unwind(self):
-        assert perfopts.OPTS.policy_cache is True
-        with perfopts.configured(policy_cache=False):
-            assert perfopts.OPTS.policy_cache is False
-            with perfopts.configured(policy_cache=True):
-                assert perfopts.OPTS.policy_cache is True
-            assert perfopts.OPTS.policy_cache is False
-        assert perfopts.OPTS.policy_cache is True
+        assert perfopts.OPTS.spread_memo is True
+        with perfopts.configured(spread_memo=False):
+            assert perfopts.OPTS.spread_memo is False
+            with perfopts.configured(spread_memo=True):
+                assert perfopts.OPTS.spread_memo is True
+            assert perfopts.OPTS.spread_memo is False
+        assert perfopts.OPTS.spread_memo is True
 
     def test_bare_assignment_outside_frames_hits_the_base(self):
         try:
-            perfopts.OPTS.policy_trie = False
-            assert perfopts.effective().policy_trie is False
+            perfopts.OPTS.topo_index = False
+            assert perfopts.effective().topo_index is False
         finally:
             perfopts.reset()
-        assert perfopts.OPTS.policy_trie is True
+        assert perfopts.OPTS.topo_index is True
 
 
 class TestConcurrentJobs:
@@ -83,8 +83,8 @@ class TestConcurrentJobs:
                 "no_cache": True,
             }
 
-        all_off = {name: False for name in perfopts._FIELD_NAMES}
-        all_on = {name: True for name in perfopts._FIELD_NAMES}
+        all_off = {name: False for name in perfopts.FLAG_NAMES}
+        all_on = {name: True for name in perfopts.FLAG_NAMES}
 
         async def run_pair():
             scheduler = Scheduler(JobRunner(HotState()), slots=2)

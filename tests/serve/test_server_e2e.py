@@ -87,6 +87,16 @@ class TestWire:
                 client.submit({"kind": "nonsense"})
             assert err.value.code == "bad-request"
 
+    def test_unknown_perf_flag_rejected_at_submit(self, harness, snapshot_path):
+        with harness.client() as client:
+            with pytest.raises(ServerError) as err:
+                submit_verify(client, snapshot_path,
+                              perf_flags={"compiled_fib": False})
+            assert err.value.code == "bad-request"
+            assert "unknown perf flag(s) ['compiled_fib']" in str(err.value)
+            assert "spread_memo" in str(err.value)
+            assert client.stats()["scheduler"]["jobs"] == {}
+
     def test_result_before_terminal_errors(self, harness, snapshot_path):
         with harness.client() as client:
             job_id = client.submit({"kind": "sleep", "seconds": 1.0})

@@ -1,14 +1,11 @@
-"""ECMP choices are pinned: presorting at FIB-compile time must not move them.
+"""ECMP choices are pinned.
 
-The fast path presorts each FIB entry's ECMP route list once
-(``FibEntry.ecmp_routes``) and indexes into the cached order per flow hash;
-the historical behaviour sorted per flow inside ``_pick_ecmp``. These tests
-pin the literal chosen path for a seeded flow set so any reordering — in
-the presort key, in the hash, or in spread-option sorting — fails loudly,
-with the fast path on and off.
+``_pick_ecmp`` sorts each matched route list into a deterministic ECMP
+order and indexes into it per flow hash; IGP next hops are sorted the same
+way. These tests pin the literal chosen path for a seeded flow set so any
+reordering — in the sort key, in the hash, or in spread-option sorting —
+fails loudly, with the fast path on and off.
 """
-
-import pytest
 
 from repro import perfopts
 from repro.routing.inputs import inject_external_route
@@ -20,7 +17,7 @@ from tests.helpers import build_model, full_mesh_ibgp
 PFX = "203.0.113.0/24"
 DST = "203.0.113.9"
 
-FASTPATH_OFF = dict(topo_index=False, compiled_fib=False, spread_memo=False)
+FASTPATH_OFF = dict(topo_index=False, spread_memo=False)
 
 #: (src_port offset) -> the exact routers the seeded flow must traverse.
 PINNED_FORWARD = {
@@ -81,27 +78,27 @@ class TestEcmpPinning:
             ]
         assert slow == PINNED_SPREAD
 
-    def test_presorted_entry_matches_per_flow_sort(self):
-        """FibEntry.pick must equal _pick_ecmp for every hash residue."""
-        model = build_model(
-            routers=[("A", 100), ("B", 100), ("C", 100), ("D", 100)],
-            links=[("A", "B", 10), ("A", "C", 10), ("B", "D", 10), ("C", "D", 10)],
-        )
-        full_mesh_ibgp(model, ["A", "B", "C", "D"])
-        # Two equal-attribute border exits: a genuine route-level ECMP set.
-        result = simulate_routes(
-            model,
-            [
-                inject_external_route("B", PFX, (65010,)),
-                inject_external_route("C", PFX, (65010,)),
-            ],
-        )
-        engine = ForwardingEngine(model, result.device_ribs, result.igp)
-        flow = seeded_flow(0)
-        entry = engine._fib("A").lookup(flow.dst, flow.vrf)
-        assert entry is not None and len(entry.ecmp_routes) == 2
-        for p in range(16):
-            probe = seeded_flow(p)
-            assert entry.pick(probe.ecmp_hash()) is engine._pick_ecmp(
-                probe, entry.routes
-            )
+    def test_route_ecmp_choice_pinned(self):
+        """Two equal-attribute border exits: a genuine route-level ECMP set."""
+        expected = {p: ("A", "C") if p % 2 == 0 else ("A", "B") for p in range(8)}
+        for flags in ({}, FASTPATH_OFF):
+            with perfopts.configured(**flags):
+                model = build_model(
+                    routers=[("A", 100), ("B", 100), ("C", 100), ("D", 100)],
+                    links=[
+                        ("A", "B", 10), ("A", "C", 10), ("B", "D", 10), ("C", "D", 10)
+                    ],
+                )
+                full_mesh_ibgp(model, ["A", "B", "C", "D"])
+                result = simulate_routes(
+                    model,
+                    [
+                        inject_external_route("B", PFX, (65010,)),
+                        inject_external_route("C", PFX, (65010,)),
+                    ],
+                )
+                engine = ForwardingEngine(model, result.device_ribs, result.igp)
+                chosen = {
+                    p: tuple(engine.forward(seeded_flow(p)).routers) for p in expected
+                }
+            assert chosen == expected, flags

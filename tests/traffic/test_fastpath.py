@@ -1,6 +1,6 @@
-"""The compiled data-plane fast path is semantically transparent.
+"""The data-plane fast path is semantically transparent.
 
-Compiled FIBs, the spread memo, and the topology indices must produce
+The spread memo and the topology indices must produce
 byte-identical forwarding results — same paths in the same order, same
 matched prefixes, same fractions, same link loads — as the interpreted
 scans they replace, across ECMP, PBR, ACL, SR, and pathological (loop /
@@ -24,7 +24,7 @@ from tests.helpers import build_model, full_mesh_ibgp
 PFX = "203.0.113.0/24"
 DST = "203.0.113.9"
 
-FASTPATH_OFF = dict(topo_index=False, compiled_fib=False, spread_memo=False)
+FASTPATH_OFF = dict(topo_index=False, spread_memo=False)
 
 
 def snap(spread):
@@ -147,30 +147,18 @@ class TestFlagTransparency:
 
 
 class TestFastPathMechanics:
-    def test_memo_and_fib_counters_populate(self):
+    def test_memo_counters_populate(self):
         model, inputs = ecmp_scenario()
         result = simulate_routes(model, inputs)
         engine = ForwardingEngine(model, result.device_ribs, result.igp)
         flow = make_flow("A", "10.0.0.1", DST, src_port=1)
         engine.forward_spread(flow)
         assert engine.stats.memo_misses > 0
-        assert engine.stats.fib_compiles > 0
         # Same EC signature again: every branch decision is a memo hit.
         misses = engine.stats.memo_misses
         engine.forward_spread(make_flow("A", "10.0.0.1", DST, src_port=2))
         assert engine.stats.memo_hits > 0
         assert engine.stats.memo_misses == misses
-
-    def test_lpm_memoized_per_destination(self):
-        model, inputs = ecmp_scenario()
-        result = simulate_routes(model, inputs)
-        engine = ForwardingEngine(model, result.device_ribs, result.igp)
-        engine.forward(make_flow("A", "10.0.0.1", DST, src_port=1, volume=1.0))
-        misses = engine.stats.lpm_misses
-        # Same five-tuple (same hash, same routers): every LPM is a cache hit.
-        engine.forward(make_flow("A", "10.0.0.1", DST, src_port=1, volume=9.0))
-        assert engine.stats.lpm_misses == misses
-        assert engine.stats.lpm_hits > 0
 
     def test_as_counters_namespaced(self):
         model, inputs = ecmp_scenario()

@@ -1,8 +1,8 @@
-"""Compiled forwarding state must never outlive the model it describes.
+"""Memoized forwarding state must never outlive the model it describes.
 
-Every cache behind the fast path (topology indices, compiled FIBs, the
-spread memo) is invalidated by version counters; these tests mutate the
-world in every supported way — failure overlay toggles on a live engine,
+Every cache behind the fast path (topology indices, the spread memo) is
+invalidated by version counters; these tests mutate the world in every
+supported way — failure overlay toggles on a live engine, RIB installs,
 ``NetworkModel.copy()``, an incremental ``build_updated_model`` — and
 assert the warm engine answers exactly like a freshly built one.
 """
@@ -12,7 +12,8 @@ import pytest
 from repro import perfopts
 from repro.core import ChangePlan, fail_link
 from repro.net.device import AclConfig, AclRuleConfig
-from repro.net.addr import Prefix
+from repro.net.addr import IPAddress, Prefix
+from repro.routing.attributes import Route
 from repro.routing.inputs import inject_external_route
 from repro.routing.simulator import simulate_routes
 from repro.traffic import ForwardingEngine, TrafficSimulator, make_flow
@@ -75,17 +76,14 @@ class TestFailureOverlayInvalidation:
         fresh = ForwardingEngine(model, result.device_ribs, result.igp)
         assert spread_all(engine) == spread_all(fresh)
 
-    def test_rib_mutation_invalidates_fib(self):
+    def test_rib_mutation_invalidates_spread_memo(self):
         model = square_model()
         result = simulate_routes(model, [inject_external_route("D", PFX, (65010,))])
         engine = ForwardingEngine(model, result.device_ribs, result.igp)
         flow = make_flow("A", "10.0.0.1", "198.51.100.9")
-        assert engine.forward(flow).status == "dropped"
+        before = snap(engine.forward_spread(flow))
+        assert [status for _, status, *_ in before] == ["dropped"]
         # Install a covering route after the miss was memoized.
-        from repro.routing.attributes import Route
-
-        from repro.net.addr import IPAddress
-
         template = result.device_ribs["A"].lpm(IPAddress.parse(DST))
         route = template[1][0]
         new_route = Route(
@@ -95,13 +93,15 @@ class TestFailureOverlayInvalidation:
             source=route.source,
             origin_router=route.origin_router,
         )
+        invalidations = engine.stats.invalidations
         result.device_ribs["A"].install(new_route)
+        after = snap(engine.forward_spread(flow))
+        assert engine.stats.invalidations == invalidations + 1
+        assert after != before
         fresh = ForwardingEngine(model, result.device_ribs, result.igp)
-        assert snap([
-            (engine.forward(flow), 1.0)
-        ]) == snap([(fresh.forward(flow), 1.0)])
+        assert after == snap(fresh.forward_spread(flow))
         # The new route matched on A (instead of the memoized miss).
-        assert "198.51.100.0/24" in engine.forward(flow).matched_prefixes
+        assert all("198.51.100.0/24" in matched for _, _, matched, *_ in after)
 
 
 class TestCopySemantics:
@@ -132,12 +132,10 @@ class TestCopySemantics:
         model = square_model()
         result = simulate_routes(model, [inject_external_route("D", PFX, (65010,))])
         sim = TrafficSimulator(model, result.device_ribs, result.igp)
-        sim.simulate(flows())  # warm topology + FIB caches
+        sim.simulate(flows())  # warm topology + spread caches
         model.topology.fail_link(model.topology.find_link("B", "D"))
         warm = sim.simulate(flows())
-        with perfopts.configured(
-            topo_index=False, compiled_fib=False, spread_memo=False
-        ):
+        with perfopts.configured(topo_index=False, spread_memo=False):
             cold = TrafficSimulator(model, result.device_ribs, result.igp).simulate(
                 flows()
             )
@@ -165,9 +163,7 @@ class TestIncrementalModelInvalidation:
         warm_engine = ForwardingEngine(
             updated, updated_result.device_ribs, updated_result.igp
         )
-        with perfopts.configured(
-            topo_index=False, compiled_fib=False, spread_memo=False
-        ):
+        with perfopts.configured(topo_index=False, spread_memo=False):
             fresh_engine = ForwardingEngine(
                 updated, updated_result.device_ribs, updated_result.igp
             )
