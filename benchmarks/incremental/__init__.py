@@ -37,9 +37,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.change_plan import ChangePlan
 from repro.core.pipeline import ChangeVerifier
-from repro.incremental.snapshots import device_rib_fingerprint
 from repro.obs import RunContext
 from repro.routing.inputs import inject_external_route
+from repro.routing.rib import device_rib_fingerprint
 from repro.workload import (
     WanParams,
     generate_input_routes,

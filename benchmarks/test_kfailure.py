@@ -9,8 +9,7 @@ tolerates any single failure.
 
 import pytest
 
-from repro.core import KFailureChecker
-from repro.core.kfailure import reachability_property
+from repro.kfailure import KFailureEngine, reachability_property
 from repro.workload import generate_input_routes
 
 
@@ -22,8 +21,8 @@ def test_kfailure_sweep(wan_world, record, benchmark):
     )
     prop = reachability_property(dc_prefix, inventory.borders[:2])
 
-    checker = KFailureChecker(model, routes, max_scenarios=60)
-    result = benchmark.pedantic(lambda: checker.check(1, prop), rounds=1, iterations=1)
+    engine = KFailureEngine(model, routes, max_scenarios=60)
+    result = benchmark.pedantic(lambda: engine.check(1, prop), rounds=1, iterations=1)
 
     throughput = result.scenarios_checked / max(result.elapsed_seconds, 1e-9)
     rows = [
@@ -49,8 +48,8 @@ def test_kfailure_sweep(wan_world, record, benchmark):
     uplinks = flawed.topology.links_of(edge)
     for link in uplinks[1:]:
         flawed.topology.remove_link(link)
-    flawed_checker = KFailureChecker(flawed, flawed_routes, max_scenarios=200)
-    flawed_result = flawed_checker.check(
+    flawed_engine = KFailureEngine(flawed, flawed_routes, max_scenarios=200)
+    flawed_result = flawed_engine.check(
         1, reachability_property(edge_prefix, inventory.borders[:2])
     )
     rows.append(

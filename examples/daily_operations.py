@@ -5,8 +5,8 @@ validation against the monitoring systems, and k-failure checking.
 Run: python examples/daily_operations.py
 """
 
-from repro.core import Auditor, KFailureChecker
-from repro.core.kfailure import reachability_property
+from repro.core import Auditor
+from repro.kfailure import KFailureEngine, reachability_property
 from repro.diagnosis import AccuracyValidator
 from repro.monitor import RouteMonitor
 from repro.routing.simulator import simulate_routes
@@ -48,8 +48,8 @@ def main() -> None:
         str(r.route.prefix) for r in routes if r.router in inventory.dc_edges
     )
     print(f"\nk-failure check: {dc_prefix} stays reachable on the borders")
-    checker = KFailureChecker(model, routes, max_scenarios=40)
-    k1 = checker.check(1, reachability_property(dc_prefix, inventory.borders))
+    engine = KFailureEngine(model, routes, max_scenarios=40)
+    k1 = engine.check(1, reachability_property(dc_prefix, inventory.borders))
     print(f"  k=1: {k1.scenarios_checked} scenarios, "
           f"{len(k1.violations)} violations, ok={k1.ok}")
     for violation in k1.violations[:3]:

@@ -31,7 +31,6 @@ from repro.core.intents import (
 from repro.core.pipeline import ChangeVerifier, VerificationReport
 from repro.core.world import World
 from repro.incremental import BlastRadius, IncrementalStats, ModelDiff
-from repro.core.kfailure import KFailureChecker, KFailureViolation
 from repro.core.audit import AuditResult, Auditor
 from repro.core.localize import LocalizationResult, MisconfigurationLocalizer
 from repro.core.completion import (
@@ -64,8 +63,6 @@ __all__ = [
     "ModelDiff",
     "VerificationReport",
     "World",
-    "KFailureChecker",
-    "KFailureViolation",
     "AuditResult",
     "Auditor",
     "LocalizationResult",

@@ -2,8 +2,9 @@
 
 Pre-processing phase (run once, daily): build the base network model's
 simulation results — base RIBs, flow paths, and link loads — plus the
-incremental-verification state: the base IGP, per-device local input
-routes, and content-addressed RIB snapshots.
+incremental-verification state: the base IGP and per-device local input
+routes. The base device RIBs are held by reference and spliced in as they
+are.
 
 Change verification phase (per request): parse the change plan's commands,
 build the updated model incrementally from the pre-computed base, diff it
@@ -26,7 +27,7 @@ timers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.change_plan import ChangePlan
 from repro.core.intents import IntentResult, VerificationContext
@@ -129,17 +130,21 @@ class VerificationReport:
         ]
         if self.incremental is not None:
             lines.append(self.incremental.describe())
-        solved = self.trace.total("route_sim.ec_groups") if self.trace else 0
+        spans = list(_plan_spans(self.trace)) if self.trace else []
+        solved = sum(span.counters.get("route_sim.ec_groups", 0) for span in spans)
         if solved:  # some route simulation ran on §3.1 representatives
-            skipped = self.trace.total("route_sim.ec_members_skipped")
+            skipped = sum(
+                span.counters.get("route_sim.ec_members_skipped", 0)
+                for span in spans
+            )
             lines.append(
                 "route ECs: one representative per "
                 f"{(solved + skipped) / solved:.1f} prefix groups solved"
             )
         reusing = [
             span
-            for span in (self.trace.find_all("traffic.forward") if self.trace else ())
-            if "reused" in span.meta
+            for span in spans
+            if span.name == "traffic.forward" and "reused" in span.meta
         ]
         if reusing:  # traffic kept the base spreads the change cannot reach
             forwarded = sum(span.meta["work"] for span in reusing)
@@ -150,6 +155,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _plan_spans(span: Span) -> Iterator[Span]:
+    """``span``'s subtree without base preparation.
+
+    A verifier whose base is not prepared yet prepares it inside its first
+    ``verify`` span; the summary reports the plan's own work, the same
+    whether or not the base was prepared beforehand.
+    """
+    yield span
+    for child in span.children:
+        if child.name != "prepare_base":
+            yield from _plan_spans(child)
+
+
 class ChangeVerifier:
     """Verifies change plans against a pre-processed base network.
 
@@ -157,7 +175,7 @@ class ChangeVerifier:
     built from the legacy ``distributed``/``route_subtasks``/``workers``
     knobs. The backend is always wrapped in an :class:`IncrementalBackend`
     sharing this verifier's engine, so warm-started requests splice against
-    the snapshotted base state.
+    the base world's RIBs.
     """
 
     def __init__(
@@ -173,7 +191,6 @@ class ChangeVerifier:
         incremental: bool = True,
         backend: Optional[ExecutionBackend] = None,
         ctx: Optional[RunContext] = None,
-        snapshot_store=None,
     ) -> None:
         self.base_model = base_model
         self.input_routes = list(input_routes)
@@ -186,9 +203,7 @@ class ChangeVerifier:
         self._base_world: Optional[World] = None
         self._base_igp: Optional[IgpState] = None
         self._base_local_inputs: Optional[Dict[str, List[InputRoute]]] = None
-        # ``snapshot_store`` lets a long-lived owner (the serve daemon)
-        # inject a byte-budgeted RibSnapshotStore shared across verifiers.
-        self._engine = IncrementalEngine(base_model, snapshots=snapshot_store)
+        self._engine = IncrementalEngine(base_model)
         if backend is None:
             if distributed:
                 backend = DistributedBackend(
@@ -210,8 +225,8 @@ class ChangeVerifier:
 
         Besides the base world itself, this caches the base IGP state and
         per-device local input routes (reused by later ``verify()`` calls
-        whenever the plan cannot move them) and snapshots the base RIBs
-        into the content-addressed store.
+        whenever the plan cannot move them) and freezes the base world for
+        the cyclic collector (:meth:`IncrementalEngine.snapshot_base`).
         """
         ctx = ctx if ctx is not None else self.ctx
         with ctx.span("prepare_base"):
@@ -360,14 +375,13 @@ class ChangeVerifier:
         updated_inputs: List[InputRoute],
         ctx: RunContext,
     ) -> Tuple[World, IncrementalStats]:
-        base = self.base_world  # ensures snapshots and caches exist
+        base = self.base_world  # ensures the base world and caches exist
         diff, blast = self._engine.analyze(
             updated_model, plan.new_input_routes, ctx=ctx
         )
         igp, igp_reused = self._updated_igp(updated_model, diff)
         local_inputs = self._updated_local_inputs(updated_model, diff)
         all_inputs = list(updated_inputs) + local_inputs
-        snapshots_before = self._engine.snapshots.stats.as_dict()
 
         if blast.widened:
             ctx.event(
@@ -416,7 +430,6 @@ class ChangeVerifier:
                 total_devices=len(base.device_ribs),
                 total_inputs=len(all_inputs),
                 igp_reused=igp_reused,
-                snapshot_stats=self._snapshot_delta(snapshots_before),
             )
 
         covered = self._engine.covered_inputs(all_inputs, blast)
@@ -470,15 +483,7 @@ class ChangeVerifier:
             reused_devices=splice.reused_devices,
             igp_reused=igp_reused,
             skipped_subtasks=outcome.skipped_subtasks,
-            snapshot_stats=self._snapshot_delta(snapshots_before),
         )
-
-    def _snapshot_delta(self, before: Dict[str, int]) -> Dict[str, int]:
-        """Store counters this call moved; none for a store never written."""
-        if self._engine.snapshots.max_bytes is None:
-            return {}
-        after = self._engine.snapshots.stats.as_dict()
-        return {key: after[key] - before.get(key, 0) for key in after}
 
     def _updated_igp(self, updated_model, diff) -> Tuple[IgpState, bool]:
         """Reuse the cached base IGP when the diff cannot move it."""

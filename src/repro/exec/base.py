@@ -16,7 +16,7 @@ Implementations:
 * :class:`~repro.exec.distributed.DistributedBackend` — the master/worker
   framework with thread or process pools;
 * :class:`~repro.exec.incremental.IncrementalBackend` — a decorator that
-  warm-starts route simulation from base-world snapshots when the request
+  warm-starts route simulation from the base world's RIBs when the request
   carries a :class:`~repro.exec.incremental.WarmStart`.
 """
 

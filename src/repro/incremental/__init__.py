@@ -4,10 +4,10 @@ Makes ``ChangeVerifier.verify`` cost proportional to the blast radius of a
 change plan instead of the size of the WAN: a model differ
 (:mod:`repro.incremental.diff`) finds what changed, a blast-radius analyzer
 (:mod:`repro.incremental.blast`) bounds the prefixes that can move (or
-widens to full when it cannot), a content-addressed snapshot store
-(:mod:`repro.incremental.snapshots`) keeps the base world's per-device RIBs,
-and the warm-start engine (:mod:`repro.incremental.engine`) re-simulates
-only covered inputs and splices the result into unaffected base state.
+widens to full when it cannot), and the warm-start engine
+(:mod:`repro.incremental.engine`) re-simulates only covered inputs and
+splices the result into the base world's per-device RIBs, which the
+verifier holds by reference.
 """
 
 from repro.incremental.blast import (
@@ -41,17 +41,9 @@ from repro.incremental.engine import (
     MODE_WIDENED,
     SpliceResult,
 )
-from repro.incremental.snapshots import (
-    BASE_WORLD_TOKEN,
-    RibSnapshotStore,
-    SnapshotStats,
-    device_rib_fingerprint,
-    device_token,
-)
 
 __all__ = [
     "ANALYZABLE_SECTIONS",
-    "BASE_WORLD_TOKEN",
     "BlastRadius",
     "DeviceDelta",
     "FORWARDING_SECTIONS",
@@ -64,9 +56,7 @@ __all__ = [
     "MODE_NOOP",
     "MODE_WIDENED",
     "ModelDiff",
-    "RibSnapshotStore",
     "SECTIONS",
-    "SnapshotStats",
     "SpliceResult",
     "TRAFFIC_ONLY_SECTIONS",
     "TopologyFailureDiff",
@@ -74,9 +64,7 @@ __all__ = [
     "aggregate_closure",
     "analyze_blast_radius",
     "blast_radius_for_prefixes",
-    "device_rib_fingerprint",
     "device_section_fingerprints",
-    "device_token",
     "diff_models",
     "diff_topology_failures",
     "topology_fingerprint",

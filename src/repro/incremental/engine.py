@@ -3,9 +3,8 @@
 The engine ties the subsystem together for ``ChangeVerifier``:
 
 1. After the base simulation, :meth:`IncrementalEngine.snapshot_base`
-   invalidates the previous base world's snapshots and, when the store has
-   a byte budget, stores every device RIB in it. An unbudgeted store is
-   left empty: the live RIBs the verifier holds are the base world.
+   moves the base world into the collector's permanent generation. The
+   verifier holds the base device RIBs by reference; nothing copies them.
 2. Per change plan, :meth:`IncrementalEngine.analyze` produces the model
    diff and blast radius.
 3. The verifier re-simulates only the covered input routes
@@ -13,8 +12,8 @@ The engine ties the subsystem together for ``ChangeVerifier``:
    grouping and candidate ordering match a full run), then
    :meth:`IncrementalEngine.splice` merges the partial result into the
    unaffected base state: covered slots come from the partial run, uncovered
-   slots from the base snapshots, and devices without any covered slot reuse
-   their base RIB object wholesale (a snapshot-store hit when stored). The
+   slots from the base RIBs, and devices without any covered slot reuse
+   their base RIB object wholesale. The
    :class:`SpliceResult` names the slots it dropped and installed, so that
    the verifier patches the base global RIB instead of rebuilding it.
 
@@ -32,11 +31,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 
 from repro.incremental.blast import BlastRadius, analyze_blast_radius
 from repro.incremental.diff import ModelDiff, diff_models
-from repro.incremental.snapshots import (
-    BASE_WORLD_TOKEN,
-    RibSnapshotStore,
-    device_token,
-)
 from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute
@@ -68,9 +62,6 @@ class IncrementalStats:
     reused_devices: int = 0
     igp_reused: bool = False
     skipped_subtasks: int = 0
-    #: snapshot-store counters this call moved; empty without a byte
-    #: budget, because such a store is never written
-    snapshot_stats: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -87,7 +78,6 @@ class IncrementalStats:
             "reused_devices": self.reused_devices,
             "igp_reused": self.igp_reused,
             "skipped_subtasks": self.skipped_subtasks,
-            "snapshot_stats": dict(self.snapshot_stats),
         }
 
     def describe(self) -> str:
@@ -108,8 +98,6 @@ class IncrementalStats:
             f"spliced {self.spliced_slots} slots, "
             f"touched {self.touched_slots} slots, reused {self.reused_slots}",
         ]
-        if self.snapshot_stats:
-            parts.append(f"snapshot hits {self.snapshot_stats.get('get_hits', 0)}")
         if self.skipped_subtasks:
             parts.append(f"skipped {self.skipped_subtasks} subtasks")
         if self.igp_reused:
@@ -157,37 +145,28 @@ class SpliceResult:
 
 
 class IncrementalEngine:
-    """Per-verifier incremental state: snapshots plus analyze/splice."""
+    """Per-verifier incremental state: the base model plus analyze/splice."""
 
-    def __init__(
-        self,
-        base_model: NetworkModel,
-        snapshots: Optional[RibSnapshotStore] = None,
-    ) -> None:
+    def __init__(self, base_model: NetworkModel) -> None:
         self.base_model = base_model
-        self.snapshots = snapshots if snapshots is not None else RibSnapshotStore()
-        self._snapshot_keys: Dict[str, str] = {}
 
     # -- base world ---------------------------------------------------------
 
     def snapshot_base(
         self, device_ribs: Mapping[str, DeviceRib], ctx=None
     ) -> None:
-        """Snapshot the base world's RIBs, invalidating the previous one.
+        """Mark the base world read-only for the cyclic collector.
 
-        Only a byte-budgeted store is written to. Without a budget nothing
-        ever needs the bytes or the content keys: :meth:`base_rib` hands
-        back the live RIB it is given, so fingerprinting and pickling every
-        device would produce state nobody reads.
-
-        From here on the base world is read, not changed, until its owner
-        drops it, and reference counting frees it then: a simulation builds
-        no reference cycle. So everything alive now moves to the cyclic
-        collector's permanent generation (``gc.freeze()``). Otherwise every
-        full collection that a later request — or the caller's own code —
-        triggers walks the whole base again and finds nothing. This acts
-        on the whole process: a cycle among the caller's objects alive now
-        that becomes garbage later stays until ``gc.unfreeze()``.
+        The caller keeps the base device RIBs by reference; :meth:`splice`
+        installs them as they are. From here on the base world is read,
+        not changed, until its owner drops it, and reference counting
+        frees it then: a simulation builds no reference cycle. So
+        everything alive now moves to the cyclic collector's permanent
+        generation (``gc.freeze()``). Otherwise every full collection that
+        a later request — or the caller's own code — triggers walks the
+        whole base again and finds nothing. This acts on the whole
+        process: a cycle among the caller's objects alive now that becomes
+        garbage later stays until ``gc.unfreeze()``.
         """
         with (
             ctx.span("incremental.snapshot_base", devices=len(device_ribs))
@@ -195,29 +174,6 @@ class IncrementalEngine:
             else nullcontext()
         ):
             gc.freeze()
-            self.snapshots.invalidate(BASE_WORLD_TOKEN)
-            if self.snapshots.max_bytes is None:
-                self._snapshot_keys = {}
-                if ctx:
-                    ctx.count("snapshots.deferred", len(device_ribs))
-                return
-            evictions_before = self.snapshots.stats.lru_evictions
-            self._snapshot_keys = {
-                name: self.snapshots.put(
-                    rib, deps=(BASE_WORLD_TOKEN, device_token(name))
-                )
-                for name, rib in device_ribs.items()
-            }
-            evicted = self.snapshots.stats.lru_evictions - evictions_before
-            if ctx and evicted:
-                ctx.count("snapshots.lru_evicted", evicted)
-
-    def base_rib(self, name: str, fallback: DeviceRib) -> DeviceRib:
-        """Fetch a base device RIB, preferring the snapshot store."""
-        key = self._snapshot_keys.get(name)
-        if key is not None and self.snapshots.contains(key):
-            return self.snapshots.get(key)
-        return fallback
 
     # -- analysis -----------------------------------------------------------
 
@@ -257,8 +213,7 @@ class IncrementalEngine:
         For every device: slots at covered prefixes come from the partial
         run (absence there means the route was withdrawn); slots at
         uncovered prefixes come from the base run. A device with no covered
-        slot on either side keeps its base RIB object — served through the
-        snapshot store so reuse shows up as cache hits.
+        slot on either side keeps its base RIB object.
 
         ``full_devices`` take their partial RIB wholesale, skipping the
         per-slot merge: a failed router's RIB is empty in a cold run even
@@ -318,7 +273,7 @@ class IncrementalEngine:
             for name, base_rib in base_ribs.items():
                 if name in member:
                     continue
-                result.device_ribs[name] = self.base_rib(name, base_rib)
+                result.device_ribs[name] = base_rib
                 result.reused_devices += 1
                 result.reused_slots += sum(
                     len(base_rib.prefixes(vrf)) for vrf in base_rib.vrfs
@@ -353,7 +308,7 @@ class IncrementalEngine:
             covered_base = _slots(base_rib, blast)
             covered_partial = _slots(partial_rib, blast)
             if not covered_base and not covered_partial and base_rib is not None:
-                result.device_ribs[name] = self.base_rib(name, base_rib)
+                result.device_ribs[name] = base_rib
                 result.reused_devices += 1
                 result.reused_slots += sum(
                     len(base_rib.prefixes(vrf)) for vrf in base_rib.vrfs

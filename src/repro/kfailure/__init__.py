@@ -1,10 +1,9 @@
 """Shared-fixpoint k-failure exploration (§6.2).
 
-Public surface of the engine that replaced ``repro.core.kfailure``'s
-exhaustive checker: solve the base fixpoint once, bound every failure
+Public surface of the k-failure engine, which replaced an exhaustive
+per-scenario checker: solve the base fixpoint once, bound every failure
 scenario's blast radius against it, dedupe scenarios into blast-fingerprint
 equivalence classes, and fan the surviving classes out across worker pools.
-``repro.core.kfailure`` re-exports the legacy names on top of this package.
 """
 
 from repro.kfailure.blast import (

@@ -10,7 +10,7 @@ against it:
   candidate sets; only the covered inputs are re-solved (through the
   :class:`~repro.exec.incremental.IncrementalBackend` splice machinery,
   with failed routers spliced wholesale) and everything else is reused
-  from the base snapshots. A scenario confined to one region composes with
+  from the base RIBs. A scenario confined to one region composes with
   the modular backend's region-scoped path: one region re-solved against
   pinned base border summaries, zero cross-region work.
 * **Equivalence-class pruning** — scenarios are canonicalized by their

@@ -10,7 +10,7 @@ effective.
 
 Workers run only the *inner* covered-subset solve (the exact computation a
 centralized inner backend would run under the incremental decorator); the
-splice against base snapshots and the property evaluation stay in the
+splice against the base RIBs and the property evaluation stay in the
 master, where the base RIBs already live and where property closures —
 which are not picklable — can run. Thread workers share the master's
 read-only base state via a per-worker ``model.copy()`` plus the analyzer's

@@ -1,8 +1,8 @@
 """Result types and property helpers for k-failure exploration.
 
-These are the API-stable types re-exported through ``repro.core.kfailure``:
-existing callers of the old checker keep importing the same names while the
-engine behind them changed wholesale.
+These are the API-stable types :class:`~repro.kfailure.KFailureEngine`
+returns and consumes: the per-scenario violation, the run's result, and
+the property helpers callers pass to ``check``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ RCL intents are written against (§4.1, Figure 6).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -227,6 +228,20 @@ class DeviceRib:
             for table in self._tables.values()
             for entries in table.values()
         )
+
+
+def device_rib_fingerprint(rib: DeviceRib) -> str:
+    """Content fingerprint of one device RIB (hex SHA-256 digest).
+
+    Hashes the sorted identity rows — the same row identity the chaos
+    harness's ``rib_fingerprint`` uses for whole-world equivalence — so two
+    RIBs with identical routing content collide by construction.
+    """
+    digest = hashlib.sha256()
+    for row_repr in sorted(repr(row.identity()) for row in rib.all_rows()):
+        digest.update(row_repr.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 #: Shard count used by the streaming identity comparison. Equality builds

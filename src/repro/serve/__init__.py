@@ -11,8 +11,8 @@ simulate / what-if jobs through the :mod:`repro.exec` backend layer.
   responses, streamed progress events);
 * :mod:`repro.serve.jobs` — job records, lifecycle states, and the store;
 * :mod:`repro.serve.state` — the hot-state cache: parsed models keyed by
-  content hash, prepared verifiers (base worlds + byte-budgeted RIB
-  snapshot stores + base traffic spreads), and the snapshot-keyed result cache;
+  content hash, prepared verifiers (base worlds + base traffic spreads),
+  and the snapshot-keyed result cache;
 * :mod:`repro.serve.runner` — executes one job against the hot state;
 * :mod:`repro.serve.scheduler` — the asyncio admission queue: priority
   classes, per-tenant quotas, bounded worker slots (thread or

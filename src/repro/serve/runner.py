@@ -25,7 +25,7 @@ Job kinds:
 ``kfailure``
     Check a reachability property under every ≤k failure scenario with
     the shared-fixpoint engine. The prepared engine (base fixpoint +
-    blast analyzer + RIB snapshot) is cached per (model, backend,
+    blast analyzer) is cached per (model, backend,
     params) in the hot state, so repeated sweeps on one snapshot only
     pay scenario exploration.
 ``sleep``

@@ -9,14 +9,12 @@ matter how clients name them:
 * **Verifier cache** — one prepared :class:`~repro.core.ChangeVerifier`
   per (model hash, backend, incremental): the base world is simulated once
   (``prepare_base``) and every later verify / what-if on that model
-  warm-starts from its snapshots, base traffic spreads, cached IGP, and local
-  inputs. Each verifier owns a byte-budgeted
-  :class:`~repro.incremental.snapshots.RibSnapshotStore`; budget evictions
-  are mirrored into the server context's ``snapshots.lru_evicted`` counter.
+  warm-starts from its base RIBs (held by reference), base traffic spreads,
+  cached IGP, and local inputs.
 * **k-failure engine cache** — one prepared
   :class:`~repro.kfailure.KFailureEngine` per (model hash, backend,
-  engine params): the base fixpoint, blast-analyzer indexes, and RIB
-  snapshot are paid once; repeat k-failure jobs on the same snapshot
+  engine params): the base fixpoint and blast-analyzer indexes are paid
+  once; repeat k-failure jobs on the same snapshot
   re-explore from the shared warm state.
 * **Result cache** — finished job results keyed by
   (model hash, canonical request fingerprint): an identical request on an
@@ -48,11 +46,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core import ChangeVerifier
 from repro.exec import make_backend
-from repro.incremental.snapshots import RibSnapshotStore
 from repro.obs import RunContext, ensure_context
-
-#: Default byte budget for each verifier's RIB snapshot store.
-DEFAULT_SNAPSHOT_BUDGET = 256 * 1024 * 1024
 
 
 @dataclass
@@ -60,7 +54,6 @@ class _VerifierEntry:
     verifier: ChangeVerifier
     lock: threading.Lock = field(default_factory=threading.Lock)
     prepared: bool = False
-    snapshots: Optional[RibSnapshotStore] = None
 
 
 @dataclass
@@ -96,14 +89,12 @@ class HotState:
         max_models: int = 8,
         max_results: int = 1024,
         max_summaries: int = 256,
-        snapshot_budget_bytes: Optional[int] = DEFAULT_SNAPSHOT_BUDGET,
         ctx: Optional[RunContext] = None,
     ) -> None:
         self.ctx = ensure_context(ctx, "serve")
         self.max_models = max_models
         self.max_results = max_results
         self.max_summaries = max_summaries
-        self.snapshot_budget_bytes = snapshot_budget_bytes
         self._lock = threading.Lock()
         #: model_hash -> loaded snapshot payload (model/routes/flows), LRU
         self._models: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -189,10 +180,6 @@ class HotState:
                 self.ctx.count("serve.verifier_cache.hits")
                 return entry
             self.ctx.count("serve.verifier_cache.misses")
-            snapshots = RibSnapshotStore(
-                max_bytes=self.snapshot_budget_bytes,
-                on_evict=self._on_snapshot_evict,
-            )
             options: Dict[str, Any] = {}
             if backend == "modular":
                 # Modular verifiers warm-start from (and publish to) the
@@ -204,9 +191,8 @@ class HotState:
                 snapshot.get("flows", []),
                 backend=make_backend(backend, **options),
                 incremental=incremental,
-                snapshot_store=snapshots,
             )
-            entry = _VerifierEntry(verifier=verifier, snapshots=snapshots)
+            entry = _VerifierEntry(verifier=verifier)
             self._verifiers[key] = entry
             return entry
 
@@ -222,7 +208,7 @@ class HotState:
         """The prepared k-failure engine for one (model, backend, params) key.
 
         The engine's expensive state — the base fixpoint, the blast
-        analyzer's dependency indexes, and the incremental snapshot — is
+        analyzer's dependency indexes, and the frozen base world — are
         paid once per key on first ``check``; later k-failure jobs against
         the same snapshot warm-start from it. Engines are not re-entrant
         (scenario overlays mutate the shared model), so the entry carries a
@@ -246,10 +232,6 @@ class HotState:
             entry = _KFailureEntry(engine=engine)
             self._kfailure[key] = entry
             return entry
-
-    def _on_snapshot_evict(self, key: str, size: int) -> None:
-        self.ctx.count("snapshots.lru_evicted")
-        self.ctx.count("snapshots.lru_evicted_bytes", size)
 
     # -- result cache ----------------------------------------------------------
 
@@ -306,11 +288,6 @@ class HotState:
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
-            snapshot_bytes = sum(
-                entry.snapshots.total_bytes
-                for entry in self._verifiers.values()
-                if entry.snapshots is not None
-            )
             return {
                 "models": len(self._models),
                 "verifiers": len(self._verifiers),
@@ -320,13 +297,12 @@ class HotState:
                 ),
                 "results": len(self._results),
                 "summaries": len(self._summaries),
-                "snapshot_bytes": snapshot_bytes,
                 "counters": {
                     name: value
                     for name, value in self.ctx.counters().items()
-                    if name.startswith(("serve.", "snapshots."))
+                    if name.startswith("serve.")
                 },
             }
 
 
-__all__ = ["DEFAULT_SNAPSHOT_BUDGET", "HotState"]
+__all__ = ["HotState"]

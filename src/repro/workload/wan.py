@@ -341,8 +341,7 @@ def wan_fingerprint(model: NetworkModel) -> str:
 
     Two ``generate_wan`` calls with equal :class:`WanParams` must produce
     equal fingerprints — the determinism contract the workload layer owes
-    the benchmarks (A/B variants must simulate the *same* network) and the
-    incremental engine (snapshots keyed on generated worlds).
+    the benchmarks (A/B variants must simulate the *same* network).
     """
     digest = hashlib.sha256()
     for line in sorted(repr(router) for router in model.topology.routers):

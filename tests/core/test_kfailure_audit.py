@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import Auditor, KFailureChecker
-from repro.core.kfailure import reachability_property
+from repro.core import Auditor
+from repro.kfailure import KFailureEngine, reachability_property
 from repro.routing.inputs import inject_external_route
 from repro.routing.simulator import simulate_routes
 
@@ -25,15 +25,15 @@ def redundant_world():
 class TestKFailure:
     def test_single_failure_tolerated(self):
         model, inputs = redundant_world()
-        checker = KFailureChecker(model, inputs)
-        result = checker.check(1, reachability_property(PFX, ["A"]))
+        engine = KFailureEngine(model, inputs)
+        result = engine.check(1, reachability_property(PFX, ["A"]))
         assert result.ok
         assert result.scenarios_checked == 4  # one per link
 
     def test_double_failure_found(self):
         model, inputs = redundant_world()
-        checker = KFailureChecker(model, inputs)
-        result = checker.check(2, reachability_property(PFX, ["A"]))
+        engine = KFailureEngine(model, inputs)
+        result = engine.check(2, reachability_property(PFX, ["A"]))
         assert not result.ok
         # Failing both A-B and A-C cuts A off.
         broken = {
@@ -47,29 +47,29 @@ class TestKFailure:
         link = model.topology.find_link("C", "D")
         model.topology.remove_link(link)
         # Now B is the only way to D.
-        checker = KFailureChecker(model, inputs)
-        result = checker.check(1, reachability_property(PFX, ["A"]))
+        engine = KFailureEngine(model, inputs)
+        result = engine.check(1, reachability_property(PFX, ["A"]))
         assert not result.ok
 
     def test_router_failures(self):
         model, inputs = redundant_world()
-        checker = KFailureChecker(model, inputs, fail_links=False, fail_routers=True)
-        result = checker.check(1, reachability_property(PFX, ["A"]))
+        engine = KFailureEngine(model, inputs, fail_links=False, fail_routers=True)
+        result = engine.check(1, reachability_property(PFX, ["A"]))
         # Failing D (the border) removes the prefix everywhere.
         assert not result.ok
         assert any(v.failed_routers == ("D",) for v in result.violations)
 
     def test_scenario_cap(self):
         model, inputs = redundant_world()
-        checker = KFailureChecker(model, inputs, max_scenarios=2)
-        result = checker.check(2, reachability_property(PFX, ["A"]))
+        engine = KFailureEngine(model, inputs, max_scenarios=2)
+        result = engine.check(2, reachability_property(PFX, ["A"]))
         assert result.truncated
         assert result.scenarios_checked == 2
 
     def test_violation_str(self):
         model, inputs = redundant_world()
-        checker = KFailureChecker(model, inputs)
-        result = checker.check(2, reachability_property(PFX, ["A"]))
+        engine = KFailureEngine(model, inputs)
+        result = engine.check(2, reachability_property(PFX, ["A"]))
         assert "failure scenario" in str(result.violations[0])
 
 

@@ -12,10 +12,9 @@ from repro.incremental.engine import (
     IncrementalEngine,
     IncrementalStats,
 )
-from repro.incremental.snapshots import RibSnapshotStore, device_rib_fingerprint
 from repro.net.addr import as_prefix
 from repro.routing.inputs import inject_external_route
-from repro.routing.rib import DeviceRib
+from repro.routing.rib import DeviceRib, device_rib_fingerprint
 
 from tests.helpers import build_model, full_mesh_ibgp
 
@@ -79,18 +78,6 @@ class TestSplice:
         assert result.device_ribs["B"] is base["B"]
         assert result.reused_devices == 1
         assert result.affected_devices == 1
-
-    def test_reuse_is_served_through_snapshot_store(self):
-        # only a byte-budgeted store holds the base world
-        engine = IncrementalEngine(
-            build_model([("B", 100)], []), RibSnapshotStore(max_bytes=1 << 20)
-        )
-        base = {"B": make_rib("B", "10.2.0.0/16")}
-        engine.snapshot_base(base)
-        hits_before = engine.snapshots.stats.get_hits
-        result = engine.splice(base, {"B": DeviceRib("B")}, radius("10.9.0.0/16"))
-        assert result.device_ribs["B"] is base["B"]
-        assert engine.snapshots.stats.get_hits == hits_before + 1
 
     def test_new_device_appears_from_partial(self):
         engine = IncrementalEngine(build_model([("A", 100)], []))
@@ -301,7 +288,7 @@ class TestPipelineIntegration:
         assert "blast radius" in report.incremental.describe()
 
 
-    def test_report_line_names_touched_slots_and_only_real_snapshot_hits(self):
+    def test_report_line_names_touched_slots(self):
         plan = ChangePlan(
             name="add-static",
             change_type="static-route-modification",
@@ -312,18 +299,6 @@ class TestPipelineIntegration:
         stats = verifier.verify(plan).incremental
         assert stats.touched_slots >= stats.spliced_slots > 0
         assert f"touched {stats.touched_slots} slots" in stats.describe()
-        # nothing is ever written to an unbudgeted store: no hit count to print
-        assert stats.snapshot_stats == {}
-        assert "snapshot hits" not in stats.describe()
-
-        model = verifier.base_model
-        budgeted = ChangeVerifier(
-            model,
-            verifier.input_routes,
-            snapshot_store=RibSnapshotStore(max_bytes=1 << 20),
-        )
-        budgeted.prepare_base()
-        assert "snapshot hits" in budgeted.verify(plan).incremental.describe()
 
     def test_intent_check_reads_the_touched_rows_only(self):
         plan = ChangePlan(

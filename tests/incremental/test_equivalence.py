@@ -19,7 +19,7 @@ from repro.incremental.engine import (
     MODE_NOOP,
     MODE_WIDENED,
 )
-from repro.incremental.snapshots import device_rib_fingerprint
+from repro.routing.rib import device_rib_fingerprint
 from repro.workload import (
     WanParams,
     generate_flows,

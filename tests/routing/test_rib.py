@@ -14,6 +14,7 @@ from repro.routing.rib import (
     ROUTE_TYPE_ECMP,
     RIB_FIELDS,
     UnknownFieldError,
+    device_rib_fingerprint,
 )
 
 
@@ -77,6 +78,23 @@ class TestDeviceRib:
         rib.install(route("10.0.0.0/24"))
         rib.install(route("10.0.1.0/24"), vrf="vrf1")
         assert rib.route_count() == 2
+
+
+class TestDeviceRibFingerprint:
+    def test_same_content_same_fingerprint(self):
+        first, second = DeviceRib("A"), DeviceRib("A")
+        first.install(route("10.1.0.0/16"))
+        second.install(route("10.1.0.0/16"))
+        assert device_rib_fingerprint(first) == device_rib_fingerprint(second)
+
+    def test_different_content_differs(self):
+        first, second = DeviceRib("A"), DeviceRib("A")
+        first.install(route("10.1.0.0/16"))
+        second.install(route("10.2.0.0/16"))
+        assert device_rib_fingerprint(first) != device_rib_fingerprint(second)
+
+    def test_empty_rib_has_fingerprint(self):
+        assert len(device_rib_fingerprint(DeviceRib("A"))) == 64
 
 
 class TestRibRoute:
