@@ -164,7 +164,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 ),
                 ctx,
             )
-        busiest = sorted(traffic.loads.loads.items(), key=lambda kv: -kv[1])[:5]
+        busiest = sorted(
+            traffic.loads.loads.items(), key=lambda kv: (-kv[1], kv[0])
+        )[:5]
         print(f"traffic simulation: {len(traffic.loads)} loaded links, "
               f"{tspan.duration:.2f}s; busiest:")
         for (a, b), volume in busiest:

@@ -149,7 +149,19 @@ class VerificationReport:
         if reusing:  # traffic kept the base spreads the change cannot reach
             forwarded = sum(span.meta["work"] for span in reusing)
             total = forwarded + sum(span.meta["reused"] for span in reusing)
-            lines.append(f"traffic: re-forwarded {forwarded}/{total} flow ECs")
+            line = f"traffic: re-forwarded {forwarded}/{total} flow ECs"
+            recomputed = sorted(
+                {
+                    span.meta["ecs_recomputed"]
+                    for span in spans
+                    if span.name == "traffic.compile" and "ecs_recomputed" in span.meta
+                }
+            )
+            if recomputed:
+                line += f", flow ECs recomputed ({', '.join(recomputed)})"
+            elif any(span.meta.get("flow_ecs") == "reused" for span in spans):
+                line += ", base flow-EC partition kept"
+            lines.append(line)
         for result in self.intent_results:
             lines.append(str(result))
         return "\n".join(lines)
@@ -527,7 +539,12 @@ class ChangeVerifier:
         base_traffic = self.base_world.traffic
         if base_traffic is None:
             return None, "no_base_traffic"
-        return SpreadReuse(base_traffic.paths, touched), None
+        return (
+            SpreadReuse(
+                base_traffic, touched, self.base_world.device_ribs, self.input_flows
+            ),
+            None,
+        )
 
     def _traffic_sim(
         self,

@@ -148,7 +148,6 @@ class TrafficSimRequest:
     device_ribs: Optional[Dict[str, DeviceRib]] = None
     igp: Optional[IgpState] = None
     route_outcome: Optional[RouteSimOutcome] = None
-    use_ecs: bool = True
     subtasks: Optional[int] = None
     workers: Optional[int] = None
     partitioner: Any = None
@@ -206,9 +205,7 @@ def run_traffic_in_process(
     with ctx.span("traffic_sim", backend=backend, flows=len(request.flows)), \
             resource_accounting(ctx):
         ctx.count("traffic_sim.calls")
-        simulator = TrafficSimulator(
-            request.model, device_ribs, igp=igp, use_ecs=request.use_ecs
-        )
+        simulator = TrafficSimulator(request.model, device_ribs, igp=igp)
         result = simulator.simulate(
             request.flows,
             ctx=ctx,

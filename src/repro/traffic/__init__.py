@@ -7,7 +7,7 @@ link's traffic load.
 
 from repro.traffic.flow import Flow, make_flow
 from repro.traffic.forwarding import FastPathStats, FlowPath, ForwardingEngine
-from repro.traffic.load import LinkLoadMap, aggregate_loads
+from repro.traffic.load import LinkLoadMap
 from repro.traffic.simulator import (
     SpreadReuse,
     TrafficSimulationResult,
@@ -22,7 +22,6 @@ __all__ = [
     "FlowPath",
     "ForwardingEngine",
     "LinkLoadMap",
-    "aggregate_loads",
     "TrafficSimulationResult",
     "TrafficSimulator",
 ]

@@ -8,7 +8,7 @@ compares against SNMP-monitored loads (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.topology import Topology
 
@@ -60,7 +60,7 @@ class LinkLoadMap:
                 for key, util in self.utilization(topology).items()
                 if util >= threshold
             ),
-            key=lambda item: -item[1],
+            key=lambda item: (-item[1], item[0]),
         )
 
     def compare(
@@ -80,15 +80,82 @@ class LinkLoadMap:
         return len(self.loads)
 
 
-def aggregate_loads(paths: Iterable, weights: Optional[Dict] = None) -> LinkLoadMap:
-    """Sum flow volumes over the links of their paths.
+#: One crossing of a link by a work item's spread: (work index, position of
+#: the crossing in that spread's link walk, ``volume * fraction``).
+Crossing = Tuple[int, int, float]
 
-    ``weights`` optionally overrides each path's volume (used when a path
-    represents a whole flow EC and carries the EC's aggregate volume).
-    """
-    loads = LinkLoadMap()
-    for path in paths:
-        volume = path.flow.volume if weights is None else weights.get(path.flow, path.flow.volume)
+
+def _add_crossings(
+    into: Dict[LinkKey, List[Crossing]],
+    index: int,
+    volume: float,
+    spread: Sequence[Tuple[Any, float]],
+) -> None:
+    position = 0
+    for path, fraction in spread:
         for a, b in path.links:
-            loads.add(a, b, volume)
-    return loads
+            into.setdefault(link_key(a, b), []).append(
+                (index, position, volume * fraction)
+            )
+            position += 1
+
+
+class LinkContributions:
+    """Per link, every crossing of one merge's work, in merge order.
+
+    A merge walks its work items in order and adds ``volume * fraction``
+    for each link of each path of the item's spread. A link's load is its
+    crossings summed in that order, and its place in the load map is that
+    of its first crossing. Keeping the crossings lets :meth:`patch` redo
+    exactly the links that replaced spreads cross.
+    """
+
+    def __init__(
+        self, work: Iterable[Tuple[float, Sequence[Tuple[Any, float]]]]
+    ) -> None:
+        self.crossings: Dict[LinkKey, List[Crossing]] = {}
+        for index, (volume, spread) in enumerate(work):
+            _add_crossings(self.crossings, index, volume, spread)
+
+    def patch(
+        self,
+        loads: LinkLoadMap,
+        replaced: Mapping[int, Tuple[float, Sequence, Sequence]],
+    ) -> Tuple[LinkLoadMap, int]:
+        """``loads`` — this work's merge — with some spreads replaced.
+
+        ``replaced`` maps a work index to ``(volume, old spread, new
+        spread)``. Every link either spread crosses is summed again over
+        its remaining crossings in merge order and dropped if none remain;
+        keys are re-ordered by first crossing only if one moved. The map
+        equals a full merge of the patched work, floats and key order.
+        Returns it with the number of links summed again.
+        """
+        fresh: Dict[LinkKey, List[Crossing]] = {}
+        links = set()
+        for index, (volume, old, new) in replaced.items():
+            links.update(link_key(a, b) for path, _ in old for a, b in path.links)
+            _add_crossings(fresh, index, volume, new)
+        links.update(fresh)
+        patched = dict(loads.loads)
+        first: Optional[Dict[LinkKey, Tuple[int, int]]] = None
+        for key in links:
+            base = self.crossings.get(key, [])
+            crossings = sorted(
+                [c for c in base if c[0] not in replaced] + fresh.get(key, [])
+            )
+            if not crossings:
+                del patched[key]
+                continue
+            total = 0.0
+            for crossing in crossings:
+                total += crossing[2]
+            patched[key] = total
+            if not base or base[0][:2] != crossings[0][:2]:
+                if first is None:
+                    first = {k: c[0][:2] for k, c in self.crossings.items()}
+                first[key] = crossings[0][:2]
+        if first is not None:
+            order = sorted(patched, key=first.__getitem__)
+            patched = {key: patched[key] for key in order}
+        return LinkLoadMap(loads=patched), len(links)

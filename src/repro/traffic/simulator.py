@@ -12,18 +12,21 @@ the original work order — so worker count and scheduling never change the
 result (float accumulation order is part of the contract).
 
 A change verification can hand ``simulate`` a :class:`SpreadReuse`: the
-base run's spreads plus the RIB slots the change touched. Representatives
-whose base walk never met a touched slot covering their destination keep
-their base spread; only the rest are forwarded (see
+base run plus the RIB slots the change touched. Representatives whose base
+walk never met a touched slot covering their destination keep their base
+spread; only the rest are forwarded. When the touched slots cannot move
+any flow's LPM cut, the base flow-EC partition is kept as well and the
+base link loads are patched at the links the re-forwarded ECs cross (see
 ``docs/incremental.md``, "Traffic that follows the change").
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro import perfopts
 from repro.ec.flow_ec import FlowEcIndex, build_prefix_universe, compute_flow_ecs
@@ -34,7 +37,7 @@ from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import DeviceRib
 from repro.traffic.flow import Flow
 from repro.traffic.forwarding import FlowPath, ForwardingEngine
-from repro.traffic.load import LinkLoadMap
+from repro.traffic.load import LinkContributions, LinkLoadMap
 
 #: Accepted values for ``parallel_mode``.
 PARALLEL_MODES = ("thread", "process")
@@ -83,6 +86,8 @@ class TrafficSimulationResult:
     ec_index: Optional[FlowEcIndex]
     elapsed_seconds: float = 0.0
     cost_units: int = 0
+    #: :class:`_BaseWork` of this run, built on the first patch against it
+    _base_work: Any = field(default=None, init=False, repr=False, compare=False)
 
     def path_of(self, flow: Flow) -> List[Tuple[FlowPath, float]]:
         """ECMP paths (with fractions) for a flow, via its EC representative."""
@@ -109,15 +114,64 @@ class TrafficSimulationResult:
         return counts
 
 
+class _BaseWork:
+    """What patching a base run needs, derived once from its result."""
+
+    def __init__(self, result: TrafficSimulationResult) -> None:
+        assert result.ec_index is not None
+        #: (representative, pooled volume) per flow EC, in work order
+        self.work = [
+            (ec.representative, ec.total_volume) for ec in result.ec_index.classes
+        ]
+        self.contributions = LinkContributions(
+            (volume, result.paths[flow]) for flow, volume in self.work
+        )
+        dsts: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
+        for index, (flow, _) in enumerate(self.work):
+            dsts.setdefault((flow.vrf, flow.dst.family), []).append(
+                (flow.dst.value, index)
+            )
+        #: (vrf, family) -> sorted (destination value, work index)
+        self._dsts = {key: sorted(items) for key, items in dsts.items()}
+
+    def covered(self, vrf: str, prefix: Prefix) -> List[int]:
+        """Work indices of representatives in ``vrf`` with dst in ``prefix``."""
+        items = self._dsts.get((vrf, prefix.family), [])
+        lo = bisect_left(items, (prefix.first_value, -1))
+        hi = bisect_right(items, (prefix.last_value, len(self.work)))
+        return [index for _, index in items[lo:hi]]
+
+
+def _base_work(result: TrafficSimulationResult) -> _BaseWork:
+    if result._base_work is None:
+        result._base_work = _BaseWork(result)
+    return result._base_work
+
+
+def _cost(spread: Spread) -> int:
+    return sum(max(1, len(path.routers)) for path, _ in spread)
+
+
+def _held(ribs: Mapping[str, DeviceRib], prefix: Prefix) -> bool:
+    """Whether some device and VRF has a best/ECMP row at ``prefix``.
+
+    This is membership in :func:`build_prefix_universe`'s trie.
+    """
+    return any(
+        rib.routes_for(prefix, vrf) for rib in ribs.values() for vrf in rib.vrfs
+    )
+
+
 class SpreadReuse:
     """Base-run spreads that a change cannot reach.
 
-    ``base_paths`` is the base run's :attr:`TrafficSimulationResult.paths`;
-    ``touched`` names, per device, every ``(vrf, prefix)`` RIB slot that
-    may differ from the base (``SpliceResult.touched``, or any superset).
-    The caller guarantees that nothing else a forwarding decision reads
-    moved: topology, addresses, IGP, and every device's ACL, PBR and SR
-    configuration are the base's.
+    ``base`` is the base run's result, ``base_ribs`` the RIBs it forwarded
+    over and ``flows`` the flows it simulated; ``touched`` names, per
+    device, every ``(vrf, prefix)`` RIB slot that may differ from the base
+    (``SpliceResult.touched``, or any superset). The caller guarantees
+    that nothing else a forwarding decision reads moved: topology,
+    addresses, IGP, and every device's ACL, PBR and SR configuration are
+    the base's.
 
     A spread walk decides at exactly the routers on its paths, and a
     router's decision for a flow can then only differ through its LPM
@@ -128,17 +182,23 @@ class SpreadReuse:
 
     def __init__(
         self,
-        base_paths: Mapping[Flow, Spread],
+        base: TrafficSimulationResult,
         touched: Mapping[str, Iterable[Tuple[str, Prefix]]],
+        base_ribs: Mapping[str, DeviceRib],
+        flows: Iterable[Flow],
     ) -> None:
-        self.base_paths = base_paths
+        self.base = base
+        self.base_ribs = base_ribs
+        self.flows = list(flows)
         self._touched: Dict[str, PrefixTrie] = {}
+        self._slots: Set[Tuple[str, Prefix]] = set()
         for device, slots in touched.items():
             for vrf, prefix in slots:
                 trie = self._touched.get(vrf)
                 if trie is None:
                     trie = self._touched[vrf] = PrefixTrie()
                 trie.insert(prefix, device)
+                self._slots.add((vrf, prefix))
         self._devices: Dict[Tuple[str, IPAddress], FrozenSet[str]] = {}
 
     def _touched_devices(self, vrf: str, dst: IPAddress) -> FrozenSet[str]:
@@ -157,13 +217,75 @@ class SpreadReuse:
 
     def spread_for(self, flow: Flow) -> Optional[Spread]:
         """The base spread of ``flow`` if the change cannot reach it, else None."""
-        spread = self.base_paths.get(flow)
+        spread = self.base.paths.get(flow)
         if spread is None:
             return None
         devices = self._touched_devices(flow.vrf, flow.dst)
         if devices and any(not devices.isdisjoint(path.routers) for path, _ in spread):
             return None
         return spread
+
+    def partition(
+        self, flows: List[Flow], ribs: Mapping[str, DeviceRib]
+    ) -> Tuple[Optional[FlowEcIndex], Optional[str]]:
+        """The base flow ECs if they are those of ``flows`` over ``ribs``.
+
+        An EC key reads the prefix universe only through the universe
+        prefixes covering each flow's destination, and untouched slots
+        are the base's, so the universe can only differ at a touched
+        prefix. The base partition stands unless some touched prefix
+        entered or left the universe and covers a flow's destination.
+        Returns ``(index, None)`` or ``(None, why it was not kept)``.
+        """
+        index = self.base.ec_index
+        if index is None:
+            return None, "no_base_ecs"
+        if flows != self.flows:
+            return None, "other_flows"
+        for prefix in {prefix for _, prefix in self._slots}:
+            if _held(self.base_ribs, prefix) != _held(ribs, prefix) and any(
+                prefix.contains_address(flow.dst) for flow in flows
+            ):
+                return None, "universe_moved"
+        return index, None
+
+    def reforward(self) -> List[int]:
+        """Base work indices the change may reach, in work order.
+
+        Only representatives whose destination a touched prefix covers
+        can be reached; of those, the ones :meth:`spread_for` rejects.
+        """
+        work = _base_work(self.base)
+        candidates: Set[int] = set()
+        for vrf, prefix in self._slots:
+            candidates.update(work.covered(vrf, prefix))
+        return [
+            index
+            for index in sorted(candidates)
+            if self.spread_for(work.work[index][0]) is None
+        ]
+
+    def patch(
+        self, forwarded: Mapping[int, Spread]
+    ) -> Tuple[Dict[Flow, Spread], LinkLoadMap, int, int]:
+        """The base result with the spreads of work items replaced.
+
+        Returns ``(paths, loads, cost_units, links re-summed)``, equal to
+        what merging the base work with ``forwarded`` in place produces.
+        """
+        base = self.base
+        work = _base_work(base)
+        paths = dict(base.paths)
+        cost_units = base.cost_units
+        replaced = {}
+        for index, spread in forwarded.items():
+            flow, volume = work.work[index]
+            old = base.paths[flow]
+            paths[flow] = spread
+            cost_units += _cost(spread) - _cost(old)
+            replaced[index] = (volume, old, spread)
+        loads, links = work.contributions.patch(base.loads, replaced)
+        return paths, loads, cost_units, links
 
 
 class TrafficSimulator:
@@ -207,8 +329,15 @@ class TrafficSimulator:
 
         With ``reuse``, representatives it has a spread for are not
         forwarded (counters ``traffic.ecs_reused`` /
-        ``traffic.ecs_reforwarded``); the merge still adds every spread
-        in work order, so loads are the floats a full forward produces.
+        ``traffic.ecs_reforwarded``). If :meth:`SpreadReuse.partition`
+        keeps the base flow ECs, only representatives a touched prefix
+        covers are candidates, and the base load map is patched at the
+        links the re-forwarded ECs cross (counter
+        ``traffic.links_patched``); otherwise ECs are recomputed and the
+        merge adds every spread in work order. Either way loads are the
+        floats, in the key order, of a full forward. The
+        ``traffic.compile`` span says which happened (``flow_ecs=reused``
+        or ``recomputed``, and ``ecs_recomputed=`` why, under a reuse).
         """
         if parallel_mode not in PARALLEL_MODES:
             raise ValueError(
@@ -217,31 +346,43 @@ class TrafficSimulator:
             )
         started = time.perf_counter()
         flows = list(flows)
-        loads = LinkLoadMap()
-        paths: Dict[Flow, List[Tuple[FlowPath, float]]] = {}
-        cost_units = 0
+        index: Optional[FlowEcIndex] = None
+        kept = False
 
         if self.use_ecs:
-            with ctx.span("traffic.compile", flows=len(flows)) if ctx else nullcontext():
-                universe = build_prefix_universe(self.ribs.values())
-                index: Optional[FlowEcIndex] = compute_flow_ecs(
-                    flows, universe, model=self.model
-                )
-            work: List[Tuple[Flow, float]] = [
-                (ec.representative, ec.total_volume) for ec in index.classes
-            ]
+            with ctx.span(
+                "traffic.compile", flows=len(flows)
+            ) if ctx else nullcontext() as compiling:
+                why = None
+                if reuse is not None:
+                    index, why = reuse.partition(flows, self.ribs)
+                    kept = index is not None
+                if index is None:
+                    universe = build_prefix_universe(self.ribs.values())
+                    index = compute_flow_ecs(flows, universe, model=self.model)
+                if compiling is not None:
+                    compiling.meta["flow_ecs"] = "reused" if kept else "recomputed"
+                    if why is not None:
+                        compiling.meta["ecs_recomputed"] = why
+            work: List[Tuple[Flow, float]] = (
+                _base_work(reuse.base).work
+                if kept
+                else [(ec.representative, ec.total_volume) for ec in index.classes]
+            )
             if ctx is not None:
                 ctx.count("traffic.flow_ecs", len(index.classes))
         else:
-            index = None
             work = [(flow, flow.volume) for flow in flows]
 
-        spreads: List[Optional[Spread]] = (
-            [reuse.spread_for(flow) for flow, _ in work]
-            if reuse is not None
-            else [None] * len(work)
-        )
-        pending = [i for i, spread in enumerate(spreads) if spread is None]
+        if kept:
+            pending = reuse.reforward()
+        else:
+            spreads: List[Optional[Spread]] = (
+                [reuse.spread_for(flow) for flow, _ in work]
+                if reuse is not None
+                else [None] * len(work)
+            )
+            pending = [i for i, spread in enumerate(spreads) if spread is None]
         forward = [work[i][0] for i in pending]
         meta = {"work": len(forward), "workers": workers or 1}
         if reuse is not None:
@@ -255,16 +396,24 @@ class TrafficSimulator:
                 forwarded = self._forward_parallel(forward, workers, parallel_mode)
             else:
                 forwarded = [self.engine.forward_spread(flow) for flow in forward]
-        for i, spread in zip(pending, forwarded):
-            spreads[i] = spread
 
         with ctx.span("traffic.merge", work=len(work)) if ctx else nullcontext():
-            for (flow, volume), spread in zip(work, spreads):
-                paths[flow] = spread
-                for path, fraction in spread:
-                    cost_units += max(1, len(path.routers))
-                    for a, b in path.links:
-                        loads.add(a, b, volume * fraction)
+            if kept:
+                paths, loads, cost_units, links = reuse.patch(
+                    dict(zip(pending, forwarded))
+                )
+                if ctx is not None:
+                    ctx.count("traffic.links_patched", links)
+            else:
+                for i, spread in zip(pending, forwarded):
+                    spreads[i] = spread
+                paths, loads, cost_units = {}, LinkLoadMap(), 0
+                for (flow, volume), spread in zip(work, spreads):
+                    paths[flow] = spread
+                    for path, fraction in spread:
+                        cost_units += max(1, len(path.routers))
+                        for a, b in path.links:
+                            loads.add(a, b, volume * fraction)
 
         if ctx is not None:
             for name, value in self.engine.stats.as_counters().items():

@@ -92,11 +92,13 @@ def device_fingerprints(world_state):
 
 
 def traffic_snapshot(traffic, flows):
-    """Every flow's spread, the status counts and the loads at ``.9g``."""
+    """Every flow's spread, the status counts, the cost units and the loads
+    exactly: floats and key order."""
     return (
         [traffic.path_of(flow) for flow in flows],
         traffic.status_counts(),
-        sorted(f"{key}:{volume:.9g}" for key, volume in traffic.loads.loads.items()),
+        traffic.cost_units,
+        list(traffic.loads.loads.items()),
     )
 
 

@@ -147,6 +147,12 @@ class TestFlagTransparency:
 
 
 class TestFastPathMechanics:
+    @pytest.fixture(autouse=True)
+    def memo_on(self):
+        """These tests assert the spread memo's own counters."""
+        with perfopts.configured(spread_memo=True):
+            yield
+
     def test_memo_counters_populate(self):
         model, inputs = ecmp_scenario()
         result = simulate_routes(model, inputs)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.traffic.flow import Flow, make_flow
 from repro.traffic.forwarding import FlowPath, STATUS_EXITED
-from repro.traffic.load import LinkLoadMap, aggregate_loads, link_key
+from repro.traffic.load import LinkContributions, LinkLoadMap, link_key
 
 from tests.helpers import build_model
 
@@ -56,6 +56,18 @@ class TestLinkLoadMap:
         overloaded = loads.overloaded_links(model.topology)
         assert [key for key, _ in overloaded] == [("B", "C"), ("A", "B")]
 
+    def test_overloaded_ties_do_not_depend_on_insertion_order(self):
+        model = build_model(routers=[("A", 1), ("B", 1), ("C", 1)], links=[])
+        model.topology.connect("A", "B", bandwidth=100.0)
+        model.topology.connect("B", "C", bandwidth=100.0)
+        orders = []
+        for links in ((("B", "C"), ("A", "B")), (("A", "B"), ("B", "C"))):
+            loads = LinkLoadMap()
+            for a, b in links:
+                loads.add(a, b, 200.0)
+            orders.append(loads.overloaded_links(model.topology))
+        assert orders[0] == orders[1] == [(("A", "B"), 2.0), (("B", "C"), 2.0)]
+
     def test_compare(self):
         a = LinkLoadMap()
         a.add("A", "B", 10.0)
@@ -72,29 +84,6 @@ class TestLinkLoadMap:
         loads.add("B", "C", 2.0)
         assert loads.total() == 3.0
         assert len(loads) == 2
-
-
-class TestAggregateLoads:
-    def path(self, flow, routers):
-        return FlowPath(flow=flow, routers=routers, status=STATUS_EXITED)
-
-    def test_volume_per_link(self):
-        flow = make_flow("A", "1.1.1.1", "2.2.2.2", volume=10.0)
-        loads = aggregate_loads([self.path(flow, ["A", "B", "C"])])
-        assert loads.get("A", "B") == 10.0
-        assert loads.get("B", "C") == 10.0
-
-    def test_weights_override(self):
-        flow = make_flow("A", "1.1.1.1", "2.2.2.2", volume=10.0)
-        loads = aggregate_loads(
-            [self.path(flow, ["A", "B"])], weights={flow: 99.0}
-        )
-        assert loads.get("A", "B") == 99.0
-
-    def test_single_router_path_adds_nothing(self):
-        flow = make_flow("A", "1.1.1.1", "2.2.2.2", volume=10.0)
-        loads = aggregate_loads([self.path(flow, ["A"])])
-        assert loads.total() == 0.0
 
 
 class TestFlow:
@@ -123,9 +112,82 @@ class TestFlow:
 )
 def test_total_load_conserved_property(volumes):
     """Sum of per-link loads == volume x hops for single-path flows."""
-    paths = []
+    loads = LinkLoadMap()
     for index, volume in enumerate(volumes):
         flow = make_flow("A", "1.1.1.1", "2.2.2.2", src_port=index, volume=volume)
-        paths.append(FlowPath(flow=flow, routers=["A", "B", "C"], status=STATUS_EXITED))
-    loads = aggregate_loads(paths)
+        path = FlowPath(flow=flow, routers=["A", "B", "C"], status=STATUS_EXITED)
+        for a, b in path.links:
+            loads.add(a, b, volume)
     assert loads.total() == pytest.approx(2 * sum(volumes))
+
+
+# -- patching a merge -------------------------------------------------------------
+
+ROUTERS = ("A", "B", "C", "D", "E")
+FLOW = make_flow("A", "1.1.1.1", "2.2.2.2")
+
+
+def merge(work):
+    """The simulator's merge: every crossing added in work order."""
+    loads = LinkLoadMap()
+    for volume, spread in work:
+        for path, fraction in spread:
+            for a, b in path.links:
+                loads.add(a, b, volume * fraction)
+    return loads
+
+
+@st.composite
+def spreads(draw):
+    paths = draw(
+        st.lists(
+            st.lists(st.sampled_from(ROUTERS), min_size=1, max_size=5),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return [
+        (FlowPath(flow=FLOW, routers=routers, status=STATUS_EXITED), 1 / len(paths))
+        for routers in paths
+    ]
+
+
+@st.composite
+def patched_work(draw):
+    volume = st.floats(min_value=0.1, max_value=1e9)
+    work = draw(st.lists(st.tuples(volume, spreads()), min_size=1, max_size=8))
+    indices = draw(st.sets(st.integers(0, len(work) - 1)))
+    return work, {index: draw(spreads()) for index in indices}
+
+
+@given(patched_work())
+def test_patch_equals_a_full_merge(case):
+    """Floats and key order, including links that appear, vanish or move up."""
+    work, new = case
+    contributions = LinkContributions(work)
+    replaced = {i: (work[i][0], work[i][1], spread) for i, spread in new.items()}
+    patched, links = contributions.patch(merge(work), replaced)
+    expected = merge(
+        [(volume, new.get(i, spread)) for i, (volume, spread) in enumerate(work)]
+    )
+    assert list(patched.loads.items()) == list(expected.loads.items())
+    assert links == len(
+        {
+            link_key(a, b)
+            for _, old, spread in replaced.values()
+            for path, _ in old + spread
+            for a, b in path.links
+        }
+    )
+
+
+def test_patch_leaves_the_base_map_alone():
+    def spread(*routers):
+        return [(FlowPath(flow=FLOW, routers=list(routers), status=STATUS_EXITED), 1.0)]
+
+    work = [(10.0, spread("A", "B"))]
+    base = merge(work)
+    moved = spread("A", "C")
+    patched, _ = LinkContributions(work).patch(base, {0: (10.0, work[0][1], moved)})
+    assert base.loads == {("A", "B"): 10.0}
+    assert patched.loads == {("A", "C"): 10.0}

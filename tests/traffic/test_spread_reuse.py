@@ -2,12 +2,16 @@
 
 A bounded change keeps the base run's spread for every flow EC whose base
 paths meet no touched RIB slot covering its destination
-(:class:`~repro.traffic.simulator.SpreadReuse`). These tests pin that the
-kept spreads, the status counts and the link loads equal a fresh forward
-of the updated network — for the real touched set, for hypothesis-drawn
-supersets of it, and across worker counts and parallel modes — that a
-more specific slot on a path router does force a re-forward, and that
-changes to forwarding state besides the RIBs never build a reuse.
+(:class:`~repro.traffic.simulator.SpreadReuse`), keeps the base flow-EC
+partition unless a touched prefix entered or left the prefix universe
+under some flow's destination, and then patches the base link loads.
+These tests pin that the spreads, status counts, EC classes, cost units
+and link loads — floats and key order — equal a fresh forward of the
+updated network: for the real touched set, for hypothesis-drawn supersets
+of it, and across worker counts and parallel modes. They also pin that a
+more specific slot on a path router does force a re-forward, when the
+partition is kept or recomputed, and that changes to forwarding state
+besides the RIBs never build a reuse.
 The all-change-types comparison against ``incremental=False`` lives in
 ``tests/incremental/test_equivalence.py``.
 """
@@ -19,10 +23,12 @@ from hypothesis import strategies as st
 from benchmarks.test_table2_change_types import build_plans
 from repro.core.change_plan import ChangePlan
 from repro.core.pipeline import ChangeVerifier
+from repro.ec.flow_ec import build_prefix_universe
 from repro.incremental.diff import FORWARDING_SECTIONS, DeviceDelta, ModelDiff
 from repro.incremental.engine import MODE_INCREMENTAL, MODE_NOOP
 from repro.net.addr import Prefix
 from repro.obs import RunContext
+from repro.routing.rib import DeviceRib
 from repro.traffic.simulator import SpreadReuse, TrafficSimulator
 from repro.workload import (
     WanParams,
@@ -60,12 +66,29 @@ def plans(world):
 
 
 def snapshot(traffic, flows):
-    """Every flow's spread, the status counts and the loads at ``.9g``."""
+    """Every flow's spread, the status counts, the EC classes (in order),
+    the cost units and the loads exactly: floats and key order."""
     return (
         [traffic.path_of(flow) for flow in flows],
         traffic.status_counts(),
-        sorted(f"{key}:{volume:.9g}" for key, volume in traffic.loads.loads.items()),
+        [(ec.representative, ec.members) for ec in traffic.ec_index.classes],
+        traffic.cost_units,
+        list(traffic.loads.loads.items()),
     )
+
+
+def make_reuse(verifier, touched):
+    return SpreadReuse(
+        verifier.base_world.traffic,
+        touched,
+        verifier.base_world.device_ribs,
+        verifier.input_flows,
+    )
+
+
+def compile_meta(trace):
+    (span,) = trace.find_all("traffic.compile")
+    return span.meta
 
 
 def slot_diff(before, after):
@@ -140,9 +163,18 @@ def pin_host_plan(verifier):
 # -- the updated network of a bounded plan ------------------------------------
 
 
-@pytest.fixture(scope="module", params=BOUNDED + ("pin-host",))
+#: whether each plan keeps the base flow-EC partition
+KEEPS_PARTITION = {
+    "static-route-modification": True,
+    "new-prefix-announcement": True,
+    # the host route enters the prefix universe under a flow's destination
+    "pin-host": False,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(KEEPS_PARTITION))
 def updated(request, verifier, plans):
-    """(updated world, real slot diff, full re-forward) of one plan."""
+    """(plan name, updated world, real slot diff, full re-forward)."""
     if request.param == "pin-host":
         plan = pin_host_plan(verifier)[0]
     else:
@@ -154,7 +186,7 @@ def updated(request, verifier, plans):
     full = TrafficSimulator(
         world.model, world.device_ribs, verifier._base_igp
     ).simulate(verifier.input_flows)
-    return world, touched, full
+    return request.param, world, touched, full
 
 
 def reuse_run(verifier, world, touched, **options):
@@ -164,24 +196,31 @@ def reuse_run(verifier, world, touched, **options):
     ).simulate(
         verifier.input_flows,
         ctx=ctx,
-        reuse=SpreadReuse(verifier.base_world.traffic.paths, touched),
+        reuse=make_reuse(verifier, touched),
         **options,
     )
-    return result, ctx.counters()
+    return result, ctx
 
 
 def test_real_slot_diff_reuses_and_matches_full(verifier, updated):
-    world, touched, full = updated
-    result, counters = reuse_run(verifier, world, touched)
+    name, world, touched, full = updated
+    result, ctx = reuse_run(verifier, world, touched)
     assert snapshot(result, verifier.input_flows) == snapshot(
         full, verifier.input_flows
     )
-    assert result.cost_units == full.cost_units
+    counters = ctx.counters()
     assert counters["traffic.ecs_reused"] > 0
     assert (
         counters["traffic.ecs_reused"] + counters["traffic.ecs_reforwarded"]
         == len(full.ec_index.classes)
     )
+    kept = result.ec_index is verifier.base_world.traffic.ec_index
+    assert kept == KEEPS_PARTITION[name]
+    meta = compile_meta(ctx.root)
+    assert meta["flow_ecs"] == ("reused" if kept else "recomputed")
+    assert ("traffic.links_patched" in counters) == kept
+    if not kept:
+        assert meta["ecs_recomputed"] == "universe_moved"
 
 
 @st.composite
@@ -212,7 +251,7 @@ def extra_slots(draw, verifier):
 )
 @given(data=st.data())
 def test_touched_supersets_give_the_full_result(verifier, updated, data):
-    world, touched, full = updated
+    _, world, touched, full = updated
     superset = {name: set(slots) for name, slots in touched.items()}
     for device, slot in data.draw(extra_slots(verifier)):
         superset.setdefault(device, set()).add(slot)
@@ -226,7 +265,7 @@ def test_touched_supersets_give_the_full_result(verifier, updated, data):
     "workers,mode", [(2, "thread"), (2, "process")], ids=["thread", "process"]
 )
 def test_parallel_modes_match_serial(verifier, updated, workers, mode):
-    world, touched, full = updated
+    _, world, touched, full = updated
     # every slot of a busy device: many ECs re-forward, so the pool works
     busy = max(
         world.device_ribs,
@@ -238,10 +277,11 @@ def test_parallel_modes_match_serial(verifier, updated, workers, mode):
     )
     wide = dict(touched)
     wide[busy] = {("global", Prefix.parse("0.0.0.0/0"))}
-    serial, serial_counters = reuse_run(verifier, world, wide, workers=1)
-    fanned, fanned_counters = reuse_run(
+    serial, serial_ctx = reuse_run(verifier, world, wide, workers=1)
+    fanned, fanned_ctx = reuse_run(
         verifier, world, wide, workers=workers, parallel_mode=mode
     )
+    serial_counters, fanned_counters = serial_ctx.counters(), fanned_ctx.counters()
     assert fanned_counters["traffic.ecs_reforwarded"] > 1
     assert serial_counters["traffic.ecs_reforwarded"] == (
         fanned_counters["traffic.ecs_reforwarded"]
@@ -271,11 +311,11 @@ def test_touched_slot_off_the_path_is_reused(verifier):
         if all(name not in path.routers for path, _ in spread)
     )
     slot = (flow.vrf, Prefix.from_address(flow.dst))
-    assert SpreadReuse(base.paths, {off_path: [slot]}).spread_for(flow) is spread
-    assert SpreadReuse(base.paths, {on_path: [slot]}).spread_for(flow) is None
+    assert make_reuse(verifier, {off_path: [slot]}).spread_for(flow) is spread
+    assert make_reuse(verifier, {on_path: [slot]}).spread_for(flow) is None
     # a slot elsewhere in the address space reaches nobody
     other = ("global", Prefix.parse("203.0.113.0/24"))
-    assert SpreadReuse(base.paths, {on_path: [other]}).spread_for(flow) is spread
+    assert make_reuse(verifier, {on_path: [other]}).spread_for(flow) is spread
 
     # through a simulation: only ECs to that destination whose paths cross
     # the touched device re-forward, and the counters say so
@@ -285,7 +325,7 @@ def test_touched_slot_off_the_path_is_reused(verifier):
     ).simulate(
         verifier.input_flows,
         ctx=ctx,
-        reuse=SpreadReuse(base.paths, {off_path: [slot]}),
+        reuse=make_reuse(verifier, {off_path: [slot]}),
     )
     counters = ctx.counters()
     expected = sum(
@@ -300,12 +340,25 @@ def test_touched_slot_off_the_path_is_reused(verifier):
 
 
 def test_more_specific_slot_on_the_path_forces_a_reforward(verifier):
-    """A host route at the ingress beats the base LPM and moves the path."""
+    """A host route at the ingress beats the base LPM and moves the path.
+
+    The /32 is new to the prefix universe and covers ``flow``'s
+    destination, so the flow ECs are recomputed, and the summary says why.
+    """
     base = verifier.base_world.traffic
     plan, flow, detour = pin_host_plan(verifier)
+    universe = build_prefix_universe(verifier.base_world.device_ribs.values())
+    assert Prefix.from_address(flow.dst) not in dict(universe.all_matches(flow.dst))
     report = verifier.verify(plan)
     assert report.incremental.mode == MODE_INCREMENTAL
     assert report.trace.total("traffic.ecs_reforwarded") >= 1
+    assert compile_meta(report.trace) == {
+        "flows": len(verifier.input_flows),
+        "flow_ecs": "recomputed",
+        "ecs_recomputed": "universe_moved",
+    }
+    assert "flow ECs recomputed (universe_moved)" in report.summary()
+    assert all("traffic.links_patched" not in s.counters for s in report.trace.walk())
     updated = report.updated_world.traffic
     assert updated.path_of(flow) != base.path_of(flow)
     assert detour in {r for p, _ in updated.path_of(flow) for r in p.routers}
@@ -317,6 +370,80 @@ def test_more_specific_slot_on_the_path_forces_a_reforward(verifier):
     assert snapshot(updated, verifier.input_flows) == snapshot(
         full, verifier.input_flows
     )
+
+
+def test_new_prefix_off_every_flow_keeps_the_partition(verifier, plans):
+    """An announced prefix no flow targets leaves every EC key alone."""
+    plan = plans["new-prefix-announcement"]
+    (announced,) = {route.route.prefix for route in plan.new_input_routes}
+    assert not any(announced.contains_address(f.dst) for f in verifier.input_flows)
+    report = verifier.verify(plan)
+    assert compile_meta(report.trace) == {
+        "flows": len(verifier.input_flows),
+        "flow_ecs": "reused",
+    }
+    traffic = report.updated_world.traffic
+    assert traffic.ec_index is verifier.base_world.traffic.ec_index
+    assert "base flow-EC partition kept" in report.summary()
+    world = report.updated_world
+    full = TrafficSimulator(
+        world.model, world.device_ribs, verifier._base_igp
+    ).simulate(verifier.input_flows)
+    assert snapshot(traffic, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
+def without_prefix(ribs, prefix):
+    """Copies of ``ribs`` with every row at ``prefix`` gone, and the slots."""
+    copies, touched = {}, {}
+    for name, rib in ribs.items():
+        copy = copies[name] = DeviceRib(name)
+        for vrf in rib.vrfs:
+            for held in rib.prefixes(vrf):
+                if held == prefix:
+                    touched.setdefault(name, set()).add((vrf, held))
+                    continue
+                for route, route_type in rib.entries_for(held, vrf):
+                    copy.install(route, vrf, route_type)
+    return copies, touched
+
+
+def test_prefix_gone_from_every_rib_recomputes_the_partition(verifier):
+    """A flow's longest universe match leaves the universe: its key moves."""
+    base = verifier.base_world
+    universe = build_prefix_universe(base.device_ribs.values())
+    flow = verifier.input_flows[0]
+    prefix = universe.all_matches(flow.dst)[-1][0]
+    ribs, touched = without_prefix(base.device_ribs, prefix)
+    simulator = TrafficSimulator(base.model, ribs, verifier._base_igp)
+    ctx = RunContext("gone")
+    result = simulator.simulate(
+        verifier.input_flows,
+        ctx=ctx,
+        reuse=SpreadReuse(
+            base.traffic, touched, base.device_ribs, verifier.input_flows
+        ),
+    )
+    assert compile_meta(ctx.root)["ecs_recomputed"] == "universe_moved"
+    assert result.ec_index is not base.traffic.ec_index
+    full = TrafficSimulator(base.model, ribs, verifier._base_igp).simulate(
+        verifier.input_flows
+    )
+    assert snapshot(result, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
+def test_other_flows_recompute_the_partition(verifier):
+    base = verifier.base_world
+    flows = verifier.input_flows[1:]
+    ctx = RunContext("other-flows")
+    result = TrafficSimulator(
+        base.model, base.device_ribs, verifier._base_igp
+    ).simulate(flows, ctx=ctx, reuse=make_reuse(verifier, {}))
+    assert compile_meta(ctx.root)["ecs_recomputed"] == "other_flows"
+    assert result.ec_index.total_flows == len(flows)
 
 
 # -- when the pipeline builds a reuse ---------------------------------------------
@@ -401,9 +528,11 @@ def test_noop_plan_reuses_every_ec(verifier, world):
     assert report.incremental.mode == MODE_NOOP
     (span,) = reuse_spans(report)
     assert span.meta["work"] == 0 and span.meta["reused"] > 0
-    assert report.updated_world.traffic.loads.loads == (
-        verifier.base_world.traffic.loads.loads
-    )
+    assert report.trace.total("traffic.links_patched") == 0
+    base = verifier.base_world.traffic
+    updated = report.updated_world.traffic
+    assert updated.loads.loads is not base.loads.loads
+    assert list(updated.loads.loads.items()) == list(base.loads.loads.items())
 
 
 def test_full_mode_records_why(world, plans):
