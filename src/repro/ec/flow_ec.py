@@ -3,7 +3,7 @@
 Two flows are in one EC when their longest-prefix matches on all RIBs are
 the same — then they share forwarding paths and only one needs simulating.
 The partition is computed from the *union* prefix universe: two destination
-addresses with identical covering-prefix sets in the union trie have
+addresses with identical covering-prefix sets in the union table have
 identical LPM results on every device RIB (each device's table is a subset
 of the universe). PBR rules and ACLs also discriminate flows, so their match
 signatures are folded into the EC key as well.
@@ -77,13 +77,17 @@ class FlowEcIndex:
 
 
 def build_prefix_universe(ribs: Iterable[DeviceRib]) -> PrefixTrie:
-    """Union trie of every best/ECMP prefix across all device RIBs."""
+    """Union table of every best/ECMP prefix across all device RIBs.
+
+    Reads each RIB's FIB index, so the indexes forwarding then looks up
+    in are built here.
+    """
     universe = PrefixTrie()
     seen = set()
     for rib in ribs:
         for vrf in rib.vrfs:
-            for prefix in rib.prefixes(vrf):
-                if rib.routes_for(prefix, vrf) and prefix not in seen:
+            for prefix in rib.fib_prefixes(vrf):
+                if prefix not in seen:
                     seen.add(prefix)
                     universe.insert(prefix, True)
     return universe

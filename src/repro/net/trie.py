@@ -1,183 +1,109 @@
-"""Binary prefix trie for longest-prefix-match and all-match queries.
+"""Per-length prefix hash tables for longest-prefix-match and all-match queries.
 
 Used by the RIBs for data-plane forwarding lookups and by the flow
 equivalence-class computation (§3.1), which needs, for every destination
 address, the *vector* of longest-prefix matches across all device RIBs.
+
+Each address family holds one hash table per prefix length present,
+keyed by network value, plus the ascending list of those lengths. A query
+masks the address once per present length and probes that table, so its
+cost grows with the number of distinct lengths (two in a generated WAN:
+/24 and /32), not with the address width.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.net.addr import IPAddress, Prefix, family_bits
 
 V = TypeVar("V")
 
 
-class _Node(Generic[V]):
-    __slots__ = ("children", "values")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_Node[V]"]] = [None, None]
-        self.values: Optional[List[V]] = None
-
-
 class PrefixTrie(Generic[V]):
-    """A per-family binary trie mapping prefixes to lists of values."""
+    """Per-family, per-length hash tables mapping prefixes to lists of values."""
 
     def __init__(self) -> None:
-        self._roots: Dict[int, _Node[V]] = {}
+        #: family -> length -> network value -> values (insertion order)
+        self._tables: Dict[int, Dict[int, Dict[int, List[V]]]] = {}
+        #: family -> lengths present, ascending
+        self._lengths: Dict[int, List[int]] = {}
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def _bit(self, value: int, index: int, bits: int) -> int:
-        return (value >> (bits - 1 - index)) & 1
-
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert a value under a prefix (multiple values per prefix allowed)."""
-        root = self._roots.setdefault(prefix.family, _Node())
-        bits = prefix.bits
-        node = root
-        for i in range(prefix.length):
-            bit = self._bit(prefix.value, i, bits)
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if node.values is None:
-            node.values = []
-        node.values.append(value)
+        family = prefix.family
+        by_length = self._tables.get(family)
+        if by_length is None:
+            by_length = self._tables[family] = {}
+        table = by_length.get(prefix.length)
+        if table is None:
+            table = by_length[prefix.length] = {}
+            self._lengths[family] = sorted(by_length)
+        values = table.get(prefix.value)
+        if values is None:
+            table[prefix.value] = [value]
+        else:
+            values.append(value)
         self._size += 1
 
-    def remove(self, prefix: Prefix, value: V) -> bool:
-        """Remove one occurrence of ``value`` under ``prefix``; True if found."""
-        node = self._descend(prefix)
-        if node is None or node.values is None:
-            return False
-        try:
-            node.values.remove(value)
-        except ValueError:
-            return False
-        self._size -= 1
-        return True
-
-    def _descend(self, prefix: Prefix) -> Optional[_Node[V]]:
-        node = self._roots.get(prefix.family)
-        if node is None:
-            return None
-        bits = prefix.bits
-        for i in range(prefix.length):
-            bit = self._bit(prefix.value, i, bits)
-            node = node.children[bit]
-            if node is None:
-                return None
-        return node
-
-    def exact(self, prefix: Prefix) -> List[V]:
-        """Values stored exactly at ``prefix``."""
-        node = self._descend(prefix)
-        if node is None or node.values is None:
+    def _matches(
+        self, family: int, value: int, max_length: int
+    ) -> List[Tuple[int, int, List[V]]]:
+        """``(length, network, values)`` stored over ``value`` with
+        ``length <= max_length``, shortest first; empty value lists skipped."""
+        by_length = self._tables.get(family)
+        if by_length is None:
             return []
-        return list(node.values)
+        bits = family_bits(family)
+        found = []
+        for length in self._lengths[family]:
+            if length > max_length:
+                break
+            shift = bits - length
+            network = value >> shift << shift
+            values = by_length[length].get(network)
+            if values:
+                found.append((length, network, values))
+        return found
 
     def lookup_lpm(self, address: IPAddress) -> Optional[Tuple[Prefix, List[V]]]:
         """Longest-prefix match for an address; None if nothing matches."""
-        node = self._roots.get(address.family)
-        if node is None:
+        family = address.family
+        by_length = self._tables.get(family)
+        if by_length is None:
             return None
-        bits = family_bits(address.family)
-        best: Optional[Tuple[int, List[V]]] = None
-        if node.values:
-            best = (0, node.values)
-        for i in range(bits):
-            bit = self._bit(address.value, i, bits)
-            node = node.children[bit]
-            if node is None:
-                break
-            if node.values:
-                best = (i + 1, node.values)
-        if best is None:
-            return None
-        length, values = best
-        return Prefix.from_address(address, length), list(values)
+        bits = family_bits(family)
+        value = address.value
+        for length in reversed(self._lengths[family]):
+            shift = bits - length
+            network = value >> shift << shift
+            values = by_length[length].get(network)
+            if values:
+                return Prefix(family, network, length), list(values)
+        return None
 
     def all_matches(self, address: IPAddress) -> List[Tuple[Prefix, List[V]]]:
         """All (prefix, values) entries covering an address, shortest first."""
-        node = self._roots.get(address.family)
-        if node is None:
-            return []
-        bits = family_bits(address.family)
-        found: List[Tuple[Prefix, List[V]]] = []
-        if node.values:
-            found.append((Prefix.from_address(address, 0), list(node.values)))
-        for i in range(bits):
-            bit = self._bit(address.value, i, bits)
-            node = node.children[bit]
-            if node is None:
-                break
-            if node.values:
-                found.append((Prefix.from_address(address, i + 1), list(node.values)))
-        return found
+        family = address.family
+        return [
+            (Prefix(family, network, length), list(values))
+            for length, network, values in self._matches(
+                family, address.value, family_bits(family)
+            )
+        ]
 
     def covering_values(self, prefix: Prefix) -> List[V]:
         """Values stored at prefixes that contain ``prefix`` (including equal).
 
-        Walk order is shortest prefix first; values under one prefix keep
-        insertion order. This is the O(prefix-length) primitive behind the
-        compiled prefix-list filters: every prefix-list entry that could
-        match a candidate prefix lies on the candidate's bit path.
+        Shortest prefix first; values under one prefix keep insertion
+        order. This is the primitive behind blast-radius membership and
+        the touched-slot tables of a spread reuse.
         """
-        node = self._roots.get(prefix.family)
-        if node is None:
-            return []
-        bits = prefix.bits
         found: List[V] = []
-        if node.values:
-            found.extend(node.values)
-        value = prefix.value
-        for i in range(prefix.length):
-            node = node.children[(value >> (bits - 1 - i)) & 1]
-            if node is None:
-                break
-            if node.values:
-                found.extend(node.values)
+        for _, _, values in self._matches(prefix.family, prefix.value, prefix.length):
+            found.extend(values)
         return found
-
-    def covering_prefixes(self, prefix: Prefix) -> List[Prefix]:
-        """Stored prefixes that contain ``prefix`` (including equal)."""
-        node = self._roots.get(prefix.family)
-        if node is None:
-            return []
-        bits = prefix.bits
-        found: List[Prefix] = []
-        if node.values:
-            found.append(Prefix(prefix.family, 0, 0))
-        for i in range(prefix.length):
-            bit = self._bit(prefix.value, i, bits)
-            node = node.children[bit]
-            if node is None:
-                break
-            if node.values:
-                found.append(Prefix.from_address(prefix.first_address, i + 1))
-        return found
-
-    def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """Yield every (prefix, value) pair in the trie."""
-        for family, root in self._roots.items():
-            yield from self._walk(root, family, 0, 0)
-
-    def _walk(
-        self, node: _Node[V], family: int, value: int, depth: int
-    ) -> Iterator[Tuple[Prefix, V]]:
-        bits = family_bits(family)
-        if node.values:
-            prefix = Prefix(family, value << (bits - depth) if depth < bits else value, depth)
-            for stored in node.values:
-                yield prefix, stored
-        for bit in (0, 1):
-            child = node.children[bit]
-            if child is not None:
-                yield from self._walk(child, family, (value << 1) | bit, depth + 1)

@@ -10,6 +10,7 @@ RCL intents are written against (§4.1, Figure 6).
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -54,6 +55,14 @@ _FIELD_EXTRACTORS = {
 }
 
 RIB_FIELDS = tuple(_FIELD_EXTRACTORS)
+
+#: process-wide source of ``DeviceRib.generation`` values: every new RIB,
+#: mutation and unpickled copy draws a fresh one, so two RIB states never
+#: share a number
+_GENERATIONS = itertools.count(1)
+
+#: the FIB index of a VRF the RIB does not hold
+_NO_FIB: Tuple[PrefixTrie, Tuple[Prefix, ...]] = (PrefixTrie(), ())
 
 
 class UnknownFieldError(KeyError):
@@ -110,15 +119,27 @@ class DeviceRib:
         self.device = device
         # vrf -> prefix -> list of (route, route_type)
         self._tables: Dict[str, Dict[Prefix, List[Tuple[Route, str]]]] = {}
-        self._tries: Dict[str, PrefixTrie] = {}
-        self._tries_dirty = True
-        #: mutation counter consumed by the spread memo to detect staleness
-        self._generation = 0
+        # vrf -> (LPM table, FIB prefixes); None until read after a mutation
+        self._fib: Optional[Dict[str, Tuple[PrefixTrie, Tuple[Prefix, ...]]]] = None
+        self._generation = next(_GENERATIONS)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._generation = next(_GENERATIONS)
 
     @property
     def generation(self) -> int:
-        """Mutation counter (bumped by ``install``/``replace_prefix``)."""
+        """Stamp of this RIB's current state (bumped by every mutation).
+
+        Values come from one counter shared by every ``DeviceRib`` in the
+        process, so no other RIB object, and no earlier state of this one,
+        ever holds the same value.
+        """
         return self._generation
+
+    def _mutated(self) -> None:
+        self._fib = None
+        self._generation = next(_GENERATIONS)
 
     # -- mutation ---------------------------------------------------------
 
@@ -127,8 +148,7 @@ class DeviceRib:
     ) -> None:
         table = self._tables.setdefault(vrf, {})
         table.setdefault(route.prefix, []).append((route, route_type))
-        self._tries_dirty = True
-        self._generation += 1
+        self._mutated()
 
     def replace_prefix(
         self, vrf: str, prefix: Prefix, entries: List[Tuple[Route, str]]
@@ -139,8 +159,7 @@ class DeviceRib:
             table[prefix] = list(entries)
         else:
             table.pop(prefix, None)
-        self._tries_dirty = True
-        self._generation += 1
+        self._mutated()
 
     def clone_slots(
         self,
@@ -165,8 +184,7 @@ class DeviceRib:
                             clone = clones[key] = route.with_prefix(member)
                         cloned.append((clone, route_type))
                     table[member] = cloned
-        self._tries_dirty = True
-        self._generation += 1
+        self._mutated()
 
     # -- queries -----------------------------------------------------------
 
@@ -182,11 +200,7 @@ class DeviceRib:
     ) -> List[Route]:
         entries = self._tables.get(vrf, {}).get(prefix, [])
         if best_only:
-            return [
-                r
-                for r, t in entries
-                if t in (ROUTE_TYPE_BEST, ROUTE_TYPE_ECMP)
-            ]
+            return [r for r, t in entries if t in _BEST_TYPES]
         return [r for r, _ in entries]
 
     def entries_for(
@@ -194,27 +208,40 @@ class DeviceRib:
     ) -> List[Tuple[Route, str]]:
         return list(self._tables.get(vrf, {}).get(prefix, []))
 
-    def _trie(self, vrf: str) -> PrefixTrie:
-        if self._tries_dirty:
-            self._tries = {}
+    def _index(self, vrf: str) -> Tuple[PrefixTrie, Tuple[Prefix, ...]]:
+        """The FIB index of ``vrf``: (LPM table, FIB prefixes).
+
+        The FIB prefixes are those with a best/ECMP row, in table order;
+        the LPM table maps each to itself. Built for every VRF on the
+        first read after a mutation.
+        """
+        if self._fib is None:
+            self._fib = {}
             for vname, table in self._tables.items():
+                prefixes = tuple(
+                    prefix
+                    for prefix, entries in table.items()
+                    if any(t in _BEST_TYPES for _, t in entries)
+                )
                 trie = PrefixTrie()
-                for prefix, entries in table.items():
-                    if any(t in (ROUTE_TYPE_BEST, ROUTE_TYPE_ECMP) for _, t in entries):
-                        trie.insert(prefix, prefix)
-                self._tries[vname] = trie
-            self._tries_dirty = False
-        return self._tries.setdefault(vrf, PrefixTrie())
+                for prefix in prefixes:
+                    trie.insert(prefix, prefix)
+                self._fib[vname] = (trie, prefixes)
+        return self._fib.get(vrf, _NO_FIB)
+
+    def fib_prefixes(self, vrf: str = "global") -> Tuple[Prefix, ...]:
+        """Prefixes of ``vrf`` with a best/ECMP row, in table order."""
+        return self._index(vrf)[1]
 
     def lpm(
         self, address: IPAddress, vrf: str = "global"
     ) -> Optional[Tuple[Prefix, List[Route]]]:
         """Longest-prefix match over best/ECMP routes."""
-        hit = self._trie(vrf).lookup_lpm(address)
+        hit = self._index(vrf)[0].lookup_lpm(address)
         if hit is None:
             return None
-        prefix, _ = hit
-        return prefix, self.routes_for(prefix, vrf, best_only=True)
+        (prefix,) = hit[1]
+        return prefix, self.routes_for(prefix, vrf)
 
     def all_rows(self) -> Iterator[RibRoute]:
         for vrf, table in self._tables.items():

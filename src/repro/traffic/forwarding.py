@@ -98,7 +98,7 @@ class ForwardingEngine:
         self.stats = FastPathStats()
         self._spread_memo: Dict[Tuple, Any] = {}
         self._topo_version = -1
-        self._rib_stamp: Tuple[int, int] = (-1, -1)
+        self._rib_stamp: Tuple[int, ...] = ()
 
     # -- memo lifecycle -----------------------------------------------------
 
@@ -114,8 +114,10 @@ class ForwardingEngine:
         self._rib_stamp = self._rib_fingerprint()
         self.stats.invalidations += 1
 
-    def _rib_fingerprint(self) -> Tuple[int, int]:
-        return (len(self.ribs), sum(r.generation for r in self.ribs.values()))
+    def _rib_fingerprint(self) -> Tuple[int, ...]:
+        # Generations are unique per RIB state, so the tuple changes
+        # whenever a RIB is mutated, added, removed or swapped.
+        return tuple(r.generation for r in self.ribs.values())
 
     def _ensure_fresh(self) -> None:
         """Invalidate the memo if the model moved under the engine."""

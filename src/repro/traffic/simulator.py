@@ -155,7 +155,8 @@ def _cost(spread: Spread) -> int:
 def _held(ribs: Mapping[str, DeviceRib], prefix: Prefix) -> bool:
     """Whether some device and VRF has a best/ECMP row at ``prefix``.
 
-    This is membership in :func:`build_prefix_universe`'s trie.
+    This is membership in :func:`build_prefix_universe`'s table, asked
+    through ``routes_for`` so a spliced RIB builds no FIB index for it.
     """
     return any(
         rib.routes_for(prefix, vrf) for rib in ribs.values() for vrf in rib.vrfs
@@ -307,7 +308,7 @@ class TrafficSimulator:
         # built at most once per simulator and reused across simulate()
         # calls; ``_ship_stamp`` invalidates it if the model or RIBs move.
         self._shipped = None
-        self._ship_stamp: Optional[Tuple[int, int, int]] = None
+        self._ship_stamp: Optional[Tuple[int, ...]] = None
 
     def simulate(
         self,
@@ -491,8 +492,7 @@ class TrafficSimulator:
 
         stamp = (
             self.model.topology.version,
-            len(self.ribs),
-            sum(rib.generation for rib in self.ribs.values()),
+            *(rib.generation for rib in self.ribs.values()),
         )
         if self._shipped is None or self._ship_stamp != stamp:
             if self._shipped is not None:

@@ -1,7 +1,7 @@
 """Tests for DeviceRib and the global RIB abstraction."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.net.addr import IPAddress, Prefix
 from repro.routing.attributes import Route
@@ -185,3 +185,106 @@ def test_lpm_matches_most_specific_installed(prefix_count, probe):
     hit = rib.lpm(IPAddress(4, probe))
     assert hit is not None
     assert hit[0] == max(installed, key=lambda p: p.length)
+
+
+_POOL = [
+    Prefix.parse(text)
+    for text in (
+        "0.0.0.0/0",
+        "10.0.0.0/8",
+        "10.1.0.0/16",
+        "10.1.2.0/24",
+        "10.1.3.0/24",
+        "10.1.2.7/32",
+        "192.0.2.0/24",
+    )
+]
+_TYPES = [ROUTE_TYPE_BEST, ROUTE_TYPE_ECMP, ROUTE_TYPE_CANDIDATE]
+_VRFS = ["global", "red"]
+
+_slot_entries = st.lists(
+    st.tuples(st.sampled_from(["2.0.0.1", "3.0.0.1"]), st.sampled_from(_TYPES)),
+    max_size=3,
+)
+_rib_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("install"),
+            st.sampled_from(_POOL),
+            st.sampled_from(_VRFS),
+            st.sampled_from(["2.0.0.1", "3.0.0.1"]),
+            st.sampled_from(_TYPES),
+        ),
+        st.tuples(
+            st.just("replace"),
+            st.sampled_from(_POOL),
+            st.sampled_from(_VRFS),
+            _slot_entries,
+        ),
+        st.tuples(
+            st.just("clone"),
+            st.dictionaries(
+                st.sampled_from(_POOL),
+                st.lists(st.sampled_from(_POOL), min_size=1, max_size=2),
+                max_size=2,
+            ),
+        ),
+    ),
+    max_size=12,
+)
+
+
+def _apply(rib, op, clones):
+    kind = op[0]
+    if kind == "install":
+        _, prefix, vrf, nh, route_type = op
+        rib.install(route(str(prefix), nh=nh), vrf=vrf, route_type=route_type)
+    elif kind == "replace":
+        _, prefix, vrf, entries = op
+        rib.replace_prefix(
+            vrf, prefix, [(route(str(prefix), nh=nh), t) for nh, t in entries]
+        )
+    else:
+        rib.clone_slots(op[1], clones)
+
+
+def _assert_index_matches_scan(rib):
+    best_rows = [
+        row for row in rib.all_rows() if row.route_type != ROUTE_TYPE_CANDIDATE
+    ]
+    for vrf in _VRFS + ["ghost"]:
+        rows = [row for row in best_rows if row.vrf == vrf]
+        held = {row.route.prefix for row in rows}
+        assert rib.fib_prefixes(vrf) == tuple(
+            p for p in rib.prefixes(vrf) if rib.routes_for(p, vrf)
+        )
+        assert set(rib.fib_prefixes(vrf)) == held
+        for probe in [p.first_address for p in _POOL] + [
+            IPAddress.parse("10.1.2.200"),
+            IPAddress.parse("203.0.113.1"),
+        ]:
+            covering = [p for p in held if p.contains_address(probe)]
+            hit = rib.lpm(probe, vrf)
+            if not covering:
+                assert hit is None
+                continue
+            longest = max(covering, key=lambda p: p.length)
+            assert hit == (
+                longest,
+                [row.route for row in rows if row.route.prefix == longest],
+            )
+            # A slot holding only candidates never answers a lookup.
+            assert any(t != ROUTE_TYPE_CANDIDATE for _, t in rib.entries_for(hit[0], vrf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_rib_ops)
+def test_fib_index_tracks_every_mutation(ops):
+    """After each install/replace_prefix/clone_slots, ``lpm`` and
+    ``fib_prefixes`` agree with linear scans over the RIB's rows."""
+    rib = DeviceRib("A")
+    clones = {}
+    _assert_index_matches_scan(rib)
+    for op in ops:
+        _apply(rib, op, clones)
+        _assert_index_matches_scan(rib)

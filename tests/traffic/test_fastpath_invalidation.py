@@ -15,6 +15,7 @@ from repro.net.device import AclConfig, AclRuleConfig
 from repro.net.addr import IPAddress, Prefix
 from repro.routing.attributes import Route
 from repro.routing.inputs import inject_external_route
+from repro.routing.rib import DeviceRib
 from repro.routing.simulator import simulate_routes
 from repro.traffic import ForwardingEngine, TrafficSimulator, make_flow
 
@@ -102,6 +103,34 @@ class TestFailureOverlayInvalidation:
         assert after == snap(fresh.forward_spread(flow))
         # The new route matched on A (instead of the memoized miss).
         assert all("198.51.100.0/24" in matched for _, _, matched, *_ in after)
+
+    def test_swapped_rib_with_equal_mutation_count_invalidates(self):
+        """Replacing a RIB object is a change even when the new RIB went
+        through as many mutations as the old one."""
+        model = square_model()
+        result = simulate_routes(model, [inject_external_route("A", PFX, (65010,))])
+        ribs = result.device_ribs
+        engine = ForwardingEngine(model, ribs, result.igp)
+        flow = make_flow("A", "10.0.0.1", DST)
+        assert [p.status for p, _ in engine.forward_spread(flow)] == ["exited"]
+
+        old = ribs["A"]
+        unrelated = Route(
+            prefix=Prefix.parse("198.51.100.0/24"),
+            nexthop=IPAddress.parse("10.255.0.1"),
+            source="ibgp",
+        )
+        swapped = DeviceRib("A")
+        # Ordinary installs until the new RIB has seen at least as many
+        # mutations as the old one: a stamp built from per-RIB mutation
+        # counts (say their sum) could not tell the two apart.
+        while swapped.generation < old.generation:
+            swapped.install(unrelated)
+        ribs["A"] = swapped
+        after = snap(engine.forward_spread(flow))
+        fresh = ForwardingEngine(model, ribs, result.igp)
+        assert after == snap(fresh.forward_spread(flow))
+        assert [status for _, status, *_ in after] == ["dropped"]
 
 
 class TestCopySemantics:
