@@ -490,7 +490,7 @@ class ChangeVerifier:
             resimulated_inputs=len(covered),
             total_inputs=len(all_inputs),
             spliced_slots=splice.spliced_slots,
-            touched_slots=sum(len(slots) for slots in splice.touched.values()),
+            touched_slots=sum(map(len, splice.touched.values())),
             reused_slots=splice.reused_slots,
             reused_devices=splice.reused_devices,
             igp_reused=igp_reused,

@@ -49,10 +49,6 @@ class LinkDiscrepancy:
     def difference(self) -> float:
         return self.simulated - self.observed
 
-    @property
-    def fraction_of_bandwidth(self) -> float:
-        return abs(self.difference) / self.bandwidth if self.bandwidth else 0.0
-
 
 @dataclass
 class AccuracyReport:

@@ -103,8 +103,8 @@ class BlastRadius:
         cache = self._covers_cache
         covered = cache.get(prefix)
         if covered is None:
-            # Splicing asks about the same few hundred RIB prefixes once per
-            # device, so memoizing turns O(devices) trie walks into one.
+            # Input filters ask about the same prefixes again (the k-failure
+            # engine twice per class), so each prefix is probed once.
             covered = bool(self._trie.covering_values(prefix))
             cache[prefix] = covered
         return covered

@@ -218,13 +218,6 @@ class TopologyFailureDiff:
             or self.inventory_changed
         )
 
-    @property
-    def is_pure_failure(self) -> bool:
-        """Only new failures: the narrowing precondition for failure blasts."""
-        return not (
-            self.inventory_changed or self.restored_links or self.restored_routers
-        )
-
 
 def diff_topology_failures(
     base: Topology, scenario: Topology

@@ -17,6 +17,12 @@ The engine ties the subsystem together for ``ChangeVerifier``:
    :class:`SpliceResult` names the slots it dropped and installed, so that
    the verifier patches the base global RIB instead of rebuilding it.
 
+A spliced device RIB is *derived* (:meth:`DeviceRib.derive`): base VRF
+tables are copied at C speed, covered base slots deleted, covered partial
+slots appended, and the radius is asked once per distinct prefix, so the
+cost follows the change, not the RIB. A derived RIB shares entry lists with
+the base and partial RIBs; no ``DeviceRib`` method mutates one in place.
+
 Correctness rests on the blast-radius guarantee: a slot whose prefix the
 radius does not cover is byte-identical between base and updated runs, so
 splicing base rows there reproduces exactly what the full run would emit.
@@ -26,15 +32,16 @@ from __future__ import annotations
 
 import gc
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from repro.incremental.blast import BlastRadius, analyze_blast_radius
 from repro.incremental.diff import ModelDiff, diff_models
 from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute
-from repro.routing.rib import DeviceRib
+from repro.routing.rib import DeviceRib, Slots
 
 #: How a verify() call was served.
 MODE_FULL = "full"  #: incremental disabled (escape hatch)
@@ -64,21 +71,7 @@ class IncrementalStats:
     skipped_subtasks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "mode": self.mode,
-            "widen_reasons": list(self.widen_reasons),
-            "affected_devices": self.affected_devices,
-            "total_devices": self.total_devices,
-            "affected_prefixes": self.affected_prefixes,
-            "resimulated_inputs": self.resimulated_inputs,
-            "total_inputs": self.total_inputs,
-            "spliced_slots": self.spliced_slots,
-            "touched_slots": self.touched_slots,
-            "reused_slots": self.reused_slots,
-            "reused_devices": self.reused_devices,
-            "igp_reused": self.igp_reused,
-            "skipped_subtasks": self.skipped_subtasks,
-        }
+        return {**asdict(self), "widen_reasons": list(self.widen_reasons)}
 
     def describe(self) -> str:
         if self.mode == MODE_FULL:
@@ -105,12 +98,6 @@ class IncrementalStats:
         return "incremental: " + ", ".join(parts)
 
 
-#: Slots of one device RIB: per VRF, prefixes in the order the RIB lists
-#: them (a dict as an ordered set — the splice tests membership, the
-#: patched global RIB replays the order). VRFs without a slot are absent.
-Slots = Dict[str, Dict[Prefix, None]]
-
-
 @dataclass
 class SpliceResult:
     """Spliced device RIBs plus the reuse accounting.
@@ -130,7 +117,7 @@ class SpliceResult:
     dropped: Dict[str, Slots] = field(default_factory=dict)
     installed: Dict[str, Slots] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def touched(self) -> Dict[str, Set[Tuple[str, Prefix]]]:
         """Per device, every ``(vrf, prefix)`` that may differ from the base."""
         return {
@@ -221,14 +208,12 @@ class IncrementalEngine:
         devices), so splicing base slots there would resurrect routes the
         cold run dropped.
         """
-        with (
-            ctx.span("incremental.splice", devices=len(base_ribs))
-            if ctx
-            else nullcontext()
-        ):
-            return self._splice(
+        with _span(ctx, devices=len(base_ribs)) as span:
+            result = self._splice(
                 base_ribs, partial_ribs, blast, frozenset(full_devices)
             )
+            _describe(span, result)
+            return result
 
     def splice_scoped(
         self,
@@ -248,36 +233,19 @@ class IncrementalEngine:
         :meth:`splice`, including its ``full_devices`` replacement rule.
         """
         member = set(scoped_devices)
-        with (
-            ctx.span(
-                "incremental.splice",
-                devices=len(base_ribs),
-                scoped=len(member),
-            )
-            if ctx
-            else nullcontext()
-        ):
-            scoped_partial = {
-                name: rib for name, rib in partial_ribs.items() if name in member
-            }
+        with _span(ctx, devices=len(base_ribs), scoped=len(member)) as span:
             result = self._splice(
-                {
-                    name: rib
-                    for name, rib in base_ribs.items()
-                    if name in member
-                },
-                scoped_partial,
+                {name: rib for name, rib in base_ribs.items() if name in member},
+                {name: rib for name, rib in partial_ribs.items() if name in member},
                 blast,
                 frozenset(full_devices) & member,
             )
             for name, base_rib in base_ribs.items():
-                if name in member:
-                    continue
-                result.device_ribs[name] = base_rib
-                result.reused_devices += 1
-                result.reused_slots += sum(
-                    len(base_rib.prefixes(vrf)) for vrf in base_rib.vrfs
-                )
+                if name not in member:
+                    result.device_ribs[name] = base_rib
+                    result.reused_devices += 1
+                    result.reused_slots += base_rib.slot_count()
+            _describe(span, result)
             return result
 
     def _splice(
@@ -288,63 +256,64 @@ class IncrementalEngine:
         full_devices: FrozenSet[str] = frozenset(),
     ) -> SpliceResult:
         result = SpliceResult(device_ribs={})
+        covered = _covered_prefixes(blast)
         names = list(base_ribs)
         names.extend(sorted(set(partial_ribs) - set(base_ribs)))
         for name in names:
             base_rib = base_ribs.get(name)
             partial_rib = partial_ribs.get(name)
+            base = base_rib if base_rib is not None else DeviceRib(name)
             if name in full_devices:
-                replacement = (
-                    partial_rib if partial_rib is not None else DeviceRib(name)
+                spliced = partial_rib if partial_rib is not None else DeviceRib(name)
+                dropped, installed = base.slots(), spliced.slots()
+            else:
+                dropped = base.slots(covered)
+                installed = (
+                    partial_rib.slots(covered) if partial_rib is not None else {}
                 )
-                result.device_ribs[name] = replacement
-                result.affected_devices += 1
-                result.dropped[name] = _slots(base_rib)
-                result.installed[name] = _slots(replacement)
-                result.spliced_slots += sum(
-                    len(prefixes) for prefixes in result.installed[name].values()
-                )
-                continue
-            covered_base = _slots(base_rib, blast)
-            covered_partial = _slots(partial_rib, blast)
-            if not covered_base and not covered_partial and base_rib is not None:
-                result.device_ribs[name] = base_rib
-                result.reused_devices += 1
-                result.reused_slots += sum(
-                    len(base_rib.prefixes(vrf)) for vrf in base_rib.vrfs
-                )
-                continue
-
-            spliced = DeviceRib(name)
-            if base_rib is not None:
-                for vrf in base_rib.vrfs:
-                    covered = covered_base.get(vrf, ())
-                    for prefix in base_rib.prefixes(vrf):
-                        if prefix not in covered:
-                            spliced.replace_prefix(
-                                vrf, prefix, base_rib.entries_for(prefix, vrf)
-                            )
-                            result.reused_slots += 1
-            for vrf, prefixes in covered_partial.items():
-                for prefix in prefixes:
-                    spliced.replace_prefix(
-                        vrf, prefix, partial_rib.entries_for(prefix, vrf)
-                    )
-                    result.spliced_slots += 1
+                result.reused_slots += base.slot_count() - _count(dropped)
+                if not dropped and not installed and base_rib is not None:
+                    result.device_ribs[name] = base_rib
+                    result.reused_devices += 1
+                    continue
+                spliced = base.derive(dropped, partial_rib, installed)
             result.device_ribs[name] = spliced
             result.affected_devices += 1
-            result.dropped[name] = covered_base
-            result.installed[name] = covered_partial
+            result.dropped[name] = dropped
+            result.installed[name] = installed
+            result.spliced_slots += _count(installed)
         return result
 
 
-def _slots(rib: Optional[DeviceRib], blast: Optional[BlastRadius] = None) -> Slots:
-    """A RIB's slots — all of them, or those ``blast`` covers."""
-    slots: Slots = {}
-    for vrf in rib.vrfs if rib is not None else ():
-        prefixes = rib.prefixes(vrf)
-        if blast is not None:
-            prefixes = [prefix for prefix in prefixes if blast.covers(prefix)]
-        if prefixes:
-            slots[vrf] = dict.fromkeys(prefixes)
-    return slots
+def _covered_prefixes(blast: BlastRadius) -> Callable[[Set[Prefix]], Set[Prefix]]:
+    """``blast.covers`` as a set filter, asking once per distinct prefix."""
+    seen: Set[Prefix] = set()
+    covered: Set[Prefix] = set()
+
+    def pick(prefixes: Set[Prefix]) -> Set[Prefix]:
+        fresh = prefixes - seen
+        if fresh:
+            seen.update(fresh)
+            covered.update(filter(blast.covers, fresh))
+        prefixes &= covered  # set operations: stored hashes, C speed
+        return prefixes
+
+    return pick
+
+
+def _count(slots: Slots) -> int:
+    return sum(map(len, slots.values()))
+
+
+def _span(ctx, **meta):
+    return ctx.span("incremental.splice", **meta) if ctx else nullcontext()
+
+
+def _describe(span, result: SpliceResult) -> None:
+    """What a splice did, on its span (``repro verify --trace`` shows it)."""
+    if span is not None:
+        span.meta.update(
+            affected_devices=result.affected_devices,
+            reused_devices=result.reused_devices,
+            spliced_slots=result.spliced_slots,
+        )

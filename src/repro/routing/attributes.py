@@ -152,9 +152,6 @@ class Route(_RouteCaches):
 
     # -- helpers used by policies and RCL ------------------------------------
 
-    def has_community(self, value: str) -> bool:
-        return community(value) in self.communities
-
     def add_communities(self, values: Tuple[str, ...]) -> "Route":
         added = frozenset(community(v) for v in values)
         return self.evolve(communities=self.communities | added)

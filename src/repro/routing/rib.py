@@ -64,6 +64,9 @@ _GENERATIONS = itertools.count(1)
 #: the FIB index of a VRF the RIB does not hold
 _NO_FIB: Tuple[PrefixTrie, Tuple[Prefix, ...]] = (PrefixTrie(), ())
 
+#: Per VRF with a slot, a RIB's slot prefixes in table order (an ordered set)
+Slots = Dict[str, Dict[Prefix, None]]
+
 
 class UnknownFieldError(KeyError):
     """Raised when an RCL specification references an unknown RIB field."""
@@ -113,7 +116,11 @@ class RibRoute:
 
 
 class DeviceRib:
-    """Routes of one device, indexed per VRF and prefix."""
+    """Routes of one device, indexed per VRF and prefix.
+
+    No method mutates an entry list in place (every write stores a new,
+    non-empty list), so RIBs may share entry lists: see :meth:`derive`.
+    """
 
     def __init__(self, device: str) -> None:
         self.device = device
@@ -147,7 +154,7 @@ class DeviceRib:
         self, route: Route, vrf: str = "global", route_type: str = ROUTE_TYPE_BEST
     ) -> None:
         table = self._tables.setdefault(vrf, {})
-        table.setdefault(route.prefix, []).append((route, route_type))
+        table[route.prefix] = [*table.get(route.prefix, ()), (route, route_type)]
         self._mutated()
 
     def replace_prefix(
@@ -186,6 +193,30 @@ class DeviceRib:
                     table[member] = cloned
         self._mutated()
 
+    def derive(
+        self, dropped: Slots, source: Optional["DeviceRib"], installed: Slots
+    ) -> "DeviceRib":
+        """This RIB without ``dropped``, plus ``installed`` from ``source``.
+
+        Copy-on-write: each VRF table is copied at C speed, less the
+        dropped slots (a table left empty is left out); installed slots
+        follow in ``installed`` order. Entry lists stay shared.
+        """
+        derived = DeviceRib(self.device)
+        tables = derived._tables
+        for vrf, table in self._tables.items():
+            gone = dropped.get(vrf, ())
+            if len(gone) < len(table):
+                kept = tables[vrf] = dict(table)
+                for prefix in gone:
+                    del kept[prefix]
+        for vrf, prefixes in installed.items():
+            entries = source._tables[vrf]
+            table = tables.setdefault(vrf, {})
+            for prefix in prefixes:
+                table[prefix] = entries[prefix]
+        return derived
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -194,6 +225,30 @@ class DeviceRib:
 
     def prefixes(self, vrf: str = "global") -> List[Prefix]:
         return list(self._tables.get(vrf, {}))
+
+    def slots(
+        self, pick: Optional[Callable[[Set[Prefix]], Set[Prefix]]] = None
+    ) -> Slots:
+        """Per VRF, its prefixes in table order: all, or those ``pick``
+        keeps of a new set of them. Set operations there reuse the
+        table's stored hashes; only ordering two or more walks the table.
+        """
+        slots: Slots = {}
+        for vrf, table in self._tables.items():
+            picked = table if pick is None else pick(set(table))
+            if not picked:
+                continue
+            if len(picked) == len(table):
+                slots[vrf] = dict.fromkeys(table)
+            elif len(picked) == 1:
+                slots[vrf] = dict.fromkeys(picked)
+            else:
+                slots[vrf] = {p: None for p in table if p in picked}
+        return slots
+
+    def slot_count(self) -> int:
+        """Number of (VRF, prefix) slots."""
+        return sum(map(len, self._tables.values()))
 
     def routes_for(
         self, prefix: Prefix, vrf: str = "global", best_only: bool = True
@@ -290,17 +345,6 @@ class GlobalRib:
         for device_rib in ribs:
             rib.rows.extend(device_rib.all_rows())
         return rib
-
-    @staticmethod
-    def stream_rows(ribs: Iterable[DeviceRib]) -> Iterator[RibRoute]:
-        """Row stream over device RIBs without materializing a table.
-
-        For consumers that only fold over rows (fingerprints, counters,
-        per-shard assembly), this keeps peak memory at one row instead of
-        the whole global table.
-        """
-        for device_rib in ribs:
-            yield from device_rib.all_rows()
 
     def add(self, row: RibRoute) -> None:
         self.rows.append(row)
