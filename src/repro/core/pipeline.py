@@ -57,7 +57,7 @@ from repro.routing.inputs import (
     build_local_inputs_for_device,
 )
 from repro.routing.isis import IgpState, compute_igp
-from repro.routing.rib import DeviceRib, GlobalRib, PatchedGlobalRib
+from repro.routing.rib import DeviceRib, GlobalRib, GlobalRibView
 from repro.traffic.flow import Flow
 from repro.traffic.simulator import SpreadReuse, TrafficSimulationResult
 
@@ -292,6 +292,9 @@ class ChangeVerifier:
 
             base = self.base_world
             with ctx.span("check_intents", intents=len(plan.intents)) as checking:
+                # the views intents may flatten (a no-op plan's is the base one)
+                views = {id(v): v for v in (base.global_rib, updated_world.global_rib)}
+                unbuilt = [view for view in views.values() if not view.built]
                 vctx = VerificationContext(
                     base_model=self.base_model,
                     updated_model=updated_model,
@@ -310,6 +313,10 @@ class ChangeVerifier:
                 checking.meta["rows_scanned"] = rows_scanned
                 if rows_scanned:
                     ctx.count("rcl.rows_scanned", rows_scanned)
+                tables_built = sum(view.built for view in unbuilt)
+                checking.meta["tables_built"] = tables_built
+                if tables_built:
+                    ctx.count("rib.tables_built", tables_built)
                 ctx.count("intents.checked", len(plan.intents))
                 ctx.count(
                     "intents.violated",
@@ -473,7 +480,7 @@ class ChangeVerifier:
             device_ribs=device_ribs,
             # the base table, patched at the slots the splice touched:
             # intents compare the two worlds there and nowhere else
-            global_rib=PatchedGlobalRib(
+            global_rib=GlobalRibView(
                 base.global_rib,
                 base.device_ribs,
                 device_ribs,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.net.model import NetworkModel
-from repro.routing.rib import DeviceRib, GlobalRib
+from repro.routing.rib import DeviceRib, GlobalRibView
 from repro.traffic.simulator import TrafficSimulationResult
 
 
@@ -23,5 +23,5 @@ class World:
 
     model: NetworkModel
     device_ribs: Dict[str, DeviceRib]
-    global_rib: GlobalRib
+    global_rib: GlobalRibView
     traffic: Optional[TrafficSimulationResult]

@@ -46,7 +46,7 @@ from repro.net.model import NetworkModel
 from repro.obs import RunContext, ensure_context
 from repro.routing.inputs import InputRoute
 from repro.routing.isis import IgpState, compute_igp
-from repro.routing.rib import DeviceRib, GlobalRib
+from repro.routing.rib import DeviceRib, WithGlobalRib
 from repro.traffic.flow import Flow
 from repro.traffic.load import LinkLoadMap
 
@@ -147,7 +147,7 @@ def makespan(durations: Sequence[float], servers: int) -> float:
 
 
 @dataclass
-class RouteTaskResult:
+class RouteTaskResult(WithGlobalRib):
     """Merged output of a distributed route simulation."""
 
     device_ribs: Dict[str, DeviceRib]
@@ -159,10 +159,6 @@ class RouteTaskResult:
     #: partitions that held no work and were never dispatched (incremental
     #: verification leaves most chunks empty after blast-radius filtering)
     skipped_subtasks: int = 0
-
-    def global_rib(self, best_only: bool = False) -> GlobalRib:
-        rib = GlobalRib.from_device_ribs(self.device_ribs.values())
-        return rib.best_routes() if best_only else rib
 
     def makespan(self, servers: int) -> float:
         return makespan(self.subtask_durations, servers)

@@ -189,9 +189,7 @@ class Worker:
             self.db.update(
                 message.subtask_id,
                 ranges=self._result_ranges(ribs),
-                cost_units=sum(
-                    1 for rib in ribs.values() for _ in rib.all_rows()
-                ),
+                cost_units=sum(rib.route_count() for rib in ribs.values()),
                 result_key=result_key,
             )
             return

@@ -32,7 +32,7 @@ from repro.obs import RunContext, peak_rss_bytes
 from repro.routing import interning
 from repro.routing.inputs import InputRoute
 from repro.routing.isis import IgpState
-from repro.routing.rib import DeviceRib, GlobalRib
+from repro.routing.rib import DeviceRib, WithGlobalRib
 from repro.traffic.flow import Flow
 from repro.traffic.simulator import SpreadReuse, TrafficSimulator
 
@@ -89,7 +89,7 @@ class RouteSimRequest:
 
 
 @dataclass
-class RouteSimOutcome:
+class RouteSimOutcome(WithGlobalRib):
     """Merged result of a route-simulation dispatch, backend-agnostic.
 
     ``device_ribs``/``igp`` are always populated. ``result`` carries the
@@ -110,10 +110,6 @@ class RouteSimOutcome:
     task: Any = None
     splice: Any = None
     resimulated_inputs: Optional[int] = None
-
-    def global_rib(self, best_only: bool = False) -> GlobalRib:
-        rib = GlobalRib.from_device_ribs(self.device_ribs.values())
-        return rib.best_routes() if best_only else rib
 
     @property
     def subtask_durations(self) -> List[float]:

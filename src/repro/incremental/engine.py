@@ -106,7 +106,7 @@ class SpliceResult:
     the base object, which base slots the splice left out and which slots
     it took from the partial run. Everything else of the spliced world
     *is* the base world, so a consumer can patch what it derived from the
-    base instead of deriving it again (``routing.rib.PatchedGlobalRib``).
+    base instead of deriving it again (``routing.rib.GlobalRibView``).
     """
 
     device_ribs: Dict[str, DeviceRib]

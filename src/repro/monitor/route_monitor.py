@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.net.model import NetworkModel
 from repro.routing.rib import (
     DeviceRib,
-    GlobalRib,
     RibRoute,
     ROUTE_TYPE_BEST,
     ROUTE_TYPE_ECMP,
@@ -73,13 +72,11 @@ class RouteMonitor:
         for device, rib in sorted(ribs.items()):
             if device in self.failed_agents:
                 continue
-            for row in rib.all_rows():
+            for row in rib.all_rows(best_only=True):
                 if row.route.protocol not in ("bgp",):
                     continue
                 if self.mode == MODE_AGENT and row.route_type != ROUTE_TYPE_BEST:
                     continue  # only the best route is advertised to the agent
-                if row.route_type not in (ROUTE_TYPE_BEST, ROUTE_TYPE_ECMP):
-                    continue
                 records.append(self._record(device, row))
         return records
 

@@ -9,7 +9,7 @@ sample routes demonstrating the violation (§4.4).
 Two things keep the cost with the change rather than the network. A
 predicate is compiled once into a function of a row, with its literal
 already normalized, and normal forms of row values are memoised. And when
-the updated RIB is a :class:`~repro.routing.rib.PatchedGlobalRib` of the
+the updated RIB is a :class:`~repro.routing.rib.GlobalRibView` patch of the
 base one, a RIB expression evaluates to a *patch* — the filters applied so
 far plus the rows the two worlds do not share — so that ``PRE = POST``
 under any guard compares the rows at the spliced slots only (``_Rows``).
@@ -40,7 +40,7 @@ from repro.rcl.errors import RclTypeError
 from repro.rcl.parser import parse
 from repro.routing.rib import (
     GlobalRib,
-    PatchedGlobalRib,
+    GlobalRibView,
     RibRoute,
     field_extractor,
 )
@@ -268,7 +268,7 @@ class _Rows:
         self,
         rows: List[RibRoute],
         world: Optional[GlobalRib] = None,
-        view: Optional[PatchedGlobalRib] = None,
+        view: Optional[GlobalRibView] = None,
         chain: Tuple[Tuple[Hashable, RowTest], ...] = (),
     ) -> None:
         self.rows = rows
@@ -286,7 +286,7 @@ class _Rows:
 
 def _worlds(base: GlobalRib, updated: GlobalRib) -> Tuple[_Rows, _Rows]:
     """``PRE`` and ``POST``: patches when ``updated`` is a view of ``base``."""
-    if isinstance(updated, PatchedGlobalRib) and updated.base is base:
+    if isinstance(updated, GlobalRibView) and updated.base is base:
         return (
             _Rows(updated.dropped, base, updated),
             _Rows(updated.installed, updated, updated),
@@ -596,8 +596,8 @@ def verify(
 ) -> VerificationResult:
     """Evaluate an intent and collect counter-examples for violations.
 
-    When ``updated`` is a :class:`~repro.routing.rib.PatchedGlobalRib` of
-    ``base``, a RIB comparison whose two sides went through the same
+    When ``updated`` is a :class:`~repro.routing.rib.GlobalRibView` patch
+    of ``base``, a RIB comparison whose two sides went through the same
     filters reads only the rows the patch dropped and installed; anything
     else reads the whole tables. The result is the same either way.
     """

@@ -2,9 +2,11 @@
 
 A :class:`DeviceRib` stores, per VRF and prefix, the candidate routes plus
 the selected best/ECMP set, and answers longest-prefix-match queries for
-traffic simulation. A :class:`GlobalRib` flattens every device's routes into
-a single table with ``device`` and ``vrf`` columns — exactly the abstraction
-RCL intents are written against (§4.1, Figure 6).
+traffic simulation. A :class:`GlobalRib` is one table of every device's
+routes with ``device`` and ``vrf`` columns — exactly the abstraction RCL
+intents are written against (§4.1, Figure 6). The global RIB of a simulated
+world is a :class:`GlobalRibView`: it counts its rows off the device RIBs
+and flattens them into the table only when something reads the rows.
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ class DeviceRib:
         self._tables: Dict[str, Dict[Prefix, List[Tuple[Route, str]]]] = {}
         # vrf -> (LPM table, FIB prefixes); None until read after a mutation
         self._fib: Optional[Dict[str, Tuple[PrefixTrie, Tuple[Prefix, ...]]]] = None
+        # number of best/ECMP rows; None until read after a mutation
+        self._best_rows: Optional[int] = None
         self._generation = next(_GENERATIONS)
 
     def __setstate__(self, state: dict) -> None:
@@ -146,6 +150,7 @@ class DeviceRib:
 
     def _mutated(self) -> None:
         self._fib = None
+        self._best_rows = None
         self._generation = next(_GENERATIONS)
 
     # -- mutation ---------------------------------------------------------
@@ -298,11 +303,20 @@ class DeviceRib:
         (prefix,) = hit[1]
         return prefix, self.routes_for(prefix, vrf)
 
-    def all_rows(self) -> Iterator[RibRoute]:
+    def all_rows(
+        self, best_only: bool = False, slots: Optional[Slots] = None
+    ) -> Iterator[RibRoute]:
+        """Rows in table order: every row or the best/ECMP ones, of every
+        slot or of ``slots`` (which must list held slots in table order)."""
         for vrf, table in self._tables.items():
-            for prefix, entries in table.items():
+            if slots is None:
+                entry_lists = table.values()
+            else:
+                entry_lists = (table[prefix] for prefix in slots.get(vrf, ()))
+            for entries in entry_lists:
                 for route, route_type in entries:
-                    yield RibRoute(self.device, vrf, route, route_type)
+                    if not best_only or route_type in _BEST_TYPES:
+                        yield RibRoute(self.device, vrf, route, route_type)
 
     def route_count(self) -> int:
         return sum(
@@ -310,6 +324,17 @@ class DeviceRib:
             for table in self._tables.values()
             for entries in table.values()
         )
+
+    def best_row_count(self) -> int:
+        """Number of best/ECMP rows, counted once per mutation."""
+        if self._best_rows is None:
+            self._best_rows = sum(
+                route_type in _BEST_TYPES
+                for table in self._tables.values()
+                for entries in table.values()
+                for _, route_type in entries
+            )
+        return self._best_rows
 
 
 def device_rib_fingerprint(rib: DeviceRib) -> str:
@@ -326,11 +351,8 @@ def device_rib_fingerprint(rib: DeviceRib) -> str:
     return digest.hexdigest()
 
 
-#: Shard count used by the streaming identity comparison. Equality builds
-#: the per-row identity tuples (strings, sorted community tuples) one shard
-#: at a time instead of two whole-table frozensets, so the comparison's
-#: peak memory is ~1/DEFAULT_IDENTITY_SHARDS of the materialized approach.
-DEFAULT_IDENTITY_SHARDS = 16
+class StaleViewError(RuntimeError):
+    """A :class:`GlobalRibView` was read after one of its RIBs changed."""
 
 
 class GlobalRib:
@@ -341,10 +363,8 @@ class GlobalRib:
 
     @classmethod
     def from_device_ribs(cls, ribs: Iterable[DeviceRib]) -> "GlobalRib":
-        rib = cls()
-        for device_rib in ribs:
-            rib.rows.extend(device_rib.all_rows())
-        return rib
+        """Every row of ``ribs``, as a view: nothing is flattened yet."""
+        return GlobalRibView.over(ribs, best_only=False)
 
     def add(self, row: RibRoute) -> None:
         self.rows.append(row)
@@ -352,53 +372,15 @@ class GlobalRib:
     def extend(self, rows: Iterable[RibRoute]) -> None:
         self.rows.extend(rows)
 
-    def filter(self, predicate) -> "GlobalRib":
-        """New GlobalRib of rows satisfying ``predicate(row) -> bool``."""
-        return GlobalRib(row for row in self.rows if predicate(row))
-
-    def distinct_values(self, field: str) -> Set:
-        return {row.field(field) for row in self.rows}
-
     def identity_set(self) -> FrozenSet[Tuple]:
         return frozenset(row.identity() for row in self.rows)
 
-    def _identity_shards(self, shards: int) -> List[List[RibRoute]]:
-        """Row references bucketed by prefix identity (cheap: no tuples yet)."""
-        buckets: List[List[RibRoute]] = [[] for _ in range(shards)]
-        for row in self.rows:
-            buckets[row.route.prefix.ident % shards].append(row)
-        return buckets
-
-    def equals_sharded(
-        self, other: "GlobalRib", shards: int = DEFAULT_IDENTITY_SHARDS
-    ) -> bool:
-        """Set equality of row identities, assembled shard by shard.
-
-        Same verdict as ``identity_set() == other.identity_set()``, but the
-        identity tuples — which dominate the comparison's memory — are
-        materialized for one prefix shard at a time and dropped before the
-        next, so peak RSS stays bounded at large prefix counts.
-        """
-        if len(self.rows) != len(other.rows):
-            # Unequal *multiset* sizes can still compare set-equal (merge
-            # paths may deliver duplicate rows), so only a cheap both-empty
-            # short-circuit is safe here.
-            if not self.rows or not other.rows:
-                return False
-        mine = self._identity_shards(shards)
-        theirs = other._identity_shards(shards)
-        for shard_mine, shard_theirs in zip(mine, theirs):
-            if {row.identity() for row in shard_mine} != {
-                row.identity() for row in shard_theirs
-            }:
-                return False
-        return True
-
-    def merged_with(self, other: "GlobalRib") -> "GlobalRib":
-        return GlobalRib(list(self.rows) + list(other.rows))
-
     def best_routes(self) -> "GlobalRib":
-        return self.filter(lambda r: r.route_type in _BEST_TYPES)
+        """The best/ECMP rows (of a view: a best-only view, still unbuilt)."""
+        return self._best_routes()
+
+    def _best_routes(self) -> "GlobalRib":
+        return GlobalRib(row for row in self.rows if row.route_type in _BEST_TYPES)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -409,13 +391,7 @@ class GlobalRib:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GlobalRib):
             return NotImplemented
-        return self.equals_sharded(other)
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
+        return self.identity_set() == other.identity_set()
 
     def __str__(self) -> str:
         lines = [f"GlobalRib with {len(self.rows)} rows"]
@@ -426,75 +402,107 @@ class GlobalRib:
         return "\n".join(lines)
 
 
-class PatchedGlobalRib(GlobalRib):
-    """Best routes of a spliced world, held as a patch of the base table.
+class GlobalRibView(GlobalRib):
+    """A read-only global RIB over device RIBs, flattened only when read.
 
-    A splice leaves most of the world as it was: untouched devices keep
-    their base RIB object, and a spliced device differs from its base RIB
-    only at the slots the splice dropped from the base and installed from
-    the partial run. So this table is ``base`` without the base rows at
-    dropped slots (``dropped``) plus the rows at installed slots
-    (``installed``), and the rest — never enumerated here — is shared with
-    ``base`` row for row. A row's identity contains its device, VRF and
-    prefix, so no shared row can equal a dropped or an installed one; RCL
-    evaluation relies on that to compare ``PRE`` and ``POST`` through the
-    two short lists alone.
+    ``len()`` is counted off the RIBs without building a row; ``rows`` are
+    built on first read and kept. A view raises :class:`StaleViewError`
+    when read after one of its RIBs changed.
 
-    Nothing is built up front: ``len()`` is arithmetic over the three
-    parts, and ``rows`` — the rows of
-    ``GlobalRib.from_device_ribs(device_ribs.values()).best_routes()`` —
-    is built when something first reads it. The table is read-only.
+    The constructor makes the best-only view of a spliced world as a patch
+    of ``base``, the view of the world it was spliced from: ``base`` less
+    its rows at the slots the splice dropped (``dropped``), plus the rows
+    at the slots it installed (``installed``). Every other row is shared
+    with ``base``, and a row's identity contains its device, VRF and
+    prefix, so no shared row can equal a dropped or an installed one: RCL
+    compares ``PRE`` and ``POST`` through the two short lists alone. The
+    ``len()`` of a patch is arithmetic over the three parts.
     """
+
+    base: Optional[GlobalRib] = None
+    _rows: Optional[List[RibRoute]] = None
 
     def __init__(
         self,
         base: GlobalRib,
         base_ribs: Mapping[str, DeviceRib],
         device_ribs: Mapping[str, DeviceRib],
-        dropped: Mapping[str, Mapping[str, Iterable[Prefix]]],
-        installed: Mapping[str, Mapping[str, Iterable[Prefix]]],
+        dropped: Mapping[str, Slots],
+        installed: Mapping[str, Slots],
     ) -> None:
+        self._watch(device_ribs.values(), best_only=True)
         self.base = base
-        self._device_ribs = device_ribs
-        self.dropped: List[RibRoute] = [
+        self.dropped = [
             row
             for name, slots in dropped.items()
             if name in base_ribs
-            for row in _best_rows_at(base_ribs[name], slots)
+            for row in base_ribs[name].all_rows(best_only=True, slots=slots)
         ]
-        self.installed: List[RibRoute] = [
+        self.installed = [
             row
             for name, slots in installed.items()
-            for row in _best_rows_at(device_ribs[name], slots)
+            for row in device_ribs[name].all_rows(best_only=True, slots=slots)
         ]
-        self._rows: Optional[List[RibRoute]] = None
+
+    @classmethod
+    def over(cls, ribs: Iterable[DeviceRib], best_only: bool) -> "GlobalRibView":
+        """The view of ``ribs`` on its own (not a patch)."""
+        view = cls.__new__(cls)
+        view._watch(ribs, best_only)
+        return view
+
+    def _watch(self, ribs: Iterable[DeviceRib], best_only: bool) -> None:
+        self._ribs = tuple(ribs)
+        self._generations = [rib.generation for rib in self._ribs]
+        self.best_only = best_only
+
+    def _check(self) -> None:
+        for rib, generation in zip(self._ribs, self._generations):
+            if rib.generation != generation:
+                raise StaleViewError(f"the RIB of {rib.device} changed under the view")
+
+    @property
+    def built(self) -> bool:
+        """Whether the rows have been flattened into a table."""
+        return self._rows is not None
 
     @property
     def rows(self) -> List[RibRoute]:  # type: ignore[override]
+        self._check()
         if self._rows is None:
-            rebuilt = GlobalRib.from_device_ribs(self._device_ribs.values())
-            self._rows = rebuilt.best_routes().rows
+            self._rows = [
+                row for rib in self._ribs for row in rib.all_rows(self.best_only)
+            ]
         return self._rows
 
     def __len__(self) -> int:
-        return len(self.base) - len(self.dropped) + len(self.installed)
+        self._check()
+        if self.base is not None:
+            return len(self.base) - len(self.dropped) + len(self.installed)
+        if self.best_only:
+            return sum(rib.best_row_count() for rib in self._ribs)
+        return sum(rib.route_count() for rib in self._ribs)
+
+    def _best_routes(self) -> GlobalRib:
+        self._check()
+        return self if self.best_only else GlobalRibView.over(self._ribs, True)
 
     def add(self, row: RibRoute) -> None:
-        raise TypeError("a patched global RIB is read-only")
+        raise TypeError("a global RIB view is read-only")
 
     def extend(self, rows: Iterable[RibRoute]) -> None:
-        raise TypeError("a patched global RIB is read-only")
+        raise TypeError("a global RIB view is read-only")
 
 
-def _best_rows_at(
-    rib: DeviceRib, slots: Mapping[str, Iterable[Prefix]]
-) -> Iterator[RibRoute]:
-    """Best/ECMP rows of ``rib`` at ``slots``, in the order ``all_rows`` has them.
+#: a view made as a patch of a base view (its constructor)
+PatchedGlobalRib = GlobalRibView
 
-    ``slots`` lists, per VRF, prefixes in the order the RIB holds them.
-    """
-    for vrf in rib.vrfs:
-        for prefix in slots.get(vrf, ()):
-            for route, route_type in rib.entries_for(prefix, vrf):
-                if route_type in _BEST_TYPES:
-                    yield RibRoute(rib.device, vrf, route, route_type)
+
+class WithGlobalRib:
+    """Mixin giving a result that carries ``device_ribs`` its global RIB."""
+
+    device_ribs: Mapping[str, DeviceRib]
+
+    def global_rib(self, best_only: bool = False) -> GlobalRib:
+        rib = GlobalRib.from_device_ribs(self.device_ribs.values())
+        return rib.best_routes() if best_only else rib

@@ -29,7 +29,7 @@ from repro.routing.inputs import InputRoute, build_local_input_routes
 from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import (
     DeviceRib,
-    GlobalRib,
+    WithGlobalRib,
     ROUTE_TYPE_BEST,
     ROUTE_TYPE_CANDIDATE,
     ROUTE_TYPE_ECMP,
@@ -37,7 +37,7 @@ from repro.routing.rib import (
 
 
 @dataclass
-class SimulationResult:
+class SimulationResult(WithGlobalRib):
     """Output of one route-simulation (sub)task.
 
     ``device_ribs`` always cover every input prefix. ``bgp`` is the
@@ -58,10 +58,6 @@ class SimulationResult:
     #: the equivalence classes the solve was reduced by; ``None`` when it
     #: ran on the raw inputs.
     route_ecs: Optional[PrefixGroupEcIndex] = None
-
-    def global_rib(self, best_only: bool = False) -> GlobalRib:
-        rib = GlobalRib.from_device_ribs(self.device_ribs.values())
-        return rib.best_routes() if best_only else rib
 
     @property
     def stats(self) -> BgpStats:

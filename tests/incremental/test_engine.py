@@ -368,6 +368,29 @@ class TestPipelineIntegration:
         assert scanned[False] >= 2 * rows
         assert 0 < scanned[True] < rows
 
+    def test_a_bounded_check_flattens_no_global_rib(self):
+        plan = ChangePlan(
+            name="add-static",
+            change_type="static-route-modification",
+            device_commands={"A": ["ip route 172.20.0.0/16 10.255.0.2"]},
+            intents=[RclIntent("not prefix = 172.20.0.0/16 => PRE = POST")],
+        )
+        built = {}
+        for incremental in (True, False):
+            verifier = small_verifier(incremental=incremental)
+            verifier.prepare_base()
+            assert not verifier.base_world.global_rib.built
+            report = verifier.verify(plan)
+            assert report.ok
+            views = (verifier.base_world.global_rib, report.updated_world.global_rib)
+            span = report.trace.find("check_intents")
+            built[incremental] = span.meta["tables_built"]
+            assert report.trace.total("rib.tables_built") == built[incremental]
+            assert built[incremental] == sum(view.built for view in views)
+        # the patch path compares the dropped and installed rows alone; the
+        # full run needs both whole tables
+        assert built == {True: 0, False: 2}
+
 
 class TestStatsDescribe:
     def test_mode_lines(self):

@@ -348,7 +348,7 @@ def test_pre_equals_post_iff_identity_sets(base, updated):
 @given(base=ribs(), updated=ribs())
 def test_guard_equals_manual_filter(base, updated):
     guarded = check("device = A => PRE |> count() = 2", base, updated)
-    manual = len(base.filter(lambda r: r.device == "A")) == 2
+    manual = sum(r.device == "A" for r in base) == 2
     assert guarded == manual
 
 

@@ -142,12 +142,6 @@ class TestGlobalRib:
         grib = GlobalRib.from_device_ribs([rib])
         assert len(grib) == 1
 
-    def test_filter_and_distinct(self):
-        grib = GlobalRib(self.rows())
-        filtered = grib.filter(lambda r: r.device == "A")
-        assert len(filtered) == 2
-        assert grib.distinct_values("device") == {"A", "B"}
-
     def test_best_routes_drops_candidates(self):
         grib = GlobalRib(self.rows())
         assert len(grib.best_routes()) == 2
@@ -156,12 +150,19 @@ class TestGlobalRib:
         rows = self.rows()
         assert GlobalRib(rows) == GlobalRib(list(reversed(rows)))
         assert GlobalRib(rows) != GlobalRib(rows[:1])
-        assert (GlobalRib(rows) == object()) is NotImplemented or True
+        assert GlobalRib(rows).__eq__(object()) is NotImplemented
+        assert GlobalRib(rows) != object()
 
-    def test_merged_with(self):
-        left = GlobalRib(self.rows()[:1])
-        right = GlobalRib(self.rows()[1:])
-        assert len(left.merged_with(right)) == 3
+    def test_a_view_equals_the_table_of_its_rows(self):
+        rib = DeviceRib("A")
+        rib.install(route("10.0.0.0/24"))
+        rib.install(route("10.0.0.0/24", nh="3.0.0.1"), route_type=ROUTE_TYPE_CANDIDATE)
+        view = GlobalRib.from_device_ribs([rib])
+        best = view.best_routes()
+        table = GlobalRib(rib.all_rows())
+        assert view == table and table == view
+        assert best == table.best_routes() and table.best_routes() == best
+        assert best != table and table != best
 
     def test_str_truncates(self):
         grib = GlobalRib(
