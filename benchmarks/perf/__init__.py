@@ -6,9 +6,7 @@ Times the three hot layers on small/medium synthetic WANs and writes
 * **route-sim** — one ``RouteSimulator.simulate`` pass (the BGP fixpoint
   dominates), small and medium WAN;
 * **traffic-sim** — ``TrafficSimulator.simulate`` over a converged WAN,
-  with the data-plane flags on vs. off;
-* **distributed e2e** — ``DistributedRouteSimulation.run`` with thread
-  workers vs. ``processes=True``.
+  with the data-plane flags on vs. off.
 
 Run ``python -m benchmarks.perf`` to regenerate the report, or
 ``python -m benchmarks.perf --smoke`` (CI) to run the quick subset and fail
@@ -33,7 +31,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import perfopts
-from repro.exec import CentralizedBackend, DistributedBackend, RouteSimRequest
+from repro.exec import CentralizedBackend, RouteSimRequest
 from repro.obs import RunContext
 from repro.traffic import TrafficSimulator
 from repro.workload.flows import generate_flows
@@ -176,55 +174,6 @@ def bench_traffic_sim(
         "flow_ecs": len(check_on.ec_index.classes),
         "phases_seconds": _phase_seconds(
             last["ctx"], ("traffic.compile", "traffic.forward", "traffic.merge")
-        ),
-    }
-
-
-def bench_distributed_e2e(repeats: int) -> Dict[str, Any]:
-    """Distributed route simulation: thread pool vs. process pool."""
-    model, inventory = generate_wan(WanParams(regions=3, seed=7))
-    inputs = generate_input_routes(inventory, n_prefixes=120, seed=7)
-    last: Dict[str, Any] = {}
-
-    def run(mode: str) -> Any:
-        backend = DistributedBackend(mode=mode)
-        ctx = RunContext("bench")
-        outcome = backend.run_routes(
-            RouteSimRequest(model=model, inputs=inputs, subtasks=8, workers=2),
-            ctx,
-        )
-        last[mode] = ctx
-        return outcome
-
-    # Wall-clock here, not CPU time: process mode moves the work into child
-    # processes, whose CPU the parent's process_time() cannot see.
-    def wall_best(mode: str) -> float:
-        best: Optional[float] = None
-        for _ in range(max(1, repeats)):
-            started = time.perf_counter()
-            run(mode)
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-        return float(best)
-
-    threads = wall_best("thread")
-    procs = wall_best("process")
-    return {
-        "thread_seconds": round(threads, 4),
-        "process_seconds": round(procs, 4),
-        "process_speedup": round(threads / procs, 2) if procs else None,
-        "cpu_cores": os.cpu_count(),
-        "phases_seconds": {
-            mode: _phase_seconds(
-                last[mode], ("partition", "dispatch", "drain", "merge")
-            )
-            for mode in ("thread", "process")
-        },
-        "note": (
-            "process-mode speedup requires real cores; on few-core machines "
-            "fork/pickle overhead dominates and threads win. The >=1.5x "
-            "acceptance criterion is conditional on >=4 cores."
         ),
     }
 
@@ -397,19 +346,7 @@ def bench_large(
         out["flow_ecs"] = optimized.get("flow_ecs")
     else:
         out["rib_rows"] = optimized.get("rib_rows")
-    if scenario == "ship":
-        on_children = optimized.get("children_peak_rss_bytes")
-        off_children = unoptimized.get("children_peak_rss_bytes")
-        out["optimized_children_peak_rss_bytes"] = on_children
-        out["unoptimized_children_peak_rss_bytes"] = off_children
-        if on_children and off_children:
-            out["children_rss_reduction"] = round(off_children / on_children, 2)
     return out
-
-
-def bench_ship(preset: str = "large_smoke", prefixes: int = 200) -> Dict[str, Any]:
-    """A/B the zero-copy shipping path (process-pool distributed route sim)."""
-    return bench_large("ship", preset, prefixes, flows=0)
 
 
 #: Acceptance floor: modular must beat the distributed backend this much on
@@ -592,9 +529,8 @@ def run_large_benchmarks(
 ) -> Dict[str, Any]:
     """The standing large tier: route + traffic at ``preset`` scale.
 
-    The ``large_smoke`` suite additionally A/Bs the zero-copy shipping
-    transport (process pools are transport-bound, not sim-bound, so smoke
-    scale measures it fine without another multi-minute pass).
+    The ``large_smoke`` suite additionally runs the modular-backend and
+    k-failure scenarios.
     """
     suffix = "large_smoke" if preset == "large_smoke" else "large"
     scenarios = {
@@ -602,7 +538,6 @@ def run_large_benchmarks(
         f"traffic_sim_{suffix}": bench_large("traffic", preset, prefixes, flows),
     }
     if preset == "large_smoke":
-        scenarios["ship_route_large_smoke"] = bench_ship(preset, prefixes)
         scenarios["route_sim_modular"] = bench_modular_route(preset, prefixes)
         kfailure_params = WanParams.large_smoke()
         kfailure_params.trunk_members = 3
@@ -662,7 +597,6 @@ def run_benchmarks(smoke: bool = False, large: bool = False) -> Dict[str, Any]:
         scenarios["route_sim_medium"] = bench_route_sim(4, 200, repeats)
         scenarios["traffic_sim_medium"] = bench_traffic_sim(3, 120, 1500, repeats)
         scenarios["serve_warm"] = bench_serve_warm(3, 120, 1500, repeats)
-        scenarios["distributed_route_e2e"] = bench_distributed_e2e(repeats)
         scenarios["kfailure_sweep_medium"] = bench_kfailure_sweep()
     if large:
         scenarios.update(run_large_benchmarks(preset="large_smoke"))

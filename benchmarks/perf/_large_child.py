@@ -27,12 +27,7 @@ import time
 
 from repro import perfopts
 from repro.distsim.chaos import rib_fingerprint
-from repro.exec import (
-    CentralizedBackend,
-    DistributedBackend,
-    RouteSimRequest,
-    make_backend,
-)
+from repro.exec import CentralizedBackend, RouteSimRequest, make_backend
 from repro.obs import peak_rss_bytes
 from repro.traffic import TrafficSimulator
 from repro.workload.flows import generate_flows
@@ -87,33 +82,6 @@ def run_route(
     }
 
 
-def run_ship(params: WanParams, n_prefixes: int) -> dict:
-    """Process-mode distributed route sim: the zero-copy shipping path.
-
-    With ``shm_ship`` on, the model context crosses into pool workers as
-    one shared-memory segment; off, the pickled blob rides inline through
-    every worker's pipe. ``children_peak_rss_bytes`` (RUSAGE_CHILDREN)
-    captures the worker-side difference the master's own RSS cannot see.
-    """
-    import resource
-
-    model, inventory = generate_wan(params)
-    inputs = generate_input_routes(inventory, n_prefixes=n_prefixes, seed=7)
-    backend = DistributedBackend(mode="process")
-    started = time.perf_counter()
-    outcome = backend.run_routes(
-        RouteSimRequest(model=model, inputs=inputs, subtasks=8, workers=2)
-    )
-    seconds = time.perf_counter() - started
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
-    return {
-        "seconds": round(seconds, 4),
-        "fingerprint": rib_fingerprint(outcome.device_ribs).hex(),
-        "rib_rows": sum(r.route_count() for r in outcome.device_ribs.values()),
-        "children_peak_rss_bytes": int(children),
-    }
-
-
 def run_traffic(params: WanParams, n_prefixes: int, n_flows: int) -> dict:
     model, inventory = generate_wan(params)
     inputs = generate_input_routes(inventory, n_prefixes=n_prefixes, seed=7)
@@ -135,7 +103,7 @@ def run_traffic(params: WanParams, n_prefixes: int, n_flows: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m benchmarks.perf._large_child")
     parser.add_argument(
-        "--scenario", choices=("route", "traffic", "ship"), required=True
+        "--scenario", choices=("route", "traffic"), required=True
     )
     parser.add_argument("--preset", choices=sorted(PRESETS), default="large")
     parser.add_argument("--prefixes", type=int, default=200)
@@ -150,7 +118,7 @@ def main(argv=None) -> int:
         "--backend",
         default="centralized",
         help="execution backend for the route scenario "
-        "(centralized, modular, distributed-thread, distributed-process)",
+        "(centralized, modular, distributed-thread)",
     )
     args = parser.parse_args(argv)
 
@@ -162,8 +130,6 @@ def main(argv=None) -> int:
             setattr(perfopts.OPTS, field.name, False)
     if args.scenario == "route":
         payload = run_route(params, args.prefixes, args.backend)
-    elif args.scenario == "ship":
-        payload = run_ship(params, args.prefixes)
     else:
         payload = run_traffic(params, args.prefixes, args.flows)
     payload["peak_rss_bytes"] = peak_rss_bytes()

@@ -55,7 +55,6 @@ from repro.exec import (
     TrafficSimRequest,
     make_backend,
 )
-from repro.kfailure import PARALLEL_MODES
 from repro.obs import RunContext, TRACE_SCHEMA, configure_logging
 from repro.workload import (
     WanParams,
@@ -287,11 +286,11 @@ def cmd_rcl(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Seeded chaos smoke: the invariant check the CI job runs.
 
-    For each seed and executor mode, runs the distributed route simulation
-    under uniform fault injection and checks the chaos invariant: a run
-    that completes must produce merged RIBs byte-identical to the
-    fault-free centralized run, and a run that exhausts its retries must
-    surface dead-letter entries. Writes per-run ``RunReport`` dumps to
+    For each seed, runs the distributed route simulation under uniform
+    fault injection and checks the chaos invariant: a run that completes
+    must produce merged RIBs byte-identical to the fault-free centralized
+    run, and a run that exhausts its retries must surface dead-letter
+    entries. Writes per-run ``RunReport`` dumps to
     ``--report`` (even when the check fails) so failures can be replayed
     from the recorded seed.
     """
@@ -309,43 +308,40 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     baseline = rib_fingerprint(baseline_outcome.device_ribs)
 
-    modes = {"thread": ["thread"], "process": ["process"],
-             "both": ["thread", "process"]}
     retry = RetryPolicy(
         max_retries=args.max_retries, backoff_base=0.001, backoff_cap=0.01
     )
     runs = []
     failures = 0
     for seed in range(args.seeds):
-        for mode in modes[args.mode]:
-            policy = ChaosPolicy.uniform(seed=seed, probability=args.probability)
-            backend = DistributedBackend(mode=mode, chaos=policy, retry=retry)
-            entry = {"seed": seed, "mode": mode, "probability": args.probability}
-            try:
-                outcome = backend.run_routes(
-                    RouteSimRequest(
-                        model=model, inputs=routes,
-                        subtasks=args.subtasks, workers=args.workers,
-                    )
+        policy = ChaosPolicy.uniform(seed=seed, probability=args.probability)
+        backend = DistributedBackend(chaos=policy, retry=retry)
+        entry = {"seed": seed, "probability": args.probability}
+        try:
+            outcome = backend.run_routes(
+                RouteSimRequest(
+                    model=model, inputs=routes,
+                    subtasks=args.subtasks, workers=args.workers,
                 )
-            except TaskFailed as exc:
-                report = exc.report
-                entry["outcome"] = "dead-lettered"
-                ok = report is not None and bool(report.dead_letters)
-                if not ok:
-                    entry["outcome"] = "failed without dead letters"
-            else:
-                report = outcome.task.report
-                ok = rib_fingerprint(outcome.device_ribs) == baseline
-                entry["outcome"] = (
-                    "completed" if ok else "completed with divergent RIBs"
-                )
-            entry["ok"] = ok
-            entry["report"] = report.to_dict() if report is not None else None
-            runs.append(entry)
-            failures += 0 if ok else 1
-            print(f"seed={seed} mode={mode:7s} {entry['outcome']}"
-                  f"{'' if ok else '  INVARIANT VIOLATED'}")
+            )
+        except TaskFailed as exc:
+            report = exc.report
+            entry["outcome"] = "dead-lettered"
+            ok = report is not None and bool(report.dead_letters)
+            if not ok:
+                entry["outcome"] = "failed without dead letters"
+        else:
+            report = outcome.task.report
+            ok = rib_fingerprint(outcome.device_ribs) == baseline
+            entry["outcome"] = (
+                "completed" if ok else "completed with divergent RIBs"
+            )
+        entry["ok"] = ok
+        entry["report"] = report.to_dict() if report is not None else None
+        runs.append(entry)
+        failures += 0 if ok else 1
+        print(f"seed={seed} {entry['outcome']}"
+              f"{'' if ok else '  INVARIANT VIOLATED'}")
 
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -511,8 +507,6 @@ def cmd_kfailure(args: argparse.Namespace) -> int:
         backend=_backend_from_args(args),
         warm=not args.cold,
         prune=not args.cold,
-        parallel_mode=args.parallel,
-        workers=args.workers if args.parallel else None,
         stop_on_first_violation=args.stop_on_first,
         ctx=ctx,
     )
@@ -635,8 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of chaos seeds to sweep (0..N-1)")
     chaos.add_argument("--probability", type=float, default=0.2,
                        help="per-site fault probability")
-    chaos.add_argument("--mode", choices=["thread", "process", "both"],
-                       default="thread")
     chaos.add_argument("--max-retries", type=int, default=10)
     chaos.add_argument("--subtasks", type=int, default=4)
     chaos.add_argument("--workers", type=int, default=2)
@@ -666,9 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     kfailure.add_argument("--max-scenarios", type=int, default=None,
                           help="stop after this many scenarios (coverage "
                                "is reported exactly)")
-    kfailure.add_argument("--parallel", choices=list(PARALLEL_MODES),
-                          default=None,
-                          help="fan scenario classes out across --workers")
     kfailure.add_argument("--cold", action="store_true",
                           help="disable warm-start and pruning (baseline)")
     kfailure.add_argument("--stop-on-first", action="store_true",

@@ -219,7 +219,6 @@ class ChangeVerifier:
         if backend is None:
             if distributed:
                 backend = DistributedBackend(
-                    mode="thread",
                     route_subtasks=route_subtasks,
                     traffic_subtasks=traffic_subtasks,
                     workers=workers,

@@ -9,9 +9,9 @@ those faults — *deterministically*.
 Every injection decision is a pure function of ``(policy.seed, site, key)``,
 where ``key`` names the event (usually ``subtask_id#attempt`` plus a
 per-event sequence number). No global RNG stream is consumed, so decisions
-do not depend on thread or process scheduling: the same seed injects the
-same faults whether subtasks run serially, in a thread pool, or in worker
-processes, and a failing seed can be replayed exactly.
+do not depend on thread scheduling: the same seed injects the same faults
+whether subtasks run serially or in a thread pool, and a failing seed
+can be replayed exactly.
 
 Components:
 
@@ -63,10 +63,9 @@ SITES = {
 class ChaosPolicy:
     """Per-site fault probabilities driven by a single seed.
 
-    The policy is a plain frozen dataclass so it pickles across the process
-    boundary unchanged; worker processes rebuild their own engine from it
-    and — because decisions are keyed, not stream-based — inject the exact
-    same faults the thread-mode engine would.
+    The policy is a plain frozen dataclass; because decisions are keyed,
+    not stream-based, an engine rebuilt from it injects exactly the same
+    faults.
     """
 
     seed: int = 0
@@ -191,7 +190,7 @@ class ChaosEngine:
             return dict(self._counters)
 
     def merge_counters(self, other: Dict[str, int]) -> None:
-        """Fold a worker process's counter delta into this engine."""
+        """Fold another engine's counter delta into this one."""
         for site, n in other.items():
             self.count(site, n)
 
@@ -266,17 +265,9 @@ class ChaosObjectStore:
         self._maybe_fault("store.write", key)
         return self.base.put(key, value)
 
-    def put_blob(self, key: str, blob: bytes) -> int:
-        self._maybe_fault("store.write", key)
-        return self.base.put_blob(key, blob)
-
     def get(self, key: str) -> Any:
         self._maybe_fault("store.read", key)
         return self.base.get(key)
-
-    def get_blob(self, key: str) -> bytes:
-        self._maybe_fault("store.read", key)
-        return self.base.get_blob(key)
 
     def exists(self, key: str) -> bool:
         return self.base.exists(key)

@@ -9,9 +9,6 @@ subtasks finish, results are collected and merged.
 Execution modes:
 
 * ``run(workers=N)`` — real thread pool of N workers draining the MQ.
-* ``run(workers=N, processes=True)`` — pool of N worker *processes*;
-  subtask inputs and results cross the process boundary as pickled store
-  objects, sidestepping the GIL for CPU-bound simulation subtasks.
 * ``run(workers=1)`` then :func:`makespan` — serial execution measuring each
   subtask's true duration, from which the list-scheduling model reports the
   end-to-end time for *any* server count (how the Figure 5(a)/(b) curves are
@@ -20,28 +17,19 @@ Execution modes:
 
 from __future__ import annotations
 
-import concurrent.futures
 import heapq
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import perfopts
-from repro.distsim import shipping
 from repro.distsim.chaos import ChaosEngine, ChaosMessageQueue, ChaosObjectStore, ChaosPolicy
 from repro.distsim.mq import DeadLetter, DeadLetterQueue, Message, MessageQueue
 from repro.distsim.partition import OrderingPartitioner, ranges_of_prefixes
 from repro.distsim.storage import ObjectStore
 from repro.distsim.taskdb import FINISHED, SubtaskDB, SubtaskRecord
-from repro.distsim.worker import (
-    Worker,
-    WorkerConfig,
-    init_process_worker,
-    merge_device_ribs,
-    run_subtask_in_process,
-)
+from repro.distsim.worker import Worker, WorkerConfig, merge_device_ribs
 from repro.net.model import NetworkModel
 from repro.obs import RunContext, ensure_context
 from repro.routing.inputs import InputRoute
@@ -226,15 +214,14 @@ class _TaskRunner:
         self,
         workers: int,
         messages: Dict[str, Message],
-        processes: bool = False,
         ctx: Optional[RunContext] = None,
     ) -> RunReport:
         """Run subtasks until each is finished or dead-lettered.
 
-        Workers (threads or processes) drain the queue; between rounds the
-        master inspects the DB and re-pushes every subtask that is neither
-        finished nor dead-lettered — covering worker failures *and* messages
-        lost before any worker saw them. Retries obey the retry policy's
+        Worker threads drain the queue; between rounds the master inspects
+        the DB and re-pushes every subtask that is neither finished nor
+        dead-lettered — covering worker failures *and* messages lost before
+        any worker saw them. Retries obey the retry policy's
         capped exponential backoff; poison subtasks land in the DLQ with the
         last failure reason, and the run raises :class:`TaskFailed` rather
         than silently returning partial results.
@@ -244,11 +231,8 @@ class _TaskRunner:
         report = RunReport(
             seed=self.chaos_policy.seed if self.chaos_policy is not None else None
         )
-        with ctx.span("drain", mode="process" if processes else "thread") as span:
-            if processes:
-                self._drain_processes(workers, messages, report, ctx)
-            else:
-                self._drain_threads(workers, messages, report, ctx)
+        with ctx.span("drain") as span:
+            self._drain_threads(workers, messages, report, ctx)
 
             # The recovery telemetry is a view over the drain span's
             # counters, not independently-maintained state.
@@ -387,159 +371,6 @@ class _TaskRunner:
             if not self._supervise(messages, report, ctx):
                 return
 
-    # -- process mode ----------------------------------------------------------
-
-    def _drain_processes(
-        self,
-        workers: int,
-        messages: Dict[str, Message],
-        report: RunReport,
-        ctx: RunContext,
-    ) -> None:
-        """Consume the queue with a pool of worker processes.
-
-        The store, DB, and MQ live in the master; each job ships the message
-        plus every store object the subtask reads as pickled blobs, and the
-        child's result blob and record fields are applied back here. The
-        same supervision loop as thread mode re-dispatches failed or lost
-        subtasks between rounds, reusing one process pool throughout.
-
-        The simulation context (model, IGP, worker config, chaos policy) is
-        serialized exactly once and shipped through one shared-memory
-        segment (``repro.distsim.shipping``): each worker's ``initargs``
-        carry only the segment token, and workers deserialize lazily on
-        their first subtask. With the ``shm_ship`` flag off the token
-        inlines the pickled bytes — same results, classic transport.
-        """
-        try:
-            shipped = shipping.ship(
-                (self.model, self.igp, self.worker_config, self.chaos_policy)
-            )
-        except Exception as exc:
-            raise ValueError(
-                "processes=True requires a picklable model and worker config "
-                "(a closure failure_hook cannot cross the process boundary; "
-                "use a module-level hook or threads instead)"
-            ) from exc
-        ctx.count("distsim.ship_bytes", shipped.nbytes)
-        if shipped.via_shared_memory:
-            ctx.count("distsim.ship_shm_segments")
-
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max(1, workers),
-                initializer=init_process_worker,
-                initargs=(shipped.token,),
-            ) as pool:
-                self._drain_process_rounds(pool, messages, report, ctx)
-        finally:
-            shipped.close()
-
-    def _drain_process_rounds(
-        self,
-        pool: concurrent.futures.ProcessPoolExecutor,
-        messages: Dict[str, Message],
-        report: RunReport,
-        ctx: RunContext,
-    ) -> None:
-        """Dispatch/collect rounds against an already-initialized pool."""
-        while True:
-            ctx.count("distsim.rounds")
-            pending: Dict[concurrent.futures.Future, Message] = {}
-            while True:
-                message = self.mq.pop()
-                if message is None:
-                    break
-                record = self.db.get(message.subtask_id)
-                if record.status == FINISHED and record.result_key:
-                    # Duplicate delivery of a finished subtask: skip the
-                    # dispatch entirely (idempotent upload).
-                    if self.chaos is not None:
-                        self.chaos.count("worker.duplicate_skip")
-                    continue
-                job_blob = pickle.dumps(
-                    self._process_job(message),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                pending[pool.submit(run_subtask_in_process, job_blob)] = message
-            while pending:
-                done, _ = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    message = pending.pop(future)
-                    outcome: Dict[str, Any] = pickle.loads(future.result())
-                    if self.chaos is not None and outcome.get("chaos_counters"):
-                        self.chaos.merge_counters(outcome["chaos_counters"])
-                    self._apply_outcome(message, outcome)
-            if not self._supervise(messages, report, ctx):
-                return
-
-    def _process_job(self, message: Message) -> Dict[str, Any]:
-        """Collect everything a subtask reads from the store into one job."""
-        input_key = message.payload["input_key"]
-        job: Dict[str, Any] = {
-            "message": message,
-            "input_blob": self.store.get_blob(input_key),
-        }
-        context_key = message.payload.get("context_key")
-        if context_key is not None:
-            job["context_blob"] = self.store.get_blob(context_key)
-        if message.kind == "traffic":
-            # Dependency pre-selection happens master-side (the child has no
-            # DB); the child re-runs the overlap check against the shipped
-            # records, which selects exactly this set.
-            selector = Worker(
-                "master-select", self.model, self.igp, self.store, self.db,
-                self.worker_config,
-            )
-            flows = pickle.loads(job["input_blob"])
-            keys = set(selector._select_rib_files(message, flows))
-            records = [
-                record
-                for record in self.db.all(kind="route")
-                if record.result_key in keys
-            ]
-            job["route_records"] = records
-            job["rib_blobs"] = {
-                record.result_key: self.store.get_blob(record.result_key)
-                for record in records
-            }
-        return job
-
-    def _apply_outcome(self, message: Message, outcome: Dict[str, Any]) -> None:
-        """Apply a process-mode subtask outcome to the master store and DB.
-
-        Idempotent: once a subtask is FINISHED with a result, later outcomes
-        for the same subtask (duplicate deliveries racing in one round) are
-        dropped rather than downgrading or re-writing the record.
-        """
-        record = self.db.get(message.subtask_id)
-        if record.status == FINISHED and record.result_key:
-            if self.chaos is not None:
-                self.chaos.count("worker.duplicate_skip")
-            return
-        if outcome["status"] == FINISHED:
-            self.store.put_blob(outcome["result_key"], outcome["result_blob"])
-            self.db.update(
-                message.subtask_id,
-                status=FINISHED,
-                attempts=message.attempt,
-                duration=outcome["duration"],
-                ranges=outcome["ranges"],
-                cost_units=outcome["cost_units"],
-                loaded_rib_files=outcome["loaded_rib_files"],
-                result_key=outcome["result_key"],
-            )
-        else:
-            self.db.mark_failed(
-                message.subtask_id,
-                message.kind,
-                outcome["error"],
-                attempts=message.attempt,
-                duration=outcome["duration"],
-            )
-
 
 class DistributedRouteSimulation(_TaskRunner):
     """Distributed route simulation (100 subtasks in the paper)."""
@@ -549,7 +380,6 @@ class DistributedRouteSimulation(_TaskRunner):
         input_routes: Sequence[InputRoute],
         subtasks: int = 100,
         workers: int = 1,
-        processes: bool = False,
         partitioner=None,
         task_name: str = "route-task",
         ctx: Optional[RunContext] = None,
@@ -561,7 +391,6 @@ class DistributedRouteSimulation(_TaskRunner):
             task=task_name,
             subtasks=subtasks,
             workers=workers,
-            mode="process" if processes else "thread",
         ):
             partitioner = partitioner or OrderingPartitioner()
             with ctx.span("partition", strategy=partitioner.name):
@@ -613,7 +442,7 @@ class DistributedRouteSimulation(_TaskRunner):
                 task=task_name, dispatched=len(messages), skipped=skipped,
             )
 
-            report = self._drain(workers, messages, processes=processes, ctx=ctx)
+            report = self._drain(workers, messages, ctx=ctx)
             task_ids = list(messages)
 
             with ctx.span("merge"):
@@ -655,7 +484,6 @@ class DistributedTrafficSimulation(_TaskRunner):
         flows: Sequence[Flow],
         subtasks: int = 128,
         workers: int = 1,
-        processes: bool = False,
         partitioner=None,
         task_name: str = "traffic-task",
         ctx: Optional[RunContext] = None,
@@ -667,7 +495,6 @@ class DistributedTrafficSimulation(_TaskRunner):
             task=task_name,
             subtasks=subtasks,
             workers=workers,
-            mode="process" if processes else "thread",
         ):
             partitioner = partitioner or OrderingPartitioner()
             with ctx.span("partition", strategy=partitioner.name):
@@ -694,7 +521,7 @@ class DistributedTrafficSimulation(_TaskRunner):
                     self.mq.push(message)
             ctx.count("distsim.subtasks_dispatched", len(messages))
 
-            report = self._drain(workers, messages, processes=processes, ctx=ctx)
+            report = self._drain(workers, messages, ctx=ctx)
             task_ids = list(messages)
 
             with ctx.span("merge"):

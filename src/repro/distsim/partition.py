@@ -62,26 +62,6 @@ def _keep_same_prefix_together(
     return chunks
 
 
-def interleave_by_priority(
-    items: Sequence, batches: int, priority: Callable[[object], float]
-) -> List[List]:
-    """Deal items round-robin in descending-priority order.
-
-    Used by the k-failure frontier fan-out: with the heaviest scenarios
-    (largest blast radius) dealt first, every batch starts on expensive
-    work immediately and the per-batch loads stay balanced — a contiguous
-    split of a priority-sorted list would hand one batch all the heavy
-    scenarios and leave the rest idle at the tail. Ties keep the input
-    order (``sorted`` is stable), so batch contents are deterministic.
-    Empty batches are returned (not dropped) when items run short.
-    """
-    dealt: List[List] = [[] for _ in range(max(1, batches))]
-    ordered = sorted(items, key=priority, reverse=True)
-    for index, item in enumerate(ordered):
-        dealt[index % len(dealt)].append(item)
-    return dealt
-
-
 def ranges_of_prefixes(prefixes: Sequence[Prefix]) -> List[PrefixRange]:
     """Per-family spanning ranges of a prefix set."""
     by_family: Dict[int, List[Prefix]] = {}

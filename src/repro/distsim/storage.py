@@ -56,19 +56,6 @@ class ObjectStore:
     def get(self, key: str) -> Any:
         return pickle.loads(self.get_blob(key))
 
-    def put_blob(self, key: str, blob: bytes) -> int:
-        """Store an already-serialized object (process-mode transfers).
-
-        Process workers return their results as pickled bytes; storing the
-        blob as-is avoids a deserialize/re-serialize round trip while keeping
-        the write accounting identical to :meth:`put`.
-        """
-        with self._lock:
-            self._objects[key] = blob
-            self.stats.writes += 1
-            self.stats.bytes_written += len(blob)
-        return len(blob)
-
     def get_blob(self, key: str) -> bytes:
         """Fetch the raw serialized bytes of an object (counts as a read)."""
         with self._lock:

@@ -9,15 +9,13 @@ can depend on (the ordering heuristic's payoff, Figure 5(d)).
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.distsim.mq import Message, MessageQueue
+from repro.distsim.mq import Message
 from repro.distsim.storage import ObjectStore
-from repro.distsim.taskdb import FINISHED, RUNNING, SubtaskDB, SubtaskRecord
+from repro.distsim.taskdb import FINISHED, RUNNING, SubtaskDB
 from repro.net.addr import PrefixRange
 from repro.net.model import NetworkModel
 from repro.routing.isis import IgpState
@@ -90,8 +88,7 @@ class Worker:
         self.config = config or WorkerConfig()
         #: optional repro.distsim.chaos.ChaosEngine injecting faults
         self.chaos = chaos
-        #: optional repro.obs.RunContext for subtask counters (None inside
-        #: process-mode children, whose counters cannot cross the boundary)
+        #: optional repro.obs.RunContext for subtask counters
         self.ctx = ctx
         self._route_simulator = RouteSimulator(
             model, igp=igp, include_connected=False
@@ -282,102 +279,3 @@ class Worker:
             if overlap:
                 selected.append(record.result_key)
         return selected
-
-
-# -- process-mode execution ----------------------------------------------------
-#
-# ``run(..., processes=True)`` executes subtasks in worker *processes*. The
-# master's store/DB/MQ are not shared across the process boundary; instead
-# each job ships the subtask message plus every store object it needs as
-# pickled blobs, and the child returns its result and DB record fields the
-# same way. The entry points below are module-level so they pickle under any
-# multiprocessing start method (spawn included).
-#
-# The simulation context arrives as a ``repro.distsim.shipping`` token —
-# either the name of a shared-memory segment the master wrote once, or the
-# inline pickled bytes — and is deserialized lazily on the first subtask so
-# pool start-up stays O(token), not O(context).
-
-#: shipping token installed by the pool initializer.
-_PROCESS_TOKEN: Optional[Any] = None
-#: lazily materialized (model, igp, worker config, chaos policy).
-_PROCESS_CONTEXT: Optional[Tuple] = None
-
-
-def init_process_worker(token: Any) -> None:
-    """Pool initializer: stage the shipped simulation context."""
-    global _PROCESS_TOKEN, _PROCESS_CONTEXT
-    _PROCESS_TOKEN = token
-    _PROCESS_CONTEXT = None
-
-
-def _process_context() -> Tuple:
-    """The worker-process context, deserialized on first use."""
-    global _PROCESS_CONTEXT
-    if _PROCESS_CONTEXT is None:
-        if _PROCESS_TOKEN is None:
-            raise RuntimeError("worker process used before init_process_worker")
-        from repro.distsim import shipping
-
-        _PROCESS_CONTEXT = shipping.load(_PROCESS_TOKEN)
-    return _PROCESS_CONTEXT
-
-
-def run_subtask_in_process(job_blob: bytes) -> bytes:
-    """Execute one subtask inside a worker process.
-
-    The job carries the message, its input object, and — for traffic
-    subtasks — the route records and RIB result files the master
-    pre-selected. A private store/DB are populated with those objects so the
-    regular :meth:`Worker.handle` path runs unchanged; the resulting record
-    fields and result blob are pickled back to the master.
-
-    When a chaos policy is in the context, the child builds its own engine
-    from it. Decisions are keyed on (seed, site, event), not an RNG stream,
-    so the child injects exactly the faults the thread-mode engine would;
-    its fault counters travel back in the outcome for the master to merge.
-    """
-    model, igp, config, chaos_policy = _process_context()
-    job: Dict[str, Any] = pickle.loads(job_blob)
-    message: Message = job["message"]
-
-    store = ObjectStore()
-    db = SubtaskDB()
-    store.put_blob(message.payload["input_key"], job["input_blob"])
-    if "context_blob" in job:
-        store.put_blob(message.payload["context_key"], job["context_blob"])
-    for record in job.get("route_records", []):
-        db.register(record)
-        store.put_blob(record.result_key, job["rib_blobs"][record.result_key])
-    db.register(SubtaskRecord(subtask_id=message.subtask_id, kind=message.kind))
-
-    chaos = None
-    worker_store = store
-    if chaos_policy is not None:
-        from repro.distsim.chaos import ChaosEngine, ChaosObjectStore
-
-        chaos = ChaosEngine(chaos_policy)
-        worker_store = ChaosObjectStore(store, chaos)
-
-    worker = Worker(
-        f"proc-{os.getpid()}", model, igp, worker_store, db, config, chaos=chaos
-    )
-    ok = worker.handle(message)
-    record = db.get(message.subtask_id)
-    result_blob = (
-        store.get_blob(record.result_key) if ok and record.result_key else None
-    )
-    return pickle.dumps(
-        {
-            "status": record.status,
-            "error": record.error,
-            "duration": record.duration,
-            "ranges": record.ranges,
-            "cost_units": record.cost_units,
-            "loaded_rib_files": record.loaded_rib_files,
-            "result_key": record.result_key,
-            "result_blob": result_blob,
-            "chaos_counters": chaos.counters() if chaos is not None else {},
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )

@@ -4,8 +4,8 @@ The one place that knows how simulation requests turn into work:
 
 * :class:`CentralizedBackend` — in-process (optionally the chunked
   Figure-1 runner with a memory budget);
-* :class:`DistributedBackend` — master/worker framework, thread or
-  process pools, chaos/retry passthrough;
+* :class:`DistributedBackend` — master/worker framework on a thread
+  pool, chaos/retry passthrough;
 * :class:`ModularBackend` — summary-guided per-region verification with
   widen-to-full fallback (byte-identical to centralized);
 * :class:`IncrementalBackend` — warm-start decorator splicing partial

@@ -6,15 +6,14 @@ dispatches through one :class:`ExecutionBackend` instead of branching on
 "centralized vs distributed vs incremental" at each call site. A backend
 takes a :class:`RouteSimRequest` / :class:`TrafficSimRequest` and returns a
 :class:`RouteSimOutcome` / :class:`TrafficSimOutcome`; *how* the work runs
-(in-process, thread workers, process workers, warm-started) is the
-backend's business.
+(in-process, thread workers, warm-started) is the backend's business.
 
 Implementations:
 
 * :class:`~repro.exec.centralized.CentralizedBackend` — in-process
   simulation (optionally the chunked Figure-1 runner with a memory budget);
 * :class:`~repro.exec.distributed.DistributedBackend` — the master/worker
-  framework with thread or process pools;
+  framework with a thread pool;
 * :class:`~repro.exec.incremental.IncrementalBackend` — a decorator that
   warm-starts route simulation from the base world's RIBs when the request
   carries a :class:`~repro.exec.incremental.WarmStart`.
@@ -178,14 +177,11 @@ def run_traffic_in_process(
     request: TrafficSimRequest,
     ctx: RunContext,
     backend: str,
-    workers: Optional[int] = None,
-    parallel_mode: str = "thread",
 ) -> TrafficSimOutcome:
     """The in-process traffic path every backend shares.
 
     Simulates over ``request.device_ribs`` (or the route outcome's) inside
-    one ``traffic_sim`` span tagged ``backend``; ``request.workers``
-    overrides the backend's default ``workers``.
+    one ``traffic_sim`` span tagged ``backend``.
     """
     route = request.route_outcome
     device_ribs = request.device_ribs
@@ -196,19 +192,11 @@ def run_traffic_in_process(
     igp = request.igp
     if igp is None and route is not None:
         igp = route.igp
-    if request.workers is not None:
-        workers = request.workers
     with ctx.span("traffic_sim", backend=backend, flows=len(request.flows)), \
             resource_accounting(ctx):
         ctx.count("traffic_sim.calls")
         simulator = TrafficSimulator(request.model, device_ribs, igp=igp)
-        result = simulator.simulate(
-            request.flows,
-            ctx=ctx,
-            workers=workers,
-            parallel_mode=parallel_mode,
-            reuse=request.reuse,
-        )
+        result = simulator.simulate(request.flows, ctx=ctx, reuse=request.reuse)
         ctx.count("traffic_sim.cost_units", result.cost_units)
         return TrafficSimOutcome(
             loads=result.loads,
@@ -243,7 +231,6 @@ class ExecutionBackend(abc.ABC):
 BACKEND_NAMES = (
     "centralized",
     "distributed-thread",
-    "distributed-process",
     "modular",
 )
 
@@ -264,9 +251,7 @@ def make_backend(name: str = "centralized", **options: Any) -> ExecutionBackend:
     if name == "centralized":
         return CentralizedBackend(**options)
     if name == "distributed-thread":
-        return DistributedBackend(mode="thread", **options)
-    if name == "distributed-process":
-        return DistributedBackend(mode="process", **options)
+        return DistributedBackend(**options)
     if name == "modular":
         return ModularBackend(**options)
     raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")

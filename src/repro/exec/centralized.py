@@ -40,17 +40,11 @@ class CentralizedBackend(ExecutionBackend):
         chunked: bool = False,
         memory_limit_rows: Optional[int] = None,
         chunk_size: int = 64,
-        traffic_workers: Optional[int] = None,
-        traffic_parallel_mode: str = "thread",
     ) -> None:
         self.max_rounds = max_rounds
         self.chunked = chunked or memory_limit_rows is not None
         self.memory_limit_rows = memory_limit_rows
         self.chunk_size = chunk_size
-        #: default forwarding fan-out for traffic requests (request.workers
-        #: overrides per call); results are worker-count independent.
-        self.traffic_workers = traffic_workers
-        self.traffic_parallel_mode = traffic_parallel_mode
         self.name = "centralized-chunked" if self.chunked else "centralized"
 
     def run_routes(
@@ -96,10 +90,4 @@ class CentralizedBackend(ExecutionBackend):
     def run_traffic(
         self, request: TrafficSimRequest, ctx: Optional[RunContext] = None
     ) -> TrafficSimOutcome:
-        return run_traffic_in_process(
-            request,
-            ensure_context(ctx),
-            self.name,
-            self.traffic_workers,
-            self.traffic_parallel_mode,
-        )
+        return run_traffic_in_process(request, ensure_context(ctx), self.name)

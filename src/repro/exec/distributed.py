@@ -1,4 +1,4 @@
-"""Distributed execution backend: master/worker with thread or process pools.
+"""Distributed execution backend: master/worker with a thread pool.
 
 Each ``run_routes`` builds a fresh
 :class:`~repro.distsim.master.DistributedRouteSimulation` (fresh MQ, object
@@ -35,18 +35,15 @@ from repro.obs import RunContext, ensure_context
 from repro.routing.connected import install_connected_routes
 from repro.routing.inputs import InputRoute, build_local_input_routes
 
-#: Supported worker-pool modes.
-MODES = ("thread", "process")
-
 
 class DistributedBackend(ExecutionBackend):
     """Execution through the distributed master/worker framework."""
 
     is_distributed = True
+    name = "distributed-thread"
 
     def __init__(
         self,
-        mode: str = "thread",
         route_subtasks: int = 100,
         traffic_subtasks: int = 128,
         workers: int = 1,
@@ -55,9 +52,6 @@ class DistributedBackend(ExecutionBackend):
         max_retries: int = 3,
         worker_config: Optional[WorkerConfig] = None,
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        self.mode = mode
         self.route_subtasks = route_subtasks
         self.traffic_subtasks = traffic_subtasks
         self.workers = workers
@@ -65,11 +59,6 @@ class DistributedBackend(ExecutionBackend):
         self.retry = retry
         self.max_retries = max_retries
         self.worker_config = worker_config
-        self.name = f"distributed-{mode}"
-
-    @property
-    def processes(self) -> bool:
-        return self.mode == "process"
 
     def run_routes(
         self, request: RouteSimRequest, ctx: Optional[RunContext] = None
@@ -97,7 +86,6 @@ class DistributedBackend(ExecutionBackend):
                 inputs,
                 subtasks=subtasks,
                 workers=workers,
-                processes=self.processes,
                 partitioner=request.partitioner,
                 task_name=request.task_name,
                 ctx=ctx,
@@ -140,7 +128,6 @@ class DistributedBackend(ExecutionBackend):
                     request.flows,
                     subtasks=subtasks,
                     workers=workers,
-                    processes=self.processes,
                     partitioner=request.partitioner,
                     task_name=request.task_name,
                     ctx=ctx,
@@ -152,6 +139,4 @@ class DistributedBackend(ExecutionBackend):
                     task=task,
                 )
         # No route-task artifacts to share: run in-process over merged RIBs.
-        return run_traffic_in_process(
-            request, ctx, "centralized", self.workers, self.mode
-        )
+        return run_traffic_in_process(request, ctx, "centralized")

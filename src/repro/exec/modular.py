@@ -93,8 +93,6 @@ class ModularBackend(ExecutionBackend):
         exchange_rounds: int = DEFAULT_EXCHANGE_ROUNDS,
         assume: Optional[Mapping[str, RegionSummary]] = None,
         summary_store=None,
-        traffic_workers: Optional[int] = None,
-        traffic_parallel_mode: str = "thread",
     ) -> None:
         self.max_rounds = max_rounds
         self.exchange_rounds = exchange_rounds
@@ -102,8 +100,6 @@ class ModularBackend(ExecutionBackend):
         #: back to full simulation with structured counter-examples.
         self.assume = dict(assume) if assume else None
         self.summary_store = summary_store
-        self.traffic_workers = traffic_workers
-        self.traffic_parallel_mode = traffic_parallel_mode
         self._states: "OrderedDict[int, _SolveState]" = OrderedDict()
         #: the most recent solve's full outcome (summaries, violations,
         #: exchange stats) — inspectable by callers and tests.
@@ -330,13 +326,7 @@ class ModularBackend(ExecutionBackend):
     def run_traffic(
         self, request: TrafficSimRequest, ctx: Optional[RunContext] = None
     ) -> TrafficSimOutcome:
-        return run_traffic_in_process(
-            request,
-            ensure_context(ctx),
-            self.name,
-            self.traffic_workers,
-            self.traffic_parallel_mode,
-        )
+        return run_traffic_in_process(request, ensure_context(ctx), self.name)
 
     # -- state / cache --------------------------------------------------------
 

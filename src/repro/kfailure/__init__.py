@@ -3,7 +3,7 @@
 Public surface of the k-failure engine, which replaced an exhaustive
 per-scenario checker: solve the base fixpoint once, bound every failure
 scenario's blast radius against it, dedupe scenarios into blast-fingerprint
-equivalence classes, and fan the surviving classes out across worker pools.
+equivalence classes, and solve each surviving class once as a warm delta.
 """
 
 from repro.kfailure.blast import (
@@ -13,12 +13,6 @@ from repro.kfailure.blast import (
     adjacency_digest,
 )
 from repro.kfailure.engine import KFailureEngine
-from repro.kfailure.parallel import (
-    PARALLEL_MODES,
-    ClassJob,
-    FrontierExecutor,
-    solve_class,
-)
 from repro.kfailure.result import (
     KFailureResult,
     KFailureViolation,
@@ -33,12 +27,9 @@ from repro.kfailure.scenarios import (
 )
 
 __all__ = [
-    "PARALLEL_MODES",
-    "ClassJob",
     "ClassKey",
     "FailureBlastAnalyzer",
     "FailureScenario",
-    "FrontierExecutor",
     "KFailureEngine",
     "KFailureResult",
     "KFailureViolation",
@@ -49,5 +40,4 @@ __all__ = [
     "enumerate_scenarios",
     "reachability_property",
     "scenario_space_size",
-    "solve_class",
 ]

@@ -87,11 +87,6 @@ class ScenarioEffect:
         """The scenario cannot move any RIB slot of any up device."""
         return self.blast.is_empty and not self.failed_routers
 
-    @property
-    def priority(self) -> int:
-        """Exploration priority: largest blast radius first."""
-        return len(self.covered_inputs)
-
 
 class FailureBlastAnalyzer:
     """Bounds failure scenarios against one solved base fixpoint."""
@@ -189,10 +184,6 @@ class FailureBlastAnalyzer:
             adjacency_digest(work_model),
             dead_ebgp,
         )
-
-    def igp_for(self, key: ClassKey) -> Optional[IgpState]:
-        """The cached scenario IGP of a class (present after effect())."""
-        return self._igp_by_digest.get(key[1])
 
     # -- per-class effect (IGP solve, cached by adjacency digest) -----------
 

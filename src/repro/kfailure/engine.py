@@ -19,9 +19,8 @@ against it:
   contract: properties must be functions of the device RIBs and the failed
   element sets (both identical within a class) — true of every shipped
   property.
-* **Parallel frontier fan-out** — classes fan out across thread or process
-  workers (base state shipped once via shared memory), priority-ordered
-  largest-blast-first, with optional early exit at the first violation.
+* **Early exit** — with ``stop_on_first_violation`` the scenario walk
+  stops at the first violating scenario.
 
 ``warm=False, prune=False`` reproduces the legacy exhaustive checker
 move-for-move (modulo the missing-link fix) — the cold baseline the
@@ -32,17 +31,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.exec import (
-    CentralizedBackend,
-    ExecutionBackend,
-    RouteSimOutcome,
-    RouteSimRequest,
-)
+from repro.exec import CentralizedBackend, ExecutionBackend, RouteSimRequest
 from repro.exec.base import TrafficSimOutcome, TrafficSimRequest
 from repro.exec.incremental import IncrementalBackend, WarmStart
 from repro.incremental.engine import IncrementalEngine
-from repro.kfailure.blast import ClassKey, FailureBlastAnalyzer, ScenarioEffect
-from repro.kfailure.parallel import PARALLEL_MODES, ClassJob, FrontierExecutor
+from repro.kfailure.blast import ClassKey, FailureBlastAnalyzer
 from repro.kfailure.result import (
     KFailureResult,
     KFailureViolation,
@@ -103,22 +96,11 @@ class KFailureEngine:
         backend: Optional[ExecutionBackend] = None,
         warm: bool = True,
         prune: bool = True,
-        parallel_mode: Optional[str] = None,
-        workers: Optional[int] = None,
         stop_on_first_violation: bool = False,
         links: Optional[Sequence[Link]] = None,
         routers: Optional[Sequence[str]] = None,
         ctx: Optional[RunContext] = None,
     ) -> None:
-        if parallel_mode is not None and parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {parallel_mode!r}; "
-                f"expected one of {PARALLEL_MODES}"
-            )
-        if parallel_mode is not None and not (warm and prune):
-            raise ValueError(
-                "parallel frontier fan-out requires warm=True and prune=True"
-            )
         self.model = model
         self.inputs: List[InputRoute] = list(input_routes) + (
             build_local_input_routes(model)
@@ -129,8 +111,6 @@ class KFailureEngine:
         self.backend = backend if backend is not None else CentralizedBackend()
         self.warm = warm
         self.prune = prune
-        self.parallel_mode = parallel_mode
-        self.workers = workers
         self.stop_on_first_violation = stop_on_first_violation
         self.links = list(links) if links is not None else None
         self.routers = list(routers) if routers is not None else None
@@ -142,13 +122,7 @@ class KFailureEngine:
 
     @property
     def mode_name(self) -> str:
-        parts = []
-        parts.append("warm" if self.warm else "cold")
-        if self.prune:
-            parts.append("pruned")
-        if self.parallel_mode:
-            parts.append(self.parallel_mode)
-        return "+".join(parts)
+        return ("warm" if self.warm else "cold") + ("+pruned" if self.prune else "")
 
     # -- preparation ---------------------------------------------------------
 
@@ -222,10 +196,7 @@ class KFailureEngine:
 
             if self.warm or self.prune:
                 self.prepare(ctx)
-                if self.parallel_mode is not None:
-                    self._check_parallel(examined, prop, result, ctx)
-                else:
-                    self._check_sequential(examined, prop, result, ctx)
+                self._check_sequential(examined, prop, result, ctx)
             else:
                 self._check_cold(examined, prop, result, ctx)
 
@@ -332,131 +303,6 @@ class KFailureEngine:
             ctx,
         )
         return prop(self.model, outcome)
-
-    # -- parallel frontier fan-out -------------------------------------------
-
-    def _check_parallel(
-        self,
-        examined: Sequence[FailureScenario],
-        prop: PropertyCheck,
-        result: KFailureResult,
-        ctx: RunContext,
-    ) -> None:
-        assert self.analyzer is not None and self.base_result is not None
-        assert self._incr_engine is not None
-        analyzer = self.analyzer
-        class_of: List[ClassKey] = []
-        representative: Dict[ClassKey, FailureScenario] = {}
-        effects: Dict[ClassKey, ScenarioEffect] = {}
-        with ctx.span("kfailure.fingerprint", scenarios=len(examined)):
-            for scenario in examined:
-                ctx.count("kfailure.scenarios")
-                restore = apply_scenario(self.model.topology, scenario)
-                try:
-                    key = analyzer.class_key(self.model, scenario)
-                    if key not in effects:
-                        representative[key] = scenario
-                        effects[key] = analyzer.effect(self.model, key)
-                finally:
-                    restore()
-                class_of.append(key)
-        result.scenarios_simulated = len(effects)
-        result.scenarios_pruned = len(examined) - len(effects)
-
-        verdicts: Dict[ClassKey, List[str]] = {}
-        jobs: List[ClassJob] = []
-        for key, effect in effects.items():
-            if effect.is_noop:
-                ctx.count("kfailure.noop_classes")
-                verdicts[key] = self._judge(
-                    key, representative, self.base_result.device_ribs, prop
-                )
-            else:
-                jobs.append(
-                    ClassJob(
-                        key=key,
-                        scenario=representative[key],
-                        covered_indices=tuple(
-                            index
-                            for index, item in enumerate(self.inputs)
-                            if effect.blast.covers(item.route.prefix)
-                        ),
-                        priority=effect.priority,
-                    )
-                )
-
-        early = any(verdicts.get(key) for key in verdicts) and (
-            self.stop_on_first_violation
-        )
-        if jobs and not early:
-            executor = FrontierExecutor(
-                self.model,
-                self.inputs,
-                mode=self.parallel_mode or "thread",
-                workers=self.workers,
-                igp_of=analyzer.igp_for,
-            )
-            with ctx.span(
-                "kfailure.fanout",
-                mode=executor.mode,
-                workers=executor.workers,
-                classes=len(jobs),
-            ):
-                stream = executor.run(jobs)
-                for batch in stream:
-                    for key, partial_ribs in batch:
-                        effect = effects[key]
-                        splice = self._incr_engine.splice(
-                            self.base_result.device_ribs,
-                            partial_ribs,
-                            effect.blast,
-                            ctx=ctx,
-                            full_devices=effect.failed_routers,
-                        )
-                        verdicts[key] = self._judge(
-                            key, representative, splice.device_ribs, prop
-                        )
-                        if verdicts[key] and self.stop_on_first_violation:
-                            early = True
-                            break
-                    if early:
-                        stream.close()
-                        break
-        if early:
-            result.early_exited = True
-
-        # Violations in enumeration order; classes the early exit cancelled
-        # have no verdict and contribute nothing.
-        for scenario, key in zip(examined, class_of):
-            verdict = verdicts.get(key)
-            if verdict:
-                result.violations.append(
-                    KFailureViolation(
-                        failed_links=scenario.link_endpoints,
-                        failed_routers=scenario.failed_routers,
-                        violations=list(verdict),
-                    )
-                )
-
-    def _judge(
-        self,
-        key: ClassKey,
-        representative: Dict[ClassKey, FailureScenario],
-        device_ribs,
-        prop: PropertyCheck,
-    ) -> List[str]:
-        """Evaluate the property under the class representative's overlay."""
-        assert self.analyzer is not None
-        restore = apply_scenario(self.model.topology, representative[key])
-        try:
-            outcome = RouteSimOutcome(
-                device_ribs=device_ribs,
-                igp=self.analyzer.igp_for(key) or self.analyzer.base_igp,
-                backend="kfailure-parallel",
-            )
-            return prop(self.model, outcome)
-        finally:
-            restore()
 
     def _record(
         self,

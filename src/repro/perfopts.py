@@ -2,10 +2,10 @@
 
 The simulation core carries several optimization layers (parse-time and
 route-attribute interning, topology indices, the spread-mode forwarding
-memo, shared-memory shipping to process pools, §3.1 route equivalence
-classes). They are all *semantically transparent*: enabled or disabled, a
-simulation must produce byte-identical RIBs and statistics. This module is
-the single switchboard that turns them off, which exists for three reasons:
+memo, §3.1 route equivalence classes). They are all *semantically
+transparent*: enabled or disabled, a simulation must produce
+byte-identical RIBs and statistics. This module is the single switchboard
+that turns them off, which exists for three reasons:
 
 * the perf harness (``benchmarks/perf``) measures the unoptimized baseline
   by disabling the layers, so ``BENCH_perf.json`` carries true
@@ -24,11 +24,11 @@ see different flags — this is what isolates concurrent server jobs. A bare
 ``OPTS.spread_memo = False`` outside any frame still mutates the
 process-wide base, preserving the historical single-threaded behaviour.
 
-Worker threads spawned *inside* a scoped block (distsim thread pools,
-parallel traffic batches) do not inherit thread-local frames automatically;
-the spawn sites capture :func:`effective` in the parent and re-enter it via
-:func:`applied` in the child. Process pools inherit the forking thread's
-frames through ``fork`` (the platform default used here).
+Worker threads spawned *inside* a scoped block (the distsim thread pool)
+do not inherit thread-local frames automatically; the spawn site captures
+:func:`effective` in the parent and re-enters it via :func:`applied` in the
+child. The daemon's forked job children inherit the forking thread's
+frames through ``fork``.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class PerfOptions:
     #: and full route-attribute tuples so duplicate copies collapse to one
     #: shared object (``repro.routing.interning``)
     intern_routes: bool = True
-    #: ship the model/RIBs/IGP context to process-pool workers through one
-    #: ``multiprocessing.shared_memory`` segment instead of pickling the
-    #: blob into every worker's pipe (``repro.distsim.shipping``)
-    shm_ship: bool = True
     #: §3.1 route equivalence classes in ``RouteSimulator``: solve the BGP
     #: fixpoint for one representative prefix group per class and clone its
     #: RIB rows onto the member prefixes. Off is the naive full solve the

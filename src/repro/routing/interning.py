@@ -70,8 +70,8 @@ class InternStats:
 
 
 _STATS = InternStats()
-# The route table is read and written from worker threads (distsim thread
-# pools, parallel traffic batches); one lock keeps hit accounting and the
+# The route table is read and written from worker threads (the distsim
+# thread pool, concurrent daemon jobs); one lock keeps hit accounting and the
 # weak table coherent. Attribute-table races are benign (idempotent
 # inserts of equal immutable values) so they go lockless.
 _LOCK = threading.Lock()

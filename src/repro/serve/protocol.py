@@ -16,7 +16,8 @@ Requests (``op`` field):
     ``sleep``), ``snapshot_path`` (a snapshot ``.pkl`` on the daemon's
     filesystem), ``plan`` (the change-plan JSON for verify/whatif),
     ``tenant``, ``priority`` (``high`` | ``normal`` | ``batch``),
-    ``isolation`` (``thread`` | ``process``), and optional ``perf_flags``
+    ``isolation`` (``thread`` | ``process``), ``backend`` (one of
+    :data:`repro.exec.BACKEND_NAMES`), and optional ``perf_flags``
     (per-job :mod:`repro.perfopts` overrides). Response carries the
     assigned ``job_id``; quota violations and a draining daemon reject with
     ``{"ok": false, "error": ...}``.
@@ -51,6 +52,7 @@ import json
 from typing import Any, Dict, Optional
 
 from repro import perfopts
+from repro.exec.base import BACKEND_NAMES
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7341
@@ -114,6 +116,10 @@ def validate_job_spec(spec: Any) -> Optional[str]:
     if isolation not in ISOLATION_MODES:
         return (f"unknown isolation {isolation!r}; expected one of "
                 f"{ISOLATION_MODES}")
+    backend = spec.get("backend", "centralized")
+    if backend not in BACKEND_NAMES:
+        return (f"unknown backend {backend!r}; expected one of "
+                f"{BACKEND_NAMES}")
     flags = spec.get("perf_flags", {})
     if not isinstance(flags, dict) or not all(
         isinstance(v, bool) for v in flags.values()

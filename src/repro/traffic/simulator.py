@@ -3,13 +3,8 @@
 A traffic-simulation subtask (§3.2) takes the input flows assigned to it,
 reduces them to equivalence classes, forwards one representative per EC in
 spread mode (even ECMP volume split), scales by the EC's pooled volume, and
-aggregates per-link loads.
-
-Forwarding can fan out across threads or processes (``workers`` /
-``parallel_mode``): EC representatives are split into contiguous batches,
-each batch forwards independently, and paths/loads are merged centrally in
-the original work order — so worker count and scheduling never change the
-result (float accumulation order is part of the contract).
+aggregates per-link loads in work order (float accumulation order is part
+of the contract).
 
 A change verification can hand ``simulate`` a :class:`SpreadReuse`: the
 base run plus the RIB slots the change touched. Representatives whose base
@@ -28,7 +23,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro import perfopts
 from repro.ec.flow_ec import FlowEcIndex, build_prefix_universe, compute_flow_ecs
 from repro.net.addr import IPAddress, Prefix
 from repro.net.model import NetworkModel
@@ -39,43 +33,8 @@ from repro.traffic.flow import Flow
 from repro.traffic.forwarding import FlowPath, ForwardingEngine
 from repro.traffic.load import LinkContributions, LinkLoadMap
 
-#: Accepted values for ``parallel_mode``.
-PARALLEL_MODES = ("thread", "process")
-
 #: One flow's ECMP paths with their volume fractions.
 Spread = List[Tuple[FlowPath, float]]
-
-# Process-pool worker state. The pool initializer installs only a shipping
-# token (shared-memory segment name, or inline bytes with ``shm_ship`` off);
-# the engine context — model, RIBs, IGP — is deserialized lazily on each
-# worker's first batch, straight out of the shared mapping.
-_PROC_TOKEN = None
-_PROC_ENGINE: Optional[ForwardingEngine] = None
-
-
-def _init_process_worker(token) -> None:
-    global _PROC_TOKEN, _PROC_ENGINE
-    _PROC_TOKEN = token
-    _PROC_ENGINE = None
-
-
-def _process_engine() -> ForwardingEngine:
-    global _PROC_ENGINE
-    if _PROC_ENGINE is None:
-        assert _PROC_TOKEN is not None, "process worker not initialized"
-        from repro.distsim import shipping
-
-        model, ribs, igp = shipping.load(_PROC_TOKEN)
-        _PROC_ENGINE = ForwardingEngine(model, ribs, igp)
-    return _PROC_ENGINE
-
-
-def _forward_batch_in_process(
-    batch: List[Flow],
-) -> List[List[Tuple[FlowPath, float]]]:
-    engine = _process_engine()
-    return [engine.forward_spread(flow) for flow in batch]
-
 
 @dataclass
 class TrafficSimulationResult:
@@ -304,29 +263,18 @@ class TrafficSimulator:
         self.igp = igp if igp is not None else compute_igp(model)
         self.use_ecs = use_ecs
         self.engine = ForwardingEngine(model, ribs, self.igp)
-        # Shipped (model, ribs, igp) context for process-mode forwarding,
-        # built at most once per simulator and reused across simulate()
-        # calls; ``_ship_stamp`` invalidates it if the model or RIBs move.
-        self._shipped = None
-        self._ship_stamp: Optional[Tuple[int, ...]] = None
 
     def simulate(
         self,
         flows: Iterable[Flow],
         ctx=None,
-        workers: Optional[int] = None,
-        parallel_mode: str = "thread",
         reuse: Optional[SpreadReuse] = None,
     ) -> TrafficSimulationResult:
         """Forward the flows and aggregate link loads.
 
         ``ctx`` (an optional :class:`repro.obs.RunContext`) records
         ``traffic.compile`` / ``traffic.forward`` / ``traffic.merge``
-        sub-spans plus flow/EC and fast-path cache counters. ``workers``
-        > 1 fans forwarding out across threads (``parallel_mode=
-        "thread"``) or processes (``"process"``); loads are always merged
-        centrally in work order, so results are identical for any worker
-        count or mode.
+        sub-spans plus flow/EC and fast-path cache counters.
 
         With ``reuse``, representatives it has a spread for are not
         forwarded (counters ``traffic.ecs_reused`` /
@@ -340,11 +288,6 @@ class TrafficSimulator:
         ``traffic.compile`` span says which happened (``flow_ecs=reused``
         or ``recomputed``, and ``ecs_recomputed=`` why, under a reuse).
         """
-        if parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel_mode {parallel_mode!r}; expected one of "
-                f"{PARALLEL_MODES}"
-            )
         started = time.perf_counter()
         flows = list(flows)
         index: Optional[FlowEcIndex] = None
@@ -385,7 +328,7 @@ class TrafficSimulator:
             )
             pending = [i for i, spread in enumerate(spreads) if spread is None]
         forward = [work[i][0] for i in pending]
-        meta = {"work": len(forward), "workers": workers or 1}
+        meta = {"work": len(forward)}
         if reuse is not None:
             meta["reused"] = len(work) - len(forward)
             if ctx is not None:
@@ -393,10 +336,7 @@ class TrafficSimulator:
                 ctx.count("traffic.ecs_reforwarded", len(forward))
 
         with ctx.span("traffic.forward", **meta) if ctx else nullcontext():
-            if workers is not None and workers > 1 and len(forward) > 1:
-                forwarded = self._forward_parallel(forward, workers, parallel_mode)
-            else:
-                forwarded = [self.engine.forward_spread(flow) for flow in forward]
+            forwarded = [self.engine.forward_spread(flow) for flow in forward]
 
         with ctx.span("traffic.merge", work=len(work)) if ctx else nullcontext():
             if kept:
@@ -428,111 +368,3 @@ class TrafficSimulator:
             elapsed_seconds=time.perf_counter() - started,
             cost_units=cost_units,
         )
-
-    # -- parallel forwarding -------------------------------------------------
-
-    def _forward_parallel(
-        self, flows: List[Flow], workers: int, parallel_mode: str
-    ) -> List[List[Tuple[FlowPath, float]]]:
-        """Forward flows in contiguous batches across threads or processes.
-
-        Returns spread results in the order of ``flows`` regardless of
-        completion order; callers aggregate loads from that order.
-        """
-        workers = min(workers, len(flows))
-        batches = _split_batches(flows, workers)
-        if parallel_mode == "process":
-            return self._forward_batches_process(batches, workers)
-        return self._forward_batches_thread(batches, workers)
-
-    def _forward_batches_thread(
-        self, batches: List[List[Flow]], workers: int
-    ) -> List[List[Tuple[FlowPath, float]]]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Warm the engine's memo state up front: the first forward
-        # triggers the freshness check, and doing it once
-        # here keeps the concurrent phase read-mostly. (CPython dict ops
-        # are atomic under the GIL, and the memo tables are insert-only
-        # with value-identical entries, so concurrent fills are benign.)
-        if batches and batches[0]:
-            first = batches[0][0]
-            warm = self.engine.forward_spread(first)
-            results_first = [warm]
-            batches = [batches[0][1:]] + batches[1:]
-        else:
-            results_first = []
-
-        # Pool threads re-enter the submitting thread's effective perf flags
-        # (scoped overrides are thread-local; see repro.perfopts).
-        opts = perfopts.effective()
-
-        def run(batch: List[Flow]) -> List[List[Tuple[FlowPath, float]]]:
-            with perfopts.applied(opts):
-                return [self.engine.forward_spread(flow) for flow in batch]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_batch = list(pool.map(run, batches))
-        out = list(results_first)
-        for chunk in per_batch:
-            out.extend(chunk)
-        return out
-
-    def _shipped_context(self):
-        """The shipped (model, ribs, igp) context, serialized once per run.
-
-        The pickled context used to be rebuilt on every process-parallel
-        ``simulate`` call — O(model) serialization per submission. It is
-        now hoisted onto the simulator and keyed on the same staleness
-        stamp the forwarding engine uses (topology version + RIB
-        generations), so repeated simulations over unchanged state reuse
-        one blob / shared-memory segment.
-        """
-        from repro.distsim import shipping
-
-        stamp = (
-            self.model.topology.version,
-            *(rib.generation for rib in self.ribs.values()),
-        )
-        if self._shipped is None or self._ship_stamp != stamp:
-            if self._shipped is not None:
-                self._shipped.close()
-            self._shipped = shipping.ship((self.model, self.ribs, self.igp))
-            self._ship_stamp = stamp
-        return self._shipped
-
-    def _forward_batches_process(
-        self, batches: List[List[Flow]], workers: int
-    ) -> List[List[Tuple[FlowPath, float]]]:
-        import pickle
-
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            shipped = self._shipped_context()
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_process_worker,
-                initargs=(shipped.token,),
-            ) as pool:
-                per_batch = list(pool.map(_forward_batch_in_process, batches))
-        except (pickle.PicklingError, OSError, ImportError):
-            # Unpicklable model or no process support: degrade to threads.
-            return self._forward_batches_thread(batches, workers)
-        out: List[List[Tuple[FlowPath, float]]] = []
-        for chunk in per_batch:
-            out.extend(chunk)
-        return out
-
-
-def _split_batches(items: List[Flow], parts: int) -> List[List[Flow]]:
-    """Split into ``parts`` contiguous batches of near-equal size."""
-    parts = max(1, min(parts, len(items)))
-    size, remainder = divmod(len(items), parts)
-    batches: List[List[Flow]] = []
-    start = 0
-    for i in range(parts):
-        end = start + size + (1 if i < remainder else 0)
-        batches.append(items[start:end])
-        start = end
-    return batches

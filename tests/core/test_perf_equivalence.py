@@ -1,10 +1,8 @@
-"""Optimization soundness: caches/interning and process workers are invisible.
+"""Optimization soundness: caches and interning are invisible.
 
-Every optimization layer behind ``repro.perfopts`` — and the process-mode
-execution path of the distributed framework — must be semantically
+Every optimization layer behind ``repro.perfopts`` must be semantically
 transparent: the same seeded workload must produce byte-identical RIBs and
-statistics whether the optimizations are on or off, and whether subtasks run
-in threads or processes.
+statistics whether the optimizations are on or off.
 """
 
 from __future__ import annotations
@@ -15,10 +13,7 @@ import pytest
 
 from repro import perfopts
 from repro.distsim.master import makespan
-from repro.distsim.worker import WorkerConfig
-from repro.exec import DistributedBackend, RouteSimRequest, TrafficSimRequest
 from repro.routing.simulator import simulate_routes
-from repro.workload.flows import generate_flows
 from repro.workload.routes import generate_input_routes
 from repro.workload.wan import WanParams, generate_wan
 
@@ -65,72 +60,6 @@ def test_each_flag_is_individually_transparent():
     for flag in ("intern_parse", "intern_routes"):
         with perfopts.configured(**{flag: False}):
             assert _signature(simulate_routes(model, inputs)) == reference, flag
-
-
-def _merged_rib_signature(result):
-    return sorted(map(repr, result.global_rib().identity_set()))
-
-
-def test_thread_and_process_workers_identical():
-    model, inventory, inputs = _wan(seed=5)
-
-    threads = DistributedBackend(mode="thread")
-    by_threads = threads.run_routes(
-        RouteSimRequest(model=model, inputs=inputs, subtasks=6, workers=2)
-    )
-    processes = DistributedBackend(mode="process")
-    by_processes = processes.run_routes(
-        RouteSimRequest(model=model, inputs=inputs, subtasks=6, workers=2)
-    )
-    assert _merged_rib_signature(by_threads) == _merged_rib_signature(by_processes)
-
-    flows = generate_flows(inventory, inputs, n_flows=25, seed=5)
-    loads_threads = threads.run_traffic(
-        TrafficSimRequest(
-            model=model, flows=flows, route_outcome=by_threads,
-            subtasks=4, workers=2,
-        )
-    )
-    loads_processes = processes.run_traffic(
-        TrafficSimRequest(
-            model=model, flows=flows, route_outcome=by_processes,
-            subtasks=4, workers=2,
-        )
-    )
-    assert loads_threads.loads.loads == loads_processes.loads.loads
-    assert loads_threads.paths == loads_processes.paths
-    assert (
-        loads_threads.loaded_rib_fractions == loads_processes.loaded_rib_fractions
-    )
-
-
-def _fail_first_attempt(message) -> bool:
-    return message.attempt == 1
-
-
-def test_process_mode_retries_failed_subtasks():
-    model, _, inputs = _wan(seed=13, n_prefixes=20)
-    backend = DistributedBackend(
-        mode="process",
-        worker_config=WorkerConfig(failure_hook=_fail_first_attempt),
-    )
-    outcome = backend.run_routes(
-        RouteSimRequest(model=model, inputs=inputs, subtasks=3, workers=1)
-    )
-    assert outcome.device_ribs
-    assert all(r.attempts == 2 for r in outcome.task.db.all(kind="route"))
-
-
-def test_process_mode_rejects_unpicklable_hook():
-    model, _, inputs = _wan(seed=13, n_prefixes=10)
-    backend = DistributedBackend(
-        mode="process",
-        worker_config=WorkerConfig(failure_hook=lambda message: False),
-    )
-    with pytest.raises(ValueError, match="picklable"):
-        backend.run_routes(
-            RouteSimRequest(model=model, inputs=inputs, subtasks=2, workers=1)
-        )
 
 
 def _naive_makespan(durations, servers):

@@ -5,7 +5,7 @@ crashes, message loss/duplication/reordering, storage faults, and slow-worker
 timeouts — produces merged RIBs byte-identical to the fault-free centralized
 run. A run that instead exhausts its retries must surface dead-letter
 entries through :class:`TaskFailed`, never hang or silently return partial
-RIBs. Checked across seeds in both thread and process executor modes.
+RIBs. Checked across seeds with a thread-pool executor.
 """
 
 import pytest
@@ -53,21 +53,16 @@ def baseline(wan):
     return rib_fingerprint(CentralizedRunner(model).run(routes).device_ribs)
 
 
-def run_with_chaos(model, routes, seed, processes):
+def run_with_chaos(model, routes, seed):
     policy = ChaosPolicy.uniform(seed=seed, probability=PROBABILITY)
     sim = DistributedRouteSimulation(model, chaos=policy, retry=fast_retry())
-    return sim.run(
-        routes,
-        subtasks=5,
-        workers=2 if processes else 3,
-        processes=processes,
-    )
+    return sim.run(routes, subtasks=5, workers=3)
 
 
-def assert_invariant(wan, baseline, seed, processes):
+def assert_invariant(wan, baseline, seed):
     model, routes, _ = wan
     try:
-        result = run_with_chaos(model, routes, seed, processes)
+        result = run_with_chaos(model, routes, seed)
     except TaskFailed as exc:
         # Exhausted retries must be *surfaced*: a populated DLQ with
         # reasons, never a silent partial result.
@@ -87,11 +82,7 @@ def assert_invariant(wan, baseline, seed, processes):
 class TestCoreInvariant:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_thread_mode(self, wan, baseline, seed):
-        assert_invariant(wan, baseline, seed, processes=False)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_process_mode(self, wan, baseline, seed):
-        assert_invariant(wan, baseline, seed, processes=True)
+        assert_invariant(wan, baseline, seed)
 
     def test_fault_free_distributed_matches_centralized(self, wan, baseline):
         model, routes, _ = wan
@@ -158,15 +149,14 @@ class TestSingleFaultFamilies:
 class TestRetryExhaustion:
     """Poison subtasks dead-letter instead of hanging or silent partials."""
 
-    @pytest.mark.parametrize("processes", [False, True])
-    def test_certain_crash_dead_letters_every_subtask(self, wan, processes):
+    def test_certain_crash_dead_letters_every_subtask(self, wan):
         model, routes, _ = wan
         policy = ChaosPolicy(seed=23, worker_crash_before=1.0)
         sim = DistributedRouteSimulation(
             model, chaos=policy, retry=fast_retry(max_retries=3)
         )
         with pytest.raises(TaskFailed) as excinfo:
-            sim.run(routes, subtasks=4, workers=2, processes=processes)
+            sim.run(routes, subtasks=4, workers=2)
         report = excinfo.value.report
         assert report is not None
         assert len(report.dead_letters) == 4

@@ -3,8 +3,7 @@
 Guards the PR-1 hot-path optimizations (route interning, policy caches,
 prefix tries) under randomized workloads: for each workload seed, running
 the medium-WAN distributed route simulation twice — with racing worker
-threads — must produce byte-identical merged RIBs, and thread/process
-executors must agree with each other.
+threads — must produce byte-identical merged RIBs.
 """
 
 import pytest
@@ -37,14 +36,3 @@ def test_route_sim_byte_identical_across_runs(seed):
         for _ in range(2)
     }
     assert len(fingerprints) == 1
-
-
-def test_thread_and_process_fingerprints_agree():
-    model, routes = _workload(21)
-    threads = DistributedRouteSimulation(model).run(routes, subtasks=4, workers=2)
-    processes = DistributedRouteSimulation(model).run(
-        routes, subtasks=4, workers=2, processes=True
-    )
-    assert rib_fingerprint(threads.device_ribs) == rib_fingerprint(
-        processes.device_ribs
-    )

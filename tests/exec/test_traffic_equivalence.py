@@ -65,9 +65,7 @@ def paths_snapshot(outcome):
 
 
 class TestFastPathAcrossBackends:
-    @pytest.mark.parametrize(
-        "name", ["centralized", "distributed-thread", "distributed-process"]
-    )
+    @pytest.mark.parametrize("name", ["centralized", "distributed-thread"])
     def test_flags_on_off_identical(self, workload, name):
         model, routes, flows = workload
         on = run_backend(name, model, routes, flows)
@@ -81,7 +79,7 @@ class TestFastPathAcrossBackends:
         model, routes, flows = workload
         outcomes = {
             name: run_backend(name, model, routes, flows)
-            for name in ("centralized", "distributed-thread", "distributed-process")
+            for name in ("centralized", "distributed-thread")
         }
         snapshots = {name: paths_snapshot(o) for name, o in outcomes.items()}
         # Distributed traffic covers member flows via their EC representative;

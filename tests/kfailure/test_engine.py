@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distsim.partition import interleave_by_priority
 from repro.exec import ModularBackend
 from repro.kfailure import (
     KFailureEngine,
@@ -135,19 +134,6 @@ class TestEarlyExit:
         assert len(result.violations) == 1
         assert "stopped at first violation" in result.summary()
 
-    def test_parallel_stops_early(self):
-        model, inputs = bundle_world()
-        engine = KFailureEngine(
-            model,
-            inputs,
-            parallel_mode="thread",
-            workers=2,
-            stop_on_first_violation=True,
-        )
-        result = engine.check(2, reachability_property(PFX, ["A"]))
-        assert result.early_exited
-        assert result.violations
-
 
 class TestMissingLink:
     def test_apply_scenario_raises_for_unknown_link(self):
@@ -212,24 +198,3 @@ class TestEnumeration:
         listed = list(scenarios)
         assert len(listed) == total
         assert [s.index for s in listed] == list(range(total))
-
-    def test_parallel_mode_requires_warm_and_prune(self):
-        model, inputs = bundle_world()
-        with pytest.raises(ValueError):
-            KFailureEngine(model, inputs, parallel_mode="thread", warm=False)
-        with pytest.raises(ValueError):
-            KFailureEngine(model, inputs, parallel_mode="bogus")
-
-
-class TestInterleaveByPriority:
-    def test_deals_largest_first_round_robin(self):
-        items = [("a", 5), ("b", 1), ("c", 4), ("d", 3), ("e", 2)]
-        batches = interleave_by_priority(items, 2, lambda item: item[1])
-        assert batches == [
-            [("a", 5), ("d", 3), ("b", 1)],
-            [("c", 4), ("e", 2)],
-        ]
-
-    def test_returns_requested_batch_count(self):
-        batches = interleave_by_priority([1], 3, lambda item: item)
-        assert batches == [[1], [], []]

@@ -1,7 +1,7 @@
-"""Equivalence harness: warm/pruned/parallel exploration vs cold enumeration.
+"""Equivalence harness: warm/pruned exploration vs cold enumeration.
 
-The shared-fixpoint engine's whole contract is that warm-start deltas,
-equivalence-class pruning, and parallel fan-out are *pure optimizations*:
+The shared-fixpoint engine's whole contract is that warm-start deltas and
+equivalence-class pruning are *pure optimizations*:
 verdicts and violation sets must be byte-identical to cold exhaustive
 re-simulation of every scenario. These tests pin that across backends
 (centralized, modular, distributed) and scenario kinds (link, router,
@@ -171,42 +171,3 @@ class TestBackendEquivalence:
             model, inputs, prop, 1, backend=make_backend(backend_name)
         )
         assert verdict_fingerprint(warm) == verdict_fingerprint(cold)
-
-    def test_distributed_process_matches_cold(self):
-        model, inputs = redundant_world()
-        prop = reachability_property(PFX, ["A"])
-        cold = run(model, inputs, prop, 1, warm=False, prune=False)
-        warm = run(
-            model,
-            inputs,
-            prop,
-            1,
-            backend=make_backend("distributed-process", workers=2),
-        )
-        assert verdict_fingerprint(warm) == verdict_fingerprint(cold)
-
-
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_parallel_matches_sequential(self, mode):
-        model, inputs = redundant_world(parallel_bundle=True)
-        prop = reachability_property(PFX, ["A", "B"])
-        kwargs = dict(fail_links=True, fail_routers=True)
-        cold = run(model, inputs, prop, 2, warm=False, prune=False, **kwargs)
-        fanned = run(
-            model,
-            inputs,
-            prop,
-            2,
-            parallel_mode=mode,
-            workers=2,
-            **kwargs,
-        )
-        assert verdict_fingerprint(fanned) == verdict_fingerprint(cold)
-        assert fanned.scenarios_pruned > 0
-
-    def test_parallel_wan_matches_cold(self):
-        model, inputs, prop = small_wan()
-        cold = run(model, inputs, prop, 1, warm=False, prune=False)
-        fanned = run(model, inputs, prop, 1, parallel_mode="thread", workers=3)
-        assert verdict_fingerprint(fanned) == verdict_fingerprint(cold)

@@ -97,6 +97,18 @@ class TestWire:
             assert "spread_memo" in str(err.value)
             assert client.stats()["scheduler"]["jobs"] == {}
 
+    @pytest.mark.parametrize("backend", ["bogus", "distributed-process"])
+    def test_unknown_backend_rejected_at_submit(
+        self, harness, snapshot_path, backend
+    ):
+        with harness.client() as client:
+            with pytest.raises(ServerError) as err:
+                submit_verify(client, snapshot_path, backend=backend)
+            assert err.value.code == "bad-request"
+            assert f"unknown backend {backend!r}" in str(err.value)
+            assert "distributed-thread" in str(err.value)
+            assert client.stats()["scheduler"]["jobs"] == {}
+
     def test_result_before_terminal_errors(self, harness, snapshot_path):
         with harness.client() as client:
             job_id = client.submit({"kind": "sleep", "seconds": 1.0})

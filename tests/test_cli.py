@@ -191,6 +191,17 @@ class TestTraceAndBackendFlags:
 
         assert rib_rows(centralized) == rib_rows(distributed)
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{snapshot}", "--backend", "distributed-process"],
+        ["kfailure", "{snapshot}", "--parallel", "thread"],
+        ["chaos", "--mode", "both"],
+    ])
+    def test_removed_parallel_options_exit_two(self, snapshot, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(snapshot=snapshot) for arg in argv])
+        assert excinfo.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
     def test_simulate_writes_trace(self, snapshot, tmp_path):
         trace_path = tmp_path / "trace.json"
         assert main([
@@ -241,7 +252,7 @@ class TestChaos:
         report_path = tmp_path / "chaos.json"
         assert main([
             "chaos", "--seeds", "2", "--probability", "0.2",
-            "--mode", "thread", "--prefixes", "10", "--subtasks", "3",
+            "--prefixes", "10", "--subtasks", "3",
             "--report", str(report_path),
         ]) == 0
         out = capsys.readouterr().out
@@ -261,7 +272,7 @@ class TestChaos:
         report_path = tmp_path / "chaos.json"
         assert main([
             "chaos", "--seeds", "1", "--probability", "1.0",
-            "--mode", "thread", "--prefixes", "10", "--subtasks", "2",
+            "--prefixes", "10", "--subtasks", "2",
             "--max-retries", "2", "--report", str(report_path),
         ]) == 0
         assert "dead-lettered" in capsys.readouterr().out

@@ -4,8 +4,7 @@ The spread memo and the topology indices must produce
 byte-identical forwarding results — same paths in the same order, same
 matched prefixes, same fractions, same link loads — as the interpreted
 scans they replace, across ECMP, PBR, ACL, SR, and pathological (loop /
-stranded) scenarios. Parallel forwarding must be invisible too: any
-worker count, thread or process mode, same results.
+stranded) scenarios.
 """
 
 import pytest
@@ -187,59 +186,3 @@ class TestFastPathMechanics:
         for span in ctx.root.walk():
             all_counters.update(span.counters)
         assert all_counters.get("traffic.spread_memo_misses", 0) > 0
-
-
-class TestParallelForwarding:
-    @pytest.fixture(scope="class")
-    def wan_workload(self):
-        model, inventory = generate_wan(
-            WanParams(regions=2, cores_per_region=2, seed=3)
-        )
-        routes = generate_input_routes(inventory, n_prefixes=30, redundancy=2, seed=5)
-        flows = generate_flows(inventory, routes, n_flows=150, seed=9)
-        result = simulate_routes(model, routes, include_local_inputs=True)
-        return model, result, flows
-
-    def baseline(self, wan_workload):
-        model, result, flows = wan_workload
-        return TrafficSimulator(model, result.device_ribs, result.igp).simulate(flows)
-
-    def test_thread_workers_identical(self, wan_workload):
-        model, result, flows = wan_workload
-        serial = self.baseline(wan_workload)
-        threaded = TrafficSimulator(model, result.device_ribs, result.igp).simulate(
-            flows, workers=4, parallel_mode="thread"
-        )
-        assert {f: snap(s) for f, s in threaded.paths.items()} == {
-            f: snap(s) for f, s in serial.paths.items()
-        }
-        assert threaded.loads.loads == serial.loads.loads
-        assert threaded.cost_units == serial.cost_units
-
-    def test_process_workers_identical(self, wan_workload):
-        model, result, flows = wan_workload
-        serial = self.baseline(wan_workload)
-        processed = TrafficSimulator(model, result.device_ribs, result.igp).simulate(
-            flows, workers=2, parallel_mode="process"
-        )
-        assert {f: snap(s) for f, s in processed.paths.items()} == {
-            f: snap(s) for f, s in serial.paths.items()
-        }
-        assert processed.loads.loads == serial.loads.loads
-
-    def test_worker_count_does_not_change_results(self, wan_workload):
-        model, result, flows = wan_workload
-        outs = [
-            TrafficSimulator(model, result.device_ribs, result.igp).simulate(
-                flows, workers=w
-            )
-            for w in (1, 2, 3, 7)
-        ]
-        loads = {tuple(sorted(o.loads.loads.items())) for o in outs}
-        assert len(loads) == 1
-
-    def test_unknown_parallel_mode_rejected(self, wan_workload):
-        model, result, flows = wan_workload
-        sim = TrafficSimulator(model, result.device_ribs, result.igp)
-        with pytest.raises(ValueError, match="parallel_mode"):
-            sim.simulate(flows, workers=2, parallel_mode="fiber")

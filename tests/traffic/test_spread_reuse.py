@@ -7,8 +7,8 @@ partition unless a touched prefix entered or left the prefix universe
 under some flow's destination, and then patches the base link loads.
 These tests pin that the spreads, status counts, EC classes, cost units
 and link loads — floats and key order — equal a fresh forward of the
-updated network: for the real touched set, for hypothesis-drawn supersets
-of it, and across worker counts and parallel modes. They also pin that a
+updated network: for the real touched set and for hypothesis-drawn
+supersets of it. They also pin that a
 more specific slot on a path router does force a re-forward, when the
 partition is kept or recomputed, and that changes to forwarding state
 besides the RIBs never build a reuse.
@@ -189,16 +189,11 @@ def updated(request, verifier, plans):
     return request.param, world, touched, full
 
 
-def reuse_run(verifier, world, touched, **options):
+def reuse_run(verifier, world, touched):
     ctx = RunContext("reuse")
     result = TrafficSimulator(
         world.model, world.device_ribs, verifier._base_igp
-    ).simulate(
-        verifier.input_flows,
-        ctx=ctx,
-        reuse=make_reuse(verifier, touched),
-        **options,
-    )
+    ).simulate(verifier.input_flows, ctx=ctx, reuse=make_reuse(verifier, touched))
     return result, ctx
 
 
@@ -257,39 +252,6 @@ def test_touched_supersets_give_the_full_result(verifier, updated, data):
         superset.setdefault(device, set()).add(slot)
     result, _ = reuse_run(verifier, world, superset)
     assert snapshot(result, verifier.input_flows) == snapshot(
-        full, verifier.input_flows
-    )
-
-
-@pytest.mark.parametrize(
-    "workers,mode", [(2, "thread"), (2, "process")], ids=["thread", "process"]
-)
-def test_parallel_modes_match_serial(verifier, updated, workers, mode):
-    _, world, touched, full = updated
-    # every slot of a busy device: many ECs re-forward, so the pool works
-    busy = max(
-        world.device_ribs,
-        key=lambda name: sum(
-            name in path.routers
-            for spread in full.paths.values()
-            for path, _ in spread
-        ),
-    )
-    wide = dict(touched)
-    wide[busy] = {("global", Prefix.parse("0.0.0.0/0"))}
-    serial, serial_ctx = reuse_run(verifier, world, wide, workers=1)
-    fanned, fanned_ctx = reuse_run(
-        verifier, world, wide, workers=workers, parallel_mode=mode
-    )
-    serial_counters, fanned_counters = serial_ctx.counters(), fanned_ctx.counters()
-    assert fanned_counters["traffic.ecs_reforwarded"] > 1
-    assert serial_counters["traffic.ecs_reforwarded"] == (
-        fanned_counters["traffic.ecs_reforwarded"]
-    )
-    assert snapshot(fanned, verifier.input_flows) == snapshot(
-        serial, verifier.input_flows
-    )
-    assert snapshot(serial, verifier.input_flows) == snapshot(
         full, verifier.input_flows
     )
 
