@@ -189,11 +189,6 @@ class ChaosEngine:
         with self._lock:
             return dict(self._counters)
 
-    def merge_counters(self, other: Dict[str, int]) -> None:
-        """Fold another engine's counter delta into this one."""
-        for site, n in other.items():
-            self.count(site, n)
-
 
 class ChaosMessageQueue(MessageQueue):
     """A FIFO queue that loses, duplicates, and reorders deliveries."""

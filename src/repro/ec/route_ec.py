@@ -233,16 +233,18 @@ def expand_device_ribs(
     In place, on RIBs assembled from a representative-space solve: every
     row kind (best, ECMP, candidate) is copied with its prefix rewritten.
     Slots at prefixes outside the index (derived aggregates) stay as they
-    are. A route instance recurs on every device that holds it unchanged —
-    routes are interned flyweights — so each distinct (route, member
-    prefix) pair is cloned once and the clone installed wherever it recurs.
+    are. A route record recurs on every device that holds the route
+    unchanged — records are interned flyweights — so each distinct (record,
+    member prefix) pair is cloned once and the clone installed wherever it
+    recurs.
     """
     members_of = {
         rep: [member for member in members if member != rep]
         for rep, members in index.members_by_representative().items()
         if len(members) > 1
     }
-    # id(route) is a sound memo key: ``ribs`` keeps every source route alive.
-    clones: Dict[Tuple[int, Prefix], Route] = {}
+    # id(route.attrs) is a sound memo key: ``ribs`` keeps every source
+    # route, and so its record, alive.
+    clones: Dict[Prefix, Dict[int, Route]] = {}
     for rib in ribs.values():
         rib.clone_slots(members_of, clones)

@@ -41,8 +41,9 @@ def resource_accounting(ctx: RunContext) -> Iterator[None]:
     """Record memory / interning behaviour of one dispatch on ``ctx``.
 
     On exit, attaches ``routes.interned`` / ``routes.unique`` (the delta of
-    the process-wide interning totals over the guarded block — allocations
-    saved vs. first-sighting routes) to the calling thread's current span,
+    the process-wide record-interning totals over the guarded block — route
+    records found in the table vs. first-sighting records, which stay in
+    it for later runs) to the calling thread's current span,
     and updates the ``memory.peak_rss_bytes`` high-water gauge on the root
     span. Backends open this inside their ``route_sim`` / ``traffic_sim``
     spans so the interning counters land on the dispatch that produced them.

@@ -91,14 +91,6 @@ class _OptionsProxy:
             self._tls.frames = frames
         return frames
 
-    def __getattr__(self, name: str) -> bool:
-        if name not in FLAG_NAMES:
-            raise AttributeError(name)
-        for frame in reversed(self._frames()):
-            if name in frame:
-                return frame[name]
-        return getattr(_BASE, name)
-
     def __setattr__(self, name: str, value: bool) -> None:
         if name not in FLAG_NAMES:
             raise AttributeError(f"unknown perf option {name!r}")
@@ -110,6 +102,25 @@ class _OptionsProxy:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OPTS({effective()!r})"
+
+
+def _flag_reader(name: str) -> property:
+    # One property per flag: hot paths read flags per call, and a property
+    # skips the failed instance lookup a ``__getattr__`` fallback pays.
+    def read(proxy: _OptionsProxy) -> bool:
+        frames = proxy._tls.__dict__.get("frames")
+        if frames:
+            for frame in reversed(frames):
+                if name in frame:
+                    return frame[name]
+        return getattr(_BASE, name)
+
+    return property(read)
+
+
+for _name in FLAG_NAMES:
+    setattr(_OptionsProxy, _name, _flag_reader(_name))
+del _name
 
 
 #: The process-wide option set consulted by the hot paths.

@@ -6,6 +6,14 @@ origin, MED, source (eBGP/iBGP/local), IGP cost to the next hop, communities,
 and the administrative ``preference`` whose eBGP/iBGP defaults are a
 vendor-specific behaviour (Table 5, "default BGP preference").
 
+A route is two slots: its ``prefix`` and ``attrs``, a :class:`RouteAttrs`
+record of every other field. Routes that differ only by prefix — the §3.1
+route-EC members, one announcement fanned out over many prefixes — share
+one record, so a member clone (:meth:`Route.with_prefix`) copies two
+references. With the ``intern_routes`` perf flag on (the default), records
+are interned (:func:`repro.routing.interning.intern_record`): equal records
+anywhere in the process are one object.
+
 Routes are immutable; policy application produces modified copies via
 :meth:`Route.evolve`. Immutability is what makes the route equivalence-class
 computation (§3.1) sound: two input routes with identical attribute tuples
@@ -14,8 +22,9 @@ stay interchangeable throughout the simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from repro import perfopts
 from repro.net.addr import IPAddress, Prefix
@@ -48,34 +57,15 @@ def community(text: str) -> str:
     return f"{high}:{low}"
 
 
-class _RouteCaches:
-    """Slot holder for :class:`Route`'s lazy derivatives.
-
-    Kept outside the dataclass fields so they never participate in
-    ``__init__``/``__eq__``/pickle; ``__weakref__`` is what lets the
-    interning layer hold routes in a ``WeakValueDictionary``.
-    """
-
-    __slots__ = ("_hash", "_attribute_key", "_canonical_key", "__weakref__")
-
-
-@dataclass(frozen=True, slots=True)
-class Route(_RouteCaches):
-    """An immutable route announcement / RIB entry payload.
+class RouteAttrs(NamedTuple):
+    """Every field of a :class:`Route` but its prefix, in declaration order.
 
     ``origin_router``/``origin_vrf`` record the injection point — part of the
     route-EC identity of §3.1. ``igp_cost`` is the cost to reach ``nexthop``
     and is filled in during best-path selection; an SR policy towards the
     next hop may force it to zero on vendors with the "IGP cost for SR" VSB.
-
-    ``slots=True``: a paper-scale fixpoint keeps O(10^5)–O(10^6) route
-    objects live (adjacency slots, RIB entries, advertisement caches), and
-    the per-instance ``__dict__`` of the dict-based class measured ~3–4x the
-    footprint of the slotted layout. The cache slots above replace the old
-    ``__dict__``-based lazy caching.
     """
 
-    prefix: Prefix
     nexthop: Optional[IPAddress] = None
     as_path: Tuple[int, ...] = ()
     origin: str = ORIGIN_IGP
@@ -94,61 +84,75 @@ class Route(_RouteCaches):
     #: route whose peer advertisement is vendor-specific (Table 5).
     flags: FrozenSet[str] = frozenset()
 
+
+def _interned(attrs: RouteAttrs) -> RouteAttrs:
+    """``attrs``, or its canonical instance under the ``intern_routes`` flag."""
+    if perfopts.OPTS.intern_routes:
+        return interning.intern_record(attrs)
+    return attrs
+
+
+class Route:
+    """An immutable route announcement / RIB entry payload.
+
+    Constructed by keyword: ``Route(prefix=..., local_pref=200)``; every
+    other field defaults as in :class:`RouteAttrs` and reads as an
+    attribute of the route. Two routes are equal exactly when every field
+    is; assigning a field raises :class:`~dataclasses.FrozenInstanceError`.
+    """
+
+    __slots__ = ("prefix", "attrs")
+
+    prefix: Prefix
+    attrs: RouteAttrs
+
+    def __init__(self, prefix: Prefix, *args, **fields) -> None:
+        _SET_PREFIX(self, prefix)
+        _SET_ATTRS(self, _interned(RouteAttrs(*args, **fields)))
+
+    nexthop = property(attrgetter("attrs.nexthop"))
+    as_path = property(attrgetter("attrs.as_path"))
+    origin = property(attrgetter("attrs.origin"))
+    local_pref = property(attrgetter("attrs.local_pref"))
+    med = property(attrgetter("attrs.med"))
+    communities = property(attrgetter("attrs.communities"))
+    weight = property(attrgetter("attrs.weight"))
+    preference = property(attrgetter("attrs.preference"))
+    protocol = property(attrgetter("attrs.protocol"))
+    source = property(attrgetter("attrs.source"))
+    igp_cost = property(attrgetter("attrs.igp_cost"))
+    origin_router = property(attrgetter("attrs.origin_router"))
+    origin_vrf = property(attrgetter("attrs.origin_vrf"))
+    aggregator = property(attrgetter("attrs.aggregator"))
+    flags = property(attrgetter("attrs.flags"))
+
     def evolve(self, **changes) -> "Route":
-        """Return a copy with the given attribute changes.
+        """Return a copy with the given field changes.
 
-        Equivalent to ``dataclasses.replace`` but without re-running the
-        generated ``__init__`` — route copies happen per delivered message
-        in the BGP fixpoint and ``replace`` dominated its profile. ``Route``
-        has no ``__post_init__`` validation, so a direct field copy is safe;
-        the clone starts with every cache slot unset, so derivatives
-        recompute lazily.
-
-        With the ``intern_routes`` perf flag on (the default), the copy is
-        resolved through the flyweight store: changed AS paths and community
-        sets are replaced by their canonical instances, and if a route with
-        this exact attribute tuple already exists anywhere in the process,
-        *that* instance is returned instead of the fresh clone — so policy
-        application and ingress processing stop allocating duplicates. The
-        interned instance compares equal to the clone by construction;
-        flags-off behaviour is byte-identical to the plain copy.
+        The changes are written into a list of the record, which becomes one
+        new record (interned under the ``intern_routes`` perf flag, so a
+        policy that yields an existing attribute combination returns its
+        shared record); the prefix rides in its own slot.
         """
-        unknown = changes.keys() - _ROUTE_FIELDS
-        if unknown:
-            raise TypeError(f"unknown Route field(s): {sorted(unknown)}")
-        interned = perfopts.OPTS.intern_routes
-        if interned:
-            as_path = changes.get("as_path")
-            if as_path is not None:
-                changes["as_path"] = interning.intern_as_path(as_path)
-            communities = changes.get("communities")
-            if communities is not None:
-                changes["communities"] = interning.intern_communities(communities)
-        clone = object.__new__(Route)
-        assign = object.__setattr__
-        get_change = changes.get
-        for name in _ROUTE_FIELD_ORDER:
-            value = get_change(name, _UNCHANGED)
-            if value is _UNCHANGED:
-                value = getattr(self, name)
-            assign(clone, name, value)
-        if interned:
-            return interning.intern_route(clone)
-        return clone
+        prefix = changes.pop("prefix", self.prefix)
+        if not changes:
+            return _new(prefix, self.attrs)
+        values = list(self.attrs)
+        try:
+            for name, value in changes.items():
+                values[_FIELD_INDEX[name]] = value
+        except KeyError:
+            unknown = sorted(changes.keys() - _FIELD_INDEX.keys())
+            raise TypeError(f"unknown Route field(s): {unknown}") from None
+        return _new(prefix, _interned(tuple.__new__(RouteAttrs, values)))
 
     def with_prefix(self, prefix: Prefix) -> "Route":
         """This route re-announced for ``prefix`` (the §3.1 member clone).
 
-        What ``evolve(prefix=...)`` returns, minus its per-field change
-        lookup and the flyweight-store round trip: EC expansion makes tens
-        of thousands of these and shares each clone itself.
+        Shares this route's record: EC expansion makes tens of thousands of
+        these.
         """
-        clone = object.__new__(Route)
-        assign = object.__setattr__
-        assign(clone, "prefix", prefix)
-        for name in _ROUTE_FIELD_ORDER[1:]:
-            assign(clone, name, getattr(self, name))
-        return clone
+        return _new(prefix, self.attrs)
 
     # -- helpers used by policies and RCL ------------------------------------
 
@@ -173,78 +177,62 @@ class Route(_RouteCaches):
     def attribute_key(self) -> Tuple:
         """The BGP-attribute identity used for route-EC grouping (§3.1).
 
-        With ``intern_routes`` on, the tuple is resolved through the
-        flyweight store before caching: routes that differ only by prefix
-        or injection point (the common shape — one announcement fanned out
-        over many prefixes) share one key tuple instead of holding
-        structurally-equal private copies.
+        A function of the record alone, so routes that differ only by prefix
+        or injection point share it. With ``intern_routes`` on, it is built
+        once per record and resolved through the flyweight store: equal keys
+        are one instance, which makes the EC-grouping dict lookups hit the
+        pointer-equality fast path.
         """
-        key = getattr(self, "_attribute_key", None)
-        if key is None:
-            key = (
-                self.nexthop,
-                self.as_path,
-                self.origin,
-                self.local_pref,
-                self.med,
-                tuple(sorted(self.communities)),
-                self.weight,
-                self.preference,
-                self.protocol,
-                self.source,
-                tuple(sorted(self.flags)),
-            )
-            if perfopts.OPTS.intern_routes:
-                key = interning.intern_attribute_key(key)
-            object.__setattr__(self, "_attribute_key", key)
-        return key
+        if perfopts.OPTS.intern_routes:
+            return interning.record_attribute_key(self.attrs, _attribute_key)
+        return _attribute_key(self.attrs)
 
     def canonical_key(self) -> Tuple:
         """The full-identity key of this route (every field, hashable).
 
         Two routes with equal canonical keys are indistinguishable to any
-        pure function of the route — this is what the policy-result memo
-        cache keys on. Unlike :meth:`attribute_key` it also carries the
-        prefix, injection point, aggregator, and IGP cost.
+        pure function of the route. Unlike :meth:`attribute_key` it also
+        carries the prefix, injection point, aggregator, and IGP cost; its
+        sets are sorted tuples, so it is stable across processes.
         """
-        key = getattr(self, "_canonical_key", None)
-        if key is None:
-            key = (
-                self.prefix,
-                self.origin_router,
-                self.origin_vrf,
-                self.aggregator,
-                self.igp_cost,
-                self.attribute_key(),
-            )
-            object.__setattr__(self, "_canonical_key", key)
-        return key
+        a = self.attrs
+        return (
+            self.prefix,
+            a.origin_router,
+            a.origin_vrf,
+            a.aggregator,
+            a.igp_cost,
+            self.attribute_key(),
+        )
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self.canonical_key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.prefix, self.attrs))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if other.__class__ is not Route:
             return NotImplemented
-        # Routes are compared constantly (adjacency slots, advertisement
-        # dedup); the cached hash rejects most mismatches in O(1), and the
-        # cached canonical key — which covers every field (communities and
-        # flags as sorted tuples) — settles the rest with one C-level tuple
-        # comparison.
-        if hash(self) != hash(other):
-            return False
-        return self.canonical_key() == other.canonical_key()
+        # Equal interned records share every field object, so comparing
+        # them is one identity check per field at C speed.
+        return self.attrs == other.attrs and self.prefix == other.prefix
 
-    # Pickling: the dataclass-generated __getstate__/__setstate__ pair
-    # (added automatically for frozen+slots classes) serializes the fields
-    # only, so the cache slots — whose string hashes are per-process — never
-    # cross a process boundary.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Fields only, as a plain tuple; loading re-interns the record.
+        return (_load, (self.prefix, tuple(self.attrs)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(_FIELDS, (self.prefix, *self.attrs))
+        )
+        return f"Route({fields})"
 
     def __str__(self) -> str:
         nh = str(self.nexthop) if self.nexthop else "-"
@@ -255,9 +243,37 @@ class Route(_RouteCaches):
         )
 
 
-#: Field-name set used by :meth:`Route.evolve` for its fast copy path.
-_ROUTE_FIELDS = frozenset(f.name for f in Route.__dataclass_fields__.values())
-#: Declaration-order field names for the slot-by-slot copy in ``evolve``.
-_ROUTE_FIELD_ORDER = tuple(Route.__dataclass_fields__)
-#: Sentinel distinguishing "field not in changes" from explicit ``None``.
-_UNCHANGED = object()
+_SET_PREFIX = Route.prefix.__set__
+_SET_ATTRS = Route.attrs.__set__
+#: Every field name of a route, in declaration order.
+_FIELDS = ("prefix",) + RouteAttrs._fields
+#: Record position of each field :meth:`Route.evolve` may change.
+_FIELD_INDEX = {name: i for i, name in enumerate(RouteAttrs._fields)}
+
+
+def _attribute_key(a: RouteAttrs) -> Tuple:
+    return (
+        a.nexthop,
+        a.as_path,
+        a.origin,
+        a.local_pref,
+        a.med,
+        tuple(sorted(a.communities)),
+        a.weight,
+        a.preference,
+        a.protocol,
+        a.source,
+        tuple(sorted(a.flags)),
+    )
+
+
+def _new(prefix: Prefix, attrs: RouteAttrs) -> Route:
+    route = object.__new__(Route)
+    _SET_PREFIX(route, prefix)
+    _SET_ATTRS(route, attrs)
+    return route
+
+
+def _load(prefix: Prefix, values: Tuple) -> Route:
+    """Unpickle a route (see :meth:`Route.__reduce__`)."""
+    return _new(prefix, _interned(RouteAttrs._make(values)))

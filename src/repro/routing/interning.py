@@ -2,33 +2,36 @@
 
 At paper scale a WAN simulation materializes millions of ``Route`` objects,
 but the *distinct* attribute values among them number in the thousands: the
-same AS paths, community sets, and full attribute tuples recur on every
-device a route reaches (route reflectors fan one announcement out to dozens
-of clients; EC expansion clones one representative row onto every member
+same AS paths, community sets, and attribute records recur on every device
+a route reaches (route reflectors fan one announcement out to dozens of
+clients; EC expansion clones one representative row onto every member
 prefix). Interning collapses those duplicates to one shared object each, so
-per-copy memory cost drops from "one attribute tuple per RIB row" to "one
-reference per RIB row".
+per-copy memory cost drops from "one attribute record per route" to "one
+reference per route".
 
-Three tables, all process-wide and behind the ``intern_routes`` perf flag
+Four tables, all process-wide and behind the ``intern_routes`` perf flag
 (``repro.perfopts``, default on — byte-identical results off):
 
 * **AS paths** — ``intern_as_path`` dedups the ``Tuple[int, ...]`` payloads;
 * **community sets** — ``intern_communities`` dedups the ``FrozenSet[str]``
   payloads (the empty frozenset is the overwhelmingly common case);
-* **whole routes** — ``intern_route`` maps a route's
-  :meth:`~repro.routing.attributes.Route.canonical_key` to one canonical
-  instance, so ``Route.evolve`` (policy application, ingress processing)
-  and unpickling stop allocating duplicate route objects.
+* **attribute keys** — ``intern_attribute_key`` dedups the §3.1 EC keys of
+  :meth:`~repro.routing.attributes.Route.attribute_key`, and
+  ``record_attribute_key`` builds each record's key once;
+* **route records** — ``intern_record`` maps a
+  :class:`~repro.routing.attributes.RouteAttrs` record (every field of a
+  route but its prefix) to one canonical instance, so route construction,
+  ``Route.evolve`` (policy application, ingress processing) and unpickling
+  share one record per distinct attribute combination.
 
-The route table holds weak references: interned routes live exactly as long
-as some RIB, adjacency slot, or advertisement cache still references them,
-so long-lived processes (the future ``repro serve``) do not leak retired
-route generations. The attribute tables hold strong references — their
-payloads are tiny and shared across generations.
+Every table holds strong references: a record is small, routes that differ
+only by prefix share it, and the number of distinct records grows with the
+distinct attribute content a process has seen, not with the number of runs
+(a second identical run adds none). ``clear`` drops them all.
 
-Counters: every ``intern_route`` call is either a **hit** (an identical
-route already existed — the allocation was saved) or a **miss** (first
-sighting — the instance becomes canonical). Execution backends snapshot the
+Counters: every ``intern_record`` call is either a **hit** (an equal record
+already existed — the allocation was saved) or a **miss** (first sighting —
+the record becomes canonical). Execution backends snapshot the
 process-wide totals around a run and report the delta as the
 ``routes.interned`` / ``routes.unique`` counters on the
 :class:`~repro.obs.RunContext` (see ``docs/observability.md``).
@@ -37,16 +40,16 @@ process-wide totals around a run and report the delta as the
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Callable, Dict, FrozenSet, Tuple
 
 __all__ = [
     "InternStats",
     "intern_as_path",
     "intern_attribute_key",
     "intern_communities",
-    "intern_route",
+    "intern_record",
+    "record_attribute_key",
     "clear",
     "stats_snapshot",
 ]
@@ -54,7 +57,7 @@ __all__ = [
 
 @dataclass
 class InternStats:
-    """Cumulative process-wide interning totals (monotonic)."""
+    """Cumulative process-wide record-interning totals (monotonic)."""
 
     route_hits: int = 0
     route_misses: int = 0
@@ -70,16 +73,17 @@ class InternStats:
 
 
 _STATS = InternStats()
-# The route table is read and written from worker threads (the distsim
-# thread pool, concurrent daemon jobs); one lock keeps hit accounting and the
-# weak table coherent. Attribute-table races are benign (idempotent
-# inserts of equal immutable values) so they go lockless.
+# The record table is read and written from worker threads (the distsim
+# thread pool, concurrent daemon jobs); one lock keeps hit accounting and
+# the table coherent. Attribute-table races are benign (idempotent inserts
+# of equal immutable values) so they go lockless.
 _LOCK = threading.Lock()
 
 _AS_PATHS: Dict[Tuple[int, ...], Tuple[int, ...]] = {(): ()}
 _COMMUNITIES: Dict[FrozenSet[str], FrozenSet[str]] = {frozenset(): frozenset()}
 _ATTRIBUTE_KEYS: Dict[Tuple, Tuple] = {}
-_ROUTES: "weakref.WeakValueDictionary[Tuple, object]" = weakref.WeakValueDictionary()
+_RECORDS: Dict[Tuple, Tuple] = {}
+_KEYS_OF_RECORDS: Dict[Tuple, Tuple] = {}
 
 
 def intern_as_path(as_path: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -115,52 +119,36 @@ def intern_attribute_key(key: Tuple) -> Tuple:
     return found
 
 
-def _route_key(route) -> Tuple:
-    """Every field of a route as one plain hashable tuple.
+def record_attribute_key(record, build: Callable[[Tuple], Tuple]) -> Tuple:
+    """The interned attribute key of a route record, built once per record.
 
-    Deliberately NOT :meth:`Route.canonical_key`: that key sorts community
-    and flag sets into tuples (it must be stable across processes), which
-    costs more than the whole table lookup. Within one process, frozensets
-    hash and compare fine — and the interned community sets are shared
-    instances whose cached hash is computed once — so the direct field
-    tuple gives the same two-routes-equal-iff-same-key contract for a
-    fraction of the build cost.
+    ``build(record)`` computes the key; it is a function of the record
+    alone, and every row of a flattened RIB asks for it.
     """
-    return (
-        route.prefix,
-        route.nexthop,
-        route.as_path,
-        route.origin,
-        route.local_pref,
-        route.med,
-        route.communities,
-        route.weight,
-        route.preference,
-        route.protocol,
-        route.source,
-        route.igp_cost,
-        route.origin_router,
-        route.origin_vrf,
-        route.aggregator,
-        route.flags,
-    )
+    key = _KEYS_OF_RECORDS.get(record)
+    if key is None:
+        key = _KEYS_OF_RECORDS[record] = intern_attribute_key(build(record))
+    return key
 
 
-def intern_route(route):
-    """The canonical instance of a route with this exact attribute tuple.
+def intern_record(record):
+    """The canonical instance of a route record with these exact fields.
 
-    Keys on every field, so two routes map to one instance exactly when
-    they are indistinguishable to any pure function of the route.
+    A new record becomes canonical with its AS path and community set
+    replaced by their canonical instances.
     """
-    key = _route_key(route)
     with _LOCK:
-        found = _ROUTES.get(key)
+        found = _RECORDS.get(record)
         if found is not None:
             _STATS.route_hits += 1
             return found
         _STATS.route_misses += 1
-        _ROUTES[key] = route
-    return route
+        as_path = intern_as_path(record.as_path)
+        communities = intern_communities(record.communities)
+        if as_path is not record.as_path or communities is not record.communities:
+            record = record._replace(as_path=as_path, communities=communities)
+        _RECORDS[record] = record
+    return record
 
 
 def stats_snapshot() -> InternStats:
@@ -178,5 +166,6 @@ def clear() -> None:
         _COMMUNITIES.clear()
         _COMMUNITIES[frozenset()] = frozenset()
         _ATTRIBUTE_KEYS.clear()
-        _ROUTES.clear()
+        _RECORDS.clear()
+        _KEYS_OF_RECORDS.clear()
         _STATS = InternStats()

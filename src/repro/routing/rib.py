@@ -176,24 +176,28 @@ class DeviceRib:
     def clone_slots(
         self,
         members_of: Dict[Prefix, List[Prefix]],
-        clones: Dict[Tuple[int, Prefix], Route],
+        clones: Dict[Prefix, Dict[int, Route]],
     ) -> None:
         """Copy each slot keyed in ``members_of`` onto the mapped prefixes.
 
         The §3.1 expansion: routes are re-announced for the target prefix,
         route types and row order kept. ``clones`` shares one clone per
-        ``(id(route), prefix)`` with the other devices being expanded.
+        prefix and ``id(route.attrs)`` with the other devices being
+        expanded: routes with one record re-announced for one prefix are
+        equal.
         """
         for table in self._tables.values():
             for prefix in [p for p in table if p in members_of]:
                 entries = table[prefix]
                 for member in members_of[prefix]:
+                    memo = clones.get(member)
+                    if memo is None:
+                        memo = clones[member] = {}
                     cloned = []
                     for route, route_type in entries:
-                        key = (id(route), member)
-                        clone = clones.get(key)
+                        clone = memo.get(id(route.attrs))
                         if clone is None:
-                            clone = clones[key] = route.with_prefix(member)
+                            clone = memo[id(route.attrs)] = route.with_prefix(member)
                         cloned.append((clone, route_type))
                     table[member] = cloned
         self._mutated()
@@ -492,10 +496,6 @@ class GlobalRibView(GlobalRib):
 
     def extend(self, rows: Iterable[RibRoute]) -> None:
         raise TypeError("a global RIB view is read-only")
-
-
-#: a view made as a patch of a base view (its constructor)
-PatchedGlobalRib = GlobalRibView
 
 
 class WithGlobalRib:

@@ -85,12 +85,6 @@ class TestDeterministicDecisions:
         engine.decide("store.read", "c")
         assert engine.counters() == {"mq.loss": 2, "store.read": 1}
 
-    def test_merge_counters(self):
-        engine = ChaosEngine(ChaosPolicy(seed=1))
-        engine.count("store.write", 2)
-        engine.merge_counters({"store.write": 3, "worker.slow": 1})
-        assert engine.counters() == {"store.write": 5, "worker.slow": 1}
-
     def test_pick_in_range_and_deterministic(self):
         policy = ChaosPolicy.uniform(seed=5, probability=1.0)
         a, b = ChaosEngine(policy), ChaosEngine(policy)

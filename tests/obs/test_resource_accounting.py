@@ -13,6 +13,7 @@ import pytest
 from repro import perfopts
 from repro.exec import CentralizedBackend, RouteSimRequest
 from repro.obs import RunContext, peak_rss_bytes
+from repro.routing import interning
 from repro.workload.routes import generate_input_routes
 from repro.workload.wan import WanParams, generate_wan
 
@@ -60,6 +61,9 @@ class TestBackendAccounting:
 
     def test_route_run_reports_rss_and_interning(self, workload):
         model, inputs = workload
+        # Interned records outlive runs: start from an empty table so this
+        # run discovers records (misses) as well as reusing them (hits).
+        interning.clear()
         ctx = RunContext("route-sim")
         CentralizedBackend().run_routes(
             RouteSimRequest(model=model, inputs=inputs, include_local_inputs=True),

@@ -1,10 +1,10 @@
 """The delta evaluator is the materialised evaluator.
 
-When ``updated`` is a :class:`PatchedGlobalRib` of ``base``, RCL compares
-``PRE`` and ``POST`` through the rows the patch dropped and installed. The
-reference is the same intent on ``GlobalRib(list(view))`` — a plain table
-with the same rows in the same order, which takes the code every other RIB
-takes. The two must agree field for field: verdict, violations, scopes,
+When ``updated`` is a :class:`GlobalRibView` made as a patch of ``base``,
+RCL compares ``PRE`` and ``POST`` through the rows the patch dropped and
+installed. The reference is the same intent on ``GlobalRib(list(view))``
+— a plain table with the same rows in the same order, which takes the code
+every other RIB takes. The two must agree field for field: verdict, violations, scopes,
 messages and sample rows.
 """
 
@@ -25,7 +25,7 @@ from repro.routing.rib import (
     ROUTE_TYPE_ECMP,
     DeviceRib,
     GlobalRib,
-    PatchedGlobalRib,
+    GlobalRibView,
     UnknownFieldError,
 )
 from repro.routing.simulator import simulate_routes
@@ -98,7 +98,7 @@ def fresh_views(bounded):
     base = verifier.base_world.global_rib
     for plan in plans:
         view = verifier.simulate_plan(plan)[0].global_rib
-        assert isinstance(view, PatchedGlobalRib) and view.base is base
+        assert isinstance(view, GlobalRibView) and view.base is base
         yield base, view
 
 
@@ -265,7 +265,7 @@ def hand_made(base_slots, partial_slots, covered):
         base_ribs, partial, blast
     )
     base = GlobalRib.from_device_ribs(base_ribs.values()).best_routes()
-    view = PatchedGlobalRib(
+    view = GlobalRibView(
         base, base_ribs, splice.device_ribs, splice.dropped, splice.installed
     )
     return base, view, splice
@@ -398,7 +398,7 @@ def test_drawn_touched_slots_agree(small_base, data):
     splice = IncrementalEngine(model).splice(
         base_ribs, partial, blast, full_devices=full
     )
-    view = PatchedGlobalRib(
+    view = GlobalRibView(
         base, base_ribs, splice.device_ribs, splice.dropped, splice.installed
     )
     rebuilt = GlobalRib.from_device_ribs(splice.device_ribs.values()).best_routes()
