@@ -27,7 +27,6 @@ from repro.distsim.partition import (
     BalancedPartitioner,
     OrderingPartitioner,
     RandomPartitioner,
-    RegionPartitioner,
 )
 from repro.distsim.master import (
     DistributedRouteSimulation,
@@ -53,7 +52,6 @@ __all__ = [
     "OrderingPartitioner",
     "RandomPartitioner",
     "BalancedPartitioner",
-    "RegionPartitioner",
     "DistributedRouteSimulation",
     "DistributedTrafficSimulation",
     "RetryPolicy",

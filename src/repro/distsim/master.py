@@ -400,17 +400,7 @@ class DistributedRouteSimulation(_TaskRunner):
             skipped = 0
             with ctx.span("dispatch"):
                 for index, chunk in enumerate(chunks):
-                    # A summary-scoped partitioner attaches a per-chunk
-                    # region context (neighbor border claims); a chunk with
-                    # a context is dispatched even when it holds no inputs,
-                    # because the region's devices still learn routes from
-                    # the claims.
-                    context = (
-                        partitioner.subtask_context(index)
-                        if hasattr(partitioner, "subtask_context")
-                        else None
-                    )
-                    if not chunk and context is None:
+                    if not chunk:
                         skipped += 1
                         continue
                     subtask_id = f"{task_name}/route-{index:04d}"
@@ -422,16 +412,10 @@ class DistributedRouteSimulation(_TaskRunner):
                         [r.route.prefix for r in chunk]
                     )
                     self.db.register(record)
-                    payload = {"input_key": input_key, "result_key": result_key}
-                    if context is not None:
-                        context_key = f"{subtask_id}/context"
-                        self.store.put(context_key, context)
-                        payload["context_key"] = context_key
-                        ctx.count("distsim.region_contexts")
                     message = Message(
                         subtask_id=subtask_id,
                         kind="route",
-                        payload=payload,
+                        payload={"input_key": input_key, "result_key": result_key},
                     )
                     messages[subtask_id] = message
                     self.mq.push(message)

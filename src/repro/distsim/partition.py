@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.net.addr import Prefix, PrefixRange
 from repro.routing.inputs import InputRoute
@@ -142,60 +142,6 @@ class RandomPartitioner:
         shuffled = list(flows)
         random.Random(self.seed).shuffle(shuffled)
         return _contiguous_chunks(shuffled, subtasks)
-
-
-class RegionPartitioner:
-    """One chunk per topology region, for summary-scoped subtasks.
-
-    Built from a :class:`~repro.modular.regions.RegionAssignment` (and,
-    optionally, per-region :class:`~repro.modular.verifier.RegionContext`
-    objects from a converged summary exchange). ``split_routes`` groups the
-    inputs by the injecting router's region — one chunk per region in
-    sorted order, ignoring the requested subtask count — and records the
-    chunk-to-region mapping in :attr:`chunk_regions` so the master can ship
-    each region's context alongside its input chunk. A region chunk may be
-    *empty* and still carry a context: the region has no own inputs but
-    its devices learn routes from the neighbor claims, so the master
-    dispatches it anyway.
-
-    Same-prefix routes injected in different regions land in different
-    chunks — safe here, unlike for ordering subtasks, because a region
-    subtask is scoped by device membership, not by prefix range, and the
-    cross-region interaction arrives through the context's assumptions.
-    """
-
-    name = "region"
-
-    def __init__(self, assignment, contexts: Optional[Dict] = None) -> None:
-        self.assignment = assignment
-        self.contexts = dict(contexts) if contexts else {}
-        #: region name of each chunk returned by the last ``split_routes``.
-        self.chunk_regions: List[str] = list(assignment.regions)
-
-    def subtask_context(self, index: int):
-        """The region context shipped with chunk ``index`` (or ``None``)."""
-        if 0 <= index < len(self.chunk_regions):
-            return self.contexts.get(self.chunk_regions[index])
-        return None
-
-    def split_routes(
-        self, routes: Sequence[InputRoute], subtasks: int
-    ) -> List[List[InputRoute]]:
-        region_of = self.assignment.region_of
-        by_region: Dict[str, List[InputRoute]] = {
-            region: [] for region in self.assignment.regions
-        }
-        for route in routes:
-            region = region_of.get(route.router)
-            if region is not None:
-                by_region[region].append(route)
-        self.chunk_regions = list(self.assignment.regions)
-        return [by_region[region] for region in self.chunk_regions]
-
-    def split_flows(self, flows: Sequence[Flow], subtasks: int) -> List[List[Flow]]:
-        # Traffic subtasks are not region-scoped; keep the ordering split
-        # and its dependency-reduction payoff.
-        return OrderingPartitioner().split_flows(flows, subtasks)
 
 
 class BalancedPartitioner:

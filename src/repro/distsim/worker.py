@@ -168,29 +168,6 @@ class Worker:
         result_key = message.payload["result_key"]
         input_routes = self.store.get(input_key)
 
-        context_key = message.payload.get("context_key")
-        if context_key is not None:
-            # Summary-scoped subtask: simulate one region against its
-            # shipped border claims instead of the global session graph.
-            # The EC technique is skipped — region membership, not prefix
-            # grouping, bounds this subtask's work.
-            from repro.modular.verifier import simulate_region_subtask
-
-            context = self.store.get(context_key)
-            ribs = simulate_region_subtask(
-                self.model, self.igp, context, input_routes
-            )
-            self.store.put(result_key, ribs)
-            if self.chaos is not None:
-                self.chaos.crash_point("worker.crash_after", message)
-            self.db.update(
-                message.subtask_id,
-                ranges=self._result_ranges(ribs),
-                cost_units=sum(rib.route_count() for rib in ribs.values()),
-                result_key=result_key,
-            )
-            return
-
         # The simulator solves one representative prefix group per route EC
         # — jointly, so cross-prefix effects (aggregation, suppression) stay
         # coherent — and clones the rows onto the member prefixes.

@@ -81,11 +81,6 @@ class RouteSimRequest:
     worker_config: Any = None
     task_name: str = "route-task"
     warm_start: Any = None
-    #: blast-radius region scope: set by :class:`IncrementalBackend` when
-    #: the warm start's delta is confined to one topology region, letting a
-    #: modular inner backend re-simulate that region alone against the base
-    #: border summaries. Terminal backends other than modular ignore it.
-    region_scope: Optional[str] = None
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 :class:`IncrementalBackend` wraps any terminal backend. Requests without a
 :class:`WarmStart` pass straight through; requests carrying one re-simulate
-only the blast-radius-covered inputs — by filtering the input list on a
-centralized inner backend, or with a
+only the blast-radius-covered inputs — by filtering the input list on an
+in-process inner backend (centralized or modular), or with a
 :class:`~repro.distsim.partition.CoveredSubsetPartitioner` on a distributed
 one (splitting the *full* list first keeps subtask grouping identical to a
 full run, and empty chunks are skipped entirely) — then splice the partial
@@ -87,9 +87,6 @@ class IncrementalBackend(ExecutionBackend):
                     request, partitioner=partitioner, warm_start=None
                 )
             else:
-                scoped = self._try_region_scoped(request, warm, covered, ctx)
-                if scoped is not None:
-                    return scoped
                 inner_request = replace(request, inputs=covered, warm_start=None)
             partial = self.inner.run_routes(inner_request, ctx)
             splice = self.engine.splice(
@@ -109,52 +106,6 @@ class IncrementalBackend(ExecutionBackend):
                 splice=splice,
                 resimulated_inputs=len(covered),
             )
-
-    def _try_region_scoped(
-        self,
-        request: RouteSimRequest,
-        warm: WarmStart,
-        covered: List[InputRoute],
-        ctx: RunContext,
-    ) -> Optional[RouteSimOutcome]:
-        """Attempt the modular backend's single-region warm path.
-
-        When the blast radius names one region (``blast.region_scope``) and
-        the inner backend exposes ``run_region_scoped`` (the modular
-        backend's hook), only that region is re-simulated against the base
-        border summaries; the splice then reuses every other region's base
-        RIBs wholesale. The hook declines (returns ``None``) whenever its
-        unchanged-summary guarantee cannot be established, in which case
-        the caller falls through to the ordinary covered-input path — so
-        this is a performance gate, never a correctness gate.
-        """
-        scope = warm.blast.region_scope
-        hook = getattr(self.inner, "run_region_scoped", None)
-        if scope is None or hook is None:
-            return None
-        scoped_request = replace(
-            request, inputs=covered, warm_start=None, region_scope=scope
-        )
-        outcome = hook(scoped_request, warm, self.engine.base_model, ctx)
-        if outcome is None:
-            return None
-        partial_ribs, scoped_devices, result = outcome
-        splice = self.engine.splice_scoped(
-            warm.base_ribs,
-            partial_ribs,
-            warm.blast,
-            scoped_devices,
-            ctx=ctx,
-            full_devices=warm.full_devices,
-        )
-        return RouteSimOutcome(
-            device_ribs=splice.device_ribs,
-            igp=result.igp,
-            backend=self.name,
-            result=result,
-            splice=splice,
-            resimulated_inputs=len(covered),
-        )
 
     def run_traffic(
         self, request: TrafficSimRequest, ctx: Optional[RunContext] = None

@@ -32,7 +32,7 @@ from repro.incremental.diff import DeviceDelta, ModelDiff
 from repro.net.addr import Prefix, as_prefix
 from repro.net.device import DeviceConfig
 from repro.net.model import NetworkModel
-from repro.net.policy import MatchClause, PolicyContext, PolicyNode
+from repro.net.policy import PolicyContext, PolicyNode
 from repro.net.trie import PrefixTrie
 from repro.routing.inputs import build_local_inputs_for_device
 
@@ -69,12 +69,6 @@ class BlastRadius:
     #: Devices with configuration deltas (informational; splice-level
     #: affected-device stats are derived from covered slots).
     changed_devices: FrozenSet[str] = frozenset()
-    #: The single topology region containing every changed device and
-    #: injected input, or None. Only set for narrowed (non-widened) deltas
-    #: whose sections cannot move the session graph or IGP, so a modular
-    #: backend may re-simulate just this region against the base border
-    #: summaries and skip all cross-region work when its summary holds.
-    region_scope: Optional[str] = None
 
     _trie: Optional[PrefixTrie] = field(default=None, repr=False, compare=False)
     _covers_cache: Optional[Dict[Prefix, bool]] = field(
@@ -297,7 +291,6 @@ def blast_radius_for_prefixes(
     prefixes: Iterable[Prefix],
     models: Sequence[NetworkModel],
     changed_devices: FrozenSet[str] = frozenset(),
-    region_scope: Optional[str] = None,
 ) -> BlastRadius:
     """A narrowed :class:`BlastRadius` over an explicit prefix set.
 
@@ -311,7 +304,6 @@ def blast_radius_for_prefixes(
     return BlastRadius(
         affected_prefixes=tuple(sorted(space, key=lambda p: p.ordering_key())),
         changed_devices=changed_devices,
-        region_scope=region_scope,
     )
 
 
@@ -385,30 +377,4 @@ def analyze_blast_radius(
         include_all_v6=out.include_all_v6,
         traffic_affected=traffic_affected,
         changed_devices=changed_devices,
-        region_scope=_region_scope(diff, base, changed_devices),
     )
-
-
-def _region_scope(
-    diff: ModelDiff, base: NetworkModel, changed_devices: FrozenSet[str]
-) -> Optional[str]:
-    """The one region a narrowed delta is confined to, or None.
-
-    Only reached for analyzable deltas (statics/aggregates/redistributions/
-    policies — sections that cannot move session liveness or IGP costs, the
-    widening sections catch those), so the change's direct effects originate
-    entirely inside the touched devices' region; everything it can do to
-    other regions travels through this region's border exports, which is
-    exactly what the modular backend's summary check guards.
-    """
-    touched = set(changed_devices)
-    touched.update(item.router for item in diff.new_input_routes)
-    if not touched:
-        return None
-    region_of = {
-        router.name: router.region for router in base.topology.routers
-    }
-    regions = {region_of.get(device) for device in touched}
-    if len(regions) == 1:
-        scope = regions.pop()
-        return scope  # None when a touched device is unknown to the topology

@@ -34,7 +34,7 @@ import gc
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.incremental.blast import BlastRadius, analyze_blast_radius
 from repro.incremental.diff import ModelDiff, diff_models
@@ -208,80 +208,48 @@ class IncrementalEngine:
         devices), so splicing base slots there would resurrect routes the
         cold run dropped.
         """
-        with _span(ctx, devices=len(base_ribs)) as span:
-            result = self._splice(
-                base_ribs, partial_ribs, blast, frozenset(full_devices)
-            )
-            _describe(span, result)
-            return result
-
-    def splice_scoped(
-        self,
-        base_ribs: Mapping[str, DeviceRib],
-        partial_ribs: Mapping[str, DeviceRib],
-        blast: BlastRadius,
-        scoped_devices: Iterable[str],
-        ctx=None,
-        full_devices: Iterable[str] = (),
-    ) -> SpliceResult:
-        """Splice when only ``scoped_devices`` could have changed.
-
-        The modular backend's region-scoped path proves (via an unchanged
-        border summary) that devices outside the scoped region hold their
-        base state even at covered prefixes, so they reuse their base RIB
-        objects wholesale; scoped devices splice exactly like
-        :meth:`splice`, including its ``full_devices`` replacement rule.
-        """
-        member = set(scoped_devices)
-        with _span(ctx, devices=len(base_ribs), scoped=len(member)) as span:
-            result = self._splice(
-                {name: rib for name, rib in base_ribs.items() if name in member},
-                {name: rib for name, rib in partial_ribs.items() if name in member},
-                blast,
-                frozenset(full_devices) & member,
-            )
-            for name, base_rib in base_ribs.items():
-                if name not in member:
-                    result.device_ribs[name] = base_rib
-                    result.reused_devices += 1
-                    result.reused_slots += base_rib.slot_count()
-            _describe(span, result)
-            return result
-
-    def _splice(
-        self,
-        base_ribs: Mapping[str, DeviceRib],
-        partial_ribs: Mapping[str, DeviceRib],
-        blast: BlastRadius,
-        full_devices: FrozenSet[str] = frozenset(),
-    ) -> SpliceResult:
+        full_devices = frozenset(full_devices)
         result = SpliceResult(device_ribs={})
         covered = _covered_prefixes(blast)
         names = list(base_ribs)
         names.extend(sorted(set(partial_ribs) - set(base_ribs)))
-        for name in names:
-            base_rib = base_ribs.get(name)
-            partial_rib = partial_ribs.get(name)
-            base = base_rib if base_rib is not None else DeviceRib(name)
-            if name in full_devices:
-                spliced = partial_rib if partial_rib is not None else DeviceRib(name)
-                dropped, installed = base.slots(), spliced.slots()
-            else:
-                dropped = base.slots(covered)
-                installed = (
-                    partial_rib.slots(covered) if partial_rib is not None else {}
+        with (
+            ctx.span("incremental.splice", devices=len(base_ribs))
+            if ctx
+            else nullcontext()
+        ) as span:
+            for name in names:
+                base_rib = base_ribs.get(name)
+                partial_rib = partial_ribs.get(name)
+                base = base_rib if base_rib is not None else DeviceRib(name)
+                if name in full_devices:
+                    spliced = (
+                        partial_rib if partial_rib is not None else DeviceRib(name)
+                    )
+                    dropped, installed = base.slots(), spliced.slots()
+                else:
+                    dropped = base.slots(covered)
+                    installed = (
+                        partial_rib.slots(covered) if partial_rib is not None else {}
+                    )
+                    result.reused_slots += base.slot_count() - _count(dropped)
+                    if not dropped and not installed and base_rib is not None:
+                        result.device_ribs[name] = base_rib
+                        result.reused_devices += 1
+                        continue
+                    spliced = base.derive(dropped, partial_rib, installed)
+                result.device_ribs[name] = spliced
+                result.affected_devices += 1
+                result.dropped[name] = dropped
+                result.installed[name] = installed
+                result.spliced_slots += _count(installed)
+            if span is not None:
+                # What the splice did (``repro verify --trace`` shows it).
+                span.meta.update(
+                    affected_devices=result.affected_devices,
+                    reused_devices=result.reused_devices,
+                    spliced_slots=result.spliced_slots,
                 )
-                result.reused_slots += base.slot_count() - _count(dropped)
-                if not dropped and not installed and base_rib is not None:
-                    result.device_ribs[name] = base_rib
-                    result.reused_devices += 1
-                    continue
-                spliced = base.derive(dropped, partial_rib, installed)
-            result.device_ribs[name] = spliced
-            result.affected_devices += 1
-            result.dropped[name] = dropped
-            result.installed[name] = installed
-            result.spliced_slots += _count(installed)
         return result
 
 
@@ -303,17 +271,3 @@ def _covered_prefixes(blast: BlastRadius) -> Callable[[Set[Prefix]], Set[Prefix]
 
 def _count(slots: Slots) -> int:
     return sum(map(len, slots.values()))
-
-
-def _span(ctx, **meta):
-    return ctx.span("incremental.splice", **meta) if ctx else nullcontext()
-
-
-def _describe(span, result: SpliceResult) -> None:
-    """What a splice did, on its span (``repro verify --trace`` shows it)."""
-    if span is not None:
-        span.meta.update(
-            affected_devices=result.affected_devices,
-            reused_devices=result.reused_devices,
-            spliced_slots=result.spliced_slots,
-        )

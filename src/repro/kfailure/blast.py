@@ -80,7 +80,6 @@ class ScenarioEffect:
     igp: IgpState
     igp_unchanged: bool
     dead_sessions: int
-    region_scope: Optional[str] = None
 
     @property
     def is_noop(self) -> bool:
@@ -124,9 +123,6 @@ class FailureBlastAnalyzer:
             self._collect_base_dependencies(base_result)
             self._igp_by_digest: Dict[str, IgpState] = {
                 self.base_digest: self.base_igp
-            }
-            self._region_of = {
-                router.name: router.region for router in topology.routers
             }
 
     def _collect_base_dependencies(self, base_result: SimulationResult) -> None:
@@ -215,12 +211,10 @@ class FailureBlastAnalyzer:
         if not igp_unchanged:
             self._add_cost_movement(work_model, igp, affected, affected_devices)
 
-        region_scope = self._single_region(affected_devices, igp_unchanged)
         blast = blast_radius_for_prefixes(
             affected,
             (self.model,),
             changed_devices=frozenset(affected_devices),
-            region_scope=region_scope,
         )
         covered = [
             item for item in self.inputs if blast.covers(item.route.prefix)
@@ -233,7 +227,6 @@ class FailureBlastAnalyzer:
             igp=igp,
             igp_unchanged=igp_unchanged,
             dead_sessions=len(dead),
-            region_scope=region_scope,
         )
 
     def _add_cost_movement(
@@ -263,23 +256,3 @@ class FailureBlastAnalyzer:
         if plain == INFINITY:
             plain = UNREACHABLE_COST
         return int(effective_igp_cost(cfg, igp, owner, plain))
-
-    def _single_region(
-        self, affected_devices: Set[str], igp_unchanged: bool
-    ) -> Optional[str]:
-        """The one region the class is confined to, or None.
-
-        Only claimed when the IGP did not move: the modular backend's
-        region-scoped warm path pins other regions to their base summaries,
-        whose costs assume the base IGP. With the IGP intact and every dead
-        session endpoint plus failed router inside one region, everything
-        the class can do to other regions travels through that region's
-        border exports — exactly what the scoped path's unchanged-summary
-        guarantee checks.
-        """
-        if not igp_unchanged or not affected_devices:
-            return None
-        regions = {self._region_of.get(name) for name in affected_devices}
-        if len(regions) != 1:
-            return None
-        return regions.pop()

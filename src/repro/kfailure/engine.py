@@ -10,9 +10,9 @@ against it:
   candidate sets; only the covered inputs are re-solved (through the
   :class:`~repro.exec.incremental.IncrementalBackend` splice machinery,
   with failed routers spliced wholesale) and everything else is reused
-  from the base RIBs. A scenario confined to one region composes with
-  the modular backend's region-scoped path: one region re-solved against
-  pinned base border summaries, zero cross-region work.
+  from the base RIBs. The covered subset is solved by the engine's own
+  ``backend`` (centralized by default; a modular backend solves it region
+  by region like any other request).
 * **Equivalence-class pruning** — scenarios are canonicalized by their
   blast fingerprint (failed routers, IS-IS adjacency digest, dead eBGP
   sessions); one simulation serves every scenario in a class. The pruning
@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.exec import CentralizedBackend, ExecutionBackend, RouteSimRequest
-from repro.exec.base import TrafficSimOutcome, TrafficSimRequest
 from repro.exec.incremental import IncrementalBackend, WarmStart
 from repro.incremental.engine import IncrementalEngine
 from repro.kfailure.blast import ClassKey, FailureBlastAnalyzer
@@ -51,36 +50,6 @@ from repro.net.topology import Link
 from repro.obs import RunContext, ensure_context
 from repro.routing.inputs import InputRoute, build_local_input_routes
 from repro.routing.simulator import RouteSimulator, SimulationResult
-
-
-class _ScopedSolver(ExecutionBackend):
-    """Modular region-scoped hook + centralized covered-subset solves.
-
-    The incremental decorator's inner backend for warm exploration over a
-    modular terminal backend. Routing plain ``run_routes`` to a centralized
-    solver (byte-identical results, pinned by the equivalence suite) keeps
-    the modular backend's converged **base** state pristine: a modular
-    covered-subset solve would re-register scenario summaries under the
-    base model's id and poison later region-scoped pins.
-    """
-
-    name = "kfailure-scoped"
-    is_distributed = False
-
-    def __init__(self, modular: ExecutionBackend, max_rounds: int = 50) -> None:
-        self._modular = modular
-        self._centralized = CentralizedBackend(max_rounds=max_rounds)
-
-    def run_routes(self, request, ctx=None):
-        return self._centralized.run_routes(request, ctx)
-
-    def run_region_scoped(self, request, warm, base_model, ctx):
-        return self._modular.run_region_scoped(request, warm, base_model, ctx)
-
-    def run_traffic(
-        self, request: TrafficSimRequest, ctx=None
-    ) -> TrafficSimOutcome:
-        return self._centralized.run_traffic(request, ctx)
 
 
 class KFailureEngine:
@@ -132,9 +101,7 @@ class KFailureEngine:
         The base solve runs centralized in-process regardless of the
         scenario backend: the analyzer needs the full per-slot candidate
         sets (``BgpResult.selections`` including rejected candidates) that
-        only an in-process result exposes. When the scenario backend offers
-        the region-scoped hook, one additional modular solve of the base
-        model registers the converged summaries the hook pins against.
+        only an in-process result exposes.
         """
         if self.base_result is not None:
             return
@@ -149,20 +116,9 @@ class KFailureEngine:
             )
             self._incr_engine = IncrementalEngine(self.model)
             self._incr_engine.snapshot_base(self.base_result.device_ribs, ctx)
-            inner: ExecutionBackend = self.backend
-            if self.warm and hasattr(self.backend, "run_region_scoped"):
-                # Register the modular base state (model id + igp identity
-                # are what run_region_scoped keys on).
-                self.backend.run_routes(
-                    RouteSimRequest(
-                        model=self.model,
-                        inputs=self.inputs,
-                        igp=self.base_result.igp,
-                    ),
-                    ctx,
-                )
-                inner = _ScopedSolver(self.backend)
-            self._warm_backend = IncrementalBackend(inner, self._incr_engine)
+            self._warm_backend = IncrementalBackend(
+                self.backend, self._incr_engine
+            )
 
     # -- exploration ---------------------------------------------------------
 

@@ -29,11 +29,9 @@ from repro.modular.summaries import (
 from repro.modular.verifier import (
     DEFAULT_EXCHANGE_ROUNDS,
     ModularResult,
-    RegionContext,
     RegionSolver,
     SummaryGuidedVerifier,
     merge_bgp_results,
-    simulate_region_subtask,
 )
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "DEFAULT_EXCHANGE_ROUNDS",
     "ModularResult",
     "RegionAssignment",
-    "RegionContext",
     "RegionSolver",
     "RegionSummary",
     "SummaryGuidedVerifier",
@@ -49,7 +46,6 @@ __all__ = [
     "assign_regions",
     "diff_exports",
     "merge_bgp_results",
-    "simulate_region_subtask",
     "split_sessions",
     "summaries_equal",
     "summary_fingerprint",

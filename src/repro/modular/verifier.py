@@ -48,8 +48,6 @@ from repro.routing.bgp import (
 )
 from repro.routing.inputs import InputRoute
 from repro.routing.isis import IgpState, compute_igp
-from repro.routing.rib import DeviceRib
-from repro.routing.simulator import RouteSimulator
 from repro.modular.regions import RegionAssignment, assign_regions, split_sessions
 from repro.modular.summaries import (
     RegionSummary,
@@ -433,34 +431,6 @@ class SummaryGuidedVerifier:
             regions=self.assignment.regions,
         )
 
-    def region_contexts(
-        self, summaries: Mapping[str, RegionSummary]
-    ) -> Dict[str, "RegionContext"]:
-        """Per-region subtask contexts from converged summaries.
-
-        Each context carries the region's device slice plus the inbound
-        border advertisements its neighbors claim — everything a distsim
-        worker needs to re-simulate the region without the global fixpoint.
-        """
-        region_of = self.assignment.region_of
-        inbound: Dict[str, Dict[SessionKey, SessionExports]] = {
-            region: {} for region in self.assignment.regions
-        }
-        for summary in summaries.values():
-            for key, session_exports in summary.exports.items():
-                receiver_region = region_of.get(key[2])
-                if receiver_region is None or not session_exports:
-                    continue
-                inbound[receiver_region][key] = session_exports
-        return {
-            region: RegionContext.build(
-                region,
-                self.assignment.devices_in(region),
-                inbound[region],
-            )
-            for region in self.assignment.regions
-        }
-
     def _assumed_deliveries(
         self, assume: Mapping[str, RegionSummary]
     ) -> Dict[str, List[Delivery]]:
@@ -507,90 +477,11 @@ def merge_bgp_results(results: Sequence[BgpResult]) -> BgpResult:
     return BgpResult(selections=selections, suppressed=suppressed, stats=stats)
 
 
-@dataclass(frozen=True)
-class RegionContext:
-    """A picklable region slice for summary-scoped distsim subtasks."""
-
-    region: str
-    devices: Tuple[str, ...]
-    #: inbound border claims as nested tuples (pickle-friendly):
-    #: ((session_key, ((prefix, routes), ...)), ...)
-    assumptions: Tuple[
-        Tuple[SessionKey, Tuple[Tuple[Prefix, Tuple[Route, ...]], ...]], ...
-    ] = ()
-
-    @classmethod
-    def build(
-        cls,
-        region: str,
-        devices: Sequence[str],
-        inbound: Mapping[SessionKey, SessionExports],
-    ) -> "RegionContext":
-        assumptions = tuple(
-            (
-                key,
-                tuple(
-                    sorted(
-                        session_exports.items(), key=lambda kv: kv[0].ident
-                    )
-                ),
-            )
-            for key, session_exports in sorted(inbound.items())
-        )
-        return cls(
-            region=region, devices=tuple(devices), assumptions=assumptions
-        )
-
-
-def simulate_region_subtask(
-    model: NetworkModel,
-    igp: IgpState,
-    context: RegionContext,
-    input_routes: Sequence[InputRoute],
-) -> Dict[str, DeviceRib]:
-    """Simulate one region against its context (distsim worker path).
-
-    The worker solves only the region's intra-region session graph, injects
-    the neighbor claims from the context, and assembles RIBs for the
-    region's devices — connected/static normalization stays with the
-    master's post-merge pass, exactly like ordinary route subtasks.
-    """
-    member = frozenset(context.devices)
-    sessions = build_sessions(model, igp)
-    intra = [
-        s for s in sessions if s.sender in member and s.receiver in member
-    ]
-    cross_in = {
-        s.key: s
-        for s in sessions
-        if s.receiver in member and s.sender not in member
-    }
-    sim = BgpSimulator(model, igp, sessions=intra)
-    sim._reset()
-    worklist = sim.seed(input_routes)
-    sim.run_worklist(worklist)
-    deliveries: List[Delivery] = []
-    for key, entries in context.assumptions:
-        session = cross_in.get(key)
-        if session is None:
-            continue
-        for prefix, routes in entries:
-            deliveries.append((session, prefix, routes))
-    sim.deliver_external(deliveries)
-    result = sim.materialize()
-    ribs = RouteSimulator(
-        model, igp=igp, include_connected=False
-    ).assemble_ribs(result)
-    return {device: ribs[device] for device in context.devices}
-
-
 __all__ = [
     "DEFAULT_EXCHANGE_ROUNDS",
     "Delivery",
     "ModularResult",
-    "RegionContext",
     "RegionSolver",
     "SummaryGuidedVerifier",
     "merge_bgp_results",
-    "simulate_region_subtask",
 ]

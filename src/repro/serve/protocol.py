@@ -106,18 +106,18 @@ def validate_job_spec(spec: Any) -> Optional[str]:
             return f"{kind} jobs need a 'snapshot_path'"
     if kind == "kfailure":
         k = spec.get("k", 1)
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             return f"kfailure jobs need a positive integer 'k', got {k!r}"
     priority = spec.get("priority", "normal")
-    if priority not in PRIORITY_CLASSES:
+    if not isinstance(priority, str) or priority not in PRIORITY_CLASSES:
         return (f"unknown priority {priority!r}; expected one of "
                 f"{sorted(PRIORITY_CLASSES)}")
     isolation = spec.get("isolation", "thread")
-    if isolation not in ISOLATION_MODES:
+    if not isinstance(isolation, str) or isolation not in ISOLATION_MODES:
         return (f"unknown isolation {isolation!r}; expected one of "
                 f"{ISOLATION_MODES}")
     backend = spec.get("backend", "centralized")
-    if backend not in BACKEND_NAMES:
+    if not isinstance(backend, str) or backend not in BACKEND_NAMES:
         return (f"unknown backend {backend!r}; expected one of "
                 f"{BACKEND_NAMES}")
     flags = spec.get("perf_flags", {})

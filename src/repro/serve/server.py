@@ -137,6 +137,12 @@ class ServeDaemon:
         self, message: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         op = message.get("op")
+        job_id = message.get("job_id")
+        if job_id is not None and not isinstance(job_id, str):
+            await self._send(
+                writer, protocol.error(f"job_id must be a string, got {job_id!r}")
+            )
+            return
         handler: Optional[Callable] = {
             "ping": self._op_ping,
             "submit": self._op_submit,
@@ -146,7 +152,7 @@ class ServeDaemon:
             "cancel": self._op_cancel,
             "stats": self._op_stats,
             "shutdown": self._op_shutdown,
-        }.get(op)
+        }.get(op) if isinstance(op, str) else None
         if handler is None:
             await self._send(
                 writer, protocol.error(f"unknown op {op!r}")

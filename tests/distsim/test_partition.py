@@ -6,10 +6,8 @@ from repro.distsim.partition import (
     BalancedPartitioner,
     OrderingPartitioner,
     RandomPartitioner,
-    RegionPartitioner,
     ranges_of_prefixes,
 )
-from repro.modular.regions import RegionAssignment
 from repro.net.addr import Prefix
 from repro.routing.inputs import inject_external_route
 from repro.traffic.flow import make_flow
@@ -242,39 +240,3 @@ class TestBalancedPartitioner:
         max_group = max(partitioner.cost_of(r) for r in routes)
         for load in loads:
             assert load <= mean + max_group
-
-
-class TestRegionPartitioner:
-    def assignment(self):
-        return RegionAssignment(region_of={
-            "a0": "east", "a1": "east", "b0": "west", "c0": "north",
-        })
-
-    def test_one_chunk_per_region_in_sorted_order(self):
-        part = RegionPartitioner(self.assignment())
-        routes = [
-            inject_external_route("b0", "10.0.0.0/24", (65010,)),
-            inject_external_route("a0", "10.0.1.0/24", (65010,)),
-            inject_external_route("a1", "10.0.2.0/24", (65010,)),
-        ]
-        chunks = part.split_routes(routes, 99)  # subtask count is ignored
-        assert part.chunk_regions == ["east", "north", "west"]
-        assert [[r.router for r in c] for c in chunks] == [
-            ["a0", "a1"], [], ["b0"]
-        ]
-
-    def test_unknown_router_dropped(self):
-        part = RegionPartitioner(self.assignment())
-        chunks = part.split_routes(
-            [inject_external_route("zz", "10.0.0.0/24", (65010,))], 1
-        )
-        assert all(not chunk for chunk in chunks)
-
-    def test_subtask_context_follows_chunk_regions(self):
-        contexts = {"west": object(), "east": object()}
-        part = RegionPartitioner(self.assignment(), contexts)
-        part.split_routes([], 1)
-        assert part.subtask_context(0) is contexts["east"]
-        assert part.subtask_context(1) is None  # north has no context
-        assert part.subtask_context(2) is contexts["west"]
-        assert part.subtask_context(99) is None

@@ -13,7 +13,6 @@ from repro.incremental.engine import (
     IncrementalStats,
 )
 from repro.net.addr import as_prefix
-from repro.obs.context import RunContext
 from repro.routing.inputs import inject_external_route
 from repro.routing.rib import DeviceRib, device_rib_fingerprint
 
@@ -154,23 +153,6 @@ class TestTouchedSlots:
         assert len(result.dropped["A"]["global"]) == 2
         assert len(result.installed["A"]["global"]) == 1
 
-    def test_scoped_splice_reports_nothing_outside_the_scope(self):
-        engine = IncrementalEngine(build_model([("A", 100), ("B", 100)], []))
-        base = {
-            "A": make_rib("A", "10.1.0.0/16"),
-            "B": make_rib("B", "10.1.0.0/16"),
-        }
-        partial = {
-            "A": make_rib("A", "10.1.0.0/16"),
-            "B": make_rib("B", "10.1.0.0/16"),
-        }
-        result = engine.splice_scoped(
-            base, partial, radius("10.1.0.0/16"), scoped_devices=["A"]
-        )
-        # B holds a covered slot, but the scope proves it kept its base state
-        assert result.device_ribs["B"] is base["B"]
-        assert set(result.touched) == {"A"}
-
 
 class TestSpliceSpan:
     """The ``incremental.splice`` span says what the splice did."""
@@ -193,27 +175,6 @@ class TestSpliceSpan:
             "spliced_slots": stats.spliced_slots,
         }
         assert stats.spliced_slots > 0
-
-    def test_scoped_splice_counts_the_devices_outside_the_scope(self):
-        engine = IncrementalEngine(build_model([("A", 100), ("B", 100)], []))
-        base = {
-            "A": make_rib("A", "10.1.0.0/16", "10.2.0.0/16"),
-            "B": make_rib("B", "10.1.0.0/16"),
-        }
-        partial = {"A": make_rib("A", "10.1.0.0/16")}
-        ctx = RunContext()
-        engine.splice_scoped(
-            base, partial, radius("10.1.0.0/16"), scoped_devices=["A"], ctx=ctx
-        )
-        span = ctx.root.find("incremental.splice")
-        assert span.ended is not None
-        assert span.meta == {
-            "devices": 2,
-            "scoped": 1,
-            "affected_devices": 1,
-            "reused_devices": 1,
-            "spliced_slots": 1,
-        }
 
 
 class TestCoveredInputs:

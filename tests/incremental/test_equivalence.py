@@ -2,10 +2,10 @@
 
 For every change type the paper's Table 2 lists, incremental verification
 must produce RIB fingerprints and intent verdicts **byte-identical** to a
-full re-simulation of the updated network — in both centralized and
-distributed modes. This is the guarantee the whole subsystem rests on:
-warm-starting from the base world is an optimization, never a semantics
-change.
+full re-simulation of the updated network — in centralized and distributed
+modes, and on the modular backend (checked against the centralized full
+run). This is the guarantee the whole subsystem rests on: warm-starting
+from the base world is an optimization, never a semantics change.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from benchmarks.test_table2_change_types import build_plans
 from repro.core.change_plan import ALL_CHANGE_TYPES
 from repro.core.pipeline import ChangeVerifier
 from repro.distsim.chaos import rib_fingerprint
+from repro.exec import make_backend
 from repro.incremental.engine import (
     MODE_INCREMENTAL,
     MODE_NOOP,
@@ -57,7 +58,7 @@ def plans(world):
     return build_plans(model, inventory, routes)
 
 
-def make_verifier(world, incremental, distributed):
+def make_verifier(world, incremental, distributed=False, backend=None):
     model, _, routes, flows = world
     verifier = ChangeVerifier(
         model,
@@ -67,6 +68,7 @@ def make_verifier(world, incremental, distributed):
         route_subtasks=6,
         workers=1,
         incremental=incremental,
+        backend=backend,
     )
     verifier.prepare_base()
     return verifier
@@ -74,14 +76,22 @@ def make_verifier(world, incremental, distributed):
 
 @pytest.fixture(scope="module")
 def verifier_pairs(world):
-    """(incremental, full) verifier pairs per mode, built once."""
-    pairs = {}
-    for distributed in (False, True):
-        pairs[distributed] = (
-            make_verifier(world, incremental=True, distributed=distributed),
-            make_verifier(world, incremental=False, distributed=distributed),
-        )
-    return pairs
+    """(incremental, full) verifier pairs per arm, built once; the modular
+    arm is checked against the centralized full run."""
+    central_full = make_verifier(world, incremental=False)
+    return {
+        "central": (make_verifier(world, incremental=True), central_full),
+        "dist": (
+            make_verifier(world, incremental=True, distributed=True),
+            make_verifier(world, incremental=False, distributed=True),
+        ),
+        "modular": (
+            make_verifier(
+                world, incremental=True, backend=make_backend("modular")
+            ),
+            central_full,
+        ),
+    }
 
 
 def device_fingerprints(world_state):
@@ -102,13 +112,11 @@ def traffic_snapshot(traffic, flows):
     )
 
 
-@pytest.mark.parametrize("distributed", [False, True], ids=["central", "dist"])
+@pytest.mark.parametrize("arm", ["central", "dist", "modular"])
 @pytest.mark.parametrize("change_type", ALL_CHANGE_TYPES)
-def test_incremental_equivalence(
-    change_type, distributed, world, plans, verifier_pairs
-):
+def test_incremental_equivalence(change_type, arm, world, plans, verifier_pairs):
     plan = plans[change_type]
-    inc, full = verifier_pairs[distributed]
+    inc, full = verifier_pairs[arm]
 
     report_inc = inc.verify(plan)
     report_full = full.verify(plan)
@@ -148,11 +156,14 @@ def test_touched_slots_bound_the_real_diff(
     change_type, plans, verifier_pairs, monkeypatch
 ):
     """Every slot a full re-simulation changes is one the splice reported."""
-    inc, full = verifier_pairs[False]
+    inc, full = verifier_pairs["central"]
     engine, splices = inc._engine, []
-    splice = engine._splice
+    splice = engine.splice
     monkeypatch.setattr(
-        engine, "_splice", lambda *args: splices.append(splice(*args)) or splices[-1]
+        engine,
+        "splice",
+        lambda *args, **kwargs: splices.append(splice(*args, **kwargs))
+        or splices[-1],
     )
     _, stats = inc.simulate_plan(plans[change_type])
     updated = full.simulate_plan(plans[change_type])[0].device_ribs

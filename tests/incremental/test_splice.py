@@ -87,24 +87,6 @@ def reference_splice(base_ribs, partial_ribs, blast, full_devices=frozenset()):
     return result
 
 
-def reference_splice_scoped(base_ribs, partial_ribs, blast, scoped, full_devices):
-    member = set(scoped)
-    result = reference_splice(
-        {name: rib for name, rib in base_ribs.items() if name in member},
-        {name: rib for name, rib in partial_ribs.items() if name in member},
-        blast,
-        frozenset(full_devices) & member,
-    )
-    for name, base_rib in base_ribs.items():
-        if name not in member:
-            result.device_ribs[name] = base_rib
-            result.reused_devices += 1
-            result.reused_slots += sum(
-                len(base_rib.prefixes(vrf)) for vrf in base_rib.vrfs
-            )
-    return result
-
-
 # -- comparison -----------------------------------------------------------------
 
 
@@ -184,15 +166,12 @@ def make_ribs(drawn):
     affected=st.lists(st.sampled_from(PREFIXES), unique=True, max_size=3),
     all_v6=st.booleans(),
     full=st.sets(st.sampled_from(DEVICES + ["E"]), max_size=2),
-    scoped=st.none() | st.sets(st.sampled_from(DEVICES + ["E"])),
 )
-def test_drawn_splices_match_the_reference(
-    base, partial, affected, all_v6, full, scoped
-):
-    compare(base, partial, affected, all_v6, full, scoped)
+def test_drawn_splices_match_the_reference(base, partial, affected, all_v6, full):
+    compare(base, partial, affected, all_v6, full)
 
 
-def compare(base, partial, affected, all_v6=False, full=(), scoped=None):
+def compare(base, partial, affected, all_v6=False, full=()):
     """Splice drawn RIBs both ways and compare; returns the new result."""
     base_ribs, partial_ribs = make_ribs(base), make_ribs(partial)
     blast = BlastRadius(
@@ -200,14 +179,8 @@ def compare(base, partial, affected, all_v6=False, full=(), scoped=None):
         include_all_v6=all_v6,
     )
     engine = IncrementalEngine(build_model([("A", 100)], []))
-    if scoped is None:
-        new = engine.splice(base_ribs, partial_ribs, blast, full_devices=full)
-        ref = reference_splice(base_ribs, partial_ribs, blast, frozenset(full))
-    else:
-        new = engine.splice_scoped(
-            base_ribs, partial_ribs, blast, scoped, full_devices=full
-        )
-        ref = reference_splice_scoped(base_ribs, partial_ribs, blast, scoped, full)
+    new = engine.splice(base_ribs, partial_ribs, blast, full_devices=full)
+    ref = reference_splice(base_ribs, partial_ribs, blast, frozenset(full))
     assert_same_splice(new, ref, base_ribs)
     return new
 
@@ -251,14 +224,6 @@ class TestHandMadeSplices:
             {"A": [row("global", P8)]},
             [P24],
             full=["A", "B"],
-        )
-
-    def test_scoped_splice(self):
-        compare(
-            {"A": [row("global", P24)], "B": [row("global", P24)]},
-            {"A": [row("global", P24, 101)], "B": [row("global", P24, 101)]},
-            [P16],
-            scoped={"B"},
         )
 
     def test_all_v6_radius(self):

@@ -1,4 +1,4 @@
-"""Engine behavior: counters, coverage, pruning, errors, region scoping."""
+"""Engine behavior: counters, coverage, pruning, errors, modular backend."""
 
 from __future__ import annotations
 
@@ -41,7 +41,8 @@ def two_region_world():
     is never exported across the region border. Failing the W2-X2 link
     therefore kills an eBGP session without moving the IGP (ISIS is
     disabled on the ISPs) and without changing west's border exports:
-    the exact shape the modular region-scoped warm path accelerates.
+    a failure whose whole effect stays inside one region of a modular
+    solve.
     """
     model = build_model(
         routers=[
@@ -165,8 +166,17 @@ class TestMissingLink:
         assert not model.topology.link_is_failed(good)
 
 
-class TestRegionScopedComposition:
-    def test_ebgp_only_failure_uses_scoped_region_sim(self):
+class TestModularBackend:
+    def test_prepare_solves_only_the_centralized_base(self):
+        model, inputs = two_region_world()
+        ctx = RunContext("test")
+        engine = KFailureEngine(
+            model, inputs, backend=ModularBackend(), ctx=ctx
+        )
+        engine.prepare()
+        assert "route_sim.calls" not in ctx.counters()
+
+    def test_ebgp_only_failure_matches_the_cold_run(self):
         model, inputs = two_region_world()
         ctx = RunContext("test")
         prop = reachability_property(PFX, ["W1", "E1"])
@@ -185,9 +195,8 @@ class TestRegionScopedComposition:
             (v.failed_links, v.failed_routers, v.violations)
             for v in cold.violations
         ]
-        # The W2-X eBGP failure moved no IGP state and is confined to the
-        # west region: it must have gone through the scoped path.
-        assert ctx.counters().get("modular.scoped_region_sims", 0) >= 1
+        # Warm classes re-solve their covered inputs on the modular backend.
+        assert ctx.counters()["modular.regions"] >= 1
 
 
 class TestEnumeration:

@@ -1,10 +1,9 @@
-"""ModularBackend: fallback honesty, summary stores, scoped increments."""
+"""ModularBackend: fallback honesty and summary stores."""
 
 import pytest
 
-from repro.core import ChangePlan, ChangeVerifier, fail_link
 from repro.distsim.chaos import rib_fingerprint
-from repro.exec import CentralizedBackend, ModularBackend, RouteSimRequest, make_backend
+from repro.exec import CentralizedBackend, ModularBackend, RouteSimRequest
 from repro.modular import RegionSummary, assign_regions
 from repro.obs import RunContext
 
@@ -28,12 +27,6 @@ def centralized_outcome(workload):
     return CentralizedBackend().run_routes(
         RouteSimRequest(model=model, inputs=routes, include_local_inputs=True)
     )
-
-
-def _static_route_command(device):
-    if device.vendor_name == "vendor-b":
-        return "ip route-static 172.20.0.0 16 10.255.0.2"
-    return "ip route 172.20.0.0/16 10.255.0.2"
 
 
 class TestFallbackHonesty:
@@ -120,72 +113,3 @@ class TestSummaryStore:
         assert rib_fingerprint(outcome.device_ribs) == rib_fingerprint(
             centralized_outcome.device_ribs
         )
-
-
-class TestScopedIncremental:
-    def test_intra_region_change_skips_cross_region_sims(self, workload):
-        """The acceptance pin: an intra-region change whose border summary
-        is unchanged re-simulates exactly one region; the other regions'
-        base RIBs are reused byte-for-byte."""
-        model, routes, flows = workload
-        assignment = assign_regions(model)
-        device = assignment.devices_in("region1")[0]
-        plan = ChangePlan(
-            name="add-local-static",
-            change_type="static-route-modification",
-            device_commands={
-                device: [_static_route_command(model.devices[device])]
-            },
-        )
-
-        modular = ChangeVerifier(
-            model, routes, flows,
-            backend=make_backend("modular"), incremental=True,
-        )
-        report = modular.verify(plan)
-        counters = modular.ctx.counters()
-        assert counters["modular.scoped_region_sims"] == 1
-        assert counters["modular.cross_region_sims_skipped"] == 2
-        assert counters["incremental.mode.incremental"] == 1
-
-        reference = ChangeVerifier(
-            model, routes, flows,
-            backend=CentralizedBackend(), incremental=False,
-        )
-        expected = reference.verify(plan)
-        assert rib_fingerprint(
-            report.updated_world.device_ribs
-        ) == rib_fingerprint(expected.updated_world.device_ribs)
-
-    def test_cross_region_change_declines_scope_but_matches(self, workload):
-        """Failing an inter-region link invalidates border summaries — the
-        scoped path must not claim it, and the answer must still match."""
-        model, routes, flows = workload
-        assignment = assign_regions(model)
-        target = next(
-            link
-            for link in model.topology.links
-            if assignment.region_for(link.a.router)
-            != assignment.region_for(link.b.router)
-        )
-        plan = ChangePlan(
-            name="fail-cross-region-link",
-            change_type="topology-adjustment",
-            topology_ops=[fail_link(target.a.router, target.b.router)],
-        )
-
-        modular = ChangeVerifier(
-            model, routes, flows,
-            backend=make_backend("modular"), incremental=True,
-        )
-        report = modular.verify(plan)
-        assert "modular.scoped_region_sims" not in modular.ctx.counters()
-
-        reference = ChangeVerifier(
-            model, routes, flows,
-            backend=CentralizedBackend(), incremental=False,
-        )
-        expected = reference.verify(plan)
-        assert rib_fingerprint(
-            report.updated_world.device_ribs
-        ) == rib_fingerprint(expected.updated_world.device_ribs)

@@ -1,15 +1,9 @@
-"""Summary-guided verification: equivalence, fallback honesty, distsim path."""
+"""Summary-guided verification: equivalence and fallback honesty."""
 
 import pytest
 
-from repro.distsim import (
-    DistributedRouteSimulation,
-    RegionPartitioner,
-    rib_fingerprint,
-)
-from repro.routing.connected import install_connected_routes
+from repro.distsim import rib_fingerprint
 from repro.modular import RegionSummary, SummaryGuidedVerifier
-from repro.modular.verifier import simulate_region_subtask
 from repro.obs import RunContext
 from repro.routing.inputs import build_local_input_routes
 from repro.routing.simulator import RouteSimulator
@@ -126,72 +120,3 @@ class TestFallbackHonesty:
         result = verifier.solve(all_inputs)
         assert result.fallback
         assert result.violations
-
-
-class TestDistsimRegionSubtasks:
-    def test_region_contexts_cover_all_regions(self, workload, all_inputs):
-        model, _, _ = workload
-        verifier = SummaryGuidedVerifier(model)
-        result = verifier.solve(all_inputs)
-        contexts = verifier.region_contexts(result.summaries)
-        assert set(contexts) == set(verifier.assignment.regions)
-        for region, context in contexts.items():
-            assert context.devices == verifier.assignment.devices_in(region)
-            assert context.assumptions  # every region hears its neighbors
-
-    def test_worker_subtask_matches_region_solver(self, workload, all_inputs):
-        model, _, _ = workload
-        verifier = SummaryGuidedVerifier(model)
-        result = verifier.solve(all_inputs)
-        contexts = verifier.region_contexts(result.summaries)
-        region = "region1"
-        region_inputs = [
-            item
-            for item in all_inputs
-            if verifier.assignment.region_for(item.router) == region
-        ]
-        ribs = simulate_region_subtask(
-            model, verifier.igp, contexts[region], region_inputs
-        )
-        assert set(ribs) == set(contexts[region].devices)
-
-    def test_master_ships_contexts_and_merge_matches_centralized(
-        self, workload, all_inputs, centralized_fp
-    ):
-        model, _, _ = workload
-        verifier = SummaryGuidedVerifier(model)
-        result = verifier.solve(all_inputs)
-        contexts = verifier.region_contexts(result.summaries)
-        partitioner = RegionPartitioner(verifier.assignment, contexts)
-        ctx = RunContext("test")
-        sim = DistributedRouteSimulation(model)
-        task = sim.run(
-            all_inputs, subtasks=64, workers=2, partitioner=partitioner,
-            ctx=ctx,
-        )
-        install_connected_routes(model, task.device_ribs)
-        assert rib_fingerprint(task.device_ribs) == centralized_fp
-        counters = ctx.counters()
-        assert counters["distsim.region_contexts"] == 3
-        assert counters["distsim.subtasks_dispatched"] == 3
-
-    def test_empty_region_chunk_with_context_still_dispatched(self, workload):
-        """A region without own inputs still learns routes from neighbor
-        claims, so its chunk must not be skipped."""
-        model, routes, _ = workload
-        all_inputs = build_local_input_routes(model) + list(routes)
-        verifier = SummaryGuidedVerifier(model)
-        result = verifier.solve(all_inputs)
-        contexts = verifier.region_contexts(result.summaries)
-        # Strip region2's own inputs: its chunk is empty but contextful.
-        pruned = [
-            item
-            for item in all_inputs
-            if verifier.assignment.region_for(item.router) != "region2"
-        ]
-        partitioner = RegionPartitioner(verifier.assignment, contexts)
-        sim = DistributedRouteSimulation(model)
-        task = sim.run(pruned, subtasks=64, workers=1, partitioner=partitioner)
-        assert task.skipped_subtasks == 0
-        region2 = verifier.assignment.devices_in("region2")
-        assert any(device in task.device_ribs for device in region2)

@@ -109,6 +109,40 @@ class TestWire:
             assert "distributed-thread" in str(err.value)
             assert client.stats()["scheduler"]["jobs"] == {}
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"op": ["x"]},
+            {"op": "submit", "job": {"kind": "sleep", "priority": []}},
+            {"op": "submit", "job": {"kind": "sleep", "isolation": ["thread"]}},
+            {"op": "submit", "job": {"kind": "sleep", "backend": ["modular"]}},
+            {
+                "op": "submit",
+                "job": {"kind": "kfailure", "snapshot_path": "s.pkl", "k": True},
+            },
+            {"op": "status", "job_id": ["a"]},
+            {"op": "cancel", "job_id": {"a": 1}},
+        ],
+        ids=[
+            "op-list",
+            "priority-list",
+            "isolation-list",
+            "backend-list",
+            "k-bool",
+            "status-job-id-list",
+            "cancel-job-id-object",
+        ],
+    )
+    def test_malformed_frame_is_answered_and_connection_kept(
+        self, harness, frame
+    ):
+        with harness.client() as client:
+            with pytest.raises(ServerError) as err:
+                client.request(frame)
+            assert err.value.code == "bad-request"
+            assert client.ping()["server"] == SERVER_ID
+            assert client.stats()["scheduler"]["jobs"] == {}
+
     def test_result_before_terminal_errors(self, harness, snapshot_path):
         with harness.client() as client:
             job_id = client.submit({"kind": "sleep", "seconds": 1.0})
