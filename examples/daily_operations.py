@@ -31,7 +31,7 @@ def main() -> None:
 
     # Plant a live misconfiguration and audit again: a typo'd filter name.
     broken = model.copy()
-    ctx = broken.device(inventory.borders[0]).policy_ctx
+    ctx = broken.edit(inventory.borders[0]).policy_ctx
     ctx.policies["ISP-IN"].node(99, "permit").match("prefix-list", "TYPO-NAME")
     print("\nafter planting a typo'd filter reference:")
     for audit in Auditor(broken, result.device_ribs).run(["policy-references-defined"]):

@@ -132,11 +132,11 @@ def audit_no_isolated_transit(
         if not device.isolated:
             continue
         neighbors = [other for other, _ in model.topology.neighbors(name)]
-        scenario = model.topology.copy()
-        scenario.fail_router(name)
+        scenario = model.copy()
+        scenario.topology.fail_router(name)
         from repro.routing.isis import compute_igp
 
-        igp = compute_igp(_with_topology(model, scenario))
+        igp = compute_igp(scenario)
         for i, a in enumerate(neighbors):
             for b in neighbors[i + 1 :]:
                 if not igp.reachable(a, b):
@@ -144,14 +144,6 @@ def audit_no_isolated_transit(
                         f"{name} is isolated but is the only path {a}<->{b}"
                     )
     return problems
-
-
-def _with_topology(model: NetworkModel, topology) -> NetworkModel:
-    clone = NetworkModel(topology)
-    clone.devices = model.devices
-    clone.loopbacks = model.loopbacks
-    clone._loopback_owner = model._loopback_owner
-    return clone
 
 
 BUILTIN_AUDITS: Dict[str, AuditCheck] = {

@@ -41,7 +41,7 @@ class TestEmptyAndWiden:
     def test_isis_delta_widens(self):
         base = base_model()
         updated = base.copy()
-        updated.device("A").isis.cost_overrides["B"] = 1000
+        updated.edit("A").isis.cost_overrides["B"] = 1000
         blast = analyze(base, updated)
         assert blast.widened
         assert any("isis" in reason for reason in blast.reasons)
@@ -51,7 +51,7 @@ class TestEmptyAndWiden:
         updated = base.copy()
         from repro.net.device import BgpPeerConfig
 
-        updated.device("A").add_peer(BgpPeerConfig(peer="B", remote_asn=100))
+        updated.edit("A").add_peer(BgpPeerConfig(peer="B", remote_asn=100))
         blast = analyze(base, updated)
         assert blast.widened
 
@@ -60,7 +60,7 @@ class TestEmptyAndWiden:
         updated = base.copy()
         from repro.net.policy import CommunityList
 
-        updated.device("A").policy_ctx.community_lists["CL"] = CommunityList(
+        updated.edit("A").policy_ctx.community_lists["CL"] = CommunityList(
             "CL", ["64512:1"]
         )
         blast = analyze(base, updated)
@@ -70,7 +70,7 @@ class TestEmptyAndWiden:
     def test_policy_added_widens(self):
         base = base_model()
         updated = base.copy()
-        updated.device("A").policy_ctx.policies["NEW"] = RoutePolicy("NEW")
+        updated.edit("A").policy_ctx.policies["NEW"] = RoutePolicy("NEW")
         blast = analyze(base, updated)
         assert blast.widened
 
@@ -79,7 +79,7 @@ class TestEmptyAndWiden:
         base.device("A").policy_ctx.policies["P"] = RoutePolicy("P")
         updated = base.copy()
         node = PolicyNode(seq=5, matches=[MatchClause("community", "64512:1")])
-        updated.device("A").policy_ctx.policies["P"].nodes.append(node)
+        updated.edit("A").policy_ctx.policies["P"].nodes.append(node)
         blast = analyze(base, updated)
         assert blast.widened
         assert any("no prefix constraint" in reason for reason in blast.reasons)
@@ -89,7 +89,7 @@ class TestNarrowAnalysis:
     def test_static_delta_yields_its_prefix(self):
         base = base_model()
         updated = base.copy()
-        updated.device("A").add_static("172.20.0.0/16", "10.255.0.2")
+        updated.edit("A").add_static("172.20.0.0/16", "10.255.0.2")
         blast = analyze(base, updated)
         assert not blast.widened
         assert as_prefix("172.20.0.0/16") in blast.affected_prefixes
@@ -105,7 +105,7 @@ class TestNarrowAnalysis:
         base.device("A").policy_ctx.policies["P"] = RoutePolicy("P")
         updated = base.copy()
         node = PolicyNode(seq=5, matches=[MatchClause("prefix-list", "NET")])
-        updated.device("A").policy_ctx.policies["P"].nodes.append(node)
+        updated.edit("A").policy_ctx.policies["P"].nodes.append(node)
         blast = analyze(base, updated)
         assert not blast.widened
         assert as_prefix("100.64.1.0/24") in blast.affected_prefixes
@@ -116,9 +116,9 @@ class TestNarrowAnalysis:
             "NET", 4
         ).add("100.64.1.0/24")
         updated = base.copy()
-        plist = updated.device("A").policy_ctx.prefix_lists["NET"]
+        plist = updated.edit("A").policy_ctx.prefix_lists["NET"]
         plist.entries = [e for e in plist.entries]  # force distinct list
-        updated.device("A").policy_ctx.prefix_lists["NET"] = PrefixList(
+        updated.edit("A").policy_ctx.prefix_lists["NET"] = PrefixList(
             "NET", 4
         ).add("100.64.2.0/24")
         blast = analyze(base, updated)
@@ -140,7 +140,7 @@ class TestNarrowAnalysis:
         node = PolicyNode(
             seq=5, matches=[MatchClause("prefix", "192.0.2.0/24")]
         )
-        updated.device("A").policy_ctx.policies["P"].nodes.append(node)
+        updated.edit("A").policy_ctx.policies["P"].nodes.append(node)
         blast = analyze(base, updated)
         assert not blast.widened
         assert blast.covers(as_prefix("192.0.2.0/24"))
@@ -151,7 +151,7 @@ class TestAggregateClosure:
         base = base_model()
         base.device("B").add_aggregate("172.20.0.0/14")
         updated = base.copy()
-        updated.device("A").add_static("172.20.5.0/24", "10.255.0.2")
+        updated.edit("A").add_static("172.20.5.0/24", "10.255.0.2")
         blast = analyze(base, updated)
         assert not blast.widened
         # The aggregate prefix joins the space, so its other contributors
@@ -164,14 +164,14 @@ class TestAggregateClosure:
         base.device("B").add_aggregate("172.20.0.0/14")
         base.device("C").add_aggregate("172.16.0.0/12")
         updated = base.copy()
-        updated.device("A").add_static("172.20.5.0/24", "10.255.0.2")
+        updated.edit("A").add_static("172.20.5.0/24", "10.255.0.2")
         blast = analyze(base, updated)
         assert as_prefix("172.16.0.0/12") in blast.affected_prefixes
 
     def test_new_aggregate_config_is_its_own_space(self):
         base = base_model()
         updated = base.copy()
-        updated.device("B").add_aggregate("10.8.0.0/16", summary_only=True)
+        updated.edit("B").add_aggregate("10.8.0.0/16", summary_only=True)
         blast = analyze(base, updated)
         assert not blast.widened
         assert blast.covers(as_prefix("10.8.3.0/24"))
@@ -182,7 +182,7 @@ class TestTrafficOnly:
     def test_acl_delta_is_traffic_only(self):
         base = base_model()
         updated = base.copy()
-        updated.device("A").interface_acls["eth0"] = "BLOCK"
+        updated.edit("A").interface_acls["eth0"] = "BLOCK"
         blast = analyze(base, updated)
         assert not blast.widened
         assert blast.is_empty
@@ -191,7 +191,7 @@ class TestTrafficOnly:
     def test_pbr_delta_is_traffic_only(self):
         base = base_model()
         updated = base.copy()
-        updated.device("A").pbr_rules.append("rule-sentinel")
+        updated.edit("A").pbr_rules.append("rule-sentinel")
         blast = analyze(base, updated)
         assert blast.is_empty
         assert blast.traffic_affected

@@ -1,5 +1,14 @@
 """Tests for the model differ (repro.incremental.diff)."""
 
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.change_plan import (
+    add_link,
+    add_router,
+    fail_link,
+    remove_link,
+    remove_router,
+)
 from repro.incremental.diff import (
     IGP_SECTIONS,
     SECTIONS,
@@ -10,7 +19,7 @@ from repro.incremental.diff import (
 from repro.net.addr import IPAddress
 from repro.net.device import DeviceConfig
 from repro.net.policy import RoutePolicy
-from repro.net.topology import Router
+from repro.net.topology import Router, TopologyError
 
 from tests.helpers import build_model
 
@@ -25,14 +34,21 @@ def base_model():
 class TestDiffModels:
     def test_copy_is_empty_diff(self):
         base = base_model()
-        diff = diff_models(base, base.copy())
+        updated = base.copy()
+        assert all(
+            updated.devices[name] is config for name, config in base.devices.items()
+        )
+        assert updated.topology.is_untouched_copy_of(base.topology)
+        diff = diff_models(base, updated)
         assert diff.is_empty
         assert diff.summary() == "no changes"
 
     def test_statics_delta_detected(self):
         base = base_model()
         updated = base.copy()
-        updated.device("A").add_static("172.20.0.0/16", "10.255.0.2")
+        updated.edit("A").add_static("172.20.0.0/16", "10.255.0.2")
+        assert updated.devices["A"] is not base.devices["A"]
+        assert updated.devices["B"] is base.devices["B"]
         diff = diff_models(base, updated)
         assert set(diff.device_deltas) == {"A"}
         assert diff.device_deltas["A"].sections == frozenset({"statics"})
@@ -42,7 +58,7 @@ class TestDiffModels:
     def test_aggregate_delta_detected(self):
         base = base_model()
         updated = base.copy()
-        updated.device("B").add_aggregate("10.0.0.0/8", summary_only=True)
+        updated.edit("B").add_aggregate("10.0.0.0/8", summary_only=True)
         diff = diff_models(base, updated)
         assert diff.device_deltas["B"].sections == frozenset({"aggregates"})
         assert diff.local_inputs_affected() == set()
@@ -50,7 +66,7 @@ class TestDiffModels:
     def test_isis_delta_is_igp_affecting(self):
         base = base_model()
         updated = base.copy()
-        updated.device("A").isis.cost_overrides["B"] = 1000
+        updated.edit("A").isis.cost_overrides["B"] = 1000
         diff = diff_models(base, updated)
         assert diff.device_deltas["A"].sections == frozenset({"isis"})
         assert diff.igp_affecting
@@ -58,7 +74,7 @@ class TestDiffModels:
     def test_policy_delta_detected(self):
         base = base_model()
         updated = base.copy()
-        updated.device("C").policy_ctx.policies["STEER"] = RoutePolicy("STEER")
+        updated.edit("C").policy_ctx.policies["STEER"] = RoutePolicy("STEER")
         diff = diff_models(base, updated)
         assert diff.device_deltas["C"].sections == frozenset({"policies"})
         assert diff.local_inputs_affected() == {"C"}
@@ -111,6 +127,74 @@ class TestDiffModels:
         diff = diff_models(base, base.copy(), (new,))
         assert not diff.is_empty
         assert diff.new_input_routes == (new,)
+
+
+ROUTERS = ("A", "B", "C", "D")
+
+#: one drawn step: which model it writes (the copy, or the base after the
+#: copy was taken), what it does, and the two routers it names
+TOPOLOGY_STEPS = st.tuples(
+    st.sampled_from(("copy", "base")),
+    st.sampled_from(
+        (
+            "add-router",
+            "remove-router",
+            "add-link",
+            "remove-link",
+            "fail-link",
+            "restore-link",
+            "fail-then-restore",
+            "add-then-remove",
+        )
+    ),
+    st.sampled_from(ROUTERS),
+    st.sampled_from(ROUTERS),
+)
+
+
+def apply_step(model, kind, a, b):
+    ops = {
+        "add-router": [add_router(a, asn=100, loopback=f"10.255.9.{ord(a)}")],
+        "remove-router": [remove_router(a)],
+        "add-link": [add_link(a, b)],
+        "remove-link": [remove_link(a, b)],
+        "fail-link": [fail_link(a, b)],
+        "fail-then-restore": [fail_link(a, b)],
+        "add-then-remove": [add_link(a, b), remove_link(a, b)],
+    }.get(kind, [])
+    try:
+        for op in ops:
+            op.apply(model)
+    except TopologyError:
+        return  # an op the drawn state does not allow
+    if kind in ("restore-link", "fail-then-restore"):
+        link = model.topology.find_link(a, b)
+        if link is not None:
+            model.topology.restore_link(link)
+
+
+class TestTopologySkip:
+    def test_untouched_copy_skips_the_fingerprint(self, monkeypatch):
+        import repro.incremental.diff as diff_module
+
+        base = base_model()
+        updated = base.copy()
+        monkeypatch.setattr(diff_module, "topology_fingerprint", None)
+        assert not diff_models(base, updated).topology_changed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TOPOLOGY_STEPS, max_size=6))
+    @example([("copy", "fail-then-restore", "A", "B")])  # moved, reads equal
+    @example([("base", "fail-link", "B", "C")])  # the base moved after the copy
+    def test_skip_agrees_with_the_fingerprints(self, steps):
+        base = base_model()
+        updated = base.copy()
+        for target, kind, a, b in steps:
+            apply_step(updated if target == "copy" else base, kind, a, b)
+        expected = topology_fingerprint(base.topology) != topology_fingerprint(
+            updated.topology
+        )
+        assert diff_models(base, updated).topology_changed == expected
 
 
 class TestSectionFingerprints:

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.change_plan import ChangePlan
 from repro.net.addr import Prefix
 from repro.net.config import ConfigParseError, apply_commands, parse_config
-from repro.net.config.apply import apply_change_commands
+from repro.net.model import NetworkModel
+from repro.net.topology import Router
 from repro.net.vendors import VENDOR_A, VENDOR_B
 
 VENDOR_A_CONFIG = """\
@@ -169,6 +171,23 @@ class TestVendorBParsing:
         assert dev.vendor is VENDOR_B
 
 
+def two_device_model():
+    model = NetworkModel()
+    for name, vendor, text in (
+        ("R1", "vendor-a", VENDOR_A_CONFIG),
+        ("C", "vendor-b", VENDOR_B_CONFIG),
+    ):
+        model.topology.add_router(Router(name=name, vendor=vendor))
+        model.add_device(parse_config(text, name, vendor=vendor))
+    return model
+
+
+def _plan(device_commands):
+    return ChangePlan(
+        name="cfg", change_type="os-patch", device_commands=device_commands
+    )
+
+
 class TestNegationAndApply:
     def test_delete_route_map_node(self):
         dev = parse_config(VENDOR_A_CONFIG, "R1", vendor="vendor-a")
@@ -209,18 +228,17 @@ class TestNegationAndApply:
         with pytest.raises(ConfigParseError):
             apply_commands(dev, ["ip prefix-list X permit 10.0.0.0/8"])
 
-    def test_apply_change_commands_map(self):
-        dev = parse_config(VENDOR_A_CONFIG, "R1", vendor="vendor-a")
-        other = parse_config(VENDOR_B_CONFIG, "C", vendor="vendor-b")
-        updated = apply_change_commands(
-            {"R1": dev, "C": other}, {"R1": ["no route-map RM"]}
-        )
-        assert "RM" not in updated["R1"].policy_ctx.policies
-        assert updated["C"] is other
+    def test_plan_commands_copy_only_the_edited_device(self):
+        model = two_device_model()
+        dev, other = model.device("R1"), model.device("C")
+        updated = _plan({"R1": ["no route-map RM"]}).build_updated_model(model)
+        assert "RM" not in updated.device("R1").policy_ctx.policies
+        assert "RM" in dev.policy_ctx.policies
+        assert updated.device("C") is other
 
     def test_apply_to_unknown_device_rejected(self):
         with pytest.raises(KeyError):
-            apply_change_commands({}, {"ghost": ["x"]})
+            _plan({"ghost": ["x"]}).build_updated_model(two_device_model())
 
 
 class TestFlawedParser:

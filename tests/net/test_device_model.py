@@ -168,10 +168,41 @@ class TestNetworkModel:
         model.topology.add_router(Router(name="A"))
         model.add_device(DeviceConfig("A"), loopback=IPAddress.parse("10.255.0.1"))
         clone = model.copy()
-        clone.device("A").add_static("10.0.0.0/8", "10.255.0.1")
+        assert clone.devices["A"] is model.devices["A"]  # shared until edited
+        edited = clone.edit("A")
+        assert clone.devices["A"] is not model.devices["A"]
+        assert clone.edit("A") is edited
+        edited.add_static("10.0.0.0/8", "10.255.0.1")
         clone.topology.add_router(Router(name="B"))
         assert not model.device("A").statics
         assert not model.topology.has_router("B")
+
+    def test_edit_of_the_parent_after_a_copy_leaves_the_clone_unchanged(self):
+        model = NetworkModel()
+        model.topology.add_router(Router(name="A"))
+        model.add_device(DeviceConfig("A"), loopback=IPAddress.parse("10.255.0.1"))
+        assert model.edit("A") is model.devices["A"]  # owned: no copy
+        clone = model.copy()
+        shared = clone.devices["A"]
+        model.edit("A").add_static("10.0.0.0/8", "10.255.0.1")
+        assert clone.devices["A"] is shared
+        assert not clone.device("A").statics
+        assert len(model.device("A").statics) == 1
+
+    def test_edit_of_an_unknown_device_raises(self):
+        model = NetworkModel()
+        with pytest.raises(TopologyError):
+            model.edit("ghost")
+
+    def test_readded_device_is_owned(self):
+        model = NetworkModel()
+        model.topology.add_router(Router(name="A"))
+        model.add_device(DeviceConfig("A"))
+        clone = model.copy()
+        clone.remove_device("A")
+        clone.topology.add_router(Router(name="A"))
+        fresh = clone.add_device(DeviceConfig("A"))
+        assert clone.edit("A") is fresh
 
     def test_groups_and_regions(self):
         model = NetworkModel()

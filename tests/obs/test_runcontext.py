@@ -157,6 +157,19 @@ class TestVerifierSpanSanity:
         assert "simulate_plan" in names
         assert "check_intents" in names
 
+    def test_build_span_counts_the_devices_the_plan_copied(self):
+        model, inputs, flows = square_world()
+        verifier = ChangeVerifier(model, inputs, flows)
+        plan = ChangePlan(
+            name="one-static",
+            change_type="static-route-modification",
+            device_commands={"A": ["ip route 172.16.0.0/12 10.255.0.2"]},
+        )
+        for verified, copied in ((self.plan(), 0), (plan, 1)):
+            report = verifier.verify(verified)
+            building = report.trace.find("build_updated_model")
+            assert building.meta["devices_copied"] == copied
+
     def test_counters_mirror_run_statistics(self):
         model, inputs, flows = square_world()
         ctx = RunContext("run")
