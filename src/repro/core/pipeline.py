@@ -27,7 +27,7 @@ timers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.change_plan import ChangePlan
 from repro.core.intents import IntentResult, VerificationContext
@@ -49,6 +49,7 @@ from repro.incremental.engine import (
     MODE_NOOP,
     MODE_WIDENED,
 )
+from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.obs import RunContext, Span, ensure_context
 from repro.routing.inputs import (
@@ -57,7 +58,7 @@ from repro.routing.inputs import (
     build_local_inputs_for_device,
 )
 from repro.routing.isis import IgpState, compute_igp
-from repro.routing.rib import DeviceRib, GlobalRib, GlobalRibView
+from repro.routing.rib import DeviceRib, GlobalRib, GlobalRibView, Slots, rib_diff
 from repro.traffic.flow import Flow
 from repro.traffic.simulator import SpreadReuse, TrafficSimulationResult
 
@@ -165,6 +166,17 @@ class VerificationReport:
         for result in self.intent_results:
             lines.append(str(result))
         return "\n".join(lines)
+
+
+def _slots(*maps: Dict[str, Slots]) -> Set[Tuple[str, str, Prefix]]:
+    """Every ``(device, vrf, prefix)`` slot named in ``maps``."""
+    return {
+        (name, vrf, prefix)
+        for slots in maps
+        for name, tables in slots.items()
+        for vrf, prefixes in tables.items()
+        for prefix in prefixes
+    }
 
 
 def _plan_spans(span: Span) -> Iterator[Span]:
@@ -410,19 +422,25 @@ class ChangeVerifier:
                 "pipeline.widened", level=30,
                 plan=plan.name, reasons=";".join(blast.reasons),
             )
-            world = self._simulate(
-                updated_model,
-                updated_inputs,
-                igp=igp,
-                local_inputs=local_inputs,
-                ctx=ctx,
-                reuse_declined="widened",
+            device_ribs = self._route_sim(updated_model, all_inputs, igp, ctx)
+            with ctx.span("rib_diff") as diffing:
+                dropped, installed = rib_diff(base.device_ribs, device_ribs)
+                diffing.meta["dropped_slots"] = len(_slots(dropped))
+                diffing.meta["installed_slots"] = len(_slots(installed))
+            # a patch of the base table, as a spliced world's is
+            view = GlobalRibView(
+                base.global_rib, base.device_ribs, device_ribs, dropped, installed
             )
+            traffic = self._traffic_sim(
+                updated_model, device_ribs, igp, ctx, reuse_declined="widened"
+            )
+            world = World(updated_model, device_ribs, view, traffic)
             return world, IncrementalStats(
                 mode=MODE_WIDENED,
                 widen_reasons=blast.reasons,
                 total_devices=len(updated_model.devices),
                 total_inputs=len(all_inputs),
+                touched_slots=len(_slots(dropped, installed)),
                 igp_reused=igp_reused,
             )
 
@@ -611,16 +629,7 @@ class ChangeVerifier:
         if igp is None:
             with ctx.span("compute_igp"):
                 igp = compute_igp(model)
-        outcome = self.backend.run_routes(
-            RouteSimRequest(
-                model=model,
-                inputs=all_inputs,
-                igp=igp,
-                max_rounds=self.max_rounds,
-            ),
-            ctx,
-        )
-        device_ribs = outcome.device_ribs
+        device_ribs = self._route_sim(model, all_inputs, igp, ctx)
         traffic = self._traffic_sim(
             model, device_ribs, igp, ctx, reuse_declined=reuse_declined
         )
@@ -630,3 +639,8 @@ class ChangeVerifier:
             global_rib=GlobalRib.from_device_ribs(device_ribs.values()).best_routes(),
             traffic=traffic,
         )
+
+    def _route_sim(self, model, inputs, igp, ctx) -> Dict[str, DeviceRib]:
+        """The device RIBs of a cold route simulation of ``model``."""
+        request = RouteSimRequest(model, inputs, igp, max_rounds=self.max_rounds)
+        return self.backend.run_routes(request, ctx).device_ribs

@@ -63,7 +63,8 @@ class IncrementalStats:
     total_inputs: int = 0
     spliced_slots: int = 0
     #: slots that may differ from the base world: spliced ones plus base
-    #: slots the partial run withdrew (what the intent check looks at)
+    #: slots the partial run withdrew, or of a widened run the slots that
+    #: do differ (what the intent check looks at)
     touched_slots: int = 0
     reused_slots: int = 0
     reused_devices: int = 0
@@ -78,7 +79,8 @@ class IncrementalStats:
             return "incremental: off (full re-simulation)"
         if self.mode == MODE_WIDENED:
             reasons = "; ".join(self.widen_reasons) or "not analyzable"
-            return f"incremental: widened to full ({reasons})"
+            touched = f"touched {self.touched_slots} slots"
+            return f"incremental: widened to full ({reasons}), {touched}"
         if self.mode == MODE_NOOP:
             return (
                 "incremental: no routing-visible change, "

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     List,
     Optional,
@@ -39,6 +39,7 @@ from repro.rcl import ast
 from repro.rcl.errors import RclTypeError
 from repro.rcl.parser import parse
 from repro.routing.rib import (
+    SET_FIELDS,
     GlobalRib,
     GlobalRibView,
     RibRoute,
@@ -128,43 +129,30 @@ def _compile_predicate(predicate: ast.Predicate) -> RowTest:
     """A predicate as a function of a row.
 
     Everything that depends on the predicate alone happens here, once:
-    field names are resolved (an unknown one raises now, whether or not a
-    row ever reaches it) and literals are normalized. Type errors that
-    depend on a row's value are raised when a row is tested.
+    field names are resolved and literals normalized. An unknown field or
+    a type error raises now, whether or not a row ever reaches it: whether
+    a field holds a set is fixed per field (``SET_FIELDS``).
     """
     if isinstance(predicate, ast.FieldCompare):
         return _compile_compare(predicate)
     if isinstance(predicate, ast.FieldContains):
         name = predicate.field.name
         get = field_extractor(name)
+        if name not in SET_FIELDS:
+            raise RclTypeError(f"'contains' requires a set field, {name!r} is not one")
         wanted = _normalize(predicate.value.value)
-
-        def contains(row: RibRoute) -> bool:
-            value = get(row)
-            if not isinstance(value, (set, frozenset)):
-                raise RclTypeError(
-                    f"'contains' requires a set field, {name!r} is "
-                    f"{type(value).__name__}"
-                )
-            return wanted in _normalized_set(value)
-
-        return contains
+        return lambda row: wanted in _normalized_set(get(row))
     if isinstance(predicate, ast.FieldIn):
         get = field_extractor(predicate.field.name)
         allowed = _normalized_set(predicate.values.values)
         return lambda row: _normalize(get(row)) in allowed
     if isinstance(predicate, ast.FieldMatches):
         get = field_extractor(predicate.field.name)
+        if predicate.field.name in SET_FIELDS:
+            raise RclTypeError("'matches' requires a string field")
         # Appendix A: re_match(s, regex) is true iff the ENTIRE s matches.
         fullmatch = re.compile(predicate.regex).fullmatch
-
-        def matches(row: RibRoute) -> bool:
-            value = get(row)
-            if isinstance(value, (set, frozenset)):
-                raise RclTypeError("'matches' requires a string field")
-            return fullmatch(str(value)) is not None
-
-        return matches
+        return lambda row: fullmatch(str(get(row))) is not None
     if isinstance(predicate, ast.PredBinary):
         left = _compile_predicate(predicate.left)
         right = _compile_predicate(predicate.right)
@@ -186,7 +174,12 @@ def _compile_compare(predicate: ast.FieldCompare) -> RowTest:
     op, literal = predicate.op, predicate.value.value
     numeric = isinstance(literal, (int, float))
     normal = _normalize(literal)
-    as_text, as_set = str(normal), frozenset({normal})
+    as_text = str(normal)
+    if predicate.field.name in SET_FIELDS:
+        if op not in ("=", "!="):
+            raise RclTypeError(f"ordering comparison {op!r} is not defined on sets")
+        as_set = frozenset({normal})
+        return lambda row: _compare_coerced(op, _normalized_set(get(row)), as_set)
 
     def compare(row: RibRoute) -> bool:
         value = get(row)
@@ -194,8 +187,6 @@ def _compile_compare(predicate: ast.FieldCompare) -> RowTest:
             if numeric:
                 return _compare_coerced(op, value, literal)
             return _compare_coerced(op, str(value), as_text)
-        if isinstance(value, (set, frozenset)):
-            return _compare_coerced(op, _normalized_set(value), as_set)
         return _compare_coerced(op, str(_normalize(value)), as_text)
 
     return compare
@@ -340,9 +331,9 @@ class _Checker:
             side.table = rows
         return side.table
 
-    def _identities(self, rows: List[RibRoute]) -> FrozenSet[Tuple]:
+    def _identities(self, rows: List[RibRoute]) -> List[Tuple]:
         self.rows_scanned += len(rows)
-        return frozenset(row.identity() for row in rows)
+        return [row.identity() for row in rows]
 
     # -- transformations and evaluations --------------------------------------
 
@@ -424,15 +415,17 @@ class _Checker:
                 left_rows, right_rows = left.rows, right.rows
             else:
                 left_rows, right_rows = self._table(left), self._table(right)
-            delta = self._identities(left_rows) ^ self._identities(right_rows)
+            sides = [(rows, self._identities(rows)) for rows in (left_rows, right_rows)]
+            delta = frozenset(sides[0][1]) ^ frozenset(sides[1][1])
             ok = (not delta) if intent.op == "=" else bool(delta)
             if not ok and self.collect:
-                samples = [
-                    str(row)
-                    for rows in (left_rows, right_rows)
-                    for row in rows
-                    if row.identity() in delta
-                ][:MAX_SAMPLE_ROWS]
+                differing = (
+                    row
+                    for rows, identities in sides
+                    for row, identity in zip(rows, identities)
+                    if identity in delta
+                )
+                samples = [str(row) for row in islice(differing, MAX_SAMPLE_ROWS)]
                 self.violations.append(
                     Violation(
                         expression=str(intent),

@@ -214,8 +214,11 @@ class Route:
         if other.__class__ is not Route:
             return NotImplemented
         # Equal interned records share every field object, so comparing
-        # them is one identity check per field at C speed.
-        return self.attrs == other.attrs and self.prefix == other.prefix
+        # them is one identity check per field at C speed; equal routes
+        # mostly share their prefix too.
+        return self.attrs == other.attrs and (
+            self.prefix is other.prefix or self.prefix == other.prefix
+        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -58,6 +58,9 @@ _FIELD_EXTRACTORS = {
 
 RIB_FIELDS = tuple(_FIELD_EXTRACTORS)
 
+#: the fields whose value is a set; every other field holds a scalar
+SET_FIELDS = frozenset({"communities"})
+
 #: process-wide source of ``DeviceRib.generation`` values: every new RIB,
 #: mutation and unpickled copy draws a fresh one, so two RIB states never
 #: share a number
@@ -355,6 +358,48 @@ def device_rib_fingerprint(rib: DeviceRib) -> str:
     return digest.hexdigest()
 
 
+def rib_diff(
+    base_ribs: Mapping[str, DeviceRib], updated_ribs: Mapping[str, DeviceRib]
+) -> Tuple[Dict[str, Slots], Dict[str, Slots]]:
+    """``(dropped, installed)``: the slots where two device-RIB maps differ.
+
+    Per device, ``dropped`` lists the base slots whose entries the updated
+    RIB does not hold, in base table order, and ``installed`` the updated
+    slots the base does not hold, in updated table order: the shape of a
+    splice's slots, and what a :class:`GlobalRibView` patch takes. A table
+    is compared whole first; only an unequal one is compared slot by slot.
+    """
+    dropped: Dict[str, Slots] = {}
+    unequal: Dict[str, Dict[str, Dict[Prefix, None]]] = {}
+    for name, rib in base_ribs.items():
+        other = updated_ribs.get(name)
+        if other is rib:
+            continue
+        theirs = other._tables if other is not None else {}
+        for vrf, table in rib._tables.items():
+            their = theirs.get(vrf, {})
+            if table is not their and table != their:
+                gone = {p: None for p, e in table.items() if their.get(p) != e}
+                unequal.setdefault(name, {})[vrf] = gone
+                if gone:
+                    dropped.setdefault(name, {})[vrf] = gone
+    installed: Dict[str, Slots] = {}
+    for name, rib in updated_ribs.items():
+        base = base_ribs.get(name)
+        if base is rib:
+            continue
+        mine = base._tables if base is not None else {}
+        changed = unequal.get(name, {})
+        for vrf, table in rib._tables.items():
+            if vrf in mine and vrf not in changed:
+                continue  # an equal table
+            gone, held = changed.get(vrf, {}), mine.get(vrf, {})
+            new = {p: None for p in table if p in gone or p not in held}
+            if new:
+                installed.setdefault(name, {})[vrf] = new
+    return dropped, installed
+
+
 class StaleViewError(RuntimeError):
     """A :class:`GlobalRibView` was read after one of its RIBs changed."""
 
@@ -413,10 +458,10 @@ class GlobalRibView(GlobalRib):
     built on first read and kept. A view raises :class:`StaleViewError`
     when read after one of its RIBs changed.
 
-    The constructor makes the best-only view of a spliced world as a patch
-    of ``base``, the view of the world it was spliced from: ``base`` less
-    its rows at the slots the splice dropped (``dropped``), plus the rows
-    at the slots it installed (``installed``). Every other row is shared
+    The constructor makes the best-only view of a spliced or re-simulated
+    world as a patch of ``base``, the view of the base world: ``base`` less
+    its rows at the ``dropped`` slots, plus the rows at the ``installed``
+    ones (a splice's slots, or :func:`rib_diff`'s). Every other row is shared
     with ``base``, and a row's identity contains its device, VRF and
     prefix, so no shared row can equal a dropped or an installed one: RCL
     compares ``PRE`` and ``POST`` through the two short lists alone. The

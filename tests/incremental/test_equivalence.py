@@ -185,6 +185,8 @@ def test_touched_slots_bound_the_real_diff(
     if stats.mode != MODE_INCREMENTAL:
         assert not splices
         assert stats.mode != MODE_NOOP or not differing
+        # a widened run counts the slots its RIB diff found: the real diff
+        assert stats.mode != MODE_WIDENED or stats.touched_slots == len(differing)
         return
     (result,) = splices
     touched = {

@@ -170,6 +170,27 @@ class TestVerifierSpanSanity:
             building = report.trace.find("build_updated_model")
             assert building.meta["devices_copied"] == copied
 
+    def test_a_widened_run_diffs_its_ribs_against_the_base(self):
+        model, inputs, flows = square_world()
+        verifier = ChangeVerifier(model, inputs, flows)
+        plan = ChangePlan(
+            name="drain-ab",
+            change_type="topology-adjustment",
+            device_commands={"A": ["isis cost B 99"]},
+            intents=[RclIntent("PRE = POST")],
+        )
+        report = verifier.verify(plan)
+        stats = report.incremental
+        assert stats.mode == "widened"
+        diffing = report.trace.find("rib_diff")
+        # A's route to D's prefix is the one slot the new cost moves
+        assert diffing.meta == {"dropped_slots": 1, "installed_slots": 1}
+        assert stats.touched_slots == 1
+        assert f"touched {stats.touched_slots} slots" in report.summary()
+        # the updated table is a patch of the base one, never flattened
+        assert report.updated_world.global_rib.base is verifier.base_world.global_rib
+        assert report.trace.find("check_intents").meta["tables_built"] == 0
+
     def test_counters_mirror_run_statistics(self):
         model, inputs, flows = square_world()
         ctx = RunContext("run")

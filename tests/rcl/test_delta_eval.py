@@ -17,9 +17,14 @@ from benchmarks.test_table2_change_types import build_plans
 from repro.core.change_plan import ChangePlan
 from repro.core.pipeline import ChangeVerifier
 from repro.incremental.blast import BlastRadius
-from repro.incremental.engine import MODE_INCREMENTAL, IncrementalEngine
+from repro.incremental.engine import (
+    MODE_FULL,
+    MODE_INCREMENTAL,
+    MODE_WIDENED,
+    IncrementalEngine,
+)
 from repro.net.addr import as_prefix
-from repro.rcl import parse, verify
+from repro.rcl import RclTypeError, parse, verify
 from repro.routing.inputs import inject_external_route
 from repro.routing.rib import (
     ROUTE_TYPE_ECMP,
@@ -27,6 +32,7 @@ from repro.routing.rib import (
     GlobalRib,
     GlobalRibView,
     UnknownFieldError,
+    rib_diff,
 )
 from repro.routing.simulator import simulate_routes
 from repro.workload import (
@@ -47,21 +53,45 @@ def wan():
 
 
 @pytest.fixture(scope="module")
-def bounded(wan):
-    """A prepared verifier and the Table-2 plans it splices."""
+def by_mode(wan):
+    """A prepared verifier and its Table-2 plans, by how it serves them."""
     model, inventory, routes = wan
     verifier = ChangeVerifier(model, routes)
     verifier.prepare_base()
     candidates = list(build_plans(model, inventory, routes).values())
     candidates.append(raise_local_pref(model, inventory, routes))
-    plans = [
-        plan
-        for plan in candidates
-        if verifier.simulate_plan(plan)[1].mode == MODE_INCREMENTAL
-    ]
-    # a new static route, a new announcement, changed attributes everywhere
-    assert len(plans) >= 3
+    plans = {}
+    for plan in candidates:
+        plans.setdefault(verifier.simulate_plan(plan)[1].mode, []).append(plan)
     return verifier, plans
+
+
+@pytest.fixture(scope="module")
+def bounded(by_mode):
+    """A prepared verifier and the Table-2 plans it splices."""
+    verifier, plans = by_mode
+    # a new static route, a new announcement, changed attributes everywhere
+    assert len(plans[MODE_INCREMENTAL]) >= 3
+    return verifier, plans[MODE_INCREMENTAL]
+
+
+@pytest.fixture(scope="module")
+def widened(by_mode):
+    """The Table-2 plans it re-simulates in full, patched by a RIB diff.
+
+    New links, a new router, an IS-IS change, a policy without a prefix
+    constraint, and a retag no route matches: a patch of no slot at all.
+    """
+    verifier, plans = by_mode
+    assert len(plans[MODE_WIDENED]) >= 4
+    return verifier, plans[MODE_WIDENED]
+
+
+@pytest.fixture(scope="module")
+def harnessed(bounded, widened):
+    """The verifier and every plan it serves through a patch."""
+    verifier, plans = bounded
+    return verifier, plans + widened[1]
 
 
 def raise_local_pref(model, inventory, routes):
@@ -92,9 +122,9 @@ def raise_local_pref(model, inventory, routes):
     )
 
 
-def fresh_views(bounded):
+def fresh_views(served):
     """``(base table, view)`` per plan; the views not yet materialised."""
-    verifier, plans = bounded
+    verifier, plans = served
     base = verifier.base_world.global_rib
     for plan in plans:
         view = verifier.simulate_plan(plan)[0].global_rib
@@ -103,8 +133,8 @@ def fresh_views(bounded):
 
 
 @pytest.fixture(scope="module")
-def views(bounded):
-    return list(fresh_views(bounded))
+def views(harnessed):
+    return list(fresh_views(harnessed))
 
 
 def outcome(result):
@@ -124,7 +154,7 @@ def assert_same_as_materialised(spec, base, view):
 
 def hand_written(view):
     """Specs over every ``ast.Intent`` node, named after this view's change."""
-    changed = (view.installed or view.dropped)[0]
+    changed = (view.installed or view.dropped or view.base.rows)[0]
     device, prefix = changed.device, str(changed.route.prefix)
     touched = {row.device for row in view.installed + view.dropped}
     other = next((r.device for r in view.base if r.device not in touched), device)
@@ -213,8 +243,8 @@ def test_paper_use_cases_and_generated_corpus_agree(wan, views):
             assert_same_as_materialised(spec, base, view)
 
 
-def test_the_view_is_the_rebuilt_table_in_content_and_order(bounded):
-    verifier, plans = bounded
+def test_the_view_is_the_rebuilt_table_in_content_and_order(harnessed, widened):
+    verifier, plans = harnessed
     base = verifier.base_world.global_rib
     for plan in plans:
         world = verifier.simulate_plan(plan)[0]
@@ -233,13 +263,15 @@ def test_the_view_is_the_rebuilt_table_in_content_and_order(bounded):
         assert view.installed == [
             r for r in rebuilt if (r.device, r.vrf, r.route.prefix) in slots
         ]
-        assert view == rebuilt and view != base
+        assert view == rebuilt
+        # a widened plan may change only what row identities leave out (IGP cost)
+        assert view != base or plan in widened[1], plan.name
 
 
-def test_a_guarded_comparison_reads_the_patch_and_nothing_else(bounded):
-    for base, view in fresh_views(bounded):
+def test_a_guarded_comparison_reads_the_patch_and_nothing_else(harnessed):
+    for base, view in fresh_views(harnessed):
         own = len(view.dropped) + len(view.installed)
-        device = view.installed[0].device
+        device = (view.installed or view.dropped or view.base.rows)[0].device
         for spec in (
             f"device = {device} => PRE = POST",
             "not prefix = 203.0.113.0/24 => PRE = POST",
@@ -248,7 +280,8 @@ def test_a_guarded_comparison_reads_the_patch_and_nothing_else(bounded):
             result = verify(spec, base, view)
             # every filter and every comparison passes over (part of) the
             # patch's rows, never over the tables
-            assert 0 < result.rows_scanned <= 6 * own < len(base), spec
+            assert result.rows_scanned <= 6 * own < len(base), spec
+            assert result.rows_scanned or not own, spec
             assert view._rows is None, spec
         naive = verify(f"device = {device} => PRE = POST", base, GlobalRib(list(view)))
         assert naive.rows_scanned >= len(base) + len(view)
@@ -328,6 +361,35 @@ def test_unknown_fields_are_rejected_before_any_row_is_read(views):
         for updated in (view, GlobalRib(list(view)), GlobalRib([])):
             with pytest.raises(UnknownFieldError):
                 verify(spec, base, updated)
+
+
+#: type errors a guard raises whether or not any row reaches it
+TYPE_ERRORS = [
+    "communities < 5 => PRE = POST",
+    "device contains x => PRE = POST",
+    'communities matches "a.*" => PRE = POST',
+]
+
+
+def test_type_errors_are_rejected_before_any_row_is_read(wan, small_base):
+    model, base_ribs, base, _ = small_base
+    # a re-simulation of the base: equal RIBs of new objects, a patch of no slot
+    again = simulate_routes(model, wan[2]).device_ribs
+    view = GlobalRibView(base, base_ribs, again, *rib_diff(base_ribs, again))
+    assert not view.dropped and not view.installed
+    for spec in TYPE_ERRORS:
+        for updated in (view, GlobalRib(list(view)), GlobalRib([])):
+            with pytest.raises(RclTypeError):
+                verify(spec, base, updated)
+
+
+def test_a_verifier_without_incremental_compares_whole_tables(wan, widened):
+    model, _, routes = wan
+    verifier = ChangeVerifier(model, routes, incremental=False)
+    for plan in widened[1]:
+        world, stats = verifier.simulate_plan(plan)
+        assert stats.mode == MODE_FULL
+        assert world.global_rib.base is None, plan.name
 
 
 def test_the_view_is_read_only(views):
