@@ -34,7 +34,6 @@ from repro.core.intents import IntentResult, VerificationContext
 from repro.core.world import World
 from repro.exec import (
     CentralizedBackend,
-    DistributedBackend,
     ExecutionBackend,
     IncrementalBackend,
     RouteSimRequest,
@@ -195,11 +194,10 @@ def _plan_spans(span: Span) -> Iterator[Span]:
 class ChangeVerifier:
     """Verifies change plans against a pre-processed base network.
 
-    ``backend`` injects any :class:`ExecutionBackend`; when omitted one is
-    built from the legacy ``distributed``/``route_subtasks``/``workers``
-    knobs. The backend is always wrapped in an :class:`IncrementalBackend`
-    sharing this verifier's engine, so warm-started requests splice against
-    the base world's RIBs.
+    ``backend`` injects any :class:`ExecutionBackend` (default: a
+    :class:`CentralizedBackend` with ``max_rounds``). The backend is always
+    wrapped in an :class:`IncrementalBackend` sharing this verifier's
+    engine, so warm-started requests splice against the base world's RIBs.
     """
 
     def __init__(
@@ -207,10 +205,6 @@ class ChangeVerifier:
         base_model: NetworkModel,
         input_routes: Sequence[InputRoute],
         input_flows: Sequence[Flow] = (),
-        distributed: bool = False,
-        route_subtasks: int = 100,
-        traffic_subtasks: int = 128,
-        workers: int = 1,
         max_rounds: int = 50,
         incremental: bool = True,
         backend: Optional[ExecutionBackend] = None,
@@ -219,9 +213,6 @@ class ChangeVerifier:
         self.base_model = base_model
         self.input_routes = list(input_routes)
         self.input_flows = list(input_flows)
-        self.route_subtasks = route_subtasks
-        self.traffic_subtasks = traffic_subtasks
-        self.workers = workers
         self.max_rounds = max_rounds
         self.incremental = incremental
         self._base_world: Optional[World] = None
@@ -229,15 +220,7 @@ class ChangeVerifier:
         self._base_local_inputs: Optional[Dict[str, List[InputRoute]]] = None
         self._engine = IncrementalEngine(base_model)
         if backend is None:
-            if distributed:
-                backend = DistributedBackend(
-                    route_subtasks=route_subtasks,
-                    traffic_subtasks=traffic_subtasks,
-                    workers=workers,
-                )
-            else:
-                backend = CentralizedBackend(max_rounds=max_rounds)
-        self.distributed = backend.is_distributed
+            backend = CentralizedBackend(max_rounds=max_rounds)
         self.backend: ExecutionBackend = IncrementalBackend(backend, self._engine)
         self.ctx = ensure_context(ctx, "verifier")
 

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro import perfopts
 from repro.distsim.chaos import ChaosEngine, ChaosMessageQueue, ChaosObjectStore, ChaosPolicy
 from repro.distsim.mq import DeadLetter, DeadLetterQueue, Message, MessageQueue
 from repro.distsim.partition import OrderingPartitioner, ranges_of_prefixes
@@ -332,29 +331,23 @@ class _TaskRunner:
             for index in range(max(1, workers))
         ]
 
-        # Worker threads re-enter the dispatching thread's effective perf
-        # flags: scoped overrides (per-job flags under `repro serve`) are
-        # thread-local and would otherwise fall back to the process base.
-        opts = perfopts.effective()
-
         def loop(worker: Worker) -> None:
-            with perfopts.applied(opts):
-                while True:
-                    message = self.mq.pop()
-                    if message is None:
-                        return
-                    try:
-                        worker.handle(message)
-                    except Exception as exc:  # noqa: BLE001 - never lose a failure
-                        # handle() records its own failures; this guards
-                        # crashes outside it so a worker thread can't die
-                        # silently.
-                        self.db.mark_failed(
-                            message.subtask_id,
-                            message.kind,
-                            f"worker loop error: {type(exc).__name__}: {exc}",
-                            attempts=message.attempt,
-                        )
+            while True:
+                message = self.mq.pop()
+                if message is None:
+                    return
+                try:
+                    worker.handle(message)
+                except Exception as exc:  # noqa: BLE001 - never lose a failure
+                    # handle() records its own failures; this guards
+                    # crashes outside it so a worker thread can't die
+                    # silently.
+                    self.db.mark_failed(
+                        message.subtask_id,
+                        message.kind,
+                        f"worker loop error: {type(exc).__name__}: {exc}",
+                        attempts=message.attempt,
+                    )
 
         while True:
             ctx.count("distsim.rounds")

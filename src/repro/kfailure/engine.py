@@ -24,7 +24,8 @@ against it:
 
 ``warm=False, prune=False`` reproduces the legacy exhaustive checker
 move-for-move (modulo the missing-link fix) — the cold baseline the
-equivalence suite and the A/B benchmark compare against.
+equivalence suite and the A/B benchmark compare against. Pruning needs
+the warm path: ``warm=False, prune=True`` is rejected.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class KFailureEngine:
         routers: Optional[Sequence[str]] = None,
         ctx: Optional[RunContext] = None,
     ) -> None:
+        if prune and not warm:
+            raise ValueError("class pruning needs warm=True")
         self.model = model
         self.inputs: List[InputRoute] = list(input_routes) + (
             build_local_input_routes(model)
@@ -150,7 +153,7 @@ class KFailureEngine:
             result.coverage = (len(examined) / total) if total else 1.0
             ctx.count("kfailure.scenarios_total", len(examined))
 
-            if self.warm or self.prune:
+            if self.warm:
                 self.prepare(ctx)
                 self._check_sequential(examined, prop, result, ctx)
             else:
@@ -227,15 +230,6 @@ class KFailureEngine:
     ) -> List[str]:
         """Verdict of one equivalence class; overlay is already applied."""
         assert self.analyzer is not None and self.base_result is not None
-        if not self.warm:
-            # Prune-only mode: cold full solve, one per class.
-            outcome = self.backend.run_routes(
-                RouteSimRequest(model=self.model, inputs=self.inputs), ctx
-            )
-            simulation = (
-                outcome.result if outcome.result is not None else outcome
-            )
-            return prop(self.model, simulation)
         effect = self.analyzer.effect(self.model, key)
         if effect.is_noop:
             # No RIB slot of any up device can move: judge the base RIBs

@@ -17,8 +17,7 @@ Requests (``op`` field):
     filesystem), ``plan`` (the change-plan JSON for verify/whatif),
     ``tenant``, ``priority`` (``high`` | ``normal`` | ``batch``),
     ``isolation`` (``thread`` | ``process``), ``backend`` (one of
-    :data:`repro.exec.BACKEND_NAMES`), and optional ``perf_flags``
-    (per-job :mod:`repro.perfopts` overrides). Response carries the
+    :data:`repro.exec.BACKEND_NAMES`). Response carries the
     assigned ``job_id``; quota violations and a draining daemon reject with
     ``{"ok": false, "error": ...}``.
 ``status``
@@ -51,7 +50,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from repro import perfopts
 from repro.exec.base import BACKEND_NAMES
 
 DEFAULT_HOST = "127.0.0.1"
@@ -120,15 +118,9 @@ def validate_job_spec(spec: Any) -> Optional[str]:
     if not isinstance(backend, str) or backend not in BACKEND_NAMES:
         return (f"unknown backend {backend!r}; expected one of "
                 f"{BACKEND_NAMES}")
-    flags = spec.get("perf_flags", {})
-    if not isinstance(flags, dict) or not all(
-        isinstance(v, bool) for v in flags.values()
-    ):
-        return "perf_flags must map flag names to booleans"
-    unknown = sorted(set(flags) - set(perfopts.FLAG_NAMES))
-    if unknown:
-        return (f"unknown perf flag(s) {unknown}; expected one of "
-                f"{sorted(perfopts.FLAG_NAMES)}")
+    if "perf_flags" in spec:
+        return ("perf_flags is not accepted: perf flags are process-wide "
+                "test switches (pytest --perfopts-off), not per-job options")
     return None
 
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro import perfopts
 from repro.core.planjson import plan_from_json
 from repro.distsim import rib_fingerprint
 from repro.obs import RunContext
@@ -76,7 +75,6 @@ def _request_fingerprint_fields(spec: Dict[str, Any]) -> Dict[str, Any]:
         "plan": spec.get("plan"),
         "backend": spec.get("backend", "centralized"),
         "incremental": spec.get("incremental", True),
-        "perf_flags": spec.get("perf_flags", {}),
     }
     if spec["kind"] == "kfailure":
         # Every knob that changes the exploration's verdict must key the
@@ -145,19 +143,17 @@ def execute_spec(
             }
         )
     )
-    flags = dict(spec.get("perf_flags", {}))
     try:
-        with perfopts.configured(**flags):
-            if kind == "simulate":
-                result = _run_simulate(spec, state, model_hash, snapshot, ctx)
-            elif kind == "kfailure":
-                result = _run_kfailure(
-                    spec, state, model_hash, snapshot, ctx, cancel_check
-                )
-            else:
-                result = _run_verify(
-                    spec, state, model_hash, snapshot, ctx, cancel_check
-                )
+        if kind == "simulate":
+            result = _run_simulate(spec, state, model_hash, snapshot, ctx)
+        elif kind == "kfailure":
+            result = _run_kfailure(
+                spec, state, model_hash, snapshot, ctx, cancel_check
+            )
+        else:
+            result = _run_verify(
+                spec, state, model_hash, snapshot, ctx, cancel_check
+            )
     finally:
         unsubscribe()
     result["cache"] = "miss"

@@ -22,10 +22,6 @@ def pytest_configure(config):
     names = config.getoption("--perfopts-off")
     if not names:
         return
-    flags = (
-        [f for f in vars(perfopts.PerfOptions())]
-        if names == "all"
-        else names.split(",")
-    )
+    flags = perfopts.FLAG_NAMES if names == "all" else names.split(",")
     for flag in flags:
         setattr(perfopts.OPTS, flag, False)

@@ -16,6 +16,7 @@ from repro.core import (
     remove_link,
 )
 from repro.core.intents import flows_to_prefix
+from repro.exec import DistributedBackend
 from repro.rcl.errors import RclParseError
 from repro.routing.inputs import inject_external_route
 from repro.traffic import make_flow
@@ -91,7 +92,7 @@ class TestPipelineBasics:
         )
         direct = ChangeVerifier(model, inputs, flows).verify(plan)
         distributed = ChangeVerifier(
-            model, inputs, flows, distributed=True, route_subtasks=4
+            model, inputs, flows, backend=DistributedBackend(route_subtasks=4)
         ).verify(plan)
         assert direct.ok == distributed.ok
 

@@ -14,7 +14,7 @@ from benchmarks.test_table2_change_types import build_plans
 from repro.core.change_plan import ALL_CHANGE_TYPES
 from repro.core.pipeline import ChangeVerifier
 from repro.distsim.chaos import rib_fingerprint
-from repro.exec import make_backend
+from repro.exec import DistributedBackend, make_backend
 from repro.incremental.engine import (
     MODE_INCREMENTAL,
     MODE_NOOP,
@@ -58,15 +58,12 @@ def plans(world):
     return build_plans(model, inventory, routes)
 
 
-def make_verifier(world, incremental, distributed=False, backend=None):
+def make_verifier(world, incremental, backend=None):
     model, _, routes, flows = world
     verifier = ChangeVerifier(
         model,
         routes,
         input_flows=flows,
-        distributed=distributed,
-        route_subtasks=6,
-        workers=1,
         incremental=incremental,
         backend=backend,
     )
@@ -82,8 +79,16 @@ def verifier_pairs(world):
     return {
         "central": (make_verifier(world, incremental=True), central_full),
         "dist": (
-            make_verifier(world, incremental=True, distributed=True),
-            make_verifier(world, incremental=False, distributed=True),
+            make_verifier(
+                world,
+                incremental=True,
+                backend=DistributedBackend(route_subtasks=6, workers=1),
+            ),
+            make_verifier(
+                world,
+                incremental=False,
+                backend=DistributedBackend(route_subtasks=6, workers=1),
+            ),
         ),
         "modular": (
             make_verifier(

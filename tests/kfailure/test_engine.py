@@ -136,6 +136,13 @@ class TestEarlyExit:
         assert "stopped at first violation" in result.summary()
 
 
+class TestModes:
+    def test_pruning_without_warm_start_is_rejected(self):
+        model, inputs = bundle_world()
+        with pytest.raises(ValueError, match="warm"):
+            KFailureEngine(model, inputs, warm=False, prune=True)
+
+
 class TestMissingLink:
     def test_apply_scenario_raises_for_unknown_link(self):
         model, _ = bundle_world()

@@ -87,14 +87,16 @@ class TestWire:
                 client.submit({"kind": "nonsense"})
             assert err.value.code == "bad-request"
 
-    def test_unknown_perf_flag_rejected_at_submit(self, harness, snapshot_path):
+    def test_perf_flags_rejected_at_submit(self, harness, snapshot_path):
+        # Perf flags are process-wide; any per-job field is refused, even
+        # an empty or well-formed one.
         with harness.client() as client:
-            with pytest.raises(ServerError) as err:
-                submit_verify(client, snapshot_path,
-                              perf_flags={"compiled_fib": False})
-            assert err.value.code == "bad-request"
-            assert "unknown perf flag(s) ['compiled_fib']" in str(err.value)
-            assert "spread_memo" in str(err.value)
+            for flags in ({}, {"spread_memo": False}, {"compiled_fib": False}):
+                with pytest.raises(ServerError) as err:
+                    submit_verify(client, snapshot_path, perf_flags=flags)
+                assert err.value.code == "bad-request"
+                assert "perf_flags is not accepted" in str(err.value)
+                assert "--perfopts-off" in str(err.value)
             assert client.stats()["scheduler"]["jobs"] == {}
 
     @pytest.mark.parametrize("backend", ["bogus", "distributed-process"])
