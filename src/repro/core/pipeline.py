@@ -57,7 +57,13 @@ from repro.routing.inputs import (
     build_local_inputs_for_device,
 )
 from repro.routing.isis import IgpState, compute_igp
-from repro.routing.rib import DeviceRib, GlobalRib, GlobalRibView, Slots, rib_diff
+from repro.routing.rib import (
+    DeviceRib,
+    GlobalRib,
+    GlobalRibView,
+    rib_diff,
+    touched_slots,
+)
 from repro.traffic.flow import Flow
 from repro.traffic.simulator import SpreadReuse, TrafficSimulationResult
 
@@ -167,14 +173,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _slots(*maps: Dict[str, Slots]) -> Set[Tuple[str, str, Prefix]]:
-    """Every ``(device, vrf, prefix)`` slot named in ``maps``."""
+def _count(touched: Dict[str, Set[Tuple[str, Prefix]]]) -> int:
+    """How many ``(device, vrf, prefix)`` slots ``touched`` names."""
+    return sum(map(len, touched.values()))
+
+
+def _up_pairs(model: NetworkModel) -> Set[Tuple[str, str]]:
+    """Both directions of every router pair an up link connects."""
     return {
-        (name, vrf, prefix)
-        for slots in maps
-        for name, tables in slots.items()
-        for vrf, prefixes in tables.items()
-        for prefix in prefixes
+        pair
+        for link in model.topology.up_links
+        for pair in (link.endpoints, link.endpoints[::-1])
     }
 
 
@@ -408,14 +417,19 @@ class ChangeVerifier:
             device_ribs = self._route_sim(updated_model, all_inputs, igp, ctx)
             with ctx.span("rib_diff") as diffing:
                 dropped, installed = rib_diff(base.device_ribs, device_ribs)
-                diffing.meta["dropped_slots"] = len(_slots(dropped))
-                diffing.meta["installed_slots"] = len(_slots(installed))
+                diffing.meta["dropped_slots"] = _count(touched_slots(dropped))
+                diffing.meta["installed_slots"] = _count(touched_slots(installed))
             # a patch of the base table, as a spliced world's is
             view = GlobalRibView(
                 base.global_rib, base.device_ribs, device_ribs, dropped, installed
             )
+            touched = touched_slots(dropped, installed)
             traffic = self._traffic_sim(
-                updated_model, device_ribs, igp, ctx, reuse_declined="widened"
+                updated_model,
+                device_ribs,
+                igp,
+                ctx,
+                *self._spread_reuse(diff, updated_model, igp, touched),
             )
             world = World(updated_model, device_ribs, view, traffic)
             return world, IncrementalStats(
@@ -423,7 +437,7 @@ class ChangeVerifier:
                 widen_reasons=blast.reasons,
                 total_devices=len(updated_model.devices),
                 total_inputs=len(all_inputs),
-                touched_slots=len(_slots(dropped, installed)),
+                touched_slots=_count(touched),
                 igp_reused=igp_reused,
             )
 
@@ -440,7 +454,7 @@ class ChangeVerifier:
                     base.device_ribs,
                     igp,
                     ctx,
-                    *self._spread_reuse(diff, igp_reused, {}),
+                    *self._spread_reuse(diff, updated_model, igp, {}),
                 )
             world = World(
                 model=updated_model,
@@ -477,7 +491,7 @@ class ChangeVerifier:
             device_ribs,
             igp,
             ctx,
-            *self._spread_reuse(diff, igp_reused, splice.touched),
+            *self._spread_reuse(diff, updated_model, igp, splice.touched),
         )
         world = World(
             model=updated_model,
@@ -501,7 +515,7 @@ class ChangeVerifier:
             resimulated_inputs=len(covered),
             total_inputs=len(all_inputs),
             spliced_slots=splice.spliced_slots,
-            touched_slots=sum(map(len, splice.touched.values())),
+            touched_slots=_count(splice.touched),
             reused_slots=splice.reused_slots,
             reused_devices=splice.reused_devices,
             igp_reused=igp_reused,
@@ -534,25 +548,36 @@ class ChangeVerifier:
         return inputs
 
     def _spread_reuse(
-        self, diff, igp_reused: bool, touched
+        self, diff, model: NetworkModel, igp: IgpState, touched
     ) -> Tuple[Optional[SpreadReuse], Optional[str]]:
-        """The base spreads a bounded change keeps, or why there are none.
+        """The base spreads a change keeps, or why there are none.
 
-        Only RIB slots in ``touched`` may differ from the base, so a spread
-        is reusable when everything else forwarding reads is the base's:
-        no forwarding-section delta, the base IGP object, and a base
-        traffic run to take spreads from.
+        Only RIB slots in ``touched`` may differ from the base, and only
+        the ``(router, target)`` pairs whose IGP answers or up-link state
+        moved; a spread is reusable when everything else forwarding reads
+        is the base's (``ModelDiff.forwarding_affecting``, and the ingress
+        ACL every link selects) and there is a base traffic run to take
+        spreads from.
         """
-        if diff.forwarding_affecting:
-            return None, "forwarding_affecting"
-        if not igp_reused:
-            return None, "igp_recomputed"
-        base_traffic = self.base_world.traffic
-        if base_traffic is None:
-            return None, "no_base_traffic"
+        why = diff.forwarding_affecting
+        if why is None and diff.topology_changed and any(
+            device.interface_acls for device in model.devices.values()
+        ):
+            why = "topology_with_acls"
+        if why is None and self.base_world.traffic is None:
+            why = "no_base_traffic"
+        if why is not None:
+            return None, why
+        moved = set() if igp is self._base_igp else self._base_igp.moved_pairs(igp)
+        if diff.topology_changed:
+            moved |= _up_pairs(self.base_model) ^ _up_pairs(model)
         return (
             SpreadReuse(
-                base_traffic, touched, self.base_world.device_ribs, self.input_flows
+                self.base_world.traffic,
+                touched,
+                self.base_world.device_ribs,
+                self.input_flows,
+                moved,
             ),
             None,
         )
@@ -568,8 +593,9 @@ class ChangeVerifier:
     ) -> Optional[TrafficSimulationResult]:
         """Traffic over ``device_ribs``, keeping what ``reuse`` allows.
 
-        ``reuse_declined`` (why a change got no reuse) is recorded on the
-        ``traffic_sim`` span the backend opens.
+        ``reuse_declined`` (why a change got no reuse), or the number of
+        ``moved_pairs`` of the reuse, is recorded on the ``traffic_sim``
+        span the backend opens.
         """
         if not self.input_flows:
             return None
@@ -588,10 +614,12 @@ class ChangeVerifier:
             ),
             ctx,
         )
+        meta = {"moved_pairs": len(reuse.moved)} if reuse is not None else {}
         if reuse_declined is not None:
-            for span in parent.children[opened:]:
-                if span.name == "traffic_sim":
-                    span.meta["reuse_declined"] = reuse_declined
+            meta["reuse_declined"] = reuse_declined
+        for span in parent.children[opened:]:
+            if span.name == "traffic_sim":
+                span.meta.update(meta)
         return outcome.result
 
     def _simulate(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.net.addr import IPAddress
 from repro.net.device import DeviceConfig
 from repro.net.model import NetworkModel
 from repro.net.topology import Topology
@@ -67,10 +68,11 @@ LOCAL_INPUT_SECTIONS: FrozenSet[str] = frozenset(
     {"statics", "redistributions", "policies", "identity"}
 )
 
-#: Sections a forwarding decision reads besides the RIB (identity and VRFs
-#: conservatively, since both reshape everything a device does).
+#: Sections a forwarding decision reads besides the RIB and the IGP
+#: (identity and VRFs conservatively, since both reshape everything a
+#: device does). IS-IS settings reach forwarding only through the IGP.
 FORWARDING_SECTIONS: FrozenSet[str] = frozenset(
-    {"identity", "isis", "sr", "pbr", "acls", "vrfs"}
+    {"identity", "sr", "pbr", "acls", "vrfs"}
 )
 
 
@@ -114,6 +116,8 @@ class ModelDiff:
     devices_removed: FrozenSet[str] = frozenset()
     topology_changed: bool = False
     loopbacks_changed: bool = False
+    #: some link interface address moved (only set with ``topology_changed``)
+    interface_addresses_changed: bool = False
     new_input_routes: Tuple[InputRoute, ...] = ()
 
     @property
@@ -152,14 +156,24 @@ class ModelDiff:
         )
 
     @property
-    def forwarding_affecting(self) -> bool:
-        """Whether a forwarding decision could move other than via the RIBs."""
-        if self.structure_changed:
-            return True
-        return any(
-            delta.sections & FORWARDING_SECTIONS
+    def forwarding_affecting(self) -> Optional[str]:
+        """Why a forwarding decision could move other than via the RIBs and
+        the IGP/link answers it reads, or None.
+
+        The reason is ``devices_changed``, ``addresses_moved`` (loopbacks
+        or interface addresses) or ``<section>_changed`` for the first
+        moved section of ``FORWARDING_SECTIONS``.
+        """
+        if self.devices_added or self.devices_removed:
+            return "devices_changed"
+        if self.loopbacks_changed or self.interface_addresses_changed:
+            return "addresses_moved"
+        moved = {
+            section
             for delta in self.device_deltas.values()
-        )
+            for section in delta.sections & FORWARDING_SECTIONS
+        }
+        return f"{min(moved)}_changed" if moved else None
 
     def local_inputs_affected(self) -> Set[str]:
         """Devices whose locally originated input routes may have moved.
@@ -277,6 +291,16 @@ def diff_topology_failures(
     )
 
 
+def _interface_addresses(topology: Topology) -> List[Tuple[IPAddress, str]]:
+    """Every link interface address with its router, in link order."""
+    return [
+        (iface.address, iface.router)
+        for link in topology.links
+        for iface in (link.a, link.b)
+        if iface.address is not None
+    ]
+
+
 def diff_models(
     base: NetworkModel,
     updated: NetworkModel,
@@ -290,6 +314,9 @@ def diff_models(
     """
     base_names = set(base.devices)
     updated_names = set(updated.devices)
+    topology_changed = not updated.topology.is_untouched_copy_of(base.topology) and (
+        topology_fingerprint(base.topology) != topology_fingerprint(updated.topology)
+    )
     deltas: Dict[str, DeviceDelta] = {}
     for name in base_names & updated_names:
         base_cfg = base.devices[name]
@@ -308,11 +335,10 @@ def diff_models(
         device_deltas=deltas,
         devices_added=frozenset(updated_names - base_names),
         devices_removed=frozenset(base_names - updated_names),
-        topology_changed=(
-            not updated.topology.is_untouched_copy_of(base.topology)
-            and topology_fingerprint(base.topology)
-            != topology_fingerprint(updated.topology)
-        ),
+        topology_changed=topology_changed,
         loopbacks_changed=base.loopbacks != updated.loopbacks,
+        interface_addresses_changed=topology_changed
+        and _interface_addresses(base.topology)
+        != _interface_addresses(updated.topology),
         new_input_routes=tuple(new_input_routes or ()),
     )

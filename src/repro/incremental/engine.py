@@ -41,7 +41,7 @@ from repro.incremental.diff import ModelDiff, diff_models
 from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute
-from repro.routing.rib import DeviceRib, Slots
+from repro.routing.rib import DeviceRib, Slots, touched_slots
 
 #: How a verify() call was served.
 MODE_FULL = "full"  #: incremental disabled (escape hatch)
@@ -122,15 +122,7 @@ class SpliceResult:
     @cached_property
     def touched(self) -> Dict[str, Set[Tuple[str, Prefix]]]:
         """Per device, every ``(vrf, prefix)`` that may differ from the base."""
-        return {
-            name: {
-                (vrf, prefix)
-                for slots in (self.dropped[name], self.installed[name])
-                for vrf, prefixes in slots.items()
-                for prefix in prefixes
-            }
-            for name in self.dropped
-        }
+        return touched_slots(self.dropped, self.installed)
 
 
 class IncrementalEngine:

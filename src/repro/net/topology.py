@@ -8,7 +8,6 @@ the underlying inventory.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
@@ -129,7 +128,8 @@ class Topology:
         self._adjacency: Dict[str, List[Link]] = {}
         self._failed_links: Set[FrozenSet[Tuple[str, str]]] = set()
         self._failed_routers: Set[str] = set()
-        self._iface_counter = itertools.count(1)
+        #: number of the next ``eth<n>`` pair :meth:`connect` creates
+        self._next_iface = 1
         #: monotonically increasing mutation counter; every inventory or
         #: failure-overlay change bumps it so derived caches (the indices
         #: below, the spread memo) can detect staleness in O(1).
@@ -194,7 +194,8 @@ class Topology:
         b_addr: Optional[str] = None,
     ) -> Link:
         """Convenience: create interfaces on both ends and link them."""
-        n = next(self._iface_counter)
+        n = self._next_iface
+        self._next_iface += 1
         ia = Interface(
             a,
             f"eth{n}",
@@ -382,13 +383,18 @@ class Topology:
     # -- misc ----------------------------------------------------------------
 
     def copy(self) -> "Topology":
-        """Structural copy sharing immutable Router/Link objects and the version."""
+        """Structural copy sharing immutable Router/Link objects and the version.
+
+        The copy numbers :meth:`connect` interfaces on from where the source
+        left off, so a link added to it gets names no existing link carries.
+        """
         clone = Topology()
         clone._routers = dict(self._routers)
         clone._links = dict(self._links)
         clone._adjacency = {r: list(links) for r, links in self._adjacency.items()}
         clone._failed_links = set(self._failed_links)
         clone._failed_routers = set(self._failed_routers)
+        clone._next_iface = self._next_iface
         clone._version = self._version
         clone._copied_from = (self, self._version)
         return clone

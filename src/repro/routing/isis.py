@@ -45,6 +45,18 @@ class IgpState:
             return ()
         return self.next_hops.get(src, {}).get(dst, ())
 
+    def moved_pairs(self, other: "IgpState") -> Set[Tuple[str, str]]:
+        """``(src, dst)`` pairs whose reachability or next hops differ."""
+        moved: Set[Tuple[str, str]] = set()
+        for src in self.dist.keys() | other.dist.keys():
+            mine, theirs = self.dist.get(src, {}), other.dist.get(src, {})
+            for dst in mine.keys() | theirs.keys():
+                if (dst in mine) != (dst in theirs) or self.hops_towards(
+                    src, dst
+                ) != other.hops_towards(src, dst):
+                    moved.add((src, dst))
+        return moved
+
     def shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
         """One deterministic shortest path (first ECMP branch at each hop)."""
         if src == dst:

@@ -358,6 +358,17 @@ def device_rib_fingerprint(rib: DeviceRib) -> str:
     return digest.hexdigest()
 
 
+def touched_slots(*maps: Dict[str, Slots]) -> Dict[str, Set[Tuple[str, Prefix]]]:
+    """Per device, every ``(vrf, prefix)`` slot named in ``maps``."""
+    touched: Dict[str, Set[Tuple[str, Prefix]]] = {}
+    for slots in maps:
+        for name, tables in slots.items():
+            mine = touched.setdefault(name, set())
+            for vrf, prefixes in tables.items():
+                mine.update((vrf, prefix) for prefix in prefixes)
+    return touched
+
+
 def rib_diff(
     base_ribs: Mapping[str, DeviceRib], updated_ribs: Mapping[str, DeviceRib]
 ) -> Tuple[Dict[str, Slots], Dict[str, Slots]]:

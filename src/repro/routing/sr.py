@@ -82,8 +82,13 @@ def first_tunnel_hops(
     policy: SrPolicyConfig,
 ) -> Tuple[str, ...]:
     """First physical hop(s) of the tunnel from ``src`` (for forwarding)."""
-    waypoints = list(policy.segments) + [policy.endpoint]
-    first_target = next((w for w in waypoints if w != src), None)
+    first_target = first_tunnel_target(src, policy)
     if first_target is None:
         return ()
     return igp.hops_towards(src, first_target)
+
+
+def first_tunnel_target(src: str, policy: SrPolicyConfig) -> Optional[str]:
+    """The first waypoint of the tunnel from ``src`` other than ``src``."""
+    waypoints = list(policy.segments) + [policy.endpoint]
+    return next((w for w in waypoints if w != src), None)

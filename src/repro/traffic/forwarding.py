@@ -12,12 +12,18 @@ flag of ``repro.perfopts`` and invalidated against ``Topology.version`` /
 ``DeviceRib.generation`` (plus an explicit
 :meth:`ForwardingEngine.invalidate` escape hatch); enabled or disabled,
 forwarding results are byte-identical.
+
+Every spread decision at router ``r`` also records the ``(r, target)``
+pairs it resolved through: the up-link, IGP-reachability and IGP next-hop
+answers it read. They are kept with the memo entry (and recorded with the
+memo off) and a walk unions them, so a change that moves no read pair and
+no RIB slot on the walk's paths cannot move its spread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import perfopts
 from repro.net.addr import IPAddress
@@ -26,7 +32,7 @@ from repro.net.model import NetworkModel
 from repro.routing.attributes import Route, SOURCE_EBGP
 from repro.routing.isis import IgpState
 from repro.routing.rib import DeviceRib
-from repro.routing.sr import first_tunnel_hops
+from repro.routing.sr import first_tunnel_hops, first_tunnel_target
 from repro.traffic.flow import Flow
 
 STATUS_DELIVERED = "delivered"
@@ -38,8 +44,8 @@ STATUS_STRANDED = "stranded"      # route present but next hop unresolvable
 
 MAX_HOPS = 64
 
-#: Sentinel distinguishing "memoized" from "absent" in the spread memo.
-_MISSING = object()
+#: A ``(router, target)`` pair a spread decision read (see module doc).
+Pair = Tuple[str, str]
 
 
 @dataclass
@@ -243,7 +249,10 @@ class ForwardingEngine:
     # -- spread mode (even ECMP volume split) ---------------------------------
 
     def forward_spread(
-        self, flow: Flow, max_hops: int = MAX_HOPS
+        self,
+        flow: Flow,
+        max_hops: int = MAX_HOPS,
+        reads: Optional[Set[Pair]] = None,
     ) -> List[Tuple[FlowPath, float]]:
         """All ECMP paths of a flow with their even-split volume fractions.
 
@@ -256,6 +265,8 @@ class ForwardingEngine:
         memoized) ``_branches`` decisions; the explicit stack replays the
         historical recursion order exactly, so results are independent of
         whether decisions come from the memo table or fresh evaluation.
+        ``reads``, when given, gains the pairs every decision of the walk
+        read.
         """
         self._ensure_fresh()
         results: List[Tuple[FlowPath, float]] = []
@@ -282,7 +293,7 @@ class ForwardingEngine:
                     (FlowPath(flow, trail, STATUS_LOOP, matched, "hop limit"), fraction)
                 )
                 continue
-            branches = self._branches(flow, router, came_from)
+            branches = self._branches(flow, router, came_from, reads)
             if isinstance(branches, str):
                 results.append((FlowPath(flow, trail, branches, matched), fraction))
                 continue
@@ -309,35 +320,47 @@ class ForwardingEngine:
             stack.extend(reversed(children))
         return results
 
-    def _branches(self, flow: Flow, router: str, came_from: Optional[str]):
+    def _branches(
+        self,
+        flow: Flow,
+        router: str,
+        came_from: Optional[str],
+        reads: Optional[Set[Pair]] = None,
+    ):
         """Spread-mode decision: terminal status or the ECMP next-hop set.
 
         Memoized per ``(router, ingress-ACL class, flow EC signature)``:
         two flows with the same (src, dst, protocol, dst_port, vrf) — the
         only fields ACL/PBR matchers and the RIB consult — entering a
         router through interfaces guarded by the same ACL necessarily
-        branch identically, whatever their ingress or source port.
+        branch identically, whatever their ingress or source port. The
+        pairs the decision read are added to ``reads``.
         """
         device = self.model.device(router)
         acl = self._ingress_acl(device, router, came_from)
+        pairs: List[Pair] = []
         if not perfopts.OPTS.spread_memo:
-            return self._branches_impl(flow, device, router, acl)
-        key = (
-            router,
-            acl.name if acl is not None else None,
-            flow.src,
-            flow.dst,
-            flow.protocol,
-            flow.dst_port,
-            flow.vrf,
-        )
-        hit = self._spread_memo.get(key, _MISSING)
-        if hit is not _MISSING:
-            self.stats.memo_hits += 1
-            return hit
-        self.stats.memo_misses += 1
-        value = self._branches_impl(flow, device, router, acl)
-        self._spread_memo[key] = value
+            value = self._branches_impl(flow, device, router, acl, pairs)
+        else:
+            key = (
+                router,
+                acl.name if acl is not None else None,
+                flow.src,
+                flow.dst,
+                flow.protocol,
+                flow.dst_port,
+                flow.vrf,
+            )
+            hit = self._spread_memo.get(key)
+            if hit is None:
+                self.stats.memo_misses += 1
+                value = self._branches_impl(flow, device, router, acl, pairs)
+                self._spread_memo[key] = (value, pairs)
+            else:
+                self.stats.memo_hits += 1
+                value, pairs = hit
+        if reads is not None:
+            reads.update(pairs)
         return value
 
     def _branches_impl(
@@ -346,6 +369,7 @@ class ForwardingEngine:
         device: DeviceConfig,
         router: str,
         acl: Optional[AclConfig],
+        reads: List[Pair],
     ):
         if acl is not None and not acl.permits(flow):
             return STATUS_BLOCKED
@@ -354,17 +378,19 @@ class ForwardingEngine:
             return ("terminal", STATUS_DELIVERED)
         for rule in device.pbr_rules:
             if rule.matches_flow(flow):
-                hops = self._hops_towards(flow, router, rule.nexthop)
+                hops = self._hops_towards(router, rule.nexthop, reads)
                 if not hops:
                     return ("terminal", STATUS_STRANDED)
                 return ("hops", ([], sorted(hops)))
         rib = self.ribs.get(router)
         hit = rib.lpm(flow.dst, vrf=flow.vrf) if rib is not None else None
         if hit is None:
-            if owner is not None and self.igp.reachable(router, owner):
-                hops = self._hops_towards(flow, router, owner)
-                if hops:
-                    return ("hops", ([], sorted(hops)))
+            if owner is not None:
+                reads.append((router, owner))
+                if self.igp.reachable(router, owner):
+                    hops = self._hops_towards(router, owner, reads)
+                    if hops:
+                        return ("hops", ([], sorted(hops)))
             return ("terminal", STATUS_DROPPED)
         # Resolve the LPM hit in RIB insertion order: the first terminal
         # route decides, otherwise every resolvable next hop is a branch.
@@ -382,22 +408,30 @@ class ForwardingEngine:
                 continue
             if nh_owner == router:
                 return ("terminal", STATUS_DELIVERED)
-            options.update(self._hops_towards(None, router, nh_owner))
+            options.update(self._hops_towards(router, nh_owner, reads))
         if not options:
             return ("terminal", STATUS_STRANDED)
         return ("hops", ([str(prefix)], sorted(options)))
 
     def _hops_towards(
-        self, flow: Optional[Flow], router: str, target: str
+        self, router: str, target: str, reads: List[Pair]
     ) -> Tuple[str, ...]:
-        """All physical next hops towards a target router (spread mode)."""
+        """All physical next hops towards a target router (spread mode).
+
+        Reads the up link and IGP answers of ``(router, target)`` and, for
+        an SR policy, the IGP next hops towards its first segment.
+        """
+        reads.append((router, target))
         if self.model.topology.has_up_link(router, target):
             return (target,)
         policy = self.model.device(router).sr_policy_towards(target)
         if policy is not None:
-            hops = first_tunnel_hops(self.model, self.igp, router, policy)
-            if hops:
-                return hops
+            first = first_tunnel_target(router, policy)
+            if first is not None:
+                reads.append((router, first))
+                hops = self.igp.hops_towards(router, first)
+                if hops:
+                    return hops
         return self.igp.hops_towards(router, target)
 
     def _pick_ecmp(self, flow: Flow, routes: Sequence[Route]) -> Route:

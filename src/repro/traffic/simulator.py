@@ -7,9 +7,10 @@ aggregates per-link loads in work order (float accumulation order is part
 of the contract).
 
 A change verification can hand ``simulate`` a :class:`SpreadReuse`: the
-base run plus the RIB slots the change touched. Representatives whose base
-walk never met a touched slot covering their destination keep their base
-spread; only the rest are forwarded. When the touched slots cannot move
+base run plus the RIB slots and the ``(router, target)`` IGP/link pairs
+the change moved. Representatives whose base walk never met a touched slot
+covering their destination nor read a moved pair keep their base spread;
+only the rest are forwarded. When the touched slots cannot move
 any flow's LPM cut, the base flow-EC partition is kept as well and the
 base link loads are patched at the links the re-forwarded ECs cross (see
 ``docs/incremental.md``, "Traffic that follows the change").
@@ -30,7 +31,7 @@ from repro.net.trie import PrefixTrie
 from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import DeviceRib
 from repro.traffic.flow import Flow
-from repro.traffic.forwarding import FlowPath, ForwardingEngine
+from repro.traffic.forwarding import FlowPath, ForwardingEngine, Pair
 from repro.traffic.load import LinkContributions, LinkLoadMap
 
 #: One flow's ECMP paths with their volume fractions.
@@ -45,6 +46,8 @@ class TrafficSimulationResult:
     ec_index: Optional[FlowEcIndex]
     elapsed_seconds: float = 0.0
     cost_units: int = 0
+    #: per flow in ``paths``, the ``(router, target)`` pairs its walk read
+    reads: Dict[Flow, FrozenSet[Pair]] = field(default_factory=dict)
     #: :class:`_BaseWork` of this run, built on the first patch against it
     _base_work: Any = field(default=None, init=False, repr=False, compare=False)
 
@@ -92,6 +95,11 @@ class _BaseWork:
             )
         #: (vrf, family) -> sorted (destination value, work index)
         self._dsts = {key: sorted(items) for key, items in dsts.items()}
+        #: read pair -> work indices whose walk read it
+        self.readers: Dict[Pair, List[int]] = {}
+        for index, (flow, _) in enumerate(self.work):
+            for pair in result.reads[flow]:
+                self.readers.setdefault(pair, []).append(index)
 
     def covered(self, vrf: str, prefix: Prefix) -> List[int]:
         """Work indices of representatives in ``vrf`` with dst in ``prefix``."""
@@ -128,16 +136,19 @@ class SpreadReuse:
     ``base`` is the base run's result, ``base_ribs`` the RIBs it forwarded
     over and ``flows`` the flows it simulated; ``touched`` names, per
     device, every ``(vrf, prefix)`` RIB slot that may differ from the base
-    (``SpliceResult.touched``, or any superset). The caller guarantees
-    that nothing else a forwarding decision reads moved: topology,
-    addresses, IGP, and every device's ACL, PBR and SR configuration are
-    the base's.
+    (``SpliceResult.touched``, a ``rib_diff``, or any superset), and
+    ``moved`` every ``(router, target)`` pair whose up-link state, IGP
+    reachability or IGP next hops may differ. The caller guarantees that
+    nothing else a forwarding decision reads moved: addresses, the ingress
+    ACL each link selects, and every device's ACL, PBR and SR
+    configuration are the base's.
 
     A spread walk decides at exactly the routers on its paths, and a
     router's decision for a flow can then only differ through its LPM
     entry for the destination — which only a touched slot at a prefix
-    covering the destination can move. So a base spread none of whose
-    routers holds such a slot is the spread a fresh forward would return.
+    covering the destination can move — or through a pair it read. So a
+    base spread none of whose routers holds such a slot and none of whose
+    reads moved is the spread a fresh forward would return.
     """
 
     def __init__(
@@ -146,10 +157,12 @@ class SpreadReuse:
         touched: Mapping[str, Iterable[Tuple[str, Prefix]]],
         base_ribs: Mapping[str, DeviceRib],
         flows: Iterable[Flow],
+        moved: Iterable[Pair] = (),
     ) -> None:
         self.base = base
         self.base_ribs = base_ribs
         self.flows = list(flows)
+        self.moved: FrozenSet[Pair] = frozenset(moved)
         self._touched: Dict[str, PrefixTrie] = {}
         self._slots: Set[Tuple[str, Prefix]] = set()
         for device, slots in touched.items():
@@ -178,7 +191,7 @@ class SpreadReuse:
     def spread_for(self, flow: Flow) -> Optional[Spread]:
         """The base spread of ``flow`` if the change cannot reach it, else None."""
         spread = self.base.paths.get(flow)
-        if spread is None:
+        if spread is None or not self.base.reads[flow].isdisjoint(self.moved):
             return None
         devices = self._touched_devices(flow.vrf, flow.dst)
         if devices and any(not devices.isdisjoint(path.routers) for path, _ in spread):
@@ -212,13 +225,16 @@ class SpreadReuse:
     def reforward(self) -> List[int]:
         """Base work indices the change may reach, in work order.
 
-        Only representatives whose destination a touched prefix covers
-        can be reached; of those, the ones :meth:`spread_for` rejects.
+        Only representatives whose destination a touched prefix covers or
+        that read a moved pair can be reached; of those, the ones
+        :meth:`spread_for` rejects.
         """
         work = _base_work(self.base)
         candidates: Set[int] = set()
         for vrf, prefix in self._slots:
             candidates.update(work.covered(vrf, prefix))
+        for pair in self.moved & work.readers.keys():
+            candidates.update(work.readers[pair])
         return [
             index
             for index in sorted(candidates)
@@ -226,26 +242,31 @@ class SpreadReuse:
         ]
 
     def patch(
-        self, forwarded: Mapping[int, Spread]
-    ) -> Tuple[Dict[Flow, Spread], LinkLoadMap, int, int]:
-        """The base result with the spreads of work items replaced.
+        self, forwarded: Mapping[int, Tuple[Spread, FrozenSet[Pair]]]
+    ) -> Tuple[
+        Dict[Flow, Spread], Dict[Flow, FrozenSet[Pair]], LinkLoadMap, int, int
+    ]:
+        """The base result with the spreads (and reads) of work items replaced.
 
-        Returns ``(paths, loads, cost_units, links re-summed)``, equal to
-        what merging the base work with ``forwarded`` in place produces.
+        Returns ``(paths, reads, loads, cost_units, links re-summed)``,
+        equal to what merging the base work with ``forwarded`` in place
+        produces.
         """
         base = self.base
         work = _base_work(base)
         paths = dict(base.paths)
+        reads = dict(base.reads)
         cost_units = base.cost_units
         replaced = {}
-        for index, spread in forwarded.items():
+        for index, (spread, read) in forwarded.items():
             flow, volume = work.work[index]
             old = base.paths[flow]
             paths[flow] = spread
+            reads[flow] = read
             cost_units += _cost(spread) - _cost(old)
             replaced[index] = (volume, old, spread)
         loads, links = work.contributions.patch(base.loads, replaced)
-        return paths, loads, cost_units, links
+        return paths, reads, loads, cost_units, links
 
 
 class TrafficSimulator:
@@ -280,8 +301,8 @@ class TrafficSimulator:
         forwarded (counters ``traffic.ecs_reused`` /
         ``traffic.ecs_reforwarded``). If :meth:`SpreadReuse.partition`
         keeps the base flow ECs, only representatives a touched prefix
-        covers are candidates, and the base load map is patched at the
-        links the re-forwarded ECs cross (counter
+        covers or that read a moved pair are candidates, and the base load
+        map is patched at the links the re-forwarded ECs cross (counter
         ``traffic.links_patched``); otherwise ECs are recomputed and the
         merge adds every spread in work order. Either way loads are the
         floats, in the key order, of a full forward. The
@@ -321,12 +342,13 @@ class TrafficSimulator:
         if kept:
             pending = reuse.reforward()
         else:
-            spreads: List[Optional[Spread]] = (
-                [reuse.spread_for(flow) for flow, _ in work]
-                if reuse is not None
-                else [None] * len(work)
-            )
-            pending = [i for i, spread in enumerate(spreads) if spread is None]
+            done: List[Optional[Tuple[Spread, FrozenSet[Pair]]]] = [None] * len(work)
+            if reuse is not None:
+                for i, (flow, _) in enumerate(work):
+                    spread = reuse.spread_for(flow)
+                    if spread is not None:
+                        done[i] = (spread, reuse.base.reads[flow])
+            pending = [i for i, item in enumerate(done) if item is None]
         forward = [work[i][0] for i in pending]
         meta = {"work": len(forward)}
         if reuse is not None:
@@ -336,21 +358,22 @@ class TrafficSimulator:
                 ctx.count("traffic.ecs_reforwarded", len(forward))
 
         with ctx.span("traffic.forward", **meta) if ctx else nullcontext():
-            forwarded = [self.engine.forward_spread(flow) for flow in forward]
+            forwarded = [self._forward(flow) for flow in forward]
 
         with ctx.span("traffic.merge", work=len(work)) if ctx else nullcontext():
             if kept:
-                paths, loads, cost_units, links = reuse.patch(
+                paths, reads, loads, cost_units, links = reuse.patch(
                     dict(zip(pending, forwarded))
                 )
                 if ctx is not None:
                     ctx.count("traffic.links_patched", links)
             else:
-                for i, spread in zip(pending, forwarded):
-                    spreads[i] = spread
-                paths, loads, cost_units = {}, LinkLoadMap(), 0
-                for (flow, volume), spread in zip(work, spreads):
+                for i, item in zip(pending, forwarded):
+                    done[i] = item
+                paths, reads, loads, cost_units = {}, {}, LinkLoadMap(), 0
+                for (flow, volume), (spread, read) in zip(work, done):
                     paths[flow] = spread
+                    reads[flow] = read
                     for path, fraction in spread:
                         cost_units += max(1, len(path.routers))
                         for a, b in path.links:
@@ -367,4 +390,11 @@ class TrafficSimulator:
             ec_index=index,
             elapsed_seconds=time.perf_counter() - started,
             cost_units=cost_units,
+            reads=reads,
         )
+
+    def _forward(self, flow: Flow) -> Tuple[Spread, FrozenSet[Pair]]:
+        """The flow's spread and the pairs its walk read."""
+        reads: Set[Pair] = set()
+        spread = self.engine.forward_spread(flow, reads=reads)
+        return spread, frozenset(reads)

@@ -76,6 +76,21 @@ class TestInventory:
         assert Router(name="X").router_id == Router(name="X").router_id
 
 
+    def test_connect_on_a_copy_numbers_on_from_the_source(self):
+        topo = small_triangle()
+        topo.add_router(Router(name="D"))
+        copy = topo.copy()
+        added = copy.connect("A", "D")
+        # an add-link plan's interfaces never reuse a name on either router
+        for router in copy.router_names:
+            names = [link.interface_on(router).name for link in copy.links_of(router)]
+            assert len(names) == len(set(names))
+        assert added.interface_on("A").name == "eth4"
+        # the source numbers on by itself, untouched by the copy's connect
+        assert topo.connect("B", "D").interface_on("B").name == "eth4"
+        assert copy.connect("B", "D").interface_on("B").name == "eth5"
+
+
 class TestFailureOverlay:
     def test_fail_and_restore_link(self):
         topo = small_triangle()

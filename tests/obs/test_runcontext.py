@@ -191,6 +191,29 @@ class TestVerifierSpanSanity:
         assert report.updated_world.global_rib.base is verifier.base_world.global_rib
         assert report.trace.find("check_intents").meta["tables_built"] == 0
 
+    def test_a_widened_run_patches_the_base_traffic(self):
+        model, inputs, flows = square_world()
+        verifier = ChangeVerifier(model, inputs, flows)
+        verifier.prepare_base()
+        plan = ChangePlan(
+            name="drain-ab",
+            change_type="topology-adjustment",
+            device_commands={"A": ["isis cost B 99"]},
+        )
+        report = verifier.verify(plan)
+        assert report.incremental.mode == "widened"
+        (sim,) = report.trace.find_all("traffic_sim")
+        # A's next hops towards B and D, and C's towards B (no longer ECMP
+        # through A), moved; the one EC of A's flows read (A, D)
+        assert sim.meta["moved_pairs"] == 3
+        assert "reuse_declined" not in sim.meta
+        assert (
+            "traffic: re-forwarded 1/1 flow ECs, base flow-EC partition kept"
+            in report.summary()
+        )
+        (path, _), = report.updated_world.traffic.path_of(flows[0])
+        assert path.routers == ["A", "C", "D"]
+
     def test_counters_mirror_run_statistics(self):
         model, inputs, flows = square_world()
         ctx = RunContext("run")

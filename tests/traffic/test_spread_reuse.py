@@ -1,17 +1,18 @@
 """Reused base spreads are exactly what a full re-forward produces.
 
-A bounded change keeps the base run's spread for every flow EC whose base
-paths meet no touched RIB slot covering its destination
+A change keeps the base run's spread for every flow EC whose base paths
+meet no touched RIB slot covering its destination and whose walk read no
+moved ``(router, target)`` IGP/link pair
 (:class:`~repro.traffic.simulator.SpreadReuse`), keeps the base flow-EC
 partition unless a touched prefix entered or left the prefix universe
 under some flow's destination, and then patches the base link loads.
 These tests pin that the spreads, status counts, EC classes, cost units
 and link loads — floats and key order — equal a fresh forward of the
-updated network: for the real touched set and for hypothesis-drawn
-supersets of it. They also pin that a
-more specific slot on a path router does force a re-forward, when the
-partition is kept or recomputed, and that changes to forwarding state
-besides the RIBs never build a reuse.
+updated network: for bounded and widened plans, drawn IS-IS costs and
+link deltas, and for hypothesis-drawn supersets of the touched slots and
+moved pairs. They also pin that a more specific slot on a path router,
+or a moved pair a walk read, does force a re-forward, and that changes to
+forwarding state besides the RIBs and the IGP never build a reuse.
 The all-change-types comparison against ``incremental=False`` lives in
 ``tests/incremental/test_equivalence.py``.
 """
@@ -21,14 +22,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.test_table2_change_types import build_plans
-from repro.core.change_plan import ChangePlan
+from repro.core.change_plan import ChangePlan, add_link, fail_link, remove_link
 from repro.core.pipeline import ChangeVerifier
 from repro.ec.flow_ec import build_prefix_universe
 from repro.incremental.diff import FORWARDING_SECTIONS, DeviceDelta, ModelDiff
-from repro.incremental.engine import MODE_INCREMENTAL, MODE_NOOP
+from repro.incremental.engine import MODE_INCREMENTAL, MODE_NOOP, MODE_WIDENED
 from repro.net.addr import Prefix
 from repro.obs import RunContext
+from repro.routing.isis import compute_igp
 from repro.routing.rib import DeviceRib
+from repro.traffic.forwarding import ForwardingEngine
 from repro.traffic.simulator import SpreadReuse, TrafficSimulator
 from repro.workload import (
     WanParams,
@@ -189,6 +192,16 @@ def updated(request, verifier, plans):
     return request.param, world, touched, full
 
 
+def assert_matches_full(verifier, world):
+    """``world``'s traffic equals a fresh forward over its RIBs and IGP."""
+    full = TrafficSimulator(
+        world.model, world.device_ribs, compute_igp(world.model)
+    ).simulate(verifier.input_flows)
+    assert snapshot(world.traffic, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
 def reuse_run(verifier, world, touched):
     ctx = RunContext("reuse")
     result = TrafficSimulator(
@@ -254,6 +267,221 @@ def test_touched_supersets_give_the_full_result(verifier, updated, data):
     assert snapshot(result, verifier.input_flows) == snapshot(
         full, verifier.input_flows
     )
+
+
+# -- widened plans: RIB diff slots and moved IGP/link pairs ---------------------
+
+
+#: widened Table-2 plans whose traffic patches the base run
+WIDENED = (
+    "adding-new-links",
+    "route-attributes-modification",
+    "topology-adjustment",
+    "traffic-steering",
+)
+
+
+def moved_pairs(verifier, model, igp):
+    """The pairs the pipeline hands a reuse: IGP answers and up links."""
+    def up(model):
+        return {
+            pair
+            for link in model.topology.up_links
+            for pair in (link.endpoints, link.endpoints[::-1])
+        }
+
+    return verifier._base_igp.moved_pairs(igp) | (up(verifier.base_model) ^ up(model))
+
+
+@pytest.fixture(scope="module", params=WIDENED)
+def widened(request, verifier, plans):
+    """(report, real slot diff, real moved pairs, updated IGP, full forward)."""
+    report = verifier.verify(plans[request.param])
+    assert report.incremental.mode == MODE_WIDENED
+    world = report.updated_world
+    igp = compute_igp(world.model)
+    full = TrafficSimulator(world.model, world.device_ribs, igp).simulate(
+        verifier.input_flows
+    )
+    touched = slot_diff(verifier.base_world.device_ribs, world.device_ribs)
+    return report, touched, moved_pairs(verifier, world.model, igp), igp, full
+
+
+def test_widened_plans_patch_the_base_traffic(verifier, widened):
+    report, _, moved, _, full = widened
+    assert snapshot(report.updated_world.traffic, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+    (sim,) = report.trace.find_all("traffic_sim")
+    assert sim.meta["moved_pairs"] == len(moved)
+    assert "reuse_declined" not in sim.meta
+    (span,) = reuse_spans(report)
+    total = span.meta["work"] + span.meta["reused"]
+    assert total == len(full.ec_index.classes)
+    assert f"traffic: re-forwarded {span.meta['work']}/{total} flow ECs" in (
+        report.summary()
+    )
+
+
+@st.composite
+def extra_pairs(draw, verifier):
+    router = st.sampled_from(sorted(verifier.base_model.devices))
+    return draw(st.lists(st.tuples(router, router), max_size=8))
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_moved_and_touched_supersets_give_the_full_result(verifier, widened, data):
+    report, touched, moved, igp, full = widened
+    world = report.updated_world
+    superset = {name: set(slots) for name, slots in touched.items()}
+    for device, slot in data.draw(extra_slots(verifier)):
+        superset.setdefault(device, set()).add(slot)
+    reuse = SpreadReuse(
+        verifier.base_world.traffic,
+        superset,
+        verifier.base_world.device_ribs,
+        verifier.input_flows,
+        moved | set(data.draw(extra_pairs(verifier))),
+    )
+    result = TrafficSimulator(world.model, world.device_ribs, igp).simulate(
+        verifier.input_flows, reuse=reuse
+    )
+    assert snapshot(result, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
+def links(model):
+    return sorted(tuple(sorted(link.endpoints)) for link in model.topology.links)
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_drawn_isis_costs_patch_to_the_full_result(verifier, data):
+    model = verifier.base_model
+    a, b = data.draw(st.sampled_from(links(model)))
+    router, neighbor = data.draw(st.sampled_from([(a, b), (b, a)]))
+    cost = data.draw(st.sampled_from([1, 5, 15, 40, 1000]))
+    plan = ChangePlan(
+        name="isis-cost",
+        change_type="topology-adjustment",
+        device_commands={router: [f"isis cost {neighbor} {cost}"]},
+    )
+    report = verifier.verify(plan)
+    # a drawn cost equal to the link's leaves the model as it was: no traffic_sim
+    assert not any(declined(report))
+    assert_matches_full(verifier, report.updated_world)
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_link_deltas_patch_to_the_full_result(verifier, data):
+    model = verifier.base_model
+    kind = data.draw(st.sampled_from(["add", "remove", "fail"]))
+    if kind == "add":
+        # parallel links included: the copy numbers their interfaces on
+        routers = st.sampled_from(sorted(model.devices))
+        a, b = data.draw(st.lists(routers, min_size=2, max_size=2, unique=True))
+        op = add_link(a, b, cost=data.draw(st.sampled_from([5, 10, 30])))
+    else:
+        a, b = data.draw(st.sampled_from(links(model)))
+        op = (remove_link if kind == "remove" else fail_link)(a, b)
+    plan = ChangePlan(
+        name=f"{kind}-link", change_type="topology-adjustment", topology_ops=[op]
+    )
+    report = verifier.verify(plan)
+    assert declined(report) == [None]
+    assert_matches_full(verifier, report.updated_world)
+
+
+def test_a_moved_pair_an_ec_read_forces_a_reforward(verifier):
+    """Raising the IS-IS cost towards the next hop of a pair some EC read
+    moves that EC. The RIBs are held at the base's, so nothing but the
+    pair reaches the EC: reusing its spread would be wrong."""
+    base = verifier.base_world
+    traffic = base.traffic
+    model = verifier.base_model
+    base_igp = verifier._base_igp
+    candidates = (
+        (ec.representative, (router, target))
+        for ec in traffic.ec_index.classes
+        for router, target in sorted(traffic.reads[ec.representative])
+        if base_igp.hops_towards(router, target)
+        and not model.topology.has_up_link(router, target)
+    )
+    for flow, (router, target) in candidates:
+        hop = base_igp.hops_towards(router, target)[0]
+        updated = ChangePlan(
+            name="steer-off",
+            change_type="topology-adjustment",
+            device_commands={router: [f"isis cost {hop} 1000"]},
+        ).build_updated_model(model)
+        igp = compute_igp(updated)
+        fresh = ForwardingEngine(updated, base.device_ribs, igp).forward_spread(flow)
+        if fresh != traffic.paths[flow]:
+            break
+    else:
+        pytest.fail("no IS-IS cost edit moves an EC")
+    moved = base_igp.moved_pairs(igp)
+    assert (router, target) in moved
+    ctx = RunContext("moved")
+    result = TrafficSimulator(updated, base.device_ribs, igp).simulate(
+        verifier.input_flows,
+        ctx=ctx,
+        reuse=SpreadReuse(traffic, {}, base.device_ribs, verifier.input_flows, moved),
+    )
+    assert result.ec_index is traffic.ec_index
+    assert result.paths[flow] == fresh
+    assert 0 < ctx.counters()["traffic.ecs_reforwarded"] < len(
+        traffic.ec_index.classes
+    )
+    full = TrafficSimulator(updated, base.device_ribs, igp).simulate(
+        verifier.input_flows
+    )
+    assert snapshot(result, verifier.input_flows) == snapshot(
+        full, verifier.input_flows
+    )
+
+
+def test_a_dear_new_link_moves_only_its_up_pairs(verifier):
+    """A link dearer than every IGP path moves no IGP answer, but a router
+    forwards straight to a target it has an up link to: both directions of
+    the new link are moved pairs, and an EC that resolved across it moves."""
+    traffic = verifier.base_world.traffic
+    topology = verifier.base_model.topology
+    flow, (router, target) = next(
+        (ec.representative, pair)
+        for ec in traffic.ec_index.classes
+        for pair in sorted(traffic.reads[ec.representative])
+        if not topology.has_up_link(*pair)
+    )
+    plan = ChangePlan(
+        name="dear-link",
+        change_type="adding-new-links",
+        topology_ops=[add_link(router, target, cost=100000)],
+    )
+    report = verifier.verify(plan)
+    world = report.updated_world
+    assert not verifier._base_igp.moved_pairs(compute_igp(world.model))
+    (sim,) = report.trace.find_all("traffic_sim")
+    assert sim.meta["moved_pairs"] == 2
+    assert any(
+        (router, target) in path.links for path, _ in world.traffic.paths[flow]
+    )
+    assert_matches_full(verifier, world)
 
 
 # -- the reuse rule -------------------------------------------------------------
@@ -414,19 +642,31 @@ def test_other_flows_recompute_the_partition(verifier):
 @pytest.mark.parametrize("section", sorted(FORWARDING_SECTIONS))
 def test_forwarding_sections_are_forwarding_affecting(section):
     diff = ModelDiff(device_deltas={"r1": DeviceDelta("r1", frozenset({section}))})
-    assert diff.forwarding_affecting
+    assert diff.forwarding_affecting == f"{section}_changed"
 
 
-@pytest.mark.parametrize("section", ["statics", "policies", "peers", "aggregates"])
+@pytest.mark.parametrize(
+    "section", ["statics", "policies", "peers", "aggregates", "isis"]
+)
 def test_routing_sections_are_not_forwarding_affecting(section):
+    """IS-IS settings reach forwarding only through the IGP's moved pairs."""
     diff = ModelDiff(device_deltas={"r1": DeviceDelta("r1", frozenset({section}))})
-    assert not diff.forwarding_affecting
+    assert diff.forwarding_affecting is None
 
 
-def test_structure_changes_are_forwarding_affecting():
-    assert ModelDiff(topology_changed=True).forwarding_affecting
-    assert ModelDiff(loopbacks_changed=True).forwarding_affecting
-    assert not ModelDiff().forwarding_affecting
+def test_device_set_and_address_changes_are_forwarding_affecting():
+    assert ModelDiff(devices_added=frozenset({"r9"})).forwarding_affecting == (
+        "devices_changed"
+    )
+    assert ModelDiff(devices_removed=frozenset({"r1"})).forwarding_affecting == (
+        "devices_changed"
+    )
+    assert ModelDiff(loopbacks_changed=True).forwarding_affecting == "addresses_moved"
+    moved = ModelDiff(topology_changed=True, interface_addresses_changed=True)
+    assert moved.forwarding_affecting == "addresses_moved"
+    # links alone reach forwarding only through the up-link and IGP pairs
+    assert ModelDiff(topology_changed=True).forwarding_affecting is None
+    assert ModelDiff().forwarding_affecting is None
 
 
 def test_bounded_plans_build_a_reuse(verifier, plans):
@@ -443,9 +683,11 @@ def test_bounded_plans_build_a_reuse(verifier, plans):
 def forwarding_plans(plans):
     core0 = "region0-core0"
     return {
-        "acl": (plans["acl-modification"], "forwarding_affecting"),
-        "pbr": (plans["pbr-modification"], "forwarding_affecting"),
-        "isis-cost": (plans["topology-adjustment"], "widened"),
+        "acl": (plans["acl-modification"], "acls_changed"),
+        "pbr": (plans["pbr-modification"], "pbr_changed"),
+        # the IS-IS cost moves IGP pairs only: a reuse re-forwards their readers
+        "isis-cost": (plans["topology-adjustment"], None),
+        "new-router": (plans["adding-new-routers"], "devices_changed"),
         "sr": (
             ChangePlan(
                 name="sr-steer",
@@ -456,18 +698,40 @@ def forwarding_plans(plans):
                     ]
                 },
             ),
-            "widened",
+            "sr_changed",
         ),
     }
 
 
-@pytest.mark.parametrize("kind", ["acl", "pbr", "isis-cost", "sr"])
+@pytest.mark.parametrize("kind", ["acl", "pbr", "isis-cost", "new-router", "sr"])
 def test_forwarding_deltas_build_no_reuse(verifier, plans, kind):
     plan, reason = forwarding_plans(plans)[kind]
     report = verifier.verify(plan)
-    assert not reuse_spans(report)
     assert declined(report) == [reason]
-    assert "traffic: re-forwarded" not in report.summary()
+    if reason is None:
+        (span,) = reuse_spans(report)
+        assert 0 < span.meta["work"] < span.meta["work"] + span.meta["reused"]
+        assert_matches_full(verifier, report.updated_world)
+    else:
+        assert not reuse_spans(report)
+        assert "traffic: re-forwarded" not in report.summary()
+
+
+def test_topology_change_under_a_bound_acl_builds_no_reuse(world):
+    """Which ACL a link selects goes by interface name: links must hold."""
+    model, _, routes, flows = world
+    model = model.copy()
+    core0, core1 = "region0-core0", "region0-core1"
+    link = model.topology.find_link(core0, core1)
+    model.edit(core1).interface_acls[link.interface_on(core1).name] = "GUARD"
+    verifier = ChangeVerifier(model, routes, input_flows=flows)
+    verifier.prepare_base()
+    plan = ChangePlan(
+        name="drain", change_type="topology-adjustment",
+        topology_ops=[remove_link(core0, core1)],
+    )
+    report = verifier.verify(plan)
+    assert declined(report) == ["topology_with_acls"]
 
 
 def test_noop_plan_reuses_every_ec(verifier, world):
