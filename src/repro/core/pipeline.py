@@ -11,9 +11,11 @@ build the updated model incrementally from the pre-computed base, diff it
 against the base and bound the blast radius, re-simulate only the affected
 prefixes (splicing unaffected base state back in), check the operator's
 intents against the simulated results, and emit counter-examples for
-violations. When the blast radius cannot be bounded — or with
-``incremental=False`` — the verifier falls back to a full re-simulation of
-the updated network.
+violations. When the blast radius cannot be bounded, it covers every
+input: the warm-started run is a full re-simulation, spliced into the base
+state the same way (only the slots that differ are installed). With
+``incremental=False`` the verifier re-simulates the updated network from
+scratch and keeps whole tables.
 
 All simulation dispatch goes through one
 :class:`~repro.exec.base.ExecutionBackend` (wrapped in an
@@ -48,7 +50,6 @@ from repro.incremental.engine import (
     MODE_NOOP,
     MODE_WIDENED,
 )
-from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.obs import RunContext, Span, ensure_context
 from repro.routing.inputs import (
@@ -57,13 +58,7 @@ from repro.routing.inputs import (
     build_local_inputs_for_device,
 )
 from repro.routing.isis import IgpState, compute_igp
-from repro.routing.rib import (
-    DeviceRib,
-    GlobalRib,
-    GlobalRibView,
-    rib_diff,
-    touched_slots,
-)
+from repro.routing.rib import DeviceRib, GlobalRib, GlobalRibView
 from repro.traffic.flow import Flow
 from repro.traffic.simulator import SpreadReuse, TrafficSimulationResult
 
@@ -75,7 +70,6 @@ _STATS_COUNTERS = (
     "resimulated_inputs",
     "total_inputs",
     "spliced_slots",
-    "touched_slots",
     "reused_slots",
     "reused_devices",
     "skipped_subtasks",
@@ -171,11 +165,6 @@ class VerificationReport:
         for result in self.intent_results:
             lines.append(str(result))
         return "\n".join(lines)
-
-
-def _count(touched: Dict[str, Set[Tuple[str, Prefix]]]) -> int:
-    """How many ``(device, vrf, prefix)`` slots ``touched`` names."""
-    return sum(map(len, touched.values()))
 
 
 def _up_pairs(model: NetworkModel) -> Set[Tuple[str, str]]:
@@ -409,38 +398,6 @@ class ChangeVerifier:
         local_inputs = self._updated_local_inputs(updated_model, diff)
         all_inputs = list(updated_inputs) + local_inputs
 
-        if blast.widened:
-            ctx.event(
-                "pipeline.widened", level=30,
-                plan=plan.name, reasons=";".join(blast.reasons),
-            )
-            device_ribs = self._route_sim(updated_model, all_inputs, igp, ctx)
-            with ctx.span("rib_diff") as diffing:
-                dropped, installed = rib_diff(base.device_ribs, device_ribs)
-                diffing.meta["dropped_slots"] = _count(touched_slots(dropped))
-                diffing.meta["installed_slots"] = _count(touched_slots(installed))
-            # a patch of the base table, as a spliced world's is
-            view = GlobalRibView(
-                base.global_rib, base.device_ribs, device_ribs, dropped, installed
-            )
-            touched = touched_slots(dropped, installed)
-            traffic = self._traffic_sim(
-                updated_model,
-                device_ribs,
-                igp,
-                ctx,
-                *self._spread_reuse(diff, updated_model, igp, touched),
-            )
-            world = World(updated_model, device_ribs, view, traffic)
-            return world, IncrementalStats(
-                mode=MODE_WIDENED,
-                widen_reasons=blast.reasons,
-                total_devices=len(updated_model.devices),
-                total_inputs=len(all_inputs),
-                touched_slots=_count(touched),
-                igp_reused=igp_reused,
-            )
-
         if blast.is_empty:
             # No slot can differ: reuse the base RIBs wholesale. Traffic
             # still runs against the updated model when the model differs
@@ -469,18 +426,19 @@ class ChangeVerifier:
                 igp_reused=igp_reused,
             )
 
-        covered = self._engine.covered_inputs(all_inputs, blast)
+        if blast.widened:
+            ctx.event(
+                "pipeline.widened", level=30,
+                plan=plan.name, reasons=";".join(blast.reasons),
+            )
+        # a widened radius covers every input: a full run, spliced the same way
         outcome = self.backend.run_routes(
             RouteSimRequest(
                 model=updated_model,
                 inputs=all_inputs,
                 igp=igp,
                 max_rounds=self.max_rounds,
-                warm_start=WarmStart(
-                    blast=blast,
-                    base_ribs=base.device_ribs,
-                    covered_inputs=covered,
-                ),
+                warm_start=WarmStart(blast=blast, base_ribs=base.device_ribs),
             ),
             ctx,
         )
@@ -496,7 +454,7 @@ class ChangeVerifier:
         world = World(
             model=updated_model,
             device_ribs=device_ribs,
-            # the base table, patched at the slots the splice touched:
+            # the base table, patched at the slots the splice changed:
             # intents compare the two worlds there and nowhere else
             global_rib=GlobalRibView(
                 base.global_rib,
@@ -508,14 +466,14 @@ class ChangeVerifier:
             traffic=traffic,
         )
         return world, IncrementalStats(
-            mode=MODE_INCREMENTAL,
+            mode=MODE_WIDENED if blast.widened else MODE_INCREMENTAL,
+            widen_reasons=blast.reasons,
             affected_devices=splice.affected_devices,
             total_devices=len(device_ribs),
             affected_prefixes=len(blast.affected_prefixes),
-            resimulated_inputs=len(covered),
+            resimulated_inputs=outcome.resimulated_inputs,
             total_inputs=len(all_inputs),
             spliced_slots=splice.spliced_slots,
-            touched_slots=_count(splice.touched),
             reused_slots=splice.reused_slots,
             reused_devices=splice.reused_devices,
             igp_reused=igp_reused,

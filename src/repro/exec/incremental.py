@@ -8,13 +8,15 @@ in-process inner backend (centralized or modular), or with a
 one (splitting the *full* list first keeps subtask grouping identical to a
 full run, and empty chunks are skipped entirely) — then splice the partial
 result into the unaffected base state via the
-:class:`~repro.incremental.engine.IncrementalEngine`.
+:class:`~repro.incremental.engine.IncrementalEngine`. A widened radius
+covers every input: the run is a full one, and the splice still keeps the
+base RIB of every device whose slots it leaves unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.distsim.partition import CoveredSubsetPartitioner
 from repro.exec.base import (
@@ -37,12 +39,9 @@ class WarmStart:
 
     blast: BlastRadius
     base_ribs: Dict[str, DeviceRib]
-    #: pre-computed covered subset of the request's inputs, in original
-    #: order; recomputed from ``blast`` when not provided.
-    covered_inputs: Optional[Sequence[InputRoute]] = None
-    #: devices whose RIB must come from the partial run wholesale (no base
-    #: splicing) — failed routers in k-failure scenarios, whose cold-run
-    #: RIBs are empty at every prefix, covered or not.
+    #: devices the splice compares at every slot, not only the covered
+    #: ones — failed routers in k-failure scenarios, whose cold-run RIBs
+    #: are empty at every prefix, covered or not.
     full_devices: FrozenSet[str] = frozenset()
 
 
@@ -65,11 +64,10 @@ class IncrementalBackend(ExecutionBackend):
         if warm is None:
             return self.inner.run_routes(request, ctx)
         ctx = ensure_context(ctx)
-        covered: List[InputRoute] = (
-            list(warm.covered_inputs)
-            if warm.covered_inputs is not None
-            else IncrementalEngine.covered_inputs(request.inputs, warm.blast)
-        )
+        # the inputs inside the blast radius, in original (full-run) order
+        covered: List[InputRoute] = [
+            item for item in request.inputs if warm.blast.covers(item.route.prefix)
+        ]
         with ctx.span(
             "incremental_route_sim",
             backend=self.inner.name,

@@ -7,21 +7,24 @@ The engine ties the subsystem together for ``ChangeVerifier``:
    verifier holds the base device RIBs by reference; nothing copies them.
 2. Per change plan, :meth:`IncrementalEngine.analyze` produces the model
    diff and blast radius.
-3. The verifier re-simulates only the covered input routes
-   (:meth:`IncrementalEngine.covered_inputs` — order-preserving, so subtask
-   grouping and candidate ordering match a full run), then
-   :meth:`IncrementalEngine.splice` merges the partial result into the
-   unaffected base state: covered slots come from the partial run, uncovered
-   slots from the base RIBs, and devices without any covered slot reuse
-   their base RIB object wholesale. The
-   :class:`SpliceResult` names the slots it dropped and installed, so that
-   the verifier patches the base global RIB instead of rebuilding it.
+3. The verifier asks its backend for a warm-started run: the backend
+   re-simulates only the covered input routes (order-preserving, so
+   subtask grouping and candidate ordering match a full run; a widened
+   radius covers every input), then :meth:`IncrementalEngine.splice`
+   merges the partial result into the unaffected base state: covered
+   slots come from the partial run, uncovered slots from the base RIBs.
+   The splice installs only the covered slots that differ from the base
+   (:func:`~repro.routing.rib.rib_diff`), and devices without one keep
+   their base RIB object. The :class:`SpliceResult` names the slots it
+   dropped and installed, so that the verifier patches the base global RIB
+   instead of rebuilding it.
 
 A spliced device RIB is *derived* (:meth:`DeviceRib.derive`): base VRF
-tables are copied at C speed, covered base slots deleted, covered partial
-slots appended, and the radius is asked once per distinct prefix, so the
-cost follows the change, not the RIB. A derived RIB shares entry lists with
-the base and partial RIBs; no ``DeviceRib`` method mutates one in place.
+tables are copied at C speed, the differing base slots deleted, the
+differing partial slots appended; the radius is asked once per distinct
+prefix, and only covered slots are compared, so the cost follows the
+change, not the RIB. A derived RIB shares entry lists with the base and
+partial RIBs; no ``DeviceRib`` method mutates one in place.
 
 Correctness rests on the blast-radius guarantee: a slot whose prefix the
 radius does not cover is byte-identical between base and updated runs, so
@@ -34,14 +37,14 @@ import gc
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 from repro.incremental.blast import BlastRadius, analyze_blast_radius
 from repro.incremental.diff import ModelDiff, diff_models
 from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute
-from repro.routing.rib import DeviceRib, Slots, touched_slots
+from repro.routing.rib import DeviceRib, Slots, rib_diff, touched_slots
 
 #: How a verify() call was served.
 MODE_FULL = "full"  #: incremental disabled (escape hatch)
@@ -61,11 +64,9 @@ class IncrementalStats:
     affected_prefixes: int = 0
     resimulated_inputs: int = 0
     total_inputs: int = 0
+    #: slots that differ from the base world, installed or withdrawn
+    #: (what the intent check and traffic look at)
     spliced_slots: int = 0
-    #: slots that may differ from the base world: spliced ones plus base
-    #: slots the partial run withdrew, or of a widened run the slots that
-    #: do differ (what the intent check looks at)
-    touched_slots: int = 0
     reused_slots: int = 0
     reused_devices: int = 0
     igp_reused: bool = False
@@ -79,8 +80,8 @@ class IncrementalStats:
             return "incremental: off (full re-simulation)"
         if self.mode == MODE_WIDENED:
             reasons = "; ".join(self.widen_reasons) or "not analyzable"
-            touched = f"touched {self.touched_slots} slots"
-            return f"incremental: widened to full ({reasons}), {touched}"
+            spliced = f"spliced {self.spliced_slots} slots"
+            return f"incremental: widened to full ({reasons}), {spliced}"
         if self.mode == MODE_NOOP:
             return (
                 "incremental: no routing-visible change, "
@@ -90,8 +91,7 @@ class IncrementalStats:
             f"blast radius {self.affected_devices}/{self.total_devices} devices",
             f"{self.affected_prefixes} prefixes",
             f"re-simulated {self.resimulated_inputs}/{self.total_inputs} inputs",
-            f"spliced {self.spliced_slots} slots, "
-            f"touched {self.touched_slots} slots, reused {self.reused_slots}",
+            f"spliced {self.spliced_slots} slots, reused {self.reused_slots}",
         ]
         if self.skipped_subtasks:
             parts.append(f"skipped {self.skipped_subtasks} subtasks")
@@ -106,7 +106,9 @@ class SpliceResult:
 
     ``dropped`` and ``installed`` say, for every device whose RIB is not
     the base object, which base slots the splice left out and which slots
-    it took from the partial run. Everything else of the spliced world
+    it took from the partial run: exactly the slots where the spliced
+    world differs from the base, ``spliced_slots`` of them (``touched``).
+    Everything else of the spliced world
     *is* the base world, so a consumer can patch what it derived from the
     base instead of deriving it again (``routing.rib.GlobalRibView``).
     """
@@ -121,7 +123,7 @@ class SpliceResult:
 
     @cached_property
     def touched(self) -> Dict[str, Set[Tuple[str, Prefix]]]:
-        """Per device, every ``(vrf, prefix)`` that may differ from the base."""
+        """Per device, every ``(vrf, prefix)`` that differs from the base."""
         return touched_slots(self.dropped, self.installed)
 
 
@@ -172,13 +174,6 @@ class IncrementalEngine:
             blast = analyze_blast_radius(diff, self.base_model, updated_model)
         return diff, blast
 
-    @staticmethod
-    def covered_inputs(
-        inputs: Iterable[InputRoute], blast: BlastRadius
-    ) -> List[InputRoute]:
-        """Inputs inside the blast radius, in original (full-run) order."""
-        return [item for item in inputs if blast.covers(item.route.prefix)]
-
     # -- splice --------------------------------------------------------------
 
     def splice(
@@ -191,52 +186,45 @@ class IncrementalEngine:
     ) -> SpliceResult:
         """Merge a partial re-simulation into the unaffected base state.
 
-        For every device: slots at covered prefixes come from the partial
-        run (absence there means the route was withdrawn); slots at
-        uncovered prefixes come from the base run. A device with no covered
-        slot on either side keeps its base RIB object.
+        The spliced map holds the partial run's devices (a base device
+        the partial run lacks is dropped whole). At a covered
+        prefix a slot is the partial run's (absence there means the route
+        was withdrawn), elsewhere the base run's. Only the covered slots
+        where the two differ are dropped and installed (:func:`rib_diff`
+        over the covered slots): a device without one keeps its base RIB
+        object, and every other RIB is derived from its base RIB.
 
-        ``full_devices`` take their partial RIB wholesale, skipping the
-        per-slot merge: a failed router's RIB is empty in a cold run even
-        at prefixes the blast radius never covers (assembly skips down
-        devices), so splicing base slots there would resurrect routes the
-        cold run dropped.
+        ``full_devices`` are compared at every slot: a failed router's RIB
+        is empty in a cold run even at prefixes the blast radius never
+        covers (assembly skips down devices), so keeping base slots there
+        would resurrect routes the cold run dropped.
         """
-        full_devices = frozenset(full_devices)
-        result = SpliceResult(device_ribs={})
-        covered = _covered_prefixes(blast)
-        names = list(base_ribs)
-        names.extend(sorted(set(partial_ribs) - set(base_ribs)))
         with (
             ctx.span("incremental.splice", devices=len(base_ribs))
             if ctx
             else nullcontext()
         ) as span:
-            for name in names:
+            dropped, installed = rib_diff(
+                base_ribs,
+                partial_ribs,
+                None if blast.widened else blast.covers,
+                whole=frozenset(full_devices),
+            )
+            result = SpliceResult({}, dropped=dropped, installed=installed)
+            for name, partial_rib in partial_ribs.items():
                 base_rib = base_ribs.get(name)
-                partial_rib = partial_ribs.get(name)
-                base = base_rib if base_rib is not None else DeviceRib(name)
-                if name in full_devices:
-                    spliced = (
-                        partial_rib if partial_rib is not None else DeviceRib(name)
-                    )
-                    dropped, installed = base.slots(), spliced.slots()
+                gone, new = dropped.get(name, {}), installed.get(name, {})
+                if base_rib is None:
+                    base_rib = DeviceRib(name)
                 else:
-                    dropped = base.slots(covered)
-                    installed = (
-                        partial_rib.slots(covered) if partial_rib is not None else {}
-                    )
-                    result.reused_slots += base.slot_count() - _count(dropped)
-                    if not dropped and not installed and base_rib is not None:
+                    result.reused_slots += base_rib.slot_count() - _count(gone)
+                    if not gone and not new:
                         result.device_ribs[name] = base_rib
                         result.reused_devices += 1
                         continue
-                    spliced = base.derive(dropped, partial_rib, installed)
-                result.device_ribs[name] = spliced
+                result.device_ribs[name] = base_rib.derive(gone, partial_rib, new)
                 result.affected_devices += 1
-                result.dropped[name] = dropped
-                result.installed[name] = installed
-                result.spliced_slots += _count(installed)
+            result.spliced_slots = sum(map(len, result.touched.values()))
             if span is not None:
                 # What the splice did (``repro verify --trace`` shows it).
                 span.meta.update(
@@ -245,22 +233,6 @@ class IncrementalEngine:
                     spliced_slots=result.spliced_slots,
                 )
         return result
-
-
-def _covered_prefixes(blast: BlastRadius) -> Callable[[Set[Prefix]], Set[Prefix]]:
-    """``blast.covers`` as a set filter, asking once per distinct prefix."""
-    seen: Set[Prefix] = set()
-    covered: Set[Prefix] = set()
-
-    def pick(prefixes: Set[Prefix]) -> Set[Prefix]:
-        fresh = prefixes - seen
-        if fresh:
-            seen.update(fresh)
-            covered.update(filter(blast.covers, fresh))
-        prefixes &= covered  # set operations: stored hashes, C speed
-        return prefixes
-
-    return pick
 
 
 def _count(slots: Slots) -> int:

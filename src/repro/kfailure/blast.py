@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.incremental.blast import BlastRadius, blast_radius_for_prefixes
 from repro.kfailure.scenarios import FailureScenario
@@ -49,7 +49,6 @@ from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.obs import RunContext, ensure_context
 from repro.routing.bgp import UNREACHABLE_COST, Session, build_sessions
-from repro.routing.inputs import InputRoute
 from repro.routing.isis import INFINITY, IgpState, build_adjacency, compute_igp
 from repro.routing.simulator import SimulationResult
 from repro.routing.sr import effective_igp_cost
@@ -75,7 +74,6 @@ class ScenarioEffect:
 
     key: ClassKey
     blast: BlastRadius
-    covered_inputs: List[InputRoute]
     failed_routers: FrozenSet[str]
     igp: IgpState
     igp_unchanged: bool
@@ -93,12 +91,10 @@ class FailureBlastAnalyzer:
     def __init__(
         self,
         model: NetworkModel,
-        inputs: Sequence[InputRoute],
         base_result: SimulationResult,
         ctx: Optional[RunContext] = None,
     ) -> None:
         self.model = model
-        self.inputs = list(inputs)
         self.base_igp = base_result.igp
         ctx = ensure_context(ctx, "kfailure")
         with ctx.span("kfailure.analyzer_prepare"):
@@ -216,13 +212,9 @@ class FailureBlastAnalyzer:
             (self.model,),
             changed_devices=frozenset(affected_devices),
         )
-        covered = [
-            item for item in self.inputs if blast.covers(item.route.prefix)
-        ]
         return ScenarioEffect(
             key=key,
             blast=blast,
-            covered_inputs=covered,
             failed_routers=failed_routers,
             igp=igp,
             igp_unchanged=igp_unchanged,

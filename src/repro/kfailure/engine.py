@@ -9,7 +9,7 @@ against it:
   bounds each scenario's affected prefix space from the base solve's
   candidate sets; only the covered inputs are re-solved (through the
   :class:`~repro.exec.incremental.IncrementalBackend` splice machinery,
-  with failed routers spliced wholesale) and everything else is reused
+  with failed routers compared at every slot) and everything else is reused
   from the base RIBs. The covered subset is solved by the engine's own
   ``backend`` (centralized by default; a modular backend solves it region
   by region like any other request).
@@ -115,7 +115,7 @@ class KFailureEngine:
                 self.inputs, include_local_inputs=False, ctx=ctx
             )
             self.analyzer = FailureBlastAnalyzer(
-                self.model, self.inputs, self.base_result, ctx=ctx
+                self.model, self.base_result, ctx=ctx
             )
             self._incr_engine = IncrementalEngine(self.model)
             self._incr_engine.snapshot_base(self.base_result.device_ribs, ctx)
@@ -240,7 +240,6 @@ class KFailureEngine:
         warm = WarmStart(
             blast=effect.blast,
             base_ribs=self.base_result.device_ribs,
-            covered_inputs=effect.covered_inputs,
             full_devices=effect.failed_routers,
         )
         outcome = self._warm_backend.run_routes(

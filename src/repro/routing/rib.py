@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -238,26 +239,6 @@ class DeviceRib:
     def prefixes(self, vrf: str = "global") -> List[Prefix]:
         return list(self._tables.get(vrf, {}))
 
-    def slots(
-        self, pick: Optional[Callable[[Set[Prefix]], Set[Prefix]]] = None
-    ) -> Slots:
-        """Per VRF, its prefixes in table order: all, or those ``pick``
-        keeps of a new set of them. Set operations there reuse the
-        table's stored hashes; only ordering two or more walks the table.
-        """
-        slots: Slots = {}
-        for vrf, table in self._tables.items():
-            picked = table if pick is None else pick(set(table))
-            if not picked:
-                continue
-            if len(picked) == len(table):
-                slots[vrf] = dict.fromkeys(table)
-            elif len(picked) == 1:
-                slots[vrf] = dict.fromkeys(picked)
-            else:
-                slots[vrf] = {p: None for p in table if p in picked}
-        return slots
-
     def slot_count(self) -> int:
         """Number of (VRF, prefix) slots."""
         return sum(map(len, self._tables.values()))
@@ -370,28 +351,39 @@ def touched_slots(*maps: Dict[str, Slots]) -> Dict[str, Set[Tuple[str, Prefix]]]
 
 
 def rib_diff(
-    base_ribs: Mapping[str, DeviceRib], updated_ribs: Mapping[str, DeviceRib]
+    base_ribs: Mapping[str, DeviceRib],
+    updated_ribs: Mapping[str, DeviceRib],
+    covers: Optional[Callable[[Prefix], bool]] = None,
+    whole: Container[str] = (),
 ) -> Tuple[Dict[str, Slots], Dict[str, Slots]]:
     """``(dropped, installed)``: the slots where two device-RIB maps differ.
 
     Per device, ``dropped`` lists the base slots whose entries the updated
     RIB does not hold, in base table order, and ``installed`` the updated
-    slots the base does not hold, in updated table order: the shape of a
-    splice's slots, and what a :class:`GlobalRibView` patch takes. A table
-    is compared whole first; only an unequal one is compared slot by slot.
+    slots the base does not hold, in updated table order: what
+    :meth:`DeviceRib.derive` and a :class:`GlobalRibView` patch take. A
+    table is compared whole first; only an unequal one is compared slot by
+    slot.
+
+    ``covers`` limits the comparison of a device both maps hold to the
+    slots at the prefixes it accepts (asked once per distinct prefix),
+    unless the device is one of ``whole``; a device one map lacks differs
+    at every slot.
     """
+    pick = _prefix_filter(covers) if covers is not None else None
+    differing: Dict[Tuple[str, str], Set[Prefix]] = {}
     dropped: Dict[str, Slots] = {}
-    unequal: Dict[str, Dict[str, Dict[Prefix, None]]] = {}
     for name, rib in base_ribs.items():
         other = updated_ribs.get(name)
         if other is rib:
             continue
         theirs = other._tables if other is not None else {}
+        keep = None if other is None or name in whole else pick
         for vrf, table in rib._tables.items():
-            their = theirs.get(vrf, {})
-            if table is not their and table != their:
-                gone = {p: None for p, e in table.items() if their.get(p) != e}
-                unequal.setdefault(name, {})[vrf] = gone
+            differ = _differing(table, theirs.get(vrf, {}), keep)
+            if differ:
+                differing[name, vrf] = differ
+                gone = _in_order(table, differ)
                 if gone:
                     dropped.setdefault(name, {})[vrf] = gone
     installed: Dict[str, Slots] = {}
@@ -400,15 +392,57 @@ def rib_diff(
         if base is rib:
             continue
         mine = base._tables if base is not None else {}
-        changed = unequal.get(name, {})
+        keep = None if base is None or name in whole else pick
         for vrf, table in rib._tables.items():
-            if vrf in mine and vrf not in changed:
-                continue  # an equal table
-            gone, held = changed.get(vrf, {}), mine.get(vrf, {})
-            new = {p: None for p in table if p in gone or p not in held}
+            if vrf in mine:  # compared from the base side already
+                differ = differing.get((name, vrf), ())
+            else:
+                differ = _differing({}, table, keep)
+            new = _in_order(table, differ)
             if new:
                 installed.setdefault(name, {})[vrf] = new
     return dropped, installed
+
+
+def _differing(table: dict, their: dict, pick) -> Set[Prefix]:
+    """The prefixes (of those ``pick`` keeps) whose entries two tables
+    hold differently."""
+    if table is their or table == their:
+        return set()
+    keys = set(table)  # from the tables' stored hashes, at C speed
+    keys.update(their)
+    if pick is not None:
+        keys = pick(keys)
+    return {prefix for prefix in keys if table.get(prefix) != their.get(prefix)}
+
+
+def _in_order(table: dict, prefixes) -> Dict[Prefix, None]:
+    """``prefixes`` that ``table`` holds, in table order; only two or more
+    of fewer than all walk the table."""
+    held = table.keys() & prefixes
+    if len(held) == len(table):
+        return dict.fromkeys(table)
+    if len(held) <= 1:
+        return dict.fromkeys(held)
+    return {prefix: None for prefix in table if prefix in held}
+
+
+def _prefix_filter(
+    covers: Callable[[Prefix], bool],
+) -> Callable[[Set[Prefix]], Set[Prefix]]:
+    """``covers`` as a set filter, asking once per distinct prefix."""
+    seen: Set[Prefix] = set()
+    kept: Set[Prefix] = set()
+
+    def pick(prefixes: Set[Prefix]) -> Set[Prefix]:
+        fresh = prefixes - seen
+        if fresh:
+            seen.update(fresh)
+            kept.update(filter(covers, fresh))
+        prefixes &= kept  # set operations: stored hashes, C speed
+        return prefixes
+
+    return pick
 
 
 class StaleViewError(RuntimeError):

@@ -135,8 +135,8 @@ class SpreadReuse:
 
     ``base`` is the base run's result, ``base_ribs`` the RIBs it forwarded
     over and ``flows`` the flows it simulated; ``touched`` names, per
-    device, every ``(vrf, prefix)`` RIB slot that may differ from the base
-    (``SpliceResult.touched``, a ``rib_diff``, or any superset), and
+    device, every ``(vrf, prefix)`` RIB slot that differs from the base
+    (``SpliceResult.touched``), and
     ``moved`` every ``(router, target)`` pair whose up-link state, IGP
     reachability or IGP next hops may differ. The caller guarantees that
     nothing else a forwarding decision reads moved: addresses, the ingress

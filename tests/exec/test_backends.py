@@ -14,17 +14,25 @@ from repro.exec import (
     BACKEND_NAMES,
     CentralizedBackend,
     DistributedBackend,
+    IncrementalBackend,
     RouteSimRequest,
     TrafficSimRequest,
+    WarmStart,
     make_backend,
 )
+from repro.incremental.blast import BlastRadius
+from repro.incremental.engine import IncrementalEngine
+from repro.net.addr import as_prefix
 from repro.obs import RunContext
+from repro.routing.inputs import inject_external_route
 from repro.workload import (
     WanParams,
     generate_flows,
     generate_input_routes,
     generate_wan,
 )
+
+from tests.helpers import build_model
 
 SEED = 7
 
@@ -178,3 +186,32 @@ class TestBackendInterface:
         assert span is not None
         assert span.meta["backend"] == "distributed-thread"
         assert ctx.counters()["route_sim.calls"] == 1
+
+
+class TestIncrementalBackend:
+    def test_warm_start_solves_the_covered_inputs_in_order(self):
+        seen = []
+
+        class Recording(CentralizedBackend):
+            def run_routes(self, request, ctx=None):
+                seen.append(list(request.inputs))
+                return super().run_routes(request, ctx)
+
+        model = build_model([("A", 100)], [])
+        items = [
+            inject_external_route("A", p, (64999,))
+            for p in ("10.1.0.0/16", "10.2.0.0/16", "10.1.4.0/24")
+        ]
+        base = CentralizedBackend().run_routes(RouteSimRequest(model, items))
+        backend = IncrementalBackend(Recording(), IncrementalEngine(model))
+        blast = BlastRadius(affected_prefixes=(as_prefix("10.1.0.0/16"),))
+        outcome = backend.run_routes(
+            RouteSimRequest(
+                model, items, warm_start=WarmStart(blast, base.device_ribs)
+            )
+        )
+        # the inputs inside the radius, in their original order
+        assert seen == [[items[0], items[2]]]
+        assert outcome.resimulated_inputs == 2
+        # they solve as they did in the base run: nothing to splice
+        assert outcome.device_ribs["A"] is base.device_ribs["A"]

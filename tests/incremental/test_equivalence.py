@@ -11,7 +11,8 @@ from the base world is an optimization, never a semantics change.
 import pytest
 
 from benchmarks.test_table2_change_types import build_plans
-from repro.core.change_plan import ALL_CHANGE_TYPES
+from repro.core.change_plan import ALL_CHANGE_TYPES, ChangePlan, remove_router
+from repro.core.intents import RclIntent
 from repro.core.pipeline import ChangeVerifier
 from repro.distsim.chaos import rib_fingerprint
 from repro.exec import DistributedBackend, make_backend
@@ -160,7 +161,8 @@ def test_incremental_equivalence(change_type, arm, world, plans, verifier_pairs)
 def test_touched_slots_bound_the_real_diff(
     change_type, plans, verifier_pairs, monkeypatch
 ):
-    """Every slot a full re-simulation changes is one the splice reported."""
+    """The splice reports exactly the slots a full re-simulation changes,
+    on bounded and widened plans alike."""
     inc, full = verifier_pairs["central"]
     engine, splices = inc._engine, []
     splice = engine.splice
@@ -187,18 +189,52 @@ def test_touched_slots_bound_the_real_diff(
                     if entries[0] != entries[1]:
                         differing.add((name, vrf, prefix))
 
-    if stats.mode != MODE_INCREMENTAL:
-        assert not splices
-        assert stats.mode != MODE_NOOP or not differing
-        # a widened run counts the slots its RIB diff found: the real diff
-        assert stats.mode != MODE_WIDENED or stats.touched_slots == len(differing)
+    if stats.mode == MODE_NOOP:
+        assert not splices and not differing
         return
     (result,) = splices
     touched = {
         (name, *slot) for name, slots in result.touched.items() for slot in slots
     }
-    assert differing and differing <= touched
-    assert stats.touched_slots == len(touched) >= stats.spliced_slots
+    assert touched == differing
+    assert stats.spliced_slots == len(touched)
+
+
+REMOVE_ROUTER = ChangePlan(
+    name="remove-router",
+    change_type="topology-adjustment",
+    topology_ops=[remove_router("region0-core2")],
+    intents=[
+        RclIntent("not device = region0-core2 => PRE = POST"),
+        RclIntent("POST || device = region0-core2 |> count() = 0"),
+    ],
+)
+
+
+@pytest.mark.parametrize("arm", ["central", "dist"])
+@pytest.mark.parametrize("router_op", ["add-router", "remove-router"])
+def test_widened_device_sets_follow_the_updated_model(
+    router_op, arm, plans, verifier_pairs
+):
+    """A widened router plan splices exactly the updated model's devices: a
+    new router appears and a removed one is gone, not left as an empty RIB."""
+    inc, full = verifier_pairs[arm]
+    if router_op == "add-router":
+        plan = plans["adding-new-routers"]
+    else:
+        plan = REMOVE_ROUTER
+    report_inc, report_full = inc.verify(plan), full.verify(plan)
+    assert report_inc.incremental.mode == MODE_WIDENED
+    updated_model = plan.build_updated_model(inc.base_model)
+    world_inc = report_inc.updated_world
+    assert list(world_inc.device_ribs) == list(updated_model.devices)
+    assert set(world_inc.device_ribs) != set(inc.base_world.device_ribs)
+    assert device_fingerprints(world_inc) == device_fingerprints(
+        report_full.updated_world
+    )
+    assert [r.satisfied for r in report_inc.intent_results] == [
+        r.satisfied for r in report_full.intent_results
+    ]
 
 
 def test_all_change_types_covered(plans):

@@ -1,12 +1,21 @@
-"""The copy-on-write splice against a slot-by-slot reference.
+"""The splice against slot-by-slot definitions of what it must produce.
 
-``IncrementalEngine`` derives each spliced device RIB from its base RIB
-(``DeviceRib.derive``: copy the VRF tables, delete the covered base slots,
-append the covered partial ones). The reference below rebuilds the RIB one
-slot at a time through ``replace_prefix``, the way the engine used to. The
-two must agree on everything a consumer can see: device, VRF and slot
-order, every slot's entries, which base RIB objects are reused, the
-dropped/installed/touched slots in order, and every count.
+``IncrementalEngine.splice`` compares the partial run with the base at the
+covered slots (``rib_diff``) and derives each changed device RIB from its
+base RIB (``DeviceRib.derive``: copy the VRF tables, delete the differing
+base slots, append the differing partial ones). Three definitions pin it:
+
+* the diff: ``dropped``/``installed`` are the whole-map ``rib_diff`` of
+  base and partial restricted to the covered slots (every slot of a full
+  device, and of a device only one side holds);
+* the contents: slot by slot, a spliced RIB holds the partial run's entries
+  at a covered slot and the base run's elsewhere, and the spliced map holds
+  exactly the partial run's devices;
+* the layout: the reference below rebuilds each RIB one slot at a time
+  through ``replace_prefix``. The two must agree on everything a consumer
+  can see: device, VRF and slot order, every slot's entries, which base RIB
+  objects are reused, the dropped/installed/touched slots in order, and
+  every count.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,70 +29,76 @@ from repro.routing.rib import (
     ROUTE_TYPE_CANDIDATE,
     ROUTE_TYPE_ECMP,
     DeviceRib,
+    rib_diff,
 )
 
 from tests.helpers import build_model
 
-# -- the reference: today's result, one slot at a time --------------------------
+# -- the references -------------------------------------------------------------
 
 
-def reference_slots(rib, blast=None):
-    slots = {}
-    for vrf in rib.vrfs if rib is not None else ():
-        prefixes = rib.prefixes(vrf)
-        if blast is not None:
-            prefixes = [prefix for prefix in prefixes if blast.covers(prefix)]
-        if prefixes:
-            slots[vrf] = dict.fromkeys(prefixes)
-    return slots
+def slot_entries(rib):
+    """``(vrf, prefix) -> entries`` in table order (nothing for no RIB)."""
+    if rib is None:
+        return {}
+    return {
+        (vrf, prefix): rib.entries_for(prefix, vrf)
+        for vrf in rib.vrfs
+        for prefix in rib.prefixes(vrf)
+    }
+
+
+def compared(name, base_ribs, partial_ribs, blast, full_devices):
+    """Whether the splice compares a slot of device ``name``."""
+    if name in full_devices or name not in base_ribs or name not in partial_ribs:
+        return lambda slot: True
+    return lambda slot: blast.covers(slot[1])
+
+
+def as_slots(slots):
+    """``[(vrf, prefix), ...]`` grouped per VRF, the shape of ``Slots``."""
+    grouped = {}
+    for vrf, prefix in slots:
+        grouped.setdefault(vrf, {})[prefix] = None
+    return grouped
 
 
 def reference_splice(base_ribs, partial_ribs, blast, full_devices=frozenset()):
     result = SpliceResult(device_ribs={})
-    names = list(base_ribs)
-    names.extend(sorted(set(partial_ribs) - set(base_ribs)))
-    for name in names:
+    for name, base_rib in base_ribs.items():
+        counted = compared(name, base_ribs, partial_ribs, blast, full_devices)
+        before = slot_entries(base_rib)
+        after = slot_entries(partial_ribs.get(name))
+        gone = [s for s, e in before.items() if counted(s) and after.get(s) != e]
+        if gone:
+            result.dropped[name] = as_slots(gone)
+    for name, partial_rib in partial_ribs.items():
         base_rib = base_ribs.get(name)
-        partial_rib = partial_ribs.get(name)
-        if name in full_devices:
-            replacement = partial_rib if partial_rib is not None else DeviceRib(name)
-            result.device_ribs[name] = replacement
-            result.affected_devices += 1
-            result.dropped[name] = reference_slots(base_rib)
-            result.installed[name] = reference_slots(replacement)
-            result.spliced_slots += sum(
-                len(prefixes) for prefixes in result.installed[name].values()
-            )
-            continue
-        covered_base = reference_slots(base_rib, blast)
-        covered_partial = reference_slots(partial_rib, blast)
-        if not covered_base and not covered_partial and base_rib is not None:
-            result.device_ribs[name] = base_rib
-            result.reused_devices += 1
-            result.reused_slots += sum(
-                len(base_rib.prefixes(vrf)) for vrf in base_rib.vrfs
-            )
-            continue
-        spliced = DeviceRib(name)
+        counted = compared(name, base_ribs, partial_ribs, blast, full_devices)
+        before, after = slot_entries(base_rib), slot_entries(partial_rib)
+        new = [s for s, e in after.items() if counted(s) and before.get(s) != e]
+        if new:
+            result.installed[name] = as_slots(new)
+        gone = {
+            (vrf, prefix)
+            for vrf, prefixes in result.dropped.get(name, {}).items()
+            for prefix in prefixes
+        }
         if base_rib is not None:
-            for vrf in base_rib.vrfs:
-                covered = covered_base.get(vrf, ())
-                for prefix in base_rib.prefixes(vrf):
-                    if prefix not in covered:
-                        spliced.replace_prefix(
-                            vrf, prefix, base_rib.entries_for(prefix, vrf)
-                        )
-                        result.reused_slots += 1
-        for vrf, prefixes in covered_partial.items():
-            for prefix in prefixes:
-                spliced.replace_prefix(
-                    vrf, prefix, partial_rib.entries_for(prefix, vrf)
-                )
-                result.spliced_slots += 1
+            result.reused_slots += len(before) - len(gone)
+            if not gone and not new:
+                result.device_ribs[name] = base_rib
+                result.reused_devices += 1
+                continue
+        spliced = DeviceRib(name)
+        for (vrf, prefix), entries in before.items():
+            if (vrf, prefix) not in gone:
+                spliced.replace_prefix(vrf, prefix, entries)
+        for vrf, prefix in new:
+            spliced.replace_prefix(vrf, prefix, after[vrf, prefix])
         result.device_ribs[name] = spliced
         result.affected_devices += 1
-        result.dropped[name] = covered_base
-        result.installed[name] = covered_partial
+    result.spliced_slots = sum(map(len, result.touched.values()))
     return result
 
 
@@ -105,6 +120,15 @@ def ordered(slots_of):
     ]
 
 
+def flat(slots_of):
+    return [
+        (name, vrf, prefix)
+        for name, slots in slots_of.items()
+        for vrf, prefixes in slots.items()
+        for prefix in prefixes
+    ]
+
+
 def assert_same_splice(new, ref, base_ribs):
     assert list(new.device_ribs) == list(ref.device_ribs)
     for name, rib in ref.device_ribs.items():
@@ -116,6 +140,36 @@ def assert_same_splice(new, ref, base_ribs):
     assert new.touched == ref.touched
     for count in ("affected_devices", "reused_devices", "spliced_slots", "reused_slots"):
         assert getattr(new, count) == getattr(ref, count), count
+
+
+def assert_is_the_covered_diff(new, base_ribs, partial_ribs, blast, full):
+    """The splice's slots are the whole-map diff at the compared slots, and
+    its RIBs hold the partial run's entries there and the base's elsewhere."""
+    dropped, installed = rib_diff(base_ribs, partial_ribs)
+    for mine, whole_map in ((new.dropped, dropped), (new.installed, installed)):
+        assert flat(mine) == [
+            (name, vrf, prefix)
+            for name, vrf, prefix in flat(whole_map)
+            if compared(name, base_ribs, partial_ribs, blast, full)((vrf, prefix))
+        ]
+    assert list(new.device_ribs) == list(partial_ribs)
+    for name, spliced in new.device_ribs.items():
+        counted = compared(name, base_ribs, partial_ribs, blast, full)
+        before = slot_entries(base_ribs.get(name))
+        after = slot_entries(partial_ribs[name])
+        expected = {
+            slot: entries
+            for slot in {**before, **after}
+            for entries in [after.get(slot) if counted(slot) else before.get(slot)]
+            if entries
+        }
+        assert slot_entries(spliced) == expected, name
+        # a slot the splice did not install keeps the base's entry list
+        installed = new.installed.get(name, {})
+        for vrf, table in spliced._tables.items():
+            for prefix, entries in table.items():
+                if prefix not in installed.get(vrf, ()):
+                    assert entries is base_ribs[name]._tables[vrf][prefix]
 
 
 # -- drawn splices --------------------------------------------------------------
@@ -165,22 +219,57 @@ def make_ribs(drawn):
     partial=st.dictionaries(st.sampled_from(DEVICES + ["E"]), rows, max_size=5),
     affected=st.lists(st.sampled_from(PREFIXES), unique=True, max_size=3),
     all_v6=st.booleans(),
+    cover_all=st.booleans(),
     full=st.sets(st.sampled_from(DEVICES + ["E"]), max_size=2),
 )
-def test_drawn_splices_match_the_reference(base, partial, affected, all_v6, full):
-    compare(base, partial, affected, all_v6, full)
+def test_drawn_splices_match_the_reference(
+    base, partial, affected, all_v6, cover_all, full
+):
+    compare(base, partial, affected, all_v6, full, cover_all)
 
 
-def compare(base, partial, affected, all_v6=False, full=()):
-    """Splice drawn RIBs both ways and compare; returns the new result."""
-    base_ribs, partial_ribs = make_ribs(base), make_ribs(partial)
-    blast = BlastRadius(
-        affected_prefixes=tuple(as_prefix(p) for p in affected),
-        include_all_v6=all_v6,
-    )
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.dictionaries(st.sampled_from(DEVICES), rows, min_size=1, max_size=4),
+    affected=st.lists(st.sampled_from(PREFIXES), unique=True, max_size=3),
+)
+def test_a_partial_run_equal_at_the_covered_slots_changes_nothing(base, affected):
+    """Re-simulated slots equal to the base are neither dropped nor installed."""
+    base_ribs = make_ribs(base)
+    blast = BlastRadius(affected_prefixes=tuple(affected))
+    # the partial run: the covered slots again, new objects in another order
+    partial_ribs = {}
+    for name, rib in base_ribs.items():
+        again = partial_ribs[name] = DeviceRib(name)
+        for (vrf, prefix), entries in reversed(slot_entries(rib).items()):
+            if blast.covers(prefix):
+                again.replace_prefix(
+                    vrf, prefix, [(r.evolve(), t) for r, t in entries]
+                )
+    result = check(base_ribs, partial_ribs, blast)
+    assert result.dropped == result.installed == {}
+    assert all(result.device_ribs[name] is rib for name, rib in base_ribs.items())
+    assert result.spliced_slots == result.affected_devices == 0
+
+
+def compare(base, partial, affected, all_v6=False, full=(), cover_all=False):
+    """Splice drawn RIBs and hold the result against the references."""
+    if cover_all:
+        blast = BlastRadius(widened=True, reasons=("drawn",))
+    else:
+        blast = BlastRadius(
+            affected_prefixes=tuple(as_prefix(p) for p in affected),
+            include_all_v6=all_v6,
+        )
+    return check(make_ribs(base), make_ribs(partial), blast, full)
+
+
+def check(base_ribs, partial_ribs, blast, full=()):
     engine = IncrementalEngine(build_model([("A", 100)], []))
     new = engine.splice(base_ribs, partial_ribs, blast, full_devices=full)
-    ref = reference_splice(base_ribs, partial_ribs, blast, frozenset(full))
+    full = frozenset(full)
+    assert_is_the_covered_diff(new, base_ribs, partial_ribs, blast, full)
+    ref = reference_splice(base_ribs, partial_ribs, blast, full)
     assert_same_splice(new, ref, base_ribs)
     return new
 
@@ -209,22 +298,44 @@ class TestHandMadeSplices:
         )
         assert result.device_ribs["A"].vrfs == ["global", "red"]
 
+    def test_an_equal_covered_slot_keeps_its_base_list_and_place(self):
+        result = compare(
+            {"A": [row("global", P16), row("global", P24), row("global", P16B)]},
+            {"A": [row("global", P24, 101), row("global", P16)]},
+            [P16],
+        )
+        spliced = result.device_ribs["A"]
+        assert spliced.prefixes() == [as_prefix(p) for p in (P16, P16B, P24)]
+        assert result.installed == {"A": {"global": {as_prefix(P24): None}}}
+        assert result.spliced_slots == 1 and result.reused_slots == 2
+
     def test_device_only_in_the_partial_run(self):
         result = compare(
             {"A": [row("global", P16B)]},
             {"E": [row("global", P24), row("global", P16B)], "A": []},
             [P16],
         )
-        assert list(result.device_ribs) == ["A", "E"]
-        assert result.device_ribs["E"].prefixes() == [as_prefix(P24)]
+        assert list(result.device_ribs) == ["E", "A"]  # the partial run's order
+        assert result.device_ribs["E"].prefixes() == [as_prefix(P24), as_prefix(P16B)]
+
+    def test_device_only_in_the_base_is_dropped_whole(self):
+        result = compare(
+            {"A": [row("global", P16B)], "B": [row("global", P16B), row("red", P24)]},
+            {"A": [row("global", P16B)]},
+            [P16],
+        )
+        assert list(result.device_ribs) == ["A"]
+        assert set(result.touched) == {"B"}
 
     def test_full_devices_are_replaced_wholesale(self):
-        compare(
+        result = compare(
             {"A": [row("global", P16B), row("red", P24)], "B": [row("global", P24)]},
             {"A": [row("global", P8)]},
             [P24],
             full=["A", "B"],
         )
+        assert result.device_ribs["A"].prefixes() == [as_prefix(P8)]
+        assert list(result.device_ribs) == ["A"]
 
     def test_all_v6_radius(self):
         result = compare(

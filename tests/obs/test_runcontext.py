@@ -182,11 +182,13 @@ class TestVerifierSpanSanity:
         report = verifier.verify(plan)
         stats = report.incremental
         assert stats.mode == "widened"
-        diffing = report.trace.find("rib_diff")
-        # A's route to D's prefix is the one slot the new cost moves
-        assert diffing.meta == {"dropped_slots": 1, "installed_slots": 1}
-        assert stats.touched_slots == 1
-        assert f"touched {stats.touched_slots} slots" in report.summary()
+        (splicing,) = report.trace.find_all("incremental.splice")
+        # A's route to D's prefix is the one slot the new cost moves: every
+        # other device keeps its base RIB
+        assert splicing.meta["affected_devices"] == stats.affected_devices == 1
+        assert splicing.meta["spliced_slots"] == stats.spliced_slots == 1
+        assert stats.reused_devices == stats.total_devices - 1
+        assert f"spliced {stats.spliced_slots} slots" in report.summary()
         # the updated table is a patch of the base one, never flattened
         assert report.updated_world.global_rib.base is verifier.base_world.global_rib
         assert report.trace.find("check_intents").meta["tables_built"] == 0

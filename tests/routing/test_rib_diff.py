@@ -4,7 +4,10 @@ A slot differs when its entry list on one side is not the entry list on the
 other (a slot held on one side only differs too). ``dropped`` must name
 exactly the differing base slots in base table order, ``installed`` the
 differing updated slots in updated table order, and the patch they make of
-the base global RIB must be the rebuilt updated table.
+the base global RIB must be the rebuilt updated table. With a ``covers``
+filter the diff is the same one restricted to the covered slots of the
+devices both sides hold (every slot of a ``whole`` device, and of a device
+one side lacks).
 """
 
 from collections import Counter
@@ -151,12 +154,33 @@ def test_rib_diff_is_the_slot_by_slot_diff(base_ribs, data):
     ):
         assert rows == [r for r in table if (r.device, r.vrf, r.route.prefix) in slots]
 
+    prefixes = sorted({p for rib in base_ribs.values() for p in rib.prefixes()})
+    covered = data.draw(st.sets(st.sampled_from(prefixes + [EXTRA])), label="covered")
+    whole = data.draw(st.sets(st.sampled_from(sorted(base_ribs))), label="whole")
+    asked = []
+
+    def covers(prefix):
+        asked.append(prefix)
+        return prefix in covered
+
+    def compared(name, vrf, prefix):
+        both = name in base_ribs and name in updated
+        return prefix in covered or name in whole or not both
+
+    filtered = rib_diff(base_ribs, updated, covers, whole=whole)
+    for mine, everything in zip(filtered, (dropped, installed)):
+        assert flat(mine) == [s for s in flat(everything) if compared(*s)]
+    assert len(asked) == len(set(asked))  # once per distinct prefix
+
 
 def test_equal_ribs_of_new_objects_have_no_diff(base_ribs):
     copies = {name: copy_of(rib) for name, rib in base_ribs.items()}
     assert rib_diff(base_ribs, copies) == ({}, {})
     assert rib_diff(base_ribs, base_ribs) == ({}, {})
     assert rib_diff(base_ribs, {}) == (
-        {name: rib.slots() for name, rib in base_ribs.items()},
+        {
+            name: {vrf: dict.fromkeys(rib.prefixes(vrf)) for vrf in rib.vrfs}
+            for name, rib in base_ribs.items()
+        },
         {},
     )

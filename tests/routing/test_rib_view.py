@@ -19,6 +19,7 @@ from repro.routing.rib import (
     GlobalRib,
     GlobalRibView,
     StaleViewError,
+    rib_diff,
 )
 
 _POOL = [
@@ -72,19 +73,16 @@ def eager(ribs):
 
 
 def splice(base_ribs, partial_ribs, covered):
-    """Each RIB less its ``covered`` slots plus the partial run's, derived."""
-
-    def pick(slots):
-        return slots & covered
-
-    ribs, dropped, installed = {}, {}, {}
-    for name, base in base_ribs.items():
-        gone, new = base.slots(pick), partial_ribs[name].slots(pick)
-        if not gone and not new:
-            ribs[name] = base
-            continue
-        dropped[name], installed[name] = gone, new
-        ribs[name] = base.derive(gone, partial_ribs[name], new)
+    """Each RIB with the partial run's entries at its ``covered`` slots, derived."""
+    dropped, installed = rib_diff(base_ribs, partial_ribs, covered.__contains__)
+    ribs = {
+        name: base.derive(
+            dropped.get(name, {}), partial_ribs[name], installed.get(name, {})
+        )
+        if name in dropped or name in installed
+        else base
+        for name, base in base_ribs.items()
+    }
     return ribs, dropped, installed
 
 

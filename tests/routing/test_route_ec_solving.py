@@ -234,7 +234,7 @@ class TestWarmStart:
     def scenario_records(self):
         model, inputs = trunked_wan()
         base = RouteSimulator(model).simulate(inputs, include_local_inputs=False)
-        analyzer = FailureBlastAnalyzer(model, inputs, base)
+        analyzer = FailureBlastAnalyzer(model, base)
         engine = IncrementalEngine(model)
         engine.snapshot_base(base.device_ribs)
         backend = IncrementalBackend(CentralizedBackend(), engine)
@@ -254,7 +254,6 @@ class TestWarmStart:
                         warm_start=WarmStart(
                             blast=effect.blast,
                             base_ribs=base.device_ribs,
-                            covered_inputs=effect.covered_inputs,
                             full_devices=effect.failed_routers,
                         ),
                     )
