@@ -9,7 +9,7 @@ operator's formally specified intents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.net.addr import IPAddress
 from repro.net.device import DeviceConfig

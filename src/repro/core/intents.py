@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.net.addr import Prefix, as_prefix
+from repro.net.addr import as_prefix
 from repro.net.model import NetworkModel
 from repro.rcl import verify as rcl_verify
 from repro.routing.rib import DeviceRib, GlobalRib
 from repro.traffic.flow import Flow
-from repro.traffic.load import LinkLoadMap
 from repro.traffic.simulator import TrafficSimulationResult
 
 

@@ -21,7 +21,7 @@ delta-debugging approach on top of the verifier:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.change_plan import ChangePlan
 from repro.core.pipeline import ChangeVerifier

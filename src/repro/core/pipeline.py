@@ -193,7 +193,8 @@ class ChangeVerifier:
     """Verifies change plans against a pre-processed base network.
 
     ``backend`` injects any :class:`ExecutionBackend` (default: a
-    :class:`CentralizedBackend` with ``max_rounds``). The backend is always
+    :class:`CentralizedBackend`); ``max_rounds`` rides on every route
+    request the verifier sends it. The backend is always
     wrapped in an :class:`IncrementalBackend` sharing this verifier's
     engine, so warm-started requests splice against the base world's RIBs.
     """
@@ -218,7 +219,7 @@ class ChangeVerifier:
         self._base_local_inputs: Optional[Dict[str, List[InputRoute]]] = None
         self._engine = IncrementalEngine(base_model)
         if backend is None:
-            backend = CentralizedBackend(max_rounds=max_rounds)
+            backend = CentralizedBackend()
         self.backend: ExecutionBackend = IncrementalBackend(backend, self._engine)
         self.ctx = ensure_context(ctx, "verifier")
 

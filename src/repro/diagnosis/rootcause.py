@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.diagnosis.validation import AccuracyReport, LinkDiscrepancy
+from repro.diagnosis.validation import AccuracyReport
 from repro.net.model import NetworkModel
 from repro.routing.isis import IgpState
 from repro.routing.rib import DeviceRib
@@ -166,14 +166,8 @@ class RootCauseAnalyzer:
 
     @staticmethod
     def _next_hops_of(engine: ForwardingEngine, flow: Flow, router: str):
-        branches = engine._branches(flow, router, None)
-        if isinstance(branches, str):
-            return (branches,)
-        kind, payload = branches
-        if kind == "terminal":
-            return (payload,)
-        _, options = payload
-        return tuple(options)
+        kind, payload = engine.decision(flow, router)
+        return (payload,) if kind == "terminal" else tuple(payload[1])
 
     @staticmethod
     def _matching_routes(

@@ -16,7 +16,7 @@ the Table-4 campaign consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.monitor.route_monitor import LiveNetworkOracle, MonitoredRoute
 from repro.net.addr import as_prefix

@@ -50,11 +50,13 @@ class CentralizedRunner:
         igp: Optional[IgpState] = None,
         memory_limit_rows: Optional[int] = None,
         chunk_size: int = 64,
+        max_rounds: int = 50,
     ) -> None:
         self.model = model
         self.igp = igp if igp is not None else compute_igp(model)
         self.memory_limit_rows = memory_limit_rows
         self.chunk_size = chunk_size
+        self.max_rounds = max_rounds
 
     def run(
         self, input_routes: Sequence[InputRoute], ctx=None
@@ -72,7 +74,12 @@ class CentralizedRunner:
         )
         # Connected/static routes are skipped per chunk (they would be
         # duplicated across chunks); only the BGP results are accumulated.
-        simulator = RouteSimulator(self.model, igp=self.igp, include_connected=False)
+        simulator = RouteSimulator(
+            self.model,
+            igp=self.igp,
+            max_rounds=self.max_rounds,
+            include_connected=False,
+        )
         merged: Dict[str, DeviceRib] = {}
         rows = 0
         done = 0

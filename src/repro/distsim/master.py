@@ -192,8 +192,11 @@ class _TaskRunner:
         max_retries: int = 3,
         chaos: Optional[ChaosPolicy] = None,
         retry: Optional[RetryPolicy] = None,
+        max_rounds: int = 50,
     ) -> None:
         self.model = model
+        #: the BGP round cap of every route subtask's fixpoint
+        self.max_rounds = max_rounds
         self.igp = igp if igp is not None else compute_igp(model)
         self.store = store if store is not None else ObjectStore()
         self.db = db if db is not None else SubtaskDB()
@@ -327,6 +330,7 @@ class _TaskRunner:
                 self.worker_config,
                 chaos=self.chaos,
                 ctx=ctx,
+                max_rounds=self.max_rounds,
             )
             for index in range(max(1, workers))
         ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pickle
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 class ObjectNotFound(KeyError):

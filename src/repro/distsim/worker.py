@@ -79,6 +79,7 @@ class Worker:
         config: Optional[WorkerConfig] = None,
         chaos=None,
         ctx=None,
+        max_rounds: int = 50,
     ) -> None:
         self.name = name
         self.model = model
@@ -91,7 +92,7 @@ class Worker:
         #: optional repro.obs.RunContext for subtask counters
         self.ctx = ctx
         self._route_simulator = RouteSimulator(
-            model, igp=igp, include_connected=False
+            model, igp=igp, max_rounds=max_rounds, include_connected=False
         )
 
     def _count(self, name: str, value: float = 1) -> None:

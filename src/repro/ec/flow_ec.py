@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
-from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.net.trie import PrefixTrie
 from repro.routing.rib import DeviceRib

@@ -236,9 +236,10 @@ def make_backend(name: str = "centralized", **options: Any) -> ExecutionBackend:
 
     ``options`` are forwarded to the backend constructor; distributed names
     accept ``route_subtasks``/``traffic_subtasks``/``workers``/``chaos``/
-    ``retry``/``worker_config``, centralized accepts ``max_rounds`` and the
-    chunked-runner knobs, modular accepts ``exchange_rounds``/``assume``/
-    ``summary_store``.
+    ``retry``/``worker_config``, centralized accepts the chunked-runner
+    knobs, modular accepts ``exchange_rounds``/``assume``/``summary_store``.
+    The fixpoint's round cap is no backend option: every backend reads it
+    from each request's ``max_rounds``.
     """
     from repro.exec.centralized import CentralizedBackend
     from repro.exec.distributed import DistributedBackend

@@ -36,12 +36,10 @@ class CentralizedBackend(ExecutionBackend):
 
     def __init__(
         self,
-        max_rounds: int = 50,
         chunked: bool = False,
         memory_limit_rows: Optional[int] = None,
         chunk_size: int = 64,
     ) -> None:
-        self.max_rounds = max_rounds
         self.chunked = chunked or memory_limit_rows is not None
         self.memory_limit_rows = memory_limit_rows
         self.chunk_size = chunk_size
@@ -65,6 +63,7 @@ class CentralizedBackend(ExecutionBackend):
                     igp=igp,
                     memory_limit_rows=self.memory_limit_rows,
                     chunk_size=self.chunk_size,
+                    max_rounds=request.max_rounds,
                 )
                 chunked = runner.run(inputs, ctx=ctx)
                 ctx.count("route_sim.rib_rows", chunked.rib_rows)

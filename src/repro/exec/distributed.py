@@ -81,6 +81,7 @@ class DistributedBackend(ExecutionBackend):
                 chaos=self.chaos,
                 retry=self.retry,
                 max_retries=self.max_retries,
+                max_rounds=request.max_rounds,
             )
             task = sim.run(
                 inputs,

@@ -55,12 +55,10 @@ class ModularBackend(ExecutionBackend):
 
     def __init__(
         self,
-        max_rounds: int = 50,
         exchange_rounds: int = DEFAULT_EXCHANGE_ROUNDS,
         assume: Optional[Mapping[str, RegionSummary]] = None,
         summary_store=None,
     ) -> None:
-        self.max_rounds = max_rounds
         self.exchange_rounds = exchange_rounds
         #: operator-claimed summaries (trust-then-check); a mismatch falls
         #: back to full simulation with structured counter-examples.

@@ -48,10 +48,9 @@ from repro.kfailure.scenarios import FailureScenario
 from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.obs import RunContext, ensure_context
-from repro.routing.bgp import UNREACHABLE_COST, Session, build_sessions
-from repro.routing.isis import INFINITY, IgpState, build_adjacency, compute_igp
+from repro.routing.bgp import Session, build_sessions, ingress_igp_cost
+from repro.routing.isis import IgpState, build_adjacency, compute_igp
 from repro.routing.simulator import SimulationResult
-from repro.routing.sr import effective_igp_cost
 
 #: (failed routers, adjacency digest, dead eBGP session keys)
 ClassKey = Tuple[FrozenSet[str], str, FrozenSet[Tuple[str, str, str, str]]]
@@ -235,16 +234,8 @@ class FailureBlastAnalyzer:
                 continue  # the whole RIB is dropped; full-device splice
             cfg = self.model.devices[device]
             for owner, prefixes in owners.items():
-                if self._ingress_cost(cfg, self.base_igp, owner) != (
-                    self._ingress_cost(cfg, igp, owner)
+                if ingress_igp_cost(cfg, self.base_igp, owner) != (
+                    ingress_igp_cost(cfg, igp, owner)
                 ):
                     affected.update(prefixes)
                     affected_devices.add(device)
-
-    @staticmethod
-    def _ingress_cost(cfg, igp: IgpState, owner: str) -> int:
-        """Mirror of the simulator's ingress cost for a known remote owner."""
-        plain = igp.cost(cfg.name, owner)
-        if plain == INFINITY:
-            plain = UNREACHABLE_COST
-        return int(effective_igp_cost(cfg, igp, owner, plain))

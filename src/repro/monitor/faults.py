@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List
 
 from repro.monitor.route_monitor import RouteMonitor
 from repro.monitor.traffic_monitor import TrafficMonitor
 from repro.net.model import NetworkModel
 from repro.net.vendors import mismodel
-from repro.routing.inputs import InputRoute, filter_monitored_routes
+from repro.routing.inputs import InputRoute
 from repro.traffic.flow import Flow
 
 

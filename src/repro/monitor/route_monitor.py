@@ -14,7 +14,7 @@ failed agents silently stop reporting their router's routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.net.model import NetworkModel

@@ -10,7 +10,7 @@ volumes on certain routers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.traffic.flow import Flow
 from repro.traffic.load import LinkLoadMap

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.net.addr import Prefix, as_prefix
+from repro.net.addr import as_prefix
 from repro.net.config.base import ConfigParseError, DialectParser, register_dialect
 from repro.net.device import (
     AclConfig,
@@ -18,7 +18,7 @@ from repro.net.device import (
     PbrRuleConfig,
     VrfConfig,
 )
-from repro.net.policy import PERMIT, DENY, PolicyNode, RoutePolicy
+from repro.net.policy import PERMIT, DENY, PolicyNode
 
 
 def _take_option(tokens: List[str], key: str) -> Optional[str]:

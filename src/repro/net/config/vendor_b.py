@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.net.addr import Prefix, as_prefix
+from repro.net.addr import as_prefix
 from repro.net.config.base import ConfigParseError, DialectParser, register_dialect
 from repro.net.config.vendor_a import _take_flag, _take_option
 from repro.net.device import (

@@ -8,11 +8,11 @@ each link interface, which BGP next-hop resolution and static routes need.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.net.addr import IPAddress, Prefix
+from repro.net.addr import IPAddress
 from repro.net.device import DeviceConfig
-from repro.net.topology import Link, Topology, TopologyError
+from repro.net.topology import Topology, TopologyError
 
 
 class NetworkModel:

@@ -9,8 +9,8 @@ the underlying inventory.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro import perfopts
 from repro.net.addr import IPAddress, as_address

@@ -9,7 +9,7 @@ specification size as the number of internal nodes in the syntax tree
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 Value = Union[str, int, float]
 

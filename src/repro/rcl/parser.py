@@ -9,7 +9,7 @@ whole intents with ``imply``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional
 
 from repro.rcl import ast
 from repro.rcl.errors import RclParseError

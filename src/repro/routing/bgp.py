@@ -29,7 +29,7 @@ from typing import (
     Tuple,
 )
 
-from repro.net.addr import IPAddress, Prefix
+from repro.net.addr import Prefix
 from repro.net.device import BgpPeerConfig, DeviceConfig, GLOBAL_VRF
 from repro.net.model import NetworkModel
 from repro.net.policy import PolicyResult, apply_policy
@@ -52,6 +52,26 @@ if TYPE_CHECKING:
 UNREACHABLE_COST = 1 << 30
 
 LocKey = Tuple[str, Prefix]  # (vrf, prefix)
+
+
+def ingress_igp_cost(
+    device: DeviceConfig, igp: IgpState, owner: Optional[str]
+) -> int:
+    """The IGP cost ``device`` records for a next hop owned by ``owner``.
+
+    An unowned or unreachable next hop costs :data:`UNREACHABLE_COST`, a
+    local one 0, a remote one its IGP distance with the SR VSB applied.
+    Ingress processing and the k-failure blast bound both read this rule,
+    so the bound sees exactly the cost the fixpoint records.
+    """
+    if owner is None:
+        return UNREACHABLE_COST
+    if owner == device.name:
+        return 0
+    plain = igp.cost(device.name, owner)
+    if plain == INFINITY:
+        plain = UNREACHABLE_COST
+    return int(effective_igp_cost(device, igp, owner, plain))
 
 
 def _session_policy(
@@ -677,7 +697,9 @@ class BgpSimulator:
         ebgp_pref, ibgp_pref = vendor.default_bgp_preference
         preference = ebgp_pref if session.ebgp else ibgp_pref
         nexthop = processed.nexthop
-        igp_cost = 0 if nexthop is None else self._resolve_igp_cost(receiver, nexthop)
+        igp_cost = 0 if nexthop is None else ingress_igp_cost(
+            receiver, self.igp, self.model.owner_of_address(nexthop)
+        )
         if (
             processed.source != source
             or processed.protocol != PROTO_BGP
@@ -696,17 +718,6 @@ class BgpSimulator:
             from_client=session.receiver_cfg.route_reflector_client,
             path_id=path_id,
         )
-
-    def _resolve_igp_cost(self, device: DeviceConfig, nexthop: IPAddress) -> int:
-        owner = self.model.owner_of_address(nexthop)
-        if owner is None:
-            return UNREACHABLE_COST
-        if owner == device.name:
-            return 0
-        plain = self.igp.cost(device.name, owner)
-        if plain == INFINITY:
-            plain = UNREACHABLE_COST
-        return int(effective_igp_cost(device, self.igp, owner, plain))
 
     # -- derived candidates: aggregation and VRF leaking --------------------------------
 

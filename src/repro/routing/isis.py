@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.net.model import NetworkModel
 
@@ -56,22 +56,6 @@ class IgpState:
                 ) != other.hops_towards(src, dst):
                     moved.add((src, dst))
         return moved
-
-    def shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
-        """One deterministic shortest path (first ECMP branch at each hop)."""
-        if src == dst:
-            return [src]
-        if not self.reachable(src, dst):
-            return None
-        path = [src]
-        current = src
-        while current != dst:
-            hops = self.hops_towards(current, dst)
-            if not hops:
-                return None
-            current = hops[0]
-            path.append(current)
-        return path
 
 
 def _edge_cost(model: NetworkModel, src: str, dst: str, link_cost: int) -> float:

@@ -7,9 +7,7 @@ and destination IP/port, protocol, and the traffic volume between reports.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.net.addr import IPAddress, as_address
 
@@ -29,14 +27,6 @@ class Flow:
     dst_port: int = 0
     volume: float = 1.0
     vrf: str = "global"
-
-    def five_tuple(self) -> Tuple[str, str, int, int, int]:
-        return (str(self.src), str(self.dst), self.protocol, self.src_port, self.dst_port)
-
-    def ecmp_hash(self) -> int:
-        """Stable per-flow hash used for ECMP path selection."""
-        text = "|".join(str(part) for part in self.five_tuple())
-        return zlib.crc32(text.encode("ascii"))
 
     def __str__(self) -> str:
         return (

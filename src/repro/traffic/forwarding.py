@@ -1,38 +1,41 @@
 """Flow forwarding simulation along simulated RIBs.
 
-Each hop: ingress ACL check, PBR override, RIB longest-prefix match, ECMP
-selection by flow hash, and recursive next-hop resolution (IGP next hops, or
-the SR tunnel when an SR policy steers towards the next hop's owner — the
-forwarding half of the Figure 9 behaviour).
+Each hop makes one decision: ingress ACL check, local delivery, PBR
+override, then RIB longest-prefix match. The decision is a terminal status
+or the set of next routers; volume splits evenly over that set (every
+resolvable route of the matched entry, each resolved to its IGP next hops,
+or to the first segment's next hops when an SR policy steers towards the
+next hop's owner — the forwarding half of the Figure 9 behaviour). Flow-EC
+members match the same RIB entries, PBR rules and ACL rules, so every
+member gets the same answer (§3.1).
 
-Spread-mode decisions are memoized per ``(router, ingress-ACL class, flow
-EC signature)`` so a whole flow EC pays the interpreted cost once per device
+Decisions are memoized per ``(router, ingress-ACL class, flow EC
+signature)`` so a whole flow EC pays the interpreted cost once per device
 instead of once per flow per hop. The memo is gated on the ``spread_memo``
 flag of ``repro.perfopts`` and invalidated against ``Topology.version`` /
 ``DeviceRib.generation`` (plus an explicit
 :meth:`ForwardingEngine.invalidate` escape hatch); enabled or disabled,
 forwarding results are byte-identical.
 
-Every spread decision at router ``r`` also records the ``(r, target)``
-pairs it resolved through: the up-link, IGP-reachability and IGP next-hop
-answers it read. They are kept with the memo entry (and recorded with the
-memo off) and a walk unions them, so a change that moves no read pair and
-no RIB slot on the walk's paths cannot move its spread.
+Every decision at router ``r`` also records the ``(r, target)`` pairs it
+resolved through: the up-link, IGP-reachability and IGP next-hop answers
+it read. They are kept with the memo entry (and recorded with the memo
+off) and a walk unions them, so a change that moves no read pair and no
+RIB slot on the walk's paths cannot move its spread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import perfopts
-from repro.net.addr import IPAddress
 from repro.net.device import AclConfig, DeviceConfig
 from repro.net.model import NetworkModel
-from repro.routing.attributes import Route, SOURCE_EBGP
+from repro.routing.attributes import SOURCE_EBGP
 from repro.routing.isis import IgpState
 from repro.routing.rib import DeviceRib
-from repro.routing.sr import first_tunnel_hops, first_tunnel_target
+from repro.routing.sr import first_tunnel_target
 from repro.traffic.flow import Flow
 
 STATUS_DELIVERED = "delivered"
@@ -44,8 +47,12 @@ STATUS_STRANDED = "stranded"      # route present but next hop unresolvable
 
 MAX_HOPS = 64
 
-#: A ``(router, target)`` pair a spread decision read (see module doc).
+#: A ``(router, target)`` pair a decision read (see module doc).
 Pair = Tuple[str, str]
+
+#: One hop's decision: ``("terminal", status)`` or
+#: ``("hops", (matched_prefixes, sorted_next_routers))``.
+Decision = Tuple[str, Any]
 
 
 @dataclass
@@ -135,119 +142,6 @@ class ForwardingEngine:
 
     # -- public -----------------------------------------------------------
 
-    def forward(self, flow: Flow, max_hops: int = MAX_HOPS) -> FlowPath:
-        """Compute the flow's path from its ingress router."""
-        self._ensure_fresh()
-        current = flow.ingress
-        if current not in self.model.devices:
-            return FlowPath(flow, [], STATUS_DROPPED, detail="unknown ingress")
-        routers = [current]
-        matched: List[str] = []
-        came_from: Optional[str] = None
-        visited = {current}
-        for _ in range(max_hops):
-            step = self._step(flow, current, came_from, matched)
-            if isinstance(step, str):
-                return FlowPath(flow, routers, step, matched)
-            next_router, detail = step
-            if next_router is None:
-                return FlowPath(flow, routers, detail, matched)
-            if next_router in visited:
-                routers.append(next_router)
-                return FlowPath(flow, routers, STATUS_LOOP, matched)
-            visited.add(next_router)
-            came_from = current
-            current = next_router
-            routers.append(current)
-        return FlowPath(flow, routers, STATUS_LOOP, matched, detail="hop limit")
-
-    # -- per-hop helpers ------------------------------------------------------
-
-    def _ingress_acl(
-        self, device: DeviceConfig, router: str, came_from: Optional[str]
-    ) -> Optional[AclConfig]:
-        """The ACL guarding the interface a flow from ``came_from`` enters."""
-        if came_from is None or not device.interface_acls:
-            return None
-        iface_name = self.model.topology.ingress_interface_name(came_from, router)
-        if iface_name is None:
-            return None
-        acl_name = device.interface_acls.get(iface_name)
-        if acl_name is None:
-            return None
-        return device.acls.get(acl_name)
-
-    # -- per-hop logic ------------------------------------------------------
-
-    def _step(
-        self,
-        flow: Flow,
-        router: str,
-        came_from: Optional[str],
-        matched: List[str],
-    ):
-        """One forwarding decision. Returns (next_router|None, status) or status."""
-        device = self.model.device(router)
-
-        # Ingress ACL on the receiving interface
-        acl = self._ingress_acl(device, router, came_from)
-        if acl is not None and not acl.permits(flow):
-            return STATUS_BLOCKED
-
-        # Local delivery: the destination is owned by this router.
-        owner = self.model.owner_of_address(flow.dst)
-        if owner == router:
-            return (None, STATUS_DELIVERED)
-
-        # PBR overrides the RIB.
-        for rule in device.pbr_rules:
-            if rule.matches_flow(flow):
-                return self._towards(flow, router, rule.nexthop, "pbr")
-
-        # RIB longest-prefix match.
-        rib = self.ribs.get(router)
-        hit = rib.lpm(flow.dst, vrf=flow.vrf) if rib is not None else None
-        if hit is None:
-            # Internal destinations (loopbacks, link subnets) are reachable
-            # through IS-IS even without a BGP/static RIB entry.
-            if owner is not None and self.igp.reachable(router, owner):
-                return self._towards(flow, router, owner, "igp")
-            return (None, STATUS_DROPPED)
-        prefix, routes = hit
-        matched.append(str(prefix))
-        route = self._pick_ecmp(flow, routes)
-
-        # A border router exits traffic for routes it learned over eBGP or
-        # injected locally from an external feed.
-        if route.source == SOURCE_EBGP and route.origin_router == router:
-            return (None, STATUS_EXITED)
-        if route.nexthop is None:
-            return (None, STATUS_EXITED if route.origin_router == router else STATUS_STRANDED)
-
-        nh_owner = self.model.owner_of_address(route.nexthop)
-        if nh_owner is None:
-            return (None, STATUS_STRANDED)
-        if nh_owner == router:
-            return (None, STATUS_DELIVERED)
-        return self._towards(flow, router, nh_owner, "rib")
-
-    def _towards(self, flow: Flow, router: str, target: str, why: str):
-        """Resolve the next physical hop towards a target router."""
-        if self.model.topology.has_up_link(router, target):
-            return (target, why)
-        # SR tunnel towards the target, if configured and resolvable.
-        policy = self.model.device(router).sr_policy_towards(target)
-        if policy is not None:
-            hops = first_tunnel_hops(self.model, self.igp, router, policy)
-            if hops:
-                return (self._hash_pick(flow, hops), f"{why}+sr")
-        hops = self.igp.hops_towards(router, target)
-        if not hops:
-            return (None, STATUS_STRANDED)
-        return (self._hash_pick(flow, hops), why)
-
-    # -- spread mode (even ECMP volume split) ---------------------------------
-
     def forward_spread(
         self,
         flow: Flow,
@@ -256,10 +150,11 @@ class ForwardingEngine:
     ) -> List[Tuple[FlowPath, float]]:
         """All ECMP paths of a flow with their even-split volume fractions.
 
-        Volume splits evenly across ECMP routes and then across IGP/SR next
-        hops at every branch point, which is how link loads are computed for
-        a whole flow EC (every member shares the same path *set*, §3.1).
-        Returns ``[(path, fraction)]`` with fractions summing to 1.
+        At every hop the volume splits evenly over the next routers the
+        decision returns (the union of the IGP/SR next hops of every
+        resolvable route), which is how link loads are computed for a whole
+        flow EC (every member shares the same path *set*, §3.1). Returns
+        ``[(path, fraction)]`` with fractions summing to 1.
 
         The traversal is an iterative depth-first walk over (mostly
         memoized) ``_branches`` decisions; the explicit stack replays the
@@ -293,11 +188,7 @@ class ForwardingEngine:
                     (FlowPath(flow, trail, STATUS_LOOP, matched, "hop limit"), fraction)
                 )
                 continue
-            branches = self._branches(flow, router, came_from, reads)
-            if isinstance(branches, str):
-                results.append((FlowPath(flow, trail, branches, matched), fraction))
-                continue
-            kind, payload = branches
+            kind, payload = self._branches(flow, router, came_from, reads)
             if kind == "terminal":
                 results.append((FlowPath(flow, trail, payload, matched), fraction))
                 continue
@@ -320,14 +211,39 @@ class ForwardingEngine:
             stack.extend(reversed(children))
         return results
 
+    def decision(self, flow: Flow, router: str) -> Decision:
+        """The decision ``router`` makes for ``flow`` entering there.
+
+        The flow meets no ingress ACL. The result has the shape
+        :data:`Decision` documents, the one ``forward_spread`` walks.
+        """
+        self._ensure_fresh()
+        return self._branches(flow, router, None)
+
+    # -- per-hop decision ---------------------------------------------------
+
+    def _ingress_acl(
+        self, device: DeviceConfig, router: str, came_from: Optional[str]
+    ) -> Optional[AclConfig]:
+        """The ACL guarding the interface a flow from ``came_from`` enters."""
+        if came_from is None or not device.interface_acls:
+            return None
+        iface_name = self.model.topology.ingress_interface_name(came_from, router)
+        if iface_name is None:
+            return None
+        acl_name = device.interface_acls.get(iface_name)
+        if acl_name is None:
+            return None
+        return device.acls.get(acl_name)
+
     def _branches(
         self,
         flow: Flow,
         router: str,
         came_from: Optional[str],
         reads: Optional[Set[Pair]] = None,
-    ):
-        """Spread-mode decision: terminal status or the ECMP next-hop set.
+    ) -> Decision:
+        """One hop's decision: a terminal status or the ECMP next-hop set.
 
         Memoized per ``(router, ingress-ACL class, flow EC signature)``:
         two flows with the same (src, dst, protocol, dst_port, vrf) — the
@@ -370,9 +286,9 @@ class ForwardingEngine:
         router: str,
         acl: Optional[AclConfig],
         reads: List[Pair],
-    ):
+    ) -> Decision:
         if acl is not None and not acl.permits(flow):
-            return STATUS_BLOCKED
+            return ("terminal", STATUS_BLOCKED)
         owner = self.model.owner_of_address(flow.dst)
         if owner == router:
             return ("terminal", STATUS_DELIVERED)
@@ -416,7 +332,7 @@ class ForwardingEngine:
     def _hops_towards(
         self, router: str, target: str, reads: List[Pair]
     ) -> Tuple[str, ...]:
-        """All physical next hops towards a target router (spread mode).
+        """All physical next hops towards a target router.
 
         Reads the up link and IGP answers of ``(router, target)`` and, for
         an SR policy, the IGP next hops towards its first segment.
@@ -433,13 +349,3 @@ class ForwardingEngine:
                 if hops:
                     return hops
         return self.igp.hops_towards(router, target)
-
-    def _pick_ecmp(self, flow: Flow, routes: Sequence[Route]) -> Route:
-        if len(routes) == 1:
-            return routes[0]
-        ordered = sorted(routes, key=lambda r: (str(r.nexthop or ""), r.as_path))
-        return ordered[flow.ecmp_hash() % len(ordered)]
-
-    def _hash_pick(self, flow: Flow, options: Sequence[str]) -> str:
-        ordered = sorted(options)
-        return ordered[flow.ecmp_hash() % len(ordered)]

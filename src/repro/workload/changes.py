@@ -23,16 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.core.change_plan import ChangePlan
-from repro.core.intents import (
-    FlowsTraverse,
-    NoOverloadedLinks,
-    PrefixReaches,
-    RclIntent,
-    flows_to_prefix,
-)
+from repro.core.intents import PrefixReaches, RclIntent
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute, inject_external_route
 from repro.workload.wan import WanInventory

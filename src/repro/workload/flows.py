@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from repro.net.addr import IPAddress, Prefix
+from repro.net.addr import IPAddress
 from repro.routing.inputs import InputRoute
 from repro.traffic.flow import Flow, make_flow
 from repro.workload.wan import WanInventory

@@ -15,9 +15,8 @@ structure to exploit.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.net.addr import Prefix
 from repro.routing.inputs import InputRoute, inject_external_route
 from repro.workload.wan import ISP_ASN_BASE, WanInventory
 

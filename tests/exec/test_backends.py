@@ -33,6 +33,7 @@ from repro.workload import (
 )
 
 from tests.helpers import build_model
+from tests.routing.test_convergence import PFX, chain_model
 
 SEED = 7
 
@@ -175,6 +176,31 @@ class TestBackendInterface:
             assert shared.loads.loads.get(key, 0.0) == pytest.approx(
                 fallback.loads.loads.get(key, 0.0), rel=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "name,options",
+        [
+            ("centralized", {}),
+            ("centralized", {"chunked": True}),
+            ("distributed-thread", {"route_subtasks": 2, "workers": 2}),
+            ("modular", {}),
+        ],
+        ids=["centralized", "chunked", "distributed-thread", "modular"],
+    )
+    def test_request_max_rounds_caps_the_fixpoint(self, name, options):
+        """The request's round cap reaches every fixpoint a backend runs."""
+        model, names = chain_model(6)
+        inputs = [inject_external_route(names[0], PFX, (65010,))]
+        capped = make_backend(name, **options).run_routes(
+            RouteSimRequest(model=model, inputs=inputs, max_rounds=2)
+        )
+        # The far end of the chain is out of reach in two rounds.
+        assert capped.device_ribs[names[-1]].routes_for(as_prefix(PFX)) == []
+        assert capped.device_ribs[names[1]].routes_for(as_prefix(PFX))
+        full = make_backend(name, **options).run_routes(
+            RouteSimRequest(model=model, inputs=inputs)
+        )
+        assert full.device_ribs[names[-1]].routes_for(as_prefix(PFX))
 
     def test_backends_record_spans(self, workload):
         model, routes, _ = workload

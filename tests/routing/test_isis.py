@@ -43,9 +43,12 @@ class TestSpf:
         assert igp.hops_towards("A", "D") == ("C",)
 
     def test_shortest_path(self):
+        """Next hops chain along the one shortest path A-B-D."""
         igp = compute_igp(square_model(costs=(10, 10, 10, 20)))
-        assert igp.shortest_path("A", "D") == ["A", "B", "D"]
-        assert igp.shortest_path("A", "A") == ["A"]
+        assert igp.hops_towards("A", "D") == ("B",)
+        assert igp.hops_towards("B", "D") == ("D",)
+        assert igp.hops_towards("A", "A") == ()
+        assert igp.cost("A", "D") == igp.cost("A", "B") + igp.cost("B", "D")
 
     def test_failed_link_rerouted(self):
         model = square_model()
@@ -63,7 +66,6 @@ class TestSpf:
         igp = compute_igp(model)
         assert not igp.reachable("A", "C")
         assert igp.hops_towards("A", "C") == ()
-        assert igp.shortest_path("A", "C") is None
 
     def test_isis_disabled_device_excluded(self):
         model = build_model(

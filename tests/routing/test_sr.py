@@ -3,14 +3,16 @@
 import pytest
 
 from repro.net.vendors import VENDOR_A, VENDOR_B
+from repro.routing.inputs import inject_external_route
 from repro.routing.isis import compute_igp
-from repro.routing.sr import (
-    effective_igp_cost,
-    first_tunnel_hops,
-    tunnel_path,
-)
+from repro.routing.simulator import simulate_routes
+from repro.routing.sr import effective_igp_cost, first_tunnel_target
+from repro.traffic import ForwardingEngine, make_flow
 
-from tests.helpers import build_model
+from tests.helpers import build_model, full_mesh_ibgp
+
+PFX = "203.0.113.0/24"
+DST = "203.0.113.9"
 
 
 def diamond():
@@ -26,48 +28,68 @@ def diamond():
     return model, compute_igp(model)
 
 
+def square():
+    """A - B - D (cost 20) and A - C - D (cost 25): the IGP goes via B."""
+    model = build_model(
+        routers=[("A", 100), ("B", 100), ("C", 100), ("D", 100)],
+        links=[("A", "B", 10), ("B", "D", 10), ("A", "C", 10), ("C", "D", 15)],
+    )
+    full_mesh_ibgp(model, ["A", "B", "C", "D"])
+    return model
+
+
+def first_hops(model):
+    """A's next routers for a flow to D's external prefix."""
+    result = simulate_routes(model, [inject_external_route("D", PFX, (65010,))])
+    engine = ForwardingEngine(model, result.device_ribs, result.igp)
+    kind, payload = engine.decision(make_flow("A", "10.0.0.1", DST), "A")
+    assert kind == "hops"
+    return payload[1]
+
+
 class TestTunnelPath:
+    """An SR policy steers forwarding towards its tunnel's first waypoint."""
+
     def test_direct_policy_follows_igp(self):
-        model, igp = diamond()
-        policy = model.device("A").add_sr_policy("P", endpoint="D")
-        path = tunnel_path(model, igp, "A", policy)
-        assert path == ["A", "D"]  # the 15-cost shortcut wins over 20-cost
+        model = square()
+        model.device("A").add_sr_policy("P", endpoint="D")
+        assert first_hops(model) == ["B"]
 
     def test_segments_force_waypoints(self):
-        model, igp = diamond()
-        policy = model.device("A").add_sr_policy("P", endpoint="D", segments=("C",))
-        path = tunnel_path(model, igp, "A", policy)
-        assert path == ["A", "C", "D"]
+        model = square()
+        model.device("A").add_sr_policy("P", endpoint="D", segments=("C",))
+        assert first_hops(model) == ["C"]
 
     def test_multiple_segments(self):
-        model, igp = diamond()
+        # Only the first segment steers A's hop; the routers after it
+        # resolve the BGP next hop on their own.
+        model = square()
         policy = model.device("A").add_sr_policy(
-            "P", endpoint="D", segments=("B", "C")
+            "P", endpoint="D", segments=("C", "B")
         )
-        path = tunnel_path(model, igp, "A", policy)
-        # A -> B, B -> C (via A or D), C -> D; waypoints appear in order.
-        assert path[0] == "A"
-        assert path[-1] == "D"
-        index_b = path.index("B")
-        index_c = path.index("C", index_b)
-        assert index_b < index_c
+        assert first_tunnel_target("A", policy) == "C"
+        assert first_hops(model) == ["C"]
 
     def test_unreachable_leg_returns_none(self):
-        model, igp0 = diamond()
+        # The first waypoint is down: forwarding takes the plain IGP hops.
+        model = square()
         model.topology.fail_router("C")
-        igp = compute_igp(model)
-        policy = model.device("A").add_sr_policy("P", endpoint="D", segments=("C",))
-        assert tunnel_path(model, igp, "A", policy) is None
+        model.device("A").add_sr_policy("P", endpoint="D", segments=("C",))
+        assert first_hops(model) == ["B"]
 
     def test_segment_equal_to_source_skipped(self):
-        model, igp = diamond()
-        policy = model.device("A").add_sr_policy("P", endpoint="D", segments=("A",))
-        assert tunnel_path(model, igp, "A", policy) == ["A", "D"]
+        model = square()
+        policy = model.device("A").add_sr_policy(
+            "P", endpoint="D", segments=("A", "C")
+        )
+        assert first_tunnel_target("A", policy) == "C"
+        assert first_hops(model) == ["C"]
 
     def test_first_tunnel_hops(self):
         model, igp = diamond()
         policy = model.device("A").add_sr_policy("P", endpoint="D", segments=("C",))
-        assert first_tunnel_hops(model, igp, "A", policy) == ("C",)
+        assert first_tunnel_target("A", policy) == "C"
+        assert igp.hops_towards("A", "C") == ("C",)
 
 
 class TestEffectiveIgpCost:

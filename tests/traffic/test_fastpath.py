@@ -34,10 +34,6 @@ def snap(spread):
     ]
 
 
-def path_snap(path):
-    return (tuple(path.routers), path.status, tuple(path.matched_prefixes), path.detail)
-
-
 def square_model():
     model = build_model(
         routers=[("A", 100), ("B", 100), ("C", 100), ("D", 100)],
@@ -120,14 +116,22 @@ class TestFlagTransparency:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_forward_identical_flags_on_off(self, name):
+        """Every router's per-hop decision, answered fresh and from the memo."""
         model, inputs = SCENARIOS[name]()
         result = simulate_routes(model, inputs)
         flows = scenario_flows()
-        fast = ForwardingEngine(model, result.device_ribs, result.igp)
-        on = [path_snap(fast.forward(f)) for f in flows]
+        routers = sorted(model.devices)
+        with perfopts.configured(topo_index=True, spread_memo=True):
+            fast = ForwardingEngine(model, result.device_ribs, result.igp)
+            on = [
+                fast.decision(f, r) for _ in range(2) for f in flows for r in routers
+            ]
+        assert fast.stats.memo_hits and fast.stats.memo_misses
         with perfopts.configured(**FASTPATH_OFF):
             slow = ForwardingEngine(model, result.device_ribs, result.igp)
-            off = [path_snap(slow.forward(f)) for f in flows]
+            off = [
+                slow.decision(f, r) for _ in range(2) for f in flows for r in routers
+            ]
         assert on == off
 
     def test_wan_simulation_identical_flags_on_off(self):

@@ -1,10 +1,17 @@
-"""Tests for flow forwarding: RIB LPM, ECMP, PBR, ACL, SR tunnels."""
+"""Tests for flow forwarding: RIB LPM, ECMP, PBR, ACL, SR tunnels.
+
+Every case walks ``ForwardingEngine.forward_spread``, the one forwarding
+decision that loads, intents and root causes read.
+"""
 
 import pytest
 
 from repro.net.device import PbrRuleConfig, AclConfig, AclRuleConfig
-from repro.net.addr import Prefix
+from repro.net.addr import IPAddress, Prefix
+from repro.routing.attributes import SOURCE_EBGP, SOURCE_IBGP, Route
 from repro.routing.inputs import inject_external_route
+from repro.routing.isis import compute_igp
+from repro.routing.rib import DeviceRib
 from repro.routing.simulator import simulate_routes
 from repro.traffic import ForwardingEngine, TrafficSimulator, make_flow
 from repro.traffic.forwarding import (
@@ -13,6 +20,7 @@ from repro.traffic.forwarding import (
     STATUS_DROPPED,
     STATUS_EXITED,
     STATUS_LOOP,
+    STATUS_STRANDED,
 )
 
 from tests.helpers import build_model, full_mesh_ibgp
@@ -35,50 +43,68 @@ def engine_for(model, inputs):
     return ForwardingEngine(model, result.device_ribs, result.igp), result
 
 
+def spread_paths(engine, flow):
+    """``{routers: status}`` over a flow's spread; fractions sum to 1."""
+    spread = engine.forward_spread(flow)
+    assert sum(f for _, f in spread) == pytest.approx(1.0)
+    return {tuple(path.routers): path.status for path, _ in spread}
+
+
+def only_path(engine, flow):
+    """The one path a flow's spread takes, with its whole volume."""
+    [(path, fraction)] = engine.forward_spread(flow)
+    assert fraction == pytest.approx(1.0)
+    return path
+
+
 class TestBasicForwarding:
     def test_exit_at_border(self):
         model = square_model()
         engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
-        path = engine.forward(make_flow("A", "10.0.0.1", DST))
-        assert path.status == STATUS_EXITED
-        assert path.routers[0] == "A" and path.routers[-1] == "D"
-        assert len(path.routers) == 3
+        paths = spread_paths(engine, make_flow("A", "10.0.0.1", DST))
+        assert paths == {
+            ("A", "B", "D"): STATUS_EXITED,
+            ("A", "C", "D"): STATUS_EXITED,
+        }
 
     def test_delivery_to_loopback(self):
         model = square_model()
         engine, _ = engine_for(model, [])
         dst = str(model.loopback_of("D"))
-        path = engine.forward(make_flow("A", "10.0.0.1", dst))
-        assert path.status == STATUS_DELIVERED
-        assert path.routers[-1] == "D"
+        paths = spread_paths(engine, make_flow("A", "10.0.0.1", dst))
+        assert paths == {
+            ("A", "B", "D"): STATUS_DELIVERED,
+            ("A", "C", "D"): STATUS_DELIVERED,
+        }
 
     def test_no_route_dropped(self):
         model = square_model()
         engine, _ = engine_for(model, [])
-        path = engine.forward(make_flow("A", "10.0.0.1", "198.51.100.1"))
+        path = only_path(engine, make_flow("A", "10.0.0.1", "198.51.100.1"))
         assert path.status == STATUS_DROPPED
         assert path.routers == ["A"]
 
     def test_matched_prefixes_recorded(self):
         model = square_model()
         engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
-        path = engine.forward(make_flow("A", "10.0.0.1", DST))
-        assert PFX in path.matched_prefixes
-
-    def test_ecmp_hashing_is_deterministic(self):
-        model = square_model()
-        engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
-        flow = make_flow("A", "10.0.0.1", DST, src_port=1234)
-        assert engine.forward(flow).routers == engine.forward(flow).routers
+        spread = engine.forward_spread(make_flow("A", "10.0.0.1", DST))
+        assert len(spread) == 2
+        assert all(PFX in path.matched_prefixes for path, _ in spread)
 
     def test_ecmp_spreads_over_flows(self):
+        """Flows that differ only by source port share one even spread."""
         model = square_model()
         engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
         seen = {
-            tuple(engine.forward(make_flow("A", "10.0.0.1", DST, src_port=p)).routers)
+            tuple(
+                (tuple(path.routers), fraction)
+                for path, fraction in engine.forward_spread(
+                    make_flow("A", "10.0.0.1", DST, src_port=p)
+                )
+            )
             for p in range(64)
         }
-        assert seen == {("A", "B", "D"), ("A", "C", "D")}
+        assert seen == {((("A", "B", "D"), 0.5), (("A", "C", "D"), 0.5))}
 
 
 class TestSpreadMode:
@@ -110,8 +136,9 @@ class TestPbrAndAcl:
             PbrRuleConfig(seq=10, nexthop="C", dst_prefix=Prefix.parse(PFX))
         )
         engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
-        path = engine.forward(make_flow("A", "10.0.0.1", DST, src_port=7))
-        assert path.routers[:2] == ["A", "C"]
+        path = only_path(engine, make_flow("A", "10.0.0.1", DST, src_port=7))
+        assert path.routers == ["A", "C", "D"]
+        assert path.status == STATUS_EXITED
 
     def test_pbr_disabled_rule_ignored(self):
         model = square_model()
@@ -120,8 +147,9 @@ class TestPbrAndAcl:
         )
         model.device("A").add_pbr_rule(rule)
         engine, _ = engine_for(model, [inject_external_route("B", PFX, (65010,))])
-        path = engine.forward(make_flow("A", "10.0.0.1", DST))
+        path = only_path(engine, make_flow("A", "10.0.0.1", DST))
         assert path.routers == ["A", "B"]
+        assert path.status == STATUS_EXITED
 
     def test_acl_blocks_flow(self):
         model = square_model()
@@ -137,7 +165,7 @@ class TestPbrAndAcl:
         # Only the B path available so the ACL is on-path.
         model.topology.fail_link(model.topology.find_link("A", "C"))
         engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
-        path = engine.forward(make_flow("A", "10.0.0.1", DST))
+        path = only_path(engine, make_flow("A", "10.0.0.1", DST))
         assert path.status == STATUS_BLOCKED
         assert path.routers == ["A", "B"]
 
@@ -154,7 +182,9 @@ class TestPbrAndAcl:
         device_b.bind_acl(link.interface_on("B").name, "BLOCK")
         model.topology.fail_link(model.topology.find_link("A", "C"))
         engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
-        assert engine.forward(make_flow("A", "10.0.0.1", DST)).status == STATUS_EXITED
+        path = only_path(engine, make_flow("A", "10.0.0.1", DST))
+        assert path.routers == ["A", "B", "D"]
+        assert path.status == STATUS_EXITED
 
 
 class TestSrForwarding:
@@ -171,8 +201,9 @@ class TestSrForwarding:
         model.device("A").add_sr_policy("VIA-C", endpoint="D", segments=("C",))
         model.topology.fail_router("C")
         engine, _ = engine_for(model, [inject_external_route("D", PFX, (65010,))])
-        path = engine.forward(make_flow("A", "10.0.0.1", DST))
+        path = only_path(engine, make_flow("A", "10.0.0.1", DST))
         assert path.routers == ["A", "B", "D"]
+        assert path.status == STATUS_EXITED
 
 
 class TestTrafficSimulator:
@@ -255,9 +286,9 @@ class TestPathologicalForwarding:
     def test_static_loop_detected(self):
         model = self.loop_model()
         engine, _ = engine_for(model, [])
-        path = engine.forward(make_flow("A", "10.0.0.1", "9.9.9.9"))
+        path = only_path(engine, make_flow("A", "10.0.0.1", "9.9.9.9"))
         assert path.status == STATUS_LOOP
-        assert path.routers[:3] == ["A", "B", "A"]
+        assert path.routers == ["A", "B", "A"]
 
     def test_spread_mode_loop_detected(self):
         model = self.loop_model()
@@ -275,10 +306,9 @@ class TestPathologicalForwarding:
         model.device("A").add_static("9.9.9.0/24", str(model.loopback_of("C")))
         model.topology.fail_router("B")
         engine, _ = engine_for(model, [])
-        path = engine.forward(make_flow("A", "10.0.0.1", "9.9.9.9"))
-        from repro.traffic.forwarding import STATUS_STRANDED
-
+        path = only_path(engine, make_flow("A", "10.0.0.1", "9.9.9.9"))
         assert path.status == STATUS_STRANDED
+        assert path.routers == ["A"]
 
     def test_pbr_to_non_adjacent_target_uses_igp(self):
         model = build_model(
@@ -293,14 +323,77 @@ class TestPathologicalForwarding:
             PbrRuleConfig(seq=10, nexthop="C", dst_prefix=_P.parse(PFX))
         )
         engine, _ = engine_for(model, [inject_external_route("C", PFX, (65010,))])
-        path = engine.forward(make_flow("A", "10.0.0.1", DST))
+        path = only_path(engine, make_flow("A", "10.0.0.1", DST))
         # PBR target C is two hops away; the IGP provides the first hop.
         assert path.routers == ["A", "B", "C"]
+        assert path.status == STATUS_EXITED
 
     def test_unknown_ingress_dropped(self):
         model = square_model()
         engine, _ = engine_for(model, [])
-        path = engine.forward(make_flow("GHOST", "10.0.0.1", DST))
+        path = only_path(engine, make_flow("GHOST", "10.0.0.1", DST))
         assert path.status == STATUS_DROPPED
-        spread = engine.forward_spread(make_flow("GHOST", "10.0.0.1", DST))
-        assert spread[0][0].status == STATUS_DROPPED
+        assert path.routers == []
+        assert path.detail == "unknown ingress"
+
+
+def engine_over(model, entries):
+    """An engine whose RIBs hold exactly ``{router: [route, ...]}``."""
+    ribs = {name: DeviceRib(name) for name in model.devices}
+    for router, routes in entries.items():
+        for route in routes:
+            ribs[router].install(route)
+    return ForwardingEngine(model, ribs, compute_igp(model))
+
+
+def ibgp_route(nexthop, origin):
+    return Route(
+        prefix=Prefix.parse(PFX), nexthop=nexthop, source=SOURCE_IBGP, origin_router=origin
+    )
+
+
+def local_exit(router):
+    return Route(prefix=Prefix.parse(PFX), source=SOURCE_EBGP, origin_router=router)
+
+
+class TestMultiRouteEntries:
+    """LPM entries holding several routes: each is a branch or ends the walk."""
+
+    UNOWNED = IPAddress.parse("192.0.2.1")
+
+    def test_unresolvable_next_hop_beside_a_resolvable_one(self):
+        model = square_model()
+        engine = engine_over(
+            model,
+            {
+                "A": [
+                    ibgp_route(self.UNOWNED, "D"),
+                    ibgp_route(model.loopback_of("B"), "B"),
+                ],
+                "B": [local_exit("B")],
+            },
+        )
+        flow = make_flow("A", "10.0.0.1", DST)
+        assert engine.decision(flow, "A") == ("hops", ([PFX], ["B"]))
+        path = only_path(engine, flow)
+        assert path.routers == ["A", "B"]
+        assert path.status == STATUS_EXITED
+
+    def test_only_unresolvable_next_hops_strand(self):
+        engine = engine_over(square_model(), {"A": [ibgp_route(self.UNOWNED, "D")]})
+        path = only_path(engine, make_flow("A", "10.0.0.1", DST))
+        assert path.status == STATUS_STRANDED
+        assert path.routers == ["A"]
+
+    @pytest.mark.parametrize("exit_first", [False, True])
+    def test_local_ebgp_exit_in_the_entry_exits(self, exit_first):
+        model = square_model()
+        routes = [ibgp_route(model.loopback_of("B"), "B"), local_exit("A")]
+        if exit_first:
+            routes.reverse()
+        engine = engine_over(model, {"A": routes, "B": [local_exit("B")]})
+        flow = make_flow("A", "10.0.0.1", DST)
+        assert engine.decision(flow, "A") == ("terminal", STATUS_EXITED)
+        path = only_path(engine, flow)
+        assert path.routers == ["A"]
+        assert path.status == STATUS_EXITED

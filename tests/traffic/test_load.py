@@ -87,17 +87,6 @@ class TestLinkLoadMap:
 
 
 class TestFlow:
-    def test_five_tuple_and_hash_stable(self):
-        flow = make_flow("A", "1.1.1.1", "2.2.2.2", protocol=6, src_port=80,
-                         dst_port=443)
-        assert flow.five_tuple() == ("1.1.1.1", "2.2.2.2", 6, 80, 443)
-        assert flow.ecmp_hash() == flow.ecmp_hash()
-
-    def test_hash_differs_by_port(self):
-        a = make_flow("A", "1.1.1.1", "2.2.2.2", src_port=1)
-        b = make_flow("A", "1.1.1.1", "2.2.2.2", src_port=2)
-        assert a.ecmp_hash() != b.ecmp_hash()
-
     def test_flow_is_hashable(self):
         a = make_flow("A", "1.1.1.1", "2.2.2.2")
         assert len({a, make_flow("A", "1.1.1.1", "2.2.2.2")}) == 1
