@@ -26,10 +26,8 @@ from repro.incremental.diff import (
     LOCAL_INPUT_SECTIONS,
     ModelDiff,
     SECTIONS,
-    TopologyFailureDiff,
     device_section_fingerprints,
     diff_models,
-    diff_topology_failures,
     topology_fingerprint,
 )
 from repro.incremental.engine import (
@@ -59,13 +57,11 @@ __all__ = [
     "SECTIONS",
     "SpliceResult",
     "TRAFFIC_ONLY_SECTIONS",
-    "TopologyFailureDiff",
     "WIDEN_SECTIONS",
     "aggregate_closure",
     "analyze_blast_radius",
     "blast_radius_for_prefixes",
     "device_section_fingerprints",
     "diff_models",
-    "diff_topology_failures",
     "topology_fingerprint",
 ]

@@ -204,93 +204,6 @@ class ModelDiff:
         return "; ".join(parts) if parts else "no changes"
 
 
-@dataclass(frozen=True)
-class TopologyFailureDiff:
-    """Pure failure-overlay delta between two views of one topology.
-
-    Unlike :class:`ModelDiff` (which treats any topology movement as an
-    opaque "topology changed" and widens), a failure-overlay diff names the
-    exact elements that went down — the shape the k-failure blast analyzer
-    (:mod:`repro.kfailure.blast`) narrows instead of widening. ``is_pure``
-    distinguishes a diff that is *only* additional failures (inventory and
-    configuration identical) from one where something else moved too.
-    """
-
-    failed_links: Tuple[Tuple[str, str], ...] = ()
-    failed_routers: Tuple[str, ...] = ()
-    restored_links: Tuple[Tuple[str, str], ...] = ()
-    restored_routers: Tuple[str, ...] = ()
-    inventory_changed: bool = False
-
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.failed_links
-            or self.failed_routers
-            or self.restored_links
-            or self.restored_routers
-            or self.inventory_changed
-        )
-
-
-def diff_topology_failures(
-    base: Topology, scenario: Topology
-) -> TopologyFailureDiff:
-    """Failure-overlay delta from ``base`` to ``scenario``.
-
-    Element identity is by link key / router name; an inventory difference
-    (links or routers added/removed) disqualifies the pure-failure fast
-    path and is reported as ``inventory_changed``.
-    """
-    base_links = {link.key: link for link in base.links}
-    scenario_links = {link.key: link for link in scenario.links}
-    inventory_changed = set(base_links) != set(scenario_links) or set(
-        base.router_names
-    ) != set(scenario.router_names)
-
-    failed_links = tuple(
-        sorted(
-            link.endpoints
-            for key, link in scenario_links.items()
-            if scenario.link_is_failed(link)
-            and key in base_links
-            and not base.link_is_failed(base_links[key])
-        )
-    )
-    restored_links = tuple(
-        sorted(
-            link.endpoints
-            for key, link in base_links.items()
-            if base.link_is_failed(link)
-            and key in scenario_links
-            and not scenario.link_is_failed(scenario_links[key])
-        )
-    )
-    failed_routers = tuple(
-        sorted(
-            name
-            for name in scenario.router_names
-            if scenario.router_is_failed(name) and not base.router_is_failed(name)
-        )
-    )
-    restored_routers = tuple(
-        sorted(
-            name
-            for name in base.router_names
-            if base.router_is_failed(name)
-            and name in set(scenario.router_names)
-            and not scenario.router_is_failed(name)
-        )
-    )
-    return TopologyFailureDiff(
-        failed_links=failed_links,
-        failed_routers=failed_routers,
-        restored_links=restored_links,
-        restored_routers=restored_routers,
-        inventory_changed=inventory_changed,
-    )
-
-
 def _interface_addresses(topology: Topology) -> List[Tuple[IPAddress, str]]:
     """Every link interface address with its router, in link order."""
     return [

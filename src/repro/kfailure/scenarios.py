@@ -119,7 +119,7 @@ def apply_scenario(
             topology.fail_link(link)
             failed_links.append(link)
         for name in scenario.failed_routers:
-            if topology.router_is_failed(name):
+            if not topology.router_is_up(name):
                 continue
             topology.fail_router(name)
             failed_routers.append(name)

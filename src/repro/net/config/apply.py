@@ -8,38 +8,23 @@ few thousand lines, §2.2) to one device of a *copy* of the base model.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Sequence
 
-from repro.net.config.base import parser_for
+from repro.net.config.dialects import VENDOR_A, parser_for
 from repro.net.device import DeviceConfig
-
-# Register the shipped dialects on import.
-from repro.net.config import vendor_a as _vendor_a  # noqa: F401
-from repro.net.config import vendor_b as _vendor_b  # noqa: F401
 
 
 def parse_config(
     text: str,
     device_name: str,
-    vendor: str = "vendor-a",
+    vendor: str = VENDOR_A.name,
     asn: int = 64512,
-    strict: bool = True,
-    flawed_commands: Optional[Set[str]] = None,
 ) -> DeviceConfig:
-    """Parse a full device configuration in the given vendor dialect.
-
-    ``flawed_commands`` names handler classes the parser silently drops,
-    reproducing the "incorrect configuration parsing" issue class of Table 4.
-    """
-    parser = parser_for(vendor, strict=strict, flawed_commands=flawed_commands)
-    return parser.parse(text, device_name, asn=asn)
+    """Parse a full device configuration in the given vendor dialect."""
+    return parser_for(vendor).parse(text, device_name, asn=asn)
 
 
-def apply_commands(
-    config: DeviceConfig,
-    commands: Sequence[str],
-    strict: bool = True,
-) -> DeviceConfig:
+def apply_commands(config: DeviceConfig, commands: Sequence[str]) -> DeviceConfig:
     """Apply change-plan commands to a copy of a device config.
 
     The original is never mutated — change verification always works on the
@@ -50,6 +35,5 @@ def apply_commands(
     silently applying.
     """
     updated = config.copy()
-    parser = parser_for(config.vendor_name, strict=strict)
-    parser.apply(updated, list(commands))
+    parser_for(config.vendor_name).apply(updated, list(commands))
     return updated

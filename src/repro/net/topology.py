@@ -304,9 +304,6 @@ class Topology:
     def router_is_up(self, name: str) -> bool:
         return name not in self._failed_routers
 
-    def router_is_failed(self, name: str) -> bool:
-        return name in self._failed_routers
-
     @property
     def up_links(self) -> List[Link]:
         return [l for l in self._links.values() if self.link_is_up(l)]

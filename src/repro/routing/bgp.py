@@ -71,7 +71,7 @@ def ingress_igp_cost(
     plain = igp.cost(device.name, owner)
     if plain == INFINITY:
         plain = UNREACHABLE_COST
-    return int(effective_igp_cost(device, igp, owner, plain))
+    return int(effective_igp_cost(device, owner, plain))
 
 
 def _session_policy(

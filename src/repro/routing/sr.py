@@ -19,14 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.device import DeviceConfig, SrPolicyConfig
-from repro.routing.isis import IgpState
 
 
 def effective_igp_cost(
-    device: DeviceConfig,
-    igp: IgpState,
-    nexthop_owner: Optional[str],
-    plain_cost: float,
+    device: DeviceConfig, nexthop_owner: Optional[str], plain_cost: float
 ) -> float:
     """IGP cost as seen by the BGP decision process, SR VSB applied.
 

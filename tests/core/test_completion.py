@@ -1,7 +1,5 @@
 """Tests for intent-completeness heuristics (§7)."""
 
-import pytest
-
 from repro.core import (
     ChangePlan,
     ChangeVerifier,

@@ -1,7 +1,5 @@
 """Tests for k-failure checking and daily configuration auditing."""
 
-import pytest
-
 from repro.core import Auditor
 from repro.kfailure import KFailureEngine, reachability_property
 from repro.routing.inputs import inject_external_route

@@ -38,7 +38,6 @@ class TestRunFault:
     def test_clean_setup_would_be_accurate(self, small_world):
         """Sanity: without a fault, validation reports no discrepancies."""
         from repro.diagnosis.validation import AccuracyValidator
-        from repro.monitor.route_monitor import RouteMonitor
 
         model, routes, flows = small_world
         truth = build_ground_truth(model, routes, flows)

@@ -1,7 +1,5 @@
 """Tests for VSB differential testing (the Table-5 detection mechanism)."""
 
-import pytest
-
 from repro.diagnosis.difftest import SCENARIOS, detect_against_mismodel, detect_vsbs
 from repro.net.vendors import VSB_KNOBS, VENDOR_A, VENDOR_B, iter_knob_differences
 

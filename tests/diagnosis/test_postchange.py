@@ -1,7 +1,5 @@
 """Tests for post-change validation (§6.2)."""
 
-import pytest
-
 from repro.diagnosis import validate_post_change
 from repro.net.vendors import VENDOR_A, mismodel
 from repro.routing.inputs import inject_external_route

@@ -1,7 +1,5 @@
 """Tests for accuracy validation and the Figure 9 root-cause workflow."""
 
-import pytest
-
 from repro.diagnosis import AccuracyValidator, RootCauseAnalyzer
 from repro.monitor import RouteMonitor, TrafficMonitor
 from repro.monitor.route_monitor import LiveNetworkOracle

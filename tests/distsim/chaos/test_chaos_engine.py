@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distsim import Message, MessageQueue, ObjectStore, StorageFault
+from repro.distsim import Message, ObjectStore, StorageFault
 from repro.distsim.chaos import (
     SITES,
     ChaosEngine,

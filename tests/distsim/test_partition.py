@@ -8,7 +8,6 @@ from repro.distsim.partition import (
     RandomPartitioner,
     ranges_of_prefixes,
 )
-from repro.net.addr import Prefix
 from repro.routing.inputs import inject_external_route
 from repro.traffic.flow import make_flow
 

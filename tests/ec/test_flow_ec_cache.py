@@ -6,8 +6,6 @@ only flow fields PBR/ACL matchers consult — and devices without policy
 config are skipped entirely. Neither shortcut may change the partition.
 """
 
-import pytest
-
 from repro.ec.flow_ec import build_prefix_universe, compute_flow_ecs
 from repro.net.addr import Prefix
 from repro.net.device import AclConfig, AclRuleConfig, PbrRuleConfig

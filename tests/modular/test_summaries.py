@@ -7,7 +7,6 @@ from repro.modular.regions import (
 )
 from repro.modular.summaries import (
     AttributeBounds,
-    RegionSummary,
     diff_exports,
     summaries_equal,
     summary_fingerprint,

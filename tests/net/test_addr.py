@@ -9,7 +9,6 @@ from repro.net.addr import (
     PrefixRange,
     as_address,
     as_prefix,
-    family_bits,
     iter_host_addresses,
 )
 

@@ -242,25 +242,6 @@ class TestNegationAndApply:
 
 
 class TestFlawedParser:
-    def test_flawed_parser_drops_commands(self):
-        dev = parse_config(
-            VENDOR_A_CONFIG,
-            "R1",
-            vendor="vendor-a",
-            strict=False,
-            flawed_commands={"cmd_ip_prefix_list"},
-        )
-        assert "PL1" not in dev.policy_ctx.prefix_lists
-        assert "PL6" in dev.policy_ctx.prefix_lists  # ipv6 handler unaffected
-
-    def test_nonstrict_collects_ignored(self):
-        from repro.net.config.base import parser_for
-
-        parser = parser_for("vendor-a", strict=False)
-        config = parser.parse("frobnicate the uplink", "R1")
-        assert parser.diagnostics.ignored
-        assert config.name == "R1"
-
     def test_strict_rejects_unknown(self):
         with pytest.raises(ConfigParseError):
             parse_config("frobnicate the uplink", "R1", vendor="vendor-a")

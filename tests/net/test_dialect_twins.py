@@ -1,0 +1,432 @@
+"""Twin corpus: every command of one dialect has a twin in the other.
+
+Each twin row pairs a vendor-a command block with its vendor-b twin. Both
+blocks are applied to twin base devices and must leave the same device
+model: equal section fingerprints for every section but ``identity`` (which
+names the vendor), and equal ASN, multipath and drain state. Each rejected
+row must raise :class:`ConfigParseError` in both dialects. The coverage
+guard fails when a handler of either dialect's keyword table is reached by
+no row, so a command added to one dialect needs its twin.
+"""
+
+import pytest
+
+from repro.incremental.diff import device_section_fingerprints
+from repro.net.config import ConfigParseError, apply_commands, parse_config
+from repro.net.config.dialects import DIALECTS
+
+BASE_A = """\
+router bgp 65001
+ neighbor R2 remote-as 65002
+ neighbor R2 route-map IMPORT in
+ neighbor R2 route-map EXPORT out
+ neighbor R2 route-reflector-client
+ neighbor R2 next-hop-self
+ neighbor R2 additional-paths 2
+ neighbor R3 remote-as 65001
+ neighbor R4 vrf vrf1 remote-as 65004
+ aggregate-address 10.0.0.0/8 as-set summary-only
+ aggregate-address 10.8.0.0/16 vrf vrf1
+ redistribute static route-map RM
+ redistribute direct vrf vrf1
+ maximum-paths 4
+router isis
+isis cost R2 20
+isis te
+ip prefix-list PL4 seq 10 permit 10.0.0.0/24 ge 25 le 32
+ip prefix-list PL4 seq 20 deny 10.1.0.0/16
+ipv6 prefix-list PL6 seq 10 permit 2001:db8::/32 le 64
+ip community-list CL permit 100:1 200:1
+ip as-path access-list AP permit _65002$
+route-map IMPORT deny 10
+ match community CL
+route-map IMPORT permit 20
+ match ip prefix-list PL4
+ set local-preference 300
+ set community 300:1 additive
+route-map EXPORT permit 10
+ set med 50
+route-map RM permit 10
+ip route 10.0.0.0/24 192.0.2.1
+ip route vrf vrf1 10.9.0.0/24 192.0.2.2 5
+vrf definition vrf1
+ rd 65001:1
+ route-target import 100:1
+ route-target export 100:2
+ export-policy EXPORT
+segment-routing policy SRP endpoint R5 color 100 segments R3,R4
+pbr rule 10 src 10.2.0.0/16 dst 10.1.0.0/16 proto 6 nexthop R3
+access-list ACL1 10 permit src 10.3.0.0/16 dst 10.0.0.0/24 proto 6 port 443
+access-list ACL1 20 deny
+interface eth1
+ ip access-group ACL1
+"""
+
+BASE_B = """\
+bgp 65001
+ peer R2 as-number 65002
+ peer R2 route-policy IMPORT import
+ peer R2 route-policy EXPORT export
+ peer R2 reflect-client
+ peer R2 next-hop-local
+ peer R2 additional-paths 2
+ peer R3 as-number 65001
+ peer R4 vpn-instance vrf1 as-number 65004
+ aggregate 10.0.0.0 8 as-set detail-suppressed
+ aggregate 10.8.0.0 16 vpn-instance vrf1
+ import-route static route-policy RM
+ import-route direct vpn-instance vrf1
+ maximum load-balancing 4
+isis
+isis cost R2 20
+isis te
+ip ip-prefix PL4 index 10 permit 10.0.0.0 24 greater-equal 25 less-equal 32
+ip ip-prefix PL4 index 20 deny 10.1.0.0 16
+ip ipv6-prefix PL6 index 10 permit 2001:db8:: 32 less-equal 64
+ip community-filter CL permit 100:1 200:1
+ip as-path-filter AP permit _65002$
+route-policy IMPORT deny node 10
+ if-match community-filter CL
+route-policy IMPORT permit node 20
+ if-match ip-prefix PL4
+ apply local-preference 300
+ apply community 300:1 additive
+route-policy EXPORT permit node 10
+ apply cost 50
+route-policy RM permit node 10
+ip route-static 10.0.0.0 24 192.0.2.1
+ip route-static vpn-instance vrf1 10.9.0.0 24 192.0.2.2 preference 5
+ip vpn-instance vrf1
+ route-distinguisher 65001:1
+ vpn-target 100:1 import-extcommunity
+ vpn-target 100:2 export-extcommunity
+ export route-policy EXPORT
+segment-routing policy SRP endpoint R5 color 100 segments R3,R4
+pbr rule 10 src 10.2.0.0/16 dst 10.1.0.0/16 proto 6 nexthop R3
+acl ACL1 10 permit src 10.3.0.0/16 dst 10.0.0.0/24 proto 6 port 443
+acl ACL1 20 deny
+interface eth1
+ traffic-filter inbound acl ACL1
+"""
+
+BGP_A, BGP_B = "router bgp 65001\n", "bgp 65001\n"
+NODE_A, NODE_B = "route-map P permit 10\n", "route-policy P permit node 10\n"
+
+#: (row id, vendor-a block, vendor-b block) leaving twin device models
+TWINS = [
+    # -- the BGP process and its peers
+    ("bgp-asn", "router bgp 65009", "bgp 65009"),
+    ("bgp-undo", "no router bgp", "undo bgp"),
+    ("peer-add", BGP_A + " neighbor R9 remote-as 65009", BGP_B + " peer R9 as-number 65009"),
+    (
+        "peer-add-vrf",
+        BGP_A + " neighbor R9 vrf vrf1 remote-as 65009",
+        BGP_B + " peer R9 vpn-instance vrf1 as-number 65009",
+    ),
+    ("peer-remote-as-update", BGP_A + " neighbor R2 remote-as 65012", BGP_B + " peer R2 as-number 65012"),
+    (
+        "peer-remote-as-undo",
+        BGP_A + " no neighbor R2 remote-as 65012",
+        BGP_B + " undo peer R2 as-number 65012",
+    ),
+    ("peer-remove", BGP_A + " no neighbor R2", BGP_B + " undo peer R2"),
+    ("peer-remove-vrf", BGP_A + " no neighbor R4 vrf vrf1", BGP_B + " undo peer R4 vpn-instance vrf1"),
+    ("peer-policy-in", BGP_A + " neighbor R3 route-map RM in", BGP_B + " peer R3 route-policy RM import"),
+    ("peer-policy-out", BGP_A + " neighbor R3 route-map RM out", BGP_B + " peer R3 route-policy RM export"),
+    (
+        "peer-policy-vrf",
+        BGP_A + " neighbor R4 vrf vrf1 route-map RM in",
+        BGP_B + " peer R4 vpn-instance vrf1 route-policy RM import",
+    ),
+    (
+        "peer-policy-in-undo",
+        BGP_A + " no neighbor R2 route-map IMPORT in",
+        BGP_B + " undo peer R2 route-policy IMPORT import",
+    ),
+    (
+        "peer-policy-out-undo",
+        BGP_A + " no neighbor R2 route-map EXPORT out",
+        BGP_B + " undo peer R2 route-policy EXPORT export",
+    ),
+    ("peer-rr-client", BGP_A + " neighbor R3 route-reflector-client", BGP_B + " peer R3 reflect-client"),
+    (
+        "peer-rr-client-undo",
+        BGP_A + " no neighbor R2 route-reflector-client",
+        BGP_B + " undo peer R2 reflect-client",
+    ),
+    ("peer-next-hop-self", BGP_A + " neighbor R3 next-hop-self", BGP_B + " peer R3 next-hop-local"),
+    (
+        "peer-next-hop-self-undo",
+        BGP_A + " no neighbor R2 next-hop-self",
+        BGP_B + " undo peer R2 next-hop-local",
+    ),
+    ("peer-addpath", BGP_A + " neighbor R3 additional-paths 4", BGP_B + " peer R3 additional-paths 4"),
+    (
+        "peer-addpath-undo",
+        BGP_A + " no neighbor R2 additional-paths 2",
+        BGP_B + " undo peer R2 additional-paths 2",
+    ),
+    ("peer-shutdown", BGP_A + " neighbor R2 shutdown", BGP_B + " peer R2 ignore"),
+    (
+        "peer-shutdown-undo",
+        BGP_A + " neighbor R2 shutdown\n no neighbor R2 shutdown",
+        BGP_B + " peer R2 ignore\n undo peer R2 ignore",
+    ),
+    ("aggregate", BGP_A + " aggregate-address 10.4.0.0/16", BGP_B + " aggregate 10.4.0.0 16"),
+    (
+        "aggregate-options",
+        BGP_A + " aggregate-address 10.4.0.0/16 vrf vrf1 as-set summary-only",
+        BGP_B + " aggregate 10.4.0.0 16 vpn-instance vrf1 as-set detail-suppressed",
+    ),
+    ("aggregate-undo", BGP_A + " no aggregate-address 10.0.0.0/8", BGP_B + " undo aggregate 10.0.0.0 8"),
+    (
+        "aggregate-undo-vrf",
+        BGP_A + " no aggregate-address 10.8.0.0/16 vrf vrf1",
+        BGP_B + " undo aggregate 10.8.0.0 16 vpn-instance vrf1",
+    ),
+    ("redistribute", BGP_A + " redistribute isis", BGP_B + " import-route isis"),
+    (
+        "redistribute-options",
+        BGP_A + " redistribute static route-map RM vrf vrf1",
+        BGP_B + " import-route static route-policy RM vpn-instance vrf1",
+    ),
+    ("redistribute-undo", BGP_A + " no redistribute static", BGP_B + " undo import-route static"),
+    ("maximum-paths", BGP_A + " maximum-paths 8", BGP_B + " maximum load-balancing 8"),
+    ("maximum-paths-undo", BGP_A + " no maximum-paths 4", BGP_B + " undo maximum load-balancing 4"),
+    # -- route-policy nodes
+    (
+        "node-new",
+        NODE_A + " match ip prefix-list PL4\n set med 5",
+        NODE_B + " if-match ip-prefix PL4\n apply cost 5",
+    ),
+    ("node-deny", "route-map P deny 20", "route-policy P deny node 20"),
+    ("node-none", "route-map P none 30", "route-policy P none node 30"),
+    ("node-action-update", "route-map IMPORT permit 10", "route-policy IMPORT permit node 10"),
+    ("node-undo", "no route-map IMPORT deny 10", "undo route-policy IMPORT deny node 10"),
+    ("node-undo-short", "no route-map IMPORT 20", "undo route-policy IMPORT node 20"),
+    ("policy-undo", "no route-map RM", "undo route-policy RM"),
+    ("match-prefix-list-v6", NODE_A + " match ipv6 prefix-list PL6", NODE_B + " if-match ipv6-prefix PL6"),
+    ("match-community", NODE_A + " match community CL", NODE_B + " if-match community-filter CL"),
+    ("match-as-path", NODE_A + " match as-path AP", NODE_B + " if-match as-path-filter AP"),
+    ("match-prefix", NODE_A + " match ip prefix 10.0.0.0/8", NODE_B + " if-match prefix 10.0.0.0/8"),
+    ("match-protocol", NODE_A + " match protocol static", NODE_B + " if-match protocol static"),
+    ("match-nexthop", NODE_A + " match ip nexthop 192.0.2.1", NODE_B + " if-match nexthop 192.0.2.1"),
+    (
+        "match-undo",
+        "route-map IMPORT permit 20\n no match ip prefix-list PL4",
+        "route-policy IMPORT permit node 20\n undo if-match ip-prefix PL4",
+    ),
+    ("set-local-preference", NODE_A + " set local-preference 200", NODE_B + " apply local-preference 200"),
+    ("set-weight", NODE_A + " set weight 100", NODE_B + " apply weight 100"),
+    ("set-preference", NODE_A + " set preference 150", NODE_B + " apply preference 150"),
+    ("set-next-hop", NODE_A + " set next-hop 192.0.2.9", NODE_B + " apply ip-address next-hop 192.0.2.9"),
+    ("set-community", NODE_A + " set community 1:1 2:2", NODE_B + " apply community 1:1 2:2"),
+    (
+        "set-community-additive",
+        NODE_A + " set community 1:1 additive",
+        NODE_B + " apply community 1:1 additive",
+    ),
+    ("set-community-delete", NODE_A + " set community-delete 100:1", NODE_B + " apply community-delete 100:1"),
+    ("set-as-path-prepend", NODE_A + " set as-path prepend 65001 3", NODE_B + " apply as-path 65001 3"),
+    ("set-as-path-prepend-once", NODE_A + " set as-path prepend 65001", NODE_B + " apply as-path 65001"),
+    (
+        "set-as-path-overwrite",
+        NODE_A + " set as-path overwrite 65001 65002",
+        NODE_B + " apply as-path 65001 65002 overwrite",
+    ),
+    (
+        "set-undo",
+        "route-map IMPORT permit 20\n no set local-preference 300",
+        "route-policy IMPORT permit node 20\n undo apply local-preference 300",
+    ),
+    # -- prefix, community and as-path lists
+    (
+        "prefix-list-add",
+        "ip prefix-list PL4 seq 30 permit 10.2.0.0/16 ge 20 le 24",
+        "ip ip-prefix PL4 index 30 permit 10.2.0.0 16 greater-equal 20 less-equal 24",
+    ),
+    ("prefix-list-new", "ip prefix-list NEW deny 10.3.0.0/16", "ip ip-prefix NEW deny 10.3.0.0 16"),
+    (
+        "prefix-list-v6",
+        "ipv6 prefix-list PL6 seq 20 deny 2001:db8:1::/48 ge 56",
+        "ip ipv6-prefix PL6 index 20 deny 2001:db8:1:: 48 greater-equal 56",
+    ),
+    # §6.1: the ip-prefix command fixes the IPv4 family whatever address it is given
+    (
+        "prefix-list-v4-family-with-v6-address",
+        "ip prefix-list BAD permit 2001:db8::/32",
+        "ip ip-prefix BAD index 10 permit 2001:db8:: 32",
+    ),
+    (
+        "prefix-list-entry-undo",
+        "no ip prefix-list PL4 seq 20 deny 10.1.0.0/16",
+        "undo ip ip-prefix PL4 index 20 deny 10.1.0.0 16",
+    ),
+    (
+        "prefix-list-v6-entry-undo",
+        "no ipv6 prefix-list PL6 seq 10 permit 2001:db8::/32",
+        "undo ip ipv6-prefix PL6 index 10 permit 2001:db8:: 32",
+    ),
+    ("prefix-list-undo", "no ip prefix-list PL4", "undo ip ip-prefix PL4"),
+    ("prefix-list-v6-undo", "no ipv6 prefix-list PL6", "undo ip ipv6-prefix PL6"),
+    ("community-list-add", "ip community-list CL permit 300:1", "ip community-filter CL permit 300:1"),
+    ("community-list-new", "ip community-list CL2 permit 1:1 2:2", "ip community-filter CL2 permit 1:1 2:2"),
+    ("community-list-undo", "no ip community-list CL", "undo ip community-filter CL"),
+    ("as-path-list-add", "ip as-path access-list AP permit ^65003 .*", "ip as-path-filter AP permit ^65003 .*"),
+    ("as-path-list-undo", "no ip as-path access-list AP", "undo ip as-path-filter AP"),
+    # -- static routes
+    ("static", "ip route 10.6.0.0/16 192.0.2.3", "ip route-static 10.6.0.0 16 192.0.2.3"),
+    (
+        "static-options",
+        "ip route vrf vrf1 10.6.0.0/16 192.0.2.3 7",
+        "ip route-static vpn-instance vrf1 10.6.0.0 16 192.0.2.3 preference 7",
+    ),
+    ("static-undo", "no ip route 10.0.0.0/24 192.0.2.1", "undo ip route-static 10.0.0.0 24 192.0.2.1"),
+    (
+        "static-undo-vrf",
+        "no ip route vrf vrf1 10.9.0.0/24 192.0.2.2",
+        "undo ip route-static vpn-instance vrf1 10.9.0.0 24 192.0.2.2",
+    ),
+    # -- VRFs
+    (
+        "vrf-new",
+        "vrf definition vrf2\n rd 65001:2\n route-target import 200:1\n"
+        " route-target export 200:2\n export-policy RM",
+        "ip vpn-instance vrf2\n route-distinguisher 65001:2\n vpn-target 200:1 import-extcommunity\n"
+        " vpn-target 200:2 export-extcommunity\n export route-policy RM",
+    ),
+    (
+        "vrf-options-undo",
+        "vrf definition vrf1\n no rd 65001:1\n no route-target import 100:1\n"
+        " no route-target export 100:2\n no export-policy EXPORT",
+        "ip vpn-instance vrf1\n undo route-distinguisher 65001:1\n"
+        " undo vpn-target 100:1 import-extcommunity\n undo vpn-target 100:2 export-extcommunity\n"
+        " undo export route-policy EXPORT",
+    ),
+    ("vrf-undo", "no vrf definition vrf1", "undo ip vpn-instance vrf1"),
+    # -- SR policies, PBR, ACLs and their interface binding
+    (
+        "sr-policy",
+        "segment-routing policy SRP2 endpoint R6 color 200 segments R2",
+        "segment-routing policy SRP2 endpoint R6 color 200 segments R2",
+    ),
+    ("sr-policy-defaults", "segment-routing policy SRP3 endpoint R6", "segment-routing policy SRP3 endpoint R6"),
+    ("sr-policy-undo", "no segment-routing policy SRP", "undo segment-routing policy SRP"),
+    ("pbr-rule", "pbr rule 20 dst 10.4.0.0/16 nexthop R2", "pbr rule 20 dst 10.4.0.0/16 nexthop R2"),
+    ("pbr-rule-undo", "no pbr rule 10", "undo pbr rule 10"),
+    (
+        "acl",
+        "access-list ACL2 10 deny src 10.5.0.0/16 proto 17 port 53",
+        "acl ACL2 10 deny src 10.5.0.0/16 proto 17 port 53",
+    ),
+    ("acl-rule-append", "access-list ACL1 30 permit", "acl ACL1 30 permit"),
+    ("acl-undo", "no access-list ACL1", "undo acl ACL1"),
+    ("acl-bind", "interface eth2\n ip access-group ACL1", "interface eth2\n traffic-filter inbound acl ACL1"),
+    (
+        "acl-unbind",
+        "interface eth1\n no ip access-group ACL1",
+        "interface eth1\n undo traffic-filter inbound acl ACL1",
+    ),
+    ("interface-undo", "no interface eth1", "undo interface eth1"),
+    # -- IS-IS and isolation
+    ("isis-undo", "no router isis", "undo isis"),
+    ("isis-enable", "no router isis\nrouter isis", "undo isis\nisis"),
+    ("isis-cost", "isis cost R3 30", "isis cost R3 30"),
+    ("isis-cost-undo", "no isis cost R2", "undo isis cost R2"),
+    ("isis-te-undo", "no isis te", "undo isis te"),
+    ("isis-te", "no isis te\nisis te", "undo isis te\nisis te"),
+    ("isolate", "isolate", "device-isolate"),
+    ("isolate-undo", "isolate\nno isolate", "device-isolate\nundo device-isolate"),
+    # -- context rules: an unindented sub-command keeps its context
+    ("context-unindented-sub", "router bgp 65001\nneighbor R3 shutdown", "bgp 65001\npeer R3 ignore"),
+    ("comments-and-blanks", "! note\n\n# note\nisolate", "! note\n\n# note\ndevice-isolate"),
+]
+
+#: (row id, vendor-a block, vendor-b block) both dialects reject
+REJECTED = [
+    ("unknown-command", "frobnicate the uplink", "frobnicate the uplink"),
+    (
+        "wrong-dialect",
+        "ip ip-prefix X index 10 permit 10.0.0.0 8",
+        "ip prefix-list X permit 10.0.0.0/8",
+    ),
+    ("wrong-dialect-sub", BGP_A + " peer R2 ignore", BGP_B + " neighbor R2 shutdown"),
+    ("missing-bgp-context", " neighbor R2 shutdown", " peer R2 ignore"),
+    ("missing-bgp-context-aggregate", " aggregate-address 10.4.0.0/16", " aggregate 10.4.0.0 16"),
+    ("missing-bgp-context-redistribute", " redistribute isis", " import-route isis"),
+    ("missing-bgp-context-maximum-paths", " maximum-paths 2", " maximum load-balancing 2"),
+    (
+        "top-level-command-closes-context",
+        BGP_A + "isolate\n neighbor R2 shutdown",
+        BGP_B + "device-isolate\n peer R2 ignore",
+    ),
+    ("missing-node-context-match", " match community CL", " if-match community-filter CL"),
+    ("missing-node-context-set", " set med 5", " apply cost 5"),
+    ("missing-vrf-context-rd", " rd 1:1", " route-distinguisher 1:1"),
+    ("missing-vrf-context-rt", " route-target import 1:1", " vpn-target 1:1 import-extcommunity"),
+    ("missing-vrf-context-export", " export-policy RM", " export route-policy RM"),
+    ("missing-interface-context", " ip access-group ACL1", " traffic-filter inbound acl ACL1"),
+    (
+        "route-target-bad-direction",
+        "vrf definition vrf1\n route-target both 100:3",
+        "ip vpn-instance vrf1\n vpn-target 100:3 both",
+    ),
+    ("prefix-list-bad-action", "ip prefix-list X allow 10.0.0.0/8", "ip ip-prefix X allow 10.0.0.0 8"),
+    ("policy-bad-action", "route-map X allow 10", "route-policy X allow node 10"),
+    ("community-list-deny", "ip community-list C deny 1:1", "ip community-filter C deny 1:1"),
+    ("as-path-list-deny", "ip as-path access-list A deny .*", "ip as-path-filter A deny .*"),
+    ("peer-not-declared", BGP_A + " neighbor R9 shutdown", BGP_B + " peer R9 ignore"),
+    ("peer-unknown-option", BGP_A + " neighbor R2 frobnicate", BGP_B + " peer R2 frobnicate"),
+    ("peer-bad-direction", BGP_A + " neighbor R2 route-map RM both", BGP_B + " peer R2 route-policy RM both"),
+    ("match-unknown", NODE_A + " match frobnicate X", NODE_B + " if-match frobnicate X"),
+    ("set-unknown", NODE_A + " set frobnicate 1", NODE_B + " apply frobnicate 1"),
+    ("undo-node-of-missing-policy", "no route-map NOPE 10", "undo route-policy NOPE node 10"),
+    ("sr-policy-without-endpoint", "segment-routing policy S color 1", "segment-routing policy S color 1"),
+    ("pbr-rule-without-nexthop", "pbr rule 5 dst 10.0.0.0/8", "pbr rule 5 dst 10.0.0.0/8"),
+    ("bad-number", "router bgp x", "bgp x"),
+    ("truncated", "ip route 10.0.0.0/8", "ip route-static 10.0.0.0 8"),
+]
+
+
+def _base(vendor):
+    return parse_config(BASE_A if vendor == "vendor-a" else BASE_B, "R1", vendor=vendor)
+
+
+def _model(config):
+    """Everything a device model holds but the dialect that wrote it."""
+    prints = device_section_fingerprints(config)
+    del prints["identity"]
+    return prints, (config.asn, config.max_paths, config.isolated)
+
+
+def test_base_devices_are_twins():
+    assert _model(_base("vendor-a")) == _model(_base("vendor-b"))
+
+
+@pytest.mark.parametrize("a_block, b_block", [row[1:] for row in TWINS], ids=[row[0] for row in TWINS])
+def test_twin_blocks_leave_twin_devices(a_block, b_block):
+    updated_a = apply_commands(_base("vendor-a"), a_block.splitlines())
+    updated_b = apply_commands(_base("vendor-b"), b_block.splitlines())
+    assert _model(updated_a) == _model(updated_b)
+
+
+@pytest.mark.parametrize(
+    "a_block, b_block", [row[1:] for row in REJECTED], ids=[row[0] for row in REJECTED]
+)
+def test_rejected_in_both_dialects(a_block, b_block):
+    for vendor, block in (("vendor-a", a_block), ("vendor-b", b_block)):
+        with pytest.raises(ConfigParseError):
+            apply_commands(_base(vendor), block.splitlines())
+
+
+@pytest.mark.parametrize("vendor", sorted(DIALECTS))
+def test_every_handler_has_a_row(vendor):
+    dialect = DIALECTS[vendor]
+    side = 1 if vendor == "vendor-a" else 2
+    reached = {
+        dialect.command(line)[0]
+        for row in TWINS + REJECTED
+        for line in row[side].splitlines()
+    }
+    missing = set(dialect.commands.values()) - reached
+    assert not missing, f"{vendor} handlers without a twin row: {sorted(missing)}"

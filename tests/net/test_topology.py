@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.topology import Interface, Link, Router, Topology, TopologyError
+from repro.net.topology import Router, Topology, TopologyError
 
 
 def small_triangle() -> Topology:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.addr import IPAddress, Prefix
-from repro.rcl import check, parse, verify
+from repro.rcl import check, verify
 from repro.rcl.errors import RclTypeError
 from repro.routing.attributes import Route
 from repro.routing.rib import GlobalRib, RibRoute, UnknownFieldError

@@ -1,12 +1,10 @@
 """Behavioural tests for the BGP fixpoint engine."""
 
-import pytest
-
-from repro.net.addr import IPAddress, Prefix
+from repro.net.addr import Prefix
 from repro.net.device import BgpPeerConfig, VrfConfig
 from repro.net.vendors import VENDOR_A, VENDOR_B, mismodel
-from repro.routing.attributes import SOURCE_EBGP, SOURCE_IBGP, SOURCE_LOCAL
-from repro.routing.bgp import BgpSimulator, build_sessions
+from repro.routing.attributes import SOURCE_EBGP, SOURCE_IBGP
+from repro.routing.bgp import build_sessions
 from repro.routing.inputs import InputRoute, inject_external_route
 from repro.routing.isis import compute_igp
 from repro.routing.simulator import simulate_routes

@@ -5,13 +5,11 @@ to a state different from the live network. The simulator exposes this
 through the ``converged`` flag and the round cap.
 """
 
-import pytest
-
 from repro.net.addr import Prefix
 from repro.routing.inputs import inject_external_route
 from repro.routing.simulator import simulate_routes
 
-from tests.helpers import build_model, full_mesh_ibgp
+from tests.helpers import build_model
 
 PFX = "203.0.113.0/24"
 

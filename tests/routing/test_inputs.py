@@ -1,7 +1,6 @@
 """Tests for input route building and the §2.2 filtering rules."""
 
 from repro.net.addr import Prefix
-from repro.net.device import BgpPeerConfig
 from repro.net.vendors import VENDOR_A, VENDOR_B
 from repro.routing.inputs import (
     build_local_input_routes,

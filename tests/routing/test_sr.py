@@ -1,7 +1,5 @@
 """Tests for segment routing tunnel resolution and the IGP-cost VSB."""
 
-import pytest
-
 from repro.net.vendors import VENDOR_A, VENDOR_B
 from repro.routing.inputs import inject_external_route
 from repro.routing.isis import compute_igp
@@ -94,32 +92,32 @@ class TestTunnelPath:
 
 class TestEffectiveIgpCost:
     def test_no_policy_keeps_cost(self):
-        model, igp = diamond()
+        model, _ = diamond()
         device = model.device("A")
-        assert effective_igp_cost(device, igp, "D", 15.0) == 15.0
+        assert effective_igp_cost(device, "D", 15.0) == 15.0
 
     def test_vendor_a_zeroes_cost(self):
-        model, igp = diamond()
+        model, _ = diamond()
         device = model.device("A")
         device.add_sr_policy("P", endpoint="D")
         device.set_vendor_profile(VENDOR_A)
-        assert effective_igp_cost(device, igp, "D", 15.0) == 0.0
+        assert effective_igp_cost(device, "D", 15.0) == 0.0
 
     def test_vendor_b_keeps_cost(self):
-        model, igp = diamond()
+        model, _ = diamond()
         device = model.device("A")
         device.add_sr_policy("P", endpoint="D")
         device.set_vendor_profile(VENDOR_B)
-        assert effective_igp_cost(device, igp, "D", 15.0) == 15.0
+        assert effective_igp_cost(device, "D", 15.0) == 15.0
 
     def test_policy_to_other_endpoint_irrelevant(self):
-        model, igp = diamond()
+        model, _ = diamond()
         device = model.device("A")
         device.add_sr_policy("P", endpoint="B")
         device.set_vendor_profile(VENDOR_A)
-        assert effective_igp_cost(device, igp, "D", 15.0) == 15.0
+        assert effective_igp_cost(device, "D", 15.0) == 15.0
 
     def test_none_owner_keeps_cost(self):
-        model, igp = diamond()
+        model, _ = diamond()
         device = model.device("A")
-        assert effective_igp_cost(device, igp, None, 7.0) == 7.0
+        assert effective_igp_cost(device, None, 7.0) == 7.0

@@ -2,16 +2,18 @@
 
 Library code must not print: human-readable output belongs to the CLI
 (``src/repro/cli.py``), everything else reports through return values,
-``RunContext`` counters/spans, or stdlib logging. Library code must not
-import what it never uses either. CI enforces both with ruff (``T20``
-flake8-print, ``F401`` unused imports); these tests keep them binding for
-plain ``pytest`` runs too.
+``RunContext`` counters/spans, or stdlib logging. Neither library code nor
+the tests may import what they never use. CI enforces both with ruff
+(``T20`` flake8-print on ``src``, ``F401`` unused imports on ``src`` and
+``tests``); these tests keep them binding for plain ``pytest`` runs too.
+Tests may print, so the print guard stays library-only.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "repro"
 
 #: the one module allowed to talk to humans on stdout
 ALLOWED = {SRC / "cli.py"}
@@ -34,7 +36,7 @@ def test_no_print_in_library_code():
         if path in ALLOWED:
             continue
         offenders.extend(
-            f"{path.relative_to(SRC.parent.parent)}:{line}"
+            f"{path.relative_to(TESTS.parent)}:{line}"
             for line in _print_calls(path)
         )
     assert not offenders, (
@@ -102,10 +104,19 @@ def _unused_imports(path):
                 yield line, bound
 
 
-def test_no_unused_imports_in_library_code():
-    offenders = [
-        f"{path.relative_to(SRC.parent.parent)}:{line} {name}"
-        for path in sorted(SRC.rglob("*.py"))
+def _unused_imports_under(root):
+    return [
+        f"{path.relative_to(TESTS.parent)}:{line} {name}"
+        for path in sorted(root.rglob("*.py"))
         for line, name in _unused_imports(path)
     ]
+
+
+def test_no_unused_imports_in_library_code():
+    offenders = _unused_imports_under(SRC)
+    assert not offenders, "unused imports (ruff F401): " + ", ".join(offenders)
+
+
+def test_no_unused_imports_in_tests():
+    offenders = _unused_imports_under(TESTS)
     assert not offenders, "unused imports (ruff F401): " + ", ".join(offenders)

@@ -7,8 +7,6 @@ supported way — failure overlay toggles on a live engine, RIB installs,
 assert the warm engine answers exactly like a freshly built one.
 """
 
-import pytest
-
 from repro import perfopts
 from repro.core import ChangePlan, fail_link
 from repro.net.device import AclConfig, AclRuleConfig

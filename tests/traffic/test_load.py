@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.traffic.flow import Flow, make_flow
+from repro.traffic.flow import make_flow
 from repro.traffic.forwarding import FlowPath, STATUS_EXITED
 from repro.traffic.load import LinkContributions, LinkLoadMap, link_key
 
