@@ -272,7 +272,6 @@ def _run_large_child(
     prefixes: int,
     flows: int,
     flags: str,
-    backend: str = "centralized",
 ) -> Dict[str, Any]:
     """One variant in a fresh interpreter (see ``_large_child`` docstring)."""
     env = dict(os.environ)
@@ -294,8 +293,6 @@ def _run_large_child(
             str(flows),
             "--flags",
             flags,
-            "--backend",
-            backend,
         ],
         cwd=REPO_ROOT,
         env=env,
@@ -347,63 +344,6 @@ def bench_large(
     else:
         out["rib_rows"] = optimized.get("rib_rows")
     return out
-
-
-#: Acceptance floor: modular must beat the distributed backend this much on
-#: the large_smoke preset (the regions are solved once against summaries
-#: instead of once per overlapping chunk).
-MODULAR_SPEEDUP_FLOOR = 1.5
-
-
-def bench_modular_route(
-    preset: str = "large_smoke", prefixes: int = 200
-) -> Dict[str, Any]:
-    """A/B the modular backend against the distributed backend, fresh
-    process each, same workload. Asserts the two backends' RIB
-    fingerprints are byte-identical — the modular backend's contract —
-    and reports the speedup the summary-guided solver buys.
-    """
-    modular = _run_large_child(
-        "route", preset, prefixes, 0, "on", backend="modular"
-    )
-    distributed = _run_large_child(
-        "route", preset, prefixes, 0, "on", backend="distributed-thread"
-    )
-    assert modular["fingerprint"] == distributed["fingerprint"], (
-        f"modular and distributed RIBs differ on preset {preset}"
-    )
-    return {
-        "preset": preset,
-        "prefixes": prefixes,
-        "modular_seconds": modular["seconds"],
-        "distributed_seconds": distributed["seconds"],
-        "speedup": (
-            round(distributed["seconds"] / modular["seconds"], 2)
-            if modular["seconds"]
-            else None
-        ),
-        "rib_rows": modular.get("rib_rows"),
-        "fingerprint": modular["fingerprint"][:16],
-        "note": (
-            "modular solves each region once against neighbor summaries; "
-            "distributed-thread re-propagates overlapping chunks. "
-            f">={MODULAR_SPEEDUP_FLOOR}x floor enforced by --modular-smoke."
-        ),
-    }
-
-
-def check_modular_smoke(scenario: Dict[str, Any]) -> list:
-    """CI gate for the modular A/B: the speedup floor must hold."""
-    failures = []
-    speedup = scenario.get("speedup")
-    if speedup is None:
-        failures.append("route_sim_modular: missing speedup")
-    elif speedup < MODULAR_SPEEDUP_FLOOR:
-        failures.append(
-            f"route_sim_modular.speedup: {speedup}x < "
-            f"{MODULAR_SPEEDUP_FLOOR}x floor over distributed-thread"
-        )
-    return failures
 
 
 #: Acceptance floor: the shared-fixpoint k-failure engine (warm-start
@@ -529,8 +469,7 @@ def run_large_benchmarks(
 ) -> Dict[str, Any]:
     """The standing large tier: route + traffic at ``preset`` scale.
 
-    The ``large_smoke`` suite additionally runs the modular-backend and
-    k-failure scenarios.
+    The ``large_smoke`` suite additionally runs the k-failure scenario.
     """
     suffix = "large_smoke" if preset == "large_smoke" else "large"
     scenarios = {
@@ -538,7 +477,6 @@ def run_large_benchmarks(
         f"traffic_sim_{suffix}": bench_large("traffic", preset, prefixes, flows),
     }
     if preset == "large_smoke":
-        scenarios["route_sim_modular"] = bench_modular_route(preset, prefixes)
         kfailure_params = WanParams.large_smoke()
         kfailure_params.trunk_members = 3
         scenarios["kfailure_sweep_large_smoke"] = bench_kfailure_sweep(

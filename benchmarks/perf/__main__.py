@@ -10,10 +10,8 @@ import sys
 from benchmarks.perf import (
     REPORT_PATH,
     bench_kfailure_sweep,
-    bench_modular_route,
     check_kfailure_smoke,
     check_large_smoke,
-    check_modular_smoke,
     check_smoke,
     load_report,
     run_benchmarks,
@@ -46,13 +44,6 @@ def main(argv=None) -> int:
         "fail if its peak RSS regressed >20%% vs the committed report",
     )
     parser.add_argument(
-        "--modular-smoke",
-        action="store_true",
-        help="CI modular tier: A/B the modular backend against "
-        "distributed-thread on the large_smoke preset, assert byte-identical "
-        "RIB fingerprints, and fail below the speedup floor",
-    )
-    parser.add_argument(
         "--kfailure-smoke",
         action="store_true",
         help="CI k-failure tier: A/B the shared-fixpoint engine against cold "
@@ -78,21 +69,6 @@ def main(argv=None) -> int:
         help="large-smoke peak-RSS regression factor (default: 1.2)",
     )
     args = parser.parse_args(argv)
-
-    if args.modular_smoke:
-        scenario = bench_modular_route(preset="large_smoke")
-        print(json.dumps({"route_sim_modular": scenario}, indent=2))
-        failures = check_modular_smoke(scenario)
-        if failures:
-            print("MODULAR-SMOKE REGRESSION:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(
-            "modular-smoke ok: byte-identical to distributed-thread at "
-            f"{scenario['speedup']}x"
-        )
-        return 0
 
     if args.kfailure_smoke:
         scenario = bench_kfailure_sweep()

@@ -27,7 +27,7 @@ import time
 
 from repro import perfopts
 from repro.distsim.chaos import rib_fingerprint
-from repro.exec import CentralizedBackend, RouteSimRequest, make_backend
+from repro.exec import CentralizedBackend, RouteSimRequest
 from repro.obs import peak_rss_bytes
 from repro.traffic import TrafficSimulator
 from repro.workload.flows import generate_flows
@@ -51,32 +51,17 @@ def _load_digest(loads) -> str:
     return digest.hexdigest()
 
 
-def run_route(
-    params: WanParams, n_prefixes: int, backend_name: str = "centralized"
-) -> dict:
-    """One route-sim pass through any execution backend.
-
-    ``--backend modular`` exercises the summary-guided solver; distributed
-    backends get the standard 8-subtask / 2-worker shape. All backends must
-    land on the same fingerprint — the parent asserts it across children.
-    """
+def run_route(params: WanParams, n_prefixes: int) -> dict:
+    """One centralized route-sim pass."""
     model, inventory = generate_wan(params)
     inputs = generate_input_routes(inventory, n_prefixes=n_prefixes, seed=7)
-    backend = make_backend(backend_name)
-    request = RouteSimRequest(
-        model=model, inputs=inputs, include_local_inputs=True
-    )
-    if backend.is_distributed:
-        request = RouteSimRequest(
-            model=model, inputs=inputs, include_local_inputs=True,
-            subtasks=8, workers=2,
-        )
     started = time.perf_counter()
-    outcome = backend.run_routes(request)
+    outcome = CentralizedBackend().run_routes(
+        RouteSimRequest(model=model, inputs=inputs, include_local_inputs=True)
+    )
     seconds = time.perf_counter() - started
     return {
         "seconds": round(seconds, 4),
-        "backend": backend_name,
         "fingerprint": rib_fingerprint(outcome.device_ribs).hex(),
         "rib_rows": sum(r.route_count() for r in outcome.device_ribs.values()),
     }
@@ -114,12 +99,6 @@ def main(argv=None) -> int:
         default="on",
         help="perf flags: 'off' disables every optimization for the A/B base",
     )
-    parser.add_argument(
-        "--backend",
-        default="centralized",
-        help="execution backend for the route scenario "
-        "(centralized, modular, distributed-thread)",
-    )
     args = parser.parse_args(argv)
 
     params = PRESETS[args.preset]()
@@ -129,7 +108,7 @@ def main(argv=None) -> int:
         for field in dataclasses.fields(perfopts.PerfOptions):
             setattr(perfopts.OPTS, field.name, False)
     if args.scenario == "route":
-        payload = run_route(params, args.prefixes, args.backend)
+        payload = run_route(params, args.prefixes)
     else:
         payload = run_traffic(params, args.prefixes, args.flows)
     payload["peak_rss_bytes"] = peak_rss_bytes()

@@ -6,8 +6,6 @@ The one place that knows how simulation requests turn into work:
   Figure-1 runner with a memory budget);
 * :class:`DistributedBackend` — master/worker framework on a thread
   pool, chaos/retry passthrough;
-* :class:`ModularBackend` — summary-guided per-region verification with
-  widen-to-full fallback (byte-identical to centralized);
 * :class:`IncrementalBackend` — warm-start decorator splicing partial
   re-simulations into base state.
 
@@ -29,7 +27,6 @@ from repro.exec.base import (
 from repro.exec.centralized import CentralizedBackend
 from repro.exec.distributed import DistributedBackend
 from repro.exec.incremental import IncrementalBackend, WarmStart
-from repro.exec.modular import ModularBackend
 
 __all__ = [
     "BACKEND_NAMES",
@@ -37,7 +34,6 @@ __all__ = [
     "DistributedBackend",
     "ExecutionBackend",
     "IncrementalBackend",
-    "ModularBackend",
     "RouteSimOutcome",
     "RouteSimRequest",
     "TrafficSimOutcome",

@@ -227,28 +227,23 @@ class ExecutionBackend(abc.ABC):
 BACKEND_NAMES = (
     "centralized",
     "distributed-thread",
-    "modular",
 )
 
 
 def make_backend(name: str = "centralized", **options: Any) -> ExecutionBackend:
     """Build a terminal backend by name.
 
-    ``options`` are forwarded to the backend constructor; distributed names
-    accept ``route_subtasks``/``traffic_subtasks``/``workers``/``chaos``/
-    ``retry``/``worker_config``, centralized accepts the chunked-runner
-    knobs, modular accepts ``exchange_rounds``/``assume``/``summary_store``.
-    The fixpoint's round cap is no backend option: every backend reads it
-    from each request's ``max_rounds``.
+    ``options`` are forwarded to the backend constructor;
+    ``distributed-thread`` accepts ``route_subtasks``/``traffic_subtasks``/
+    ``workers``/``chaos``/``retry``/``worker_config``, centralized accepts
+    the chunked-runner knobs. The fixpoint's round cap is no backend
+    option: every backend reads it from each request's ``max_rounds``.
     """
     from repro.exec.centralized import CentralizedBackend
     from repro.exec.distributed import DistributedBackend
-    from repro.exec.modular import ModularBackend
 
     if name == "centralized":
         return CentralizedBackend(**options)
     if name == "distributed-thread":
         return DistributedBackend(**options)
-    if name == "modular":
-        return ModularBackend(**options)
     raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")

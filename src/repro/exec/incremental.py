@@ -3,7 +3,7 @@
 :class:`IncrementalBackend` wraps any terminal backend. Requests without a
 :class:`WarmStart` pass straight through; requests carrying one re-simulate
 only the blast-radius-covered inputs — by filtering the input list on an
-in-process inner backend (centralized or modular), or with a
+in-process inner backend (centralized), or with a
 :class:`~repro.distsim.partition.CoveredSubsetPartitioner` on a distributed
 one (splitting the *full* list first keeps subtask grouping identical to a
 full run, and empty chunks are skipped entirely) — then splice the partial

@@ -11,8 +11,7 @@ against it:
   :class:`~repro.exec.incremental.IncrementalBackend` splice machinery,
   with failed routers compared at every slot) and everything else is reused
   from the base RIBs. The covered subset is solved by the engine's own
-  ``backend`` (centralized by default; a modular backend solves it region
-  by region like any other request).
+  ``backend`` (centralized by default).
 * **Equivalence-class pruning** — scenarios are canonicalized by their
   blast fingerprint (failed routers, IS-IS adjacency digest, dead eBGP
   sessions); one simulation serves every scenario in a class. The pruning

@@ -14,19 +14,20 @@ new top-level command replaces the context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import as_prefix
 from repro.net.device import (
     AclConfig,
     AclRuleConfig,
     BgpPeerConfig,
+    ConfigModelError,
     DeviceConfig,
     GLOBAL_VRF,
     PbrRuleConfig,
     VrfConfig,
 )
-from repro.net.policy import DENY, PERMIT
+from repro.net.policy import DENY, PERMIT, MatchClause, PolicyError, SetClause
 
 #: keyword-table entries are at most this many tokens long
 _LONGEST_KEYWORD = 3
@@ -58,6 +59,18 @@ def _take_flag(tokens: List[str], key: str) -> bool:
         tokens.remove(key)
         return True
     return False
+
+
+def _edit_clauses(
+    clauses: list, clause: Union[MatchClause, SetClause], negated: bool
+) -> None:
+    """Append a policy-node clause, or remove the equal one when negated."""
+    if not negated:
+        clauses.append(clause)
+    elif clause in clauses:
+        clauses.remove(clause)
+    else:
+        raise ValueError(f"no {clause.kind} clause {clause.value!r} to remove")
 
 
 @dataclass(frozen=True)
@@ -112,8 +125,9 @@ class ConfigParser:
 
     Handlers named ``cmd_*`` are top-level commands, ``sub_*`` ones run in
     a context. Each receives its own list of argument tokens (it may consume
-    them) and the negation flag; a rejection raises ``ValueError``, which
-    :meth:`apply` reports as :class:`ConfigParseError` with the line.
+    them) and the negation flag; a rejection raises ``ValueError`` (or the
+    device or policy model's own error), which :meth:`apply` reports as
+    :class:`ConfigParseError` with the line.
     """
 
     def __init__(self, dialect: Dialect) -> None:
@@ -149,7 +163,9 @@ class ConfigParser:
             self._context = None
         try:
             getattr(self, handler)(args, negated)
-        except (ValueError, KeyError, IndexError) as exc:
+        except (
+            ValueError, KeyError, IndexError, ConfigModelError, PolicyError
+        ) as exc:
             raise ConfigParseError(
                 f"{type(exc).__name__}: {exc}", self._line_no, line
             ) from exc
@@ -455,30 +471,32 @@ class ConfigParser:
         kind = self.dialect.match_kinds.get(tokens[0])
         if kind is None:
             raise ValueError(f"unknown match kind {tokens[0]!r}")
-        node.match(kind, " ".join(tokens[1:]))
+        clause = MatchClause(kind, " ".join(tokens[1:]))
+        _edit_clauses(node.matches, clause, negated)
 
     def sub_set(self, tokens: List[str], negated: bool) -> None:
         node = self._in_context("policy-node")
+        _edit_clauses(node.sets, SetClause(*self._set_clause(tokens)), negated)
+
+    def _set_clause(self, tokens: List[str]) -> Tuple[str, str]:
+        """The ``(kind, value)`` of one set line's tokens."""
         for keyword, kind in self.dialect.set_kinds.items():
             if tuple(tokens[: len(keyword)]) == keyword:
-                node.set(kind, tokens[len(keyword)])
-                return
+                return kind, tokens[len(keyword)]
         keyword, rest = tokens[0], tokens[1:]
         if keyword == "community":
             values = [t for t in rest if t != "additive"]
             kind = "community-add" if "additive" in rest else "community-set"
-            node.set(kind, ",".join(values))
-        elif keyword == "community-delete":
-            node.set("community-delete", ",".join(rest))
-        elif keyword == "as-path":
+            return kind, ",".join(values)
+        if keyword == "community-delete":
+            return "community-delete", ",".join(rest)
+        if keyword == "as-path":
             mode, args = self.dialect.aspath(rest)
             if mode == "overwrite":
-                node.set("aspath-set", " ".join(args))
-            else:
-                count = args[1] if len(args) > 1 else "1"
-                node.set("aspath-prepend", f"{args[0]}*{count}")
-        else:
-            raise ValueError(f"unknown set kind {keyword!r}")
+                return "aspath-set", " ".join(args)
+            count = args[1] if len(args) > 1 else "1"
+            return "aspath-prepend", f"{args[0]}*{count}"
+        raise ValueError(f"unknown set kind {keyword!r}")
 
     # -- vrf context -----------------------------------------------------------
 

@@ -266,17 +266,11 @@ class BgpSimulator:
         model: NetworkModel,
         igp: IgpState,
         max_rounds: int = 50,
-        sessions: Optional[Sequence[Session]] = None,
     ) -> None:
         self.model = model
         self.igp = igp
         self.max_rounds = max_rounds
-        # An explicit session list restricts the fixpoint to those sessions
-        # (modular verification solves one region's intra-region graph and
-        # injects cross-region advertisements via deliver_external).
-        self.sessions = (
-            list(sessions) if sessions is not None else build_sessions(model, igp)
-        )
+        self.sessions = build_sessions(model, igp)
         # Indexed by (sender, sender_vrf): _advertise previously filtered a
         # per-sender list by VRF on every dirty slot.
         self._sessions_from: Dict[Tuple[str, str], List[Session]] = {}
@@ -329,10 +323,7 @@ class BgpSimulator:
 
     def seed(self, input_routes: Iterable[InputRoute]) -> DirtyWorklist:
         """Inject input routes and settle local derivation; returns the
-        initial worklist. Callers composing partial fixpoints (modular
-        verification) call ``_reset`` first, then ``seed`` +
-        ``run_worklist`` + ``materialize``; ``run`` is exactly that
-        sequence."""
+        initial worklist for ``run_worklist``."""
         dirty: Dict[Tuple[str, str, int], Tuple[str, str, Prefix]] = {}
         for item in input_routes:
             if item.router not in self.model.devices:
@@ -375,19 +366,6 @@ class BgpSimulator:
             deliveries = self._advertise(worklist.drain())
             worklist.update(self._deliver(deliveries))
         self._stats.rounds += rounds
-
-    def deliver_external(
-        self, deliveries: Sequence[Tuple[Session, Prefix, Tuple[Route, ...]]]
-    ) -> None:
-        """Inject advertisements arriving over sessions this simulator does
-        not own (modular verification: routes claimed by a neighbor
-        region's summary) and re-run the fixpoint to quiescence.
-
-        Delivery is idempotent — an advert equal to the current adj-in
-        slot dirties nothing — so repeated exchange rounds converge."""
-        worklist = DirtyWorklist()
-        worklist.update(self._deliver(list(deliveries)))
-        self.run_worklist(worklist)
 
     def materialize(self) -> BgpResult:
         """The Prefix-keyed observable views of the current fixpoint state.

@@ -165,13 +165,9 @@ class RouteSimulator:
     ) -> Dict[str, DeviceRib]:
         """Assemble per-device RIBs from a BGP fixpoint state.
 
-        Also the entry point for externally computed states: modular
-        verification composes per-region fixpoints into one merged
-        :class:`BgpResult` (device key spaces are disjoint) and runs the
-        exact assembly ``simulate`` would, so RIB rows stay byte-identical
-        to a monolithic pass. ``route_ecs`` names the classes a
-        representative-space state was reduced by: its rows are cloned onto
-        the member prefixes before connected routes compete for any slot.
+        ``route_ecs`` names the classes a representative-space state was
+        reduced by: its rows are cloned onto the member prefixes before
+        connected routes compete for any slot.
         """
         with ctx.span("assemble_ribs") if ctx else nullcontext():
             ribs = self._assemble_bgp_ribs(bgp)

@@ -1,6 +1,6 @@
 """The daemon's hot state: everything worth keeping between requests.
 
-Three layers, all keyed by *content* so identical inputs share state no
+Four layers, all keyed by *content* so identical inputs share state no
 matter how clients name them:
 
 * **Model cache** — parsed snapshot files (``model`` + ``routes`` +
@@ -19,11 +19,6 @@ matter how clients name them:
 * **Result cache** — finished job results keyed by
   (model hash, canonical request fingerprint): an identical request on an
   identical model returns the cached verdict without touching a backend.
-* **Summary cache** — converged per-region border summaries keyed by
-  (model hash, region). Modular-backend verifiers publish summaries after
-  each solve and warm-start later solves on the same model from them; the
-  exchange loop re-verifies every cached claim, so a stale entry costs
-  exchange rounds, never correctness.
 
 Verifiers are not re-entrant (one shared incremental engine), so each cache
 entry carries a lock; two jobs on the *same* model+backend serialize, jobs
@@ -62,25 +57,6 @@ class _KFailureEntry:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-class _SummaryStore:
-    """One model hash's view of the shared region-summary cache.
-
-    This is the ``summary_store`` adapter the modular backend consumes:
-    ``get(region)`` / ``put(region, summary)``, content-addressed by the
-    owning model hash so summaries can never leak across models.
-    """
-
-    def __init__(self, state: "HotState", model_hash: str) -> None:
-        self._state = state
-        self._model_hash = model_hash
-
-    def get(self, region: str) -> Optional[Any]:
-        return self._state.summary_get(self._model_hash, region)
-
-    def put(self, region: str, summary: Any) -> None:
-        self._state.summary_put(self._model_hash, region, summary)
-
-
 class HotState:
     """Content-keyed caches shared by every job the daemon runs."""
 
@@ -88,13 +64,11 @@ class HotState:
         self,
         max_models: int = 8,
         max_results: int = 1024,
-        max_summaries: int = 256,
         ctx: Optional[RunContext] = None,
     ) -> None:
         self.ctx = ensure_context(ctx, "serve")
         self.max_models = max_models
         self.max_results = max_results
-        self.max_summaries = max_summaries
         self._lock = threading.Lock()
         #: model_hash -> loaded snapshot payload (model/routes/flows), LRU
         self._models: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -106,8 +80,6 @@ class HotState:
         self._kfailure: Dict[Tuple[Any, ...], _KFailureEntry] = {}
         #: result-cache: fingerprint -> result dict, LRU
         self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        #: (model_hash, region) -> converged RegionSummary, LRU
-        self._summaries: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
 
     # -- snapshot files --------------------------------------------------------
 
@@ -180,16 +152,11 @@ class HotState:
                 self.ctx.count("serve.verifier_cache.hits")
                 return entry
             self.ctx.count("serve.verifier_cache.misses")
-            options: Dict[str, Any] = {}
-            if backend == "modular":
-                # Modular verifiers warm-start from (and publish to) the
-                # shared summary cache, content-addressed by model hash.
-                options["summary_store"] = _SummaryStore(self, model_hash)
             verifier = ChangeVerifier(
                 snapshot["model"],
                 snapshot["routes"],
                 snapshot.get("flows", []),
-                backend=make_backend(backend, **options),
+                backend=make_backend(backend),
                 incremental=incremental,
             )
             entry = _VerifierEntry(verifier=verifier)
@@ -263,27 +230,6 @@ class HotState:
                 self._results.popitem(last=False)
                 self.ctx.count("serve.result_cache.evictions")
 
-    # -- summary cache ---------------------------------------------------------
-
-    def summary_get(self, model_hash: str, region: str) -> Optional[Any]:
-        with self._lock:
-            summary = self._summaries.get((model_hash, region))
-            if summary is None:
-                self.ctx.count("serve.summary_cache.misses")
-                return None
-            self._summaries.move_to_end((model_hash, region))
-            self.ctx.count("serve.summary_cache.hits")
-            return summary
-
-    def summary_put(self, model_hash: str, region: str, summary: Any) -> None:
-        with self._lock:
-            self._summaries[(model_hash, region)] = summary
-            self._summaries.move_to_end((model_hash, region))
-            self.ctx.count("serve.summary_cache.puts")
-            while len(self._summaries) > self.max_summaries:
-                self._summaries.popitem(last=False)
-                self.ctx.count("serve.summary_cache.evictions")
-
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -296,7 +242,6 @@ class HotState:
                     1 for entry in self._verifiers.values() if entry.prepared
                 ),
                 "results": len(self._results),
-                "summaries": len(self._summaries),
                 "counters": {
                     name: value
                     for name, value in self.ctx.counters().items()

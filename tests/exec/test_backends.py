@@ -183,9 +183,8 @@ class TestBackendInterface:
             ("centralized", {}),
             ("centralized", {"chunked": True}),
             ("distributed-thread", {"route_subtasks": 2, "workers": 2}),
-            ("modular", {}),
         ],
-        ids=["centralized", "chunked", "distributed-thread", "modular"],
+        ids=["centralized", "chunked", "distributed-thread"],
     )
     def test_request_max_rounds_caps_the_fixpoint(self, name, options):
         """The request's round cap reaches every fixpoint a backend runs."""

@@ -1,10 +1,9 @@
-"""Engine behavior: counters, coverage, pruning, errors, modular backend."""
+"""Engine behavior: counters, coverage, pruning, errors."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exec import ModularBackend
 from repro.kfailure import (
     KFailureEngine,
     apply_scenario,
@@ -17,7 +16,7 @@ from repro.net.topology import TopologyError
 from repro.obs import RunContext
 from repro.routing.inputs import inject_external_route
 
-from tests.helpers import build_model, full_mesh_ibgp, peer_both
+from tests.helpers import build_model, full_mesh_ibgp
 
 PFX = "203.0.113.0/24"
 
@@ -31,54 +30,6 @@ def bundle_world():
     model.topology.connect("A", "B", igp_cost=10)
     full_mesh_ibgp(model, ["A", "B", "C", "D"])
     return model, [inject_external_route("D", PFX, (65010,))]
-
-
-def two_region_world():
-    """Two IS-IS regions with a primary and a backup ISP into west.
-
-    X1's route wins the AS-path tiebreak everywhere, so X2's longer-path
-    route is W2's losing candidate and — being beaten by an iBGP route —
-    is never exported across the region border. Failing the W2-X2 link
-    therefore kills an eBGP session without moving the IGP (ISIS is
-    disabled on the ISPs) and without changing west's border exports:
-    a failure whose whole effect stays inside one region of a modular
-    solve.
-    """
-    model = build_model(
-        routers=[
-            ("W1", 100),
-            ("W2", 100),
-            ("E1", 100),
-            ("E2", 100),
-            ("X1", 65010),
-            ("X2", 65020),
-        ],
-        links=[
-            ("W1", "W2", 10),
-            ("E1", "E2", 10),
-            ("W1", "E1", 10),
-            ("W1", "X1", 10),
-            ("W2", "X2", 10),
-        ],
-    )
-    for name, region in (
-        ("W1", "west"),
-        ("W2", "west"),
-        ("E1", "east"),
-        ("E2", "east"),
-        ("X1", "west"),
-        ("X2", "west"),
-    ):
-        model.topology.router(name).__dict__["region"] = region
-    model.device("X1").isis.enabled = False
-    model.device("X2").isis.enabled = False
-    full_mesh_ibgp(model, ["W1", "W2", "E1", "E2"])
-    peer_both(model, "W1", "X1")
-    peer_both(model, "W2", "X2")
-    return model, [
-        inject_external_route("X1", PFX, (65010,)),
-        inject_external_route("X2", PFX, (65020, 65020)),
-    ]
 
 
 class TestCountersAndCoverage:
@@ -171,39 +122,6 @@ class TestMissingLink:
         with pytest.raises(TopologyError):
             apply_scenario(model.topology, scenario)
         assert not model.topology.link_is_failed(good)
-
-
-class TestModularBackend:
-    def test_prepare_solves_only_the_centralized_base(self):
-        model, inputs = two_region_world()
-        ctx = RunContext("test")
-        engine = KFailureEngine(
-            model, inputs, backend=ModularBackend(), ctx=ctx
-        )
-        engine.prepare()
-        assert "route_sim.calls" not in ctx.counters()
-
-    def test_ebgp_only_failure_matches_the_cold_run(self):
-        model, inputs = two_region_world()
-        ctx = RunContext("test")
-        prop = reachability_property(PFX, ["W1", "E1"])
-        cold = KFailureEngine(model, inputs, warm=False, prune=False).check(
-            1, prop
-        )
-        engine = KFailureEngine(
-            model, inputs, backend=ModularBackend(), ctx=ctx
-        )
-        warm = engine.check(1, prop)
-        assert warm.ok == cold.ok
-        assert [
-            (v.failed_links, v.failed_routers, v.violations)
-            for v in warm.violations
-        ] == [
-            (v.failed_links, v.failed_routers, v.violations)
-            for v in cold.violations
-        ]
-        # Warm classes re-solve their covered inputs on the modular backend.
-        assert ctx.counters()["modular.regions"] >= 1
 
 
 class TestEnumeration:

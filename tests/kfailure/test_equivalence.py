@@ -4,7 +4,7 @@ The shared-fixpoint engine's whole contract is that warm-start deltas and
 equivalence-class pruning are *pure optimizations*:
 verdicts and violation sets must be byte-identical to cold exhaustive
 re-simulation of every scenario. These tests pin that across backends
-(centralized, modular, distributed) and scenario kinds (link, router,
+(centralized, distributed) and scenario kinds (link, router,
 mixed), down to per-scenario RIB contents.
 """
 
@@ -161,9 +161,7 @@ class TestPerScenarioRibEquivalence:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize(
-        "backend_name", ["centralized", "modular", "distributed-thread"]
-    )
+    @pytest.mark.parametrize("backend_name", ["centralized", "distributed-thread"])
     def test_warm_backends_match_cold_centralized(self, backend_name):
         model, inputs, prop = small_wan()
         cold = run(model, inputs, prop, 1, warm=False, prune=False)

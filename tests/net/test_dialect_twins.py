@@ -112,8 +112,23 @@ interface eth1
 BGP_A, BGP_B = "router bgp 65001\n", "bgp 65001\n"
 NODE_A, NODE_B = "route-map P permit 10\n", "route-policy P permit node 10\n"
 
+#: (row id, vendor-a block, vendor-b block) whose negation lines undo what
+#: the lines before them did: each block leaves its base device unchanged
+ROUND_TRIPS = [
+    (
+        "match-undo",
+        "route-map RM permit 10\n match ip prefix-list PL4\n no match ip prefix-list PL4",
+        "route-policy RM permit node 10\n if-match ip-prefix PL4\n undo if-match ip-prefix PL4",
+    ),
+    (
+        "set-undo",
+        "route-map RM permit 10\n set local-preference 200\n no set local-preference 200",
+        "route-policy RM permit node 10\n apply local-preference 200\n undo apply local-preference 200",
+    ),
+]
+
 #: (row id, vendor-a block, vendor-b block) leaving twin device models
-TWINS = [
+TWINS = ROUND_TRIPS + [
     # -- the BGP process and its peers
     ("bgp-asn", "router bgp 65009", "bgp 65009"),
     ("bgp-undo", "no router bgp", "undo bgp"),
@@ -211,11 +226,6 @@ TWINS = [
     ("match-prefix", NODE_A + " match ip prefix 10.0.0.0/8", NODE_B + " if-match prefix 10.0.0.0/8"),
     ("match-protocol", NODE_A + " match protocol static", NODE_B + " if-match protocol static"),
     ("match-nexthop", NODE_A + " match ip nexthop 192.0.2.1", NODE_B + " if-match nexthop 192.0.2.1"),
-    (
-        "match-undo",
-        "route-map IMPORT permit 20\n no match ip prefix-list PL4",
-        "route-policy IMPORT permit node 20\n undo if-match ip-prefix PL4",
-    ),
     ("set-local-preference", NODE_A + " set local-preference 200", NODE_B + " apply local-preference 200"),
     ("set-weight", NODE_A + " set weight 100", NODE_B + " apply weight 100"),
     ("set-preference", NODE_A + " set preference 150", NODE_B + " apply preference 150"),
@@ -233,11 +243,6 @@ TWINS = [
         "set-as-path-overwrite",
         NODE_A + " set as-path overwrite 65001 65002",
         NODE_B + " apply as-path 65001 65002 overwrite",
-    ),
-    (
-        "set-undo",
-        "route-map IMPORT permit 20\n no set local-preference 300",
-        "route-policy IMPORT permit node 20\n undo apply local-preference 300",
     ),
     # -- prefix, community and as-path lists
     (
@@ -376,11 +381,19 @@ REJECTED = [
     ("community-list-deny", "ip community-list C deny 1:1", "ip community-filter C deny 1:1"),
     ("as-path-list-deny", "ip as-path access-list A deny .*", "ip as-path-filter A deny .*"),
     ("peer-not-declared", BGP_A + " neighbor R9 shutdown", BGP_B + " peer R9 ignore"),
+    ("peer-remove-undeclared", BGP_A + " no neighbor R9", BGP_B + " undo peer R9"),
     ("peer-unknown-option", BGP_A + " neighbor R2 frobnicate", BGP_B + " peer R2 frobnicate"),
     ("peer-bad-direction", BGP_A + " neighbor R2 route-map RM both", BGP_B + " peer R2 route-policy RM both"),
     ("match-unknown", NODE_A + " match frobnicate X", NODE_B + " if-match frobnicate X"),
+    ("match-undo-absent", NODE_A + " no match community CL", NODE_B + " undo if-match community-filter CL"),
+    (
+        "set-undo-absent",
+        "route-map IMPORT permit 20\n no set local-preference 200",
+        "route-policy IMPORT permit node 20\n undo apply local-preference 200",
+    ),
     ("set-unknown", NODE_A + " set frobnicate 1", NODE_B + " apply frobnicate 1"),
     ("undo-node-of-missing-policy", "no route-map NOPE 10", "undo route-policy NOPE node 10"),
+    ("undo-missing-node", "no route-map RM 20", "undo route-policy RM node 20"),
     ("sr-policy-without-endpoint", "segment-routing policy S color 1", "segment-routing policy S color 1"),
     ("pbr-rule-without-nexthop", "pbr rule 5 dst 10.0.0.0/8", "pbr rule 5 dst 10.0.0.0/8"),
     ("bad-number", "router bgp x", "bgp x"),
@@ -408,6 +421,16 @@ def test_twin_blocks_leave_twin_devices(a_block, b_block):
     updated_a = apply_commands(_base("vendor-a"), a_block.splitlines())
     updated_b = apply_commands(_base("vendor-b"), b_block.splitlines())
     assert _model(updated_a) == _model(updated_b)
+
+
+@pytest.mark.parametrize(
+    "a_block, b_block", [row[1:] for row in ROUND_TRIPS], ids=[row[0] for row in ROUND_TRIPS]
+)
+def test_negation_restores_the_base(a_block, b_block):
+    for vendor, block in (("vendor-a", a_block), ("vendor-b", b_block)):
+        base = _base(vendor)
+        updated = apply_commands(base, block.splitlines())
+        assert device_section_fingerprints(updated) == device_section_fingerprints(base)
 
 
 @pytest.mark.parametrize(

@@ -300,7 +300,6 @@ class TestObservability:
             make_backend("centralized"),
             make_backend("centralized", chunked=True, chunk_size=16),
             make_backend("distributed-thread", route_subtasks=3),
-            make_backend("modular"),
         ],
         ids=lambda backend: backend.name,
     )
@@ -313,7 +312,6 @@ class TestObservability:
         counters = ctx.counters()
         assert counters["route_sim.ec_groups"] > 0
         assert counters["route_sim.ec_members_skipped"] > 0
-        assert not any(name.startswith("modular.ec_") for name in counters)
         # worker threads have no open span of their own: theirs hang off the root
         parent = ctx.root if backend.is_distributed else ctx.root.find("route_sim")
         assert parent.find("expand_ribs") is not None

@@ -99,7 +99,9 @@ class TestWire:
                 assert "--perfopts-off" in str(err.value)
             assert client.stats()["scheduler"]["jobs"] == {}
 
-    @pytest.mark.parametrize("backend", ["bogus", "distributed-process"])
+    @pytest.mark.parametrize(
+        "backend", ["bogus", "distributed-process", "modular"]
+    )
     def test_unknown_backend_rejected_at_submit(
         self, harness, snapshot_path, backend
     ):

@@ -153,29 +153,23 @@ class TestTraceAndBackendFlags:
             "--route-subtasks", "6",
         ]) == 0
 
-    def test_verify_through_modular_backend(self, snapshot, tmp_path, capsys):
+    def test_verify_rejects_modular_backend(self, snapshot, tmp_path, capsys):
         plan = self.write_noop_plan(tmp_path)
-        assert main([
-            "verify", str(snapshot), str(plan), "--backend", "modular",
-        ]) == 0
-        assert "PASS" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", str(snapshot), str(plan), "--backend", "modular"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'modular'" in err
+        assert "'centralized', 'distributed-thread'" in err
 
-    def test_modular_backend_pins_risky_exit_code(
-        self, snapshot, tmp_path, capsys
-    ):
-        path = tmp_path / "risky.json"
-        path.write_text(json.dumps({
-            "name": "drop-link",
-            "change_type": "topology-adjustment",
-            "topology_ops": [
-                {"op": "fail-link", "a": "region0-border0", "b": "isp1"}
-            ],
-            "rcl_intents": ["PRE = POST"],
-        }), encoding="utf-8")
-        assert main([
-            "verify", str(snapshot), str(path), "--backend", "modular",
-        ]) == 1
-        assert "RISK DETECTED" in capsys.readouterr().out
+    def test_submit_rejects_modular_backend(self, snapshot, tmp_path, capsys):
+        plan = self.write_noop_plan(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", str(snapshot), str(plan), "--backend", "modular"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'modular'" in err
+        assert "'centralized', 'distributed-thread'" in err
 
     def test_simulate_backends_agree_on_rib_rows(self, snapshot, capsys):
         assert main(["simulate", str(snapshot)]) == 0
