@@ -83,10 +83,10 @@ def build_network() -> NetworkModel:
     # (local pref 100). C is vendor-b, which denies eBGP updates without a
     # policy, so both policies are explicit.
     ctx_d = model.device("D").policy_ctx
-    ctx_d.define_policy("ISP1-IN").node(10, "permit").set("local-pref", "200")
+    ctx_d.define_policy("ISP1-IN").node(10, "permit").set("local-pref", 200)
     model.device("D").peer_to("ISP1").import_policy = "ISP1-IN"
     ctx_c = model.device("C").policy_ctx
-    ctx_c.define_policy("ISP2-IN").node(10, "permit").set("local-pref", "100")
+    ctx_c.define_policy("ISP2-IN").node(10, "permit").set("local-pref", 100)
     model.device("C").peer_to("ISP2").import_policy = "ISP2-IN"
     return model
 

@@ -71,7 +71,7 @@ def build_network() -> NetworkModel:
         if has_node20:
             node = policy.node(20, "permit")
             node.match("prefix-list", "NEWWAN-R")
-            node.set("local-pref", "500")
+            node.set("local-pref", 500)
         model.device(name).peer_to("B").import_policy = "FROM-B"
     return model
 
@@ -138,7 +138,7 @@ def main() -> None:
     ctx = fixed.device("M1").policy_ctx
     node = ctx.policies["FROM-B"].node(20, "permit")
     node.match("prefix-list", "NEWWAN-R")
-    node.set("local-pref", "500")
+    node.set("local-pref", 500)
     fixed_verifier = ChangeVerifier(fixed, inputs(), flows())
     fixed_report = fixed_verifier.verify(change_plan())
     print(fixed_report.summary())

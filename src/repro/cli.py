@@ -63,8 +63,9 @@ from repro.workload import (
     generate_wan,
 )
 
-#: Exit status when a distributed task dead-letters (the run itself failed,
-#: as opposed to the run completing and finding a problem).
+#: Exit status when the run reaches no verdict (a distributed task
+#: dead-letters, or the plan has a line the parser rejects), as opposed to
+#: the run completing and finding a problem.
 EXIT_TASK_FAILED = 2
 
 
@@ -183,6 +184,7 @@ def _plan_from_json(data: dict, flows_available: bool) -> ChangePlan:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.distsim import TaskFailed
+    from repro.net.config import ConfigParseError
 
     snapshot = _load_snapshot(args.snapshot)
     with open(args.plan, "r", encoding="utf-8") as handle:
@@ -212,6 +214,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.trace:
             _write_trace(args.trace, ctx)
             print(f"trace written to {args.trace}")
+        return EXIT_TASK_FAILED
+    except ConfigParseError as exc:
+        print(f"plan rejected: {exc}")
         return EXIT_TASK_FAILED
     print(report.summary())
     if args.trace:

@@ -91,7 +91,7 @@ def scenario_undefined_filter(profile: VendorProfile) -> Observable:
     model = _two_as_model(profile)
     ctx = model.device("A").policy_ctx
     policy = ctx.define_policy("IMP")
-    policy.node(10, "permit").match("prefix-list", "GHOST").set("local-pref", "300")
+    policy.node(10, "permit").match("prefix-list", "GHOST").set("local-pref", 300)
     policy.node(20, "deny")
     model.device("A").peer_to("E").import_policy = "IMP"
     result = simulate_routes(model, [inject_external_route("E", PFX, (65010,))])
@@ -133,7 +133,7 @@ def scenario_redistribution_weight(profile: VendorProfile) -> Observable:
 def scenario_aspath_overwrite(profile: VendorProfile) -> Observable:
     model = _two_as_model(profile)
     ctx = model.device("A").policy_ctx
-    ctx.define_policy("EXP").node(10, "permit").set("aspath-set", "65099")
+    ctx.define_policy("EXP").node(10, "permit").set("aspath-set", (65099,))
     model.device("A").peer_to("E").export_policy = "EXP"
     model.device("E").policy_ctx.define_policy("PASS").node(10, "permit")
     model.device("E").peer_to("A").import_policy = "PASS"

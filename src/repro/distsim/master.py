@@ -55,8 +55,7 @@ class TaskFailed(RuntimeError):
 class RetryPolicy:
     """Retry budget and capped exponential backoff for failed subtasks.
 
-    ``max_retries`` bounds the *total* attempts per subtask (matching the
-    historical ``max_retries`` constructor argument). The delay before
+    ``max_retries`` bounds the *total* attempts per subtask. The delay before
     attempt ``n`` is ``backoff_base * 2**(n-2)`` capped at ``backoff_cap``;
     ``sleep`` is injectable so tests can run without real waiting.
     """
@@ -189,7 +188,6 @@ class _TaskRunner:
         store: Optional[ObjectStore] = None,
         db: Optional[SubtaskDB] = None,
         worker_config: Optional[WorkerConfig] = None,
-        max_retries: int = 3,
         chaos: Optional[ChaosPolicy] = None,
         retry: Optional[RetryPolicy] = None,
         max_rounds: int = 50,
@@ -201,10 +199,7 @@ class _TaskRunner:
         self.store = store if store is not None else ObjectStore()
         self.db = db if db is not None else SubtaskDB()
         self.worker_config = worker_config or WorkerConfig()
-        self.retry_policy = retry if retry is not None else RetryPolicy(
-            max_retries=max_retries
-        )
-        self.max_retries = self.retry_policy.max_retries
+        self.retry_policy = retry if retry is not None else RetryPolicy()
         self.chaos_policy = chaos
         self.chaos = ChaosEngine(chaos) if chaos is not None else None
         self.mq = ChaosMessageQueue(self.chaos) if self.chaos else MessageQueue()

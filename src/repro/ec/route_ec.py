@@ -88,7 +88,7 @@ class PrefixSignatureIndex:
                 for node in policy.nodes:
                     for clause in node.matches:
                         if clause.kind == "prefix":
-                            exact_prefixes.append(Prefix.parse(clause.value))
+                            exact_prefixes.append(clause.value)
             for agg in device.aggregates:
                 aggregates.append(agg.prefix)
         return plists, exact_prefixes, aggregates

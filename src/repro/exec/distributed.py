@@ -49,7 +49,6 @@ class DistributedBackend(ExecutionBackend):
         workers: int = 1,
         chaos: Optional[ChaosPolicy] = None,
         retry: Optional[RetryPolicy] = None,
-        max_retries: int = 3,
         worker_config: Optional[WorkerConfig] = None,
     ) -> None:
         self.route_subtasks = route_subtasks
@@ -57,7 +56,6 @@ class DistributedBackend(ExecutionBackend):
         self.workers = workers
         self.chaos = chaos
         self.retry = retry
-        self.max_retries = max_retries
         self.worker_config = worker_config
 
     def run_routes(
@@ -80,7 +78,6 @@ class DistributedBackend(ExecutionBackend):
                 worker_config=request.worker_config or self.worker_config,
                 chaos=self.chaos,
                 retry=self.retry,
-                max_retries=self.max_retries,
                 max_rounds=request.max_rounds,
             )
             task = sim.run(
@@ -123,7 +120,6 @@ class DistributedBackend(ExecutionBackend):
                     worker_config=request.worker_config or self.worker_config,
                     chaos=self.chaos,
                     retry=self.retry,
-                    max_retries=self.max_retries,
                 )
                 task = sim.run(
                     request.flows,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.incremental.diff import DeviceDelta, ModelDiff
-from repro.net.addr import Prefix, as_prefix
+from repro.net.addr import Prefix
 from repro.net.device import DeviceConfig
 from repro.net.model import NetworkModel
 from repro.net.policy import PolicyContext, PolicyNode
@@ -132,7 +132,7 @@ def _node_prefix_constraint(
     """
     for clause in node.matches:
         if clause.kind == "prefix":
-            return [as_prefix(clause.value)], False
+            return [clause.value], False
         if clause.kind == "prefix-list":
             plist = ctx.prefix_lists.get(clause.value)
             if plist is None:

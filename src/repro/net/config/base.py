@@ -14,9 +14,9 @@ new top-level command replaces the context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.net.addr import as_prefix
+from repro.net.addr import IPAddress, Prefix, as_prefix
 from repro.net.device import (
     AclConfig,
     AclRuleConfig,
@@ -28,6 +28,7 @@ from repro.net.device import (
     VrfConfig,
 )
 from repro.net.policy import DENY, PERMIT, MatchClause, PolicyError, SetClause
+from repro.routing.attributes import community
 
 #: keyword-table entries are at most this many tokens long
 _LONGEST_KEYWORD = 3
@@ -61,16 +62,18 @@ def _take_flag(tokens: List[str], key: str) -> bool:
     return False
 
 
-def _edit_clauses(
-    clauses: list, clause: Union[MatchClause, SetClause], negated: bool
-) -> None:
-    """Append a policy-node clause, or remove the equal one when negated."""
-    if not negated:
-        clauses.append(clause)
-    elif clause in clauses:
-        clauses.remove(clause)
-    else:
-        raise ValueError(f"no {clause.kind} clause {clause.value!r} to remove")
+#: match kind -> its value from the line's argument text; list names and
+#: protocol names stay text
+_MATCH_VALUE: Mapping[str, Callable[[str], object]] = {
+    "prefix": Prefix.parse,
+    "nexthop": IPAddress.parse,
+    "community": community,
+}
+
+
+def _communities(texts: Sequence[str]) -> Tuple[str, ...]:
+    """The normal form of a set line's communities: sorted and distinct."""
+    return tuple(sorted({community(text) for text in texts}))
 
 
 @dataclass(frozen=True)
@@ -237,29 +240,27 @@ class ConfigParser:
         if negated and not rest:
             plists.pop(name, None)
             return
-        _take_option(rest, self.words["seq"])
+        seq = _take_option(rest, self.words["seq"])
         action = rest.pop(0)
         if action not in (PERMIT, DENY):
             raise ValueError(f"expected permit/deny, got {action!r}")
         prefix = self.dialect.take_prefix(rest)
         ge = _take_option(rest, self.words["ge"])
         le = _take_option(rest, self.words["le"])
+        seq = int(seq) if seq is not None else None
+        rule = (as_prefix(prefix), action, int(ge) if ge else None, int(le) if le else None)
         plist = plists.get(name)
+        if negated:
+            if plist is None:
+                raise ValueError(f"no prefix list {name!r}")
+            plist.remove(seq, rule)
+            return
         if plist is None:
             # The family is fixed by the *command*, not by the address given:
             # this is the §6.1 trap — ``ip ip-prefix`` with IPv6 addresses
             # still creates an IPv4-family list.
             plist = self.config.policy_ctx.define_prefix_list(name, family=family)
-        if negated:
-            target = str(as_prefix(prefix))
-            plist.entries = [e for e in plist.entries if str(e.prefix) != target]
-            return
-        plist.add(
-            prefix,
-            action,
-            ge=int(ge) if ge else None,
-            le=int(le) if le else None,
-        )
+        plist.add(*rule, seq=seq)
 
     def cmd_community_list(self, tokens: List[str], negated: bool) -> None:
         name = tokens[0]
@@ -289,11 +290,11 @@ class ConfigParser:
         prefix = self.dialect.take_prefix(tokens)
         nexthop = tokens.pop(0)
         if negated:
-            target = as_prefix(prefix)
+            target, address = as_prefix(prefix), IPAddress.parse(nexthop)
             self.config.statics = [
                 s
                 for s in self.config.statics
-                if not (s.prefix == target and str(s.nexthop) == nexthop and s.vrf == vrf)
+                if not (s.prefix == target and s.nexthop == address and s.vrf == vrf)
             ]
             return
         # A dialect without a ``preference`` word gives it after the next hop.
@@ -449,13 +450,17 @@ class ConfigParser:
     def sub_redistribute(self, tokens: List[str], negated: bool) -> None:
         self._in_context("bgp")
         source = tokens.pop(0)
-        if negated:
-            self.config.redistributions = [
-                r for r in self.config.redistributions if r.source != source
-            ]
-            return
         policy = _take_option(tokens, self.words["policy"])
         vrf = self._take_vrf(tokens)
+        if negated:
+            kept = [
+                r for r in self.config.redistributions
+                if (r.vrf, r.source) != (vrf, source)
+            ]
+            if len(kept) == len(self.config.redistributions):
+                raise ValueError(f"no redistribution of {source!r} in {vrf!r}")
+            self.config.redistributions = kept
+            return
         self.config.add_redistribution(source, policy=policy, vrf=vrf)
 
     def sub_max_paths(self, tokens: List[str], negated: bool) -> None:
@@ -471,31 +476,35 @@ class ConfigParser:
         kind = self.dialect.match_kinds.get(tokens[0])
         if kind is None:
             raise ValueError(f"unknown match kind {tokens[0]!r}")
-        clause = MatchClause(kind, " ".join(tokens[1:]))
-        _edit_clauses(node.matches, clause, negated)
+        value = _MATCH_VALUE.get(kind, str)(" ".join(tokens[1:]))
+        (node.remove if negated else node.add)(MatchClause(kind, value))
 
     def sub_set(self, tokens: List[str], negated: bool) -> None:
         node = self._in_context("policy-node")
-        _edit_clauses(node.sets, SetClause(*self._set_clause(tokens)), negated)
+        clause = SetClause(*self._set_clause(tokens))
+        (node.remove if negated else node.add)(clause)
 
-    def _set_clause(self, tokens: List[str]) -> Tuple[str, str]:
-        """The ``(kind, value)`` of one set line's tokens."""
+    def _set_clause(self, tokens: List[str]) -> Tuple[str, object]:
+        """The ``(kind, value)`` of one set line's tokens, value in normal form."""
         for keyword, kind in self.dialect.set_kinds.items():
             if tuple(tokens[: len(keyword)]) == keyword:
-                return kind, tokens[len(keyword)]
+                text = " ".join(tokens[len(keyword):])
+                return kind, IPAddress.parse(text) if kind == "nexthop" else int(text)
         keyword, rest = tokens[0], tokens[1:]
         if keyword == "community":
             values = [t for t in rest if t != "additive"]
             kind = "community-add" if "additive" in rest else "community-set"
-            return kind, ",".join(values)
+            return kind, _communities(values)
         if keyword == "community-delete":
-            return "community-delete", ",".join(rest)
+            return "community-delete", _communities(rest)
         if keyword == "as-path":
             mode, args = self.dialect.aspath(rest)
+            asns = tuple(int(a) for a in args)
             if mode == "overwrite":
-                return "aspath-set", " ".join(args)
-            count = args[1] if len(args) > 1 else "1"
-            return "aspath-prepend", f"{args[0]}*{count}"
+                return "aspath-set", asns
+            if not 1 <= len(asns) <= 2:
+                raise ValueError("as-path prepend takes ASN [COUNT]")
+            return "aspath-prepend", (asns[0], asns[1] if len(asns) == 2 else 1)
         raise ValueError(f"unknown set kind {keyword!r}")
 
     # -- vrf context -----------------------------------------------------------

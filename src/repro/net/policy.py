@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.net.addr import Prefix, as_prefix
+from repro.net.addr import IPAddress, Prefix, as_prefix
 from repro.net.vendors import VendorProfile
-from repro.routing.attributes import Route
+from repro.routing.attributes import PROTOCOLS, Route, community
 
 PERMIT = "permit"
 DENY = "deny"
@@ -36,12 +36,18 @@ class PolicyError(Exception):
 
 @dataclass(frozen=True)
 class PrefixListEntry:
-    """One prefix-list entry with optional ge/le length bounds."""
+    """One numbered prefix-list entry with optional ge/le length bounds."""
 
+    seq: int
     prefix: Prefix
     action: str = PERMIT
     ge: Optional[int] = None
     le: Optional[int] = None
+
+    @property
+    def rule(self) -> Tuple[Prefix, str, Optional[int], Optional[int]]:
+        """Everything the entry says but its number."""
+        return (self.prefix, self.action, self.ge, self.le)
 
     def matches(self, candidate: Prefix) -> bool:
         if not self.prefix.contains_prefix(candidate):
@@ -60,6 +66,8 @@ class PrefixList:
     ``family`` is 4 for ``ip-prefix`` lists and 6 for ``ipv6-prefix`` lists.
     Applying an IPv4 list to an IPv6 route is the §6.1 misconfiguration; what
     happens then is vendor-specific (``ip_prefix_permits_ipv6``).
+
+    Entries are kept, and evaluated, in sequence-number order.
     """
 
     name: str
@@ -72,9 +80,33 @@ class PrefixList:
         action: str = PERMIT,
         ge: Optional[int] = None,
         le: Optional[int] = None,
+        seq: Optional[int] = None,
     ) -> "PrefixList":
-        self.entries.append(PrefixListEntry(as_prefix(prefix), action, ge, le))
+        """Add entry ``seq``, replacing the entry of that number.
+
+        Without a number the entry takes the last number + 10, unless an
+        entry already says the same (adding it again changes nothing).
+        """
+        rule = (as_prefix(prefix), action, ge, le)
+        if seq is None:
+            if any(e.rule == rule for e in self.entries):
+                return self
+            seq = self.entries[-1].seq + 10 if self.entries else 10
+        self.entries = sorted(
+            [e for e in self.entries if e.seq != seq] + [PrefixListEntry(seq, *rule)],
+            key=lambda e: e.seq,
+        )
         return self
+
+    def remove(self, seq: Optional[int], rule: Tuple) -> None:
+        """Remove entry ``seq``; without a number, the entry of that
+        :attr:`~PrefixListEntry.rule`."""
+        for entry in self.entries:
+            if (entry.seq == seq) if seq is not None else (entry.rule == rule):
+                self.entries.remove(entry)
+                return
+        missing = seq if seq is not None else rule
+        raise PolicyError(f"no entry {missing} in prefix list {self.name!r}")
 
     def evaluate(self, candidate: Prefix, vendor: VendorProfile) -> bool:
         """True if the candidate prefix is permitted by this list."""
@@ -99,7 +131,10 @@ class CommunityList:
     values: List[str] = field(default_factory=list)
 
     def add(self, value: str) -> "CommunityList":
-        self.values.append(value)
+        """Add a community, normalised as :func:`community` writes it."""
+        value = community(value)
+        if value not in self.values:
+            self.values.append(value)
         return self
 
     def evaluate(self, route: Route) -> bool:
@@ -125,7 +160,8 @@ class AsPathList:
             re.compile(pattern)
         except re.error as exc:
             raise PolicyError(f"bad as-path regex {pattern!r}: {exc}") from exc
-        self.patterns.append(pattern)
+        if pattern not in self.patterns:
+            self.patterns.append(pattern)
         return self
 
     def evaluate(self, route: Route, fullmatch: bool = False) -> bool:
@@ -143,52 +179,114 @@ class AsPathList:
 # Route maps
 # ---------------------------------------------------------------------------
 
-MATCH_KINDS = (
-    "prefix-list",
-    "community-list",
-    "aspath-list",
-    "prefix",
-    "community",
-    "nexthop",
-    "protocol",
-)
+def _is_name(value: object) -> bool:
+    return isinstance(value, str) and value != ""
 
-SET_KINDS = (
-    "local-pref",
-    "med",
-    "weight",
-    "preference",
-    "nexthop",
-    "community-add",
-    "community-set",
-    "community-delete",
-    "aspath-prepend",
-    "aspath-set",
-)
+
+def _is_number(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_community(value: object) -> bool:
+    try:
+        return isinstance(value, str) and community(value) == value
+    except ValueError:
+        return False
+
+
+def _is_communities(value: object) -> bool:
+    """A sorted tuple of distinct normalised communities, not empty."""
+    return (
+        isinstance(value, tuple)
+        and value != ()
+        and all(map(_is_community, value))
+        and list(value) == sorted(set(value))
+    )
+
+
+def _is_asns(value: object) -> bool:
+    return isinstance(value, tuple) and all(map(_is_number, value))
+
+
+def _is_prepend(value: object) -> bool:
+    """An ``(asn, count)`` pair."""
+    return _is_asns(value) and len(value) == 2 and value[1] > 0
+
+
+def _assign(current: object, value: object) -> object:
+    return value
+
+
+#: match kind -> test that a value is in the normal form of the kind
+MATCH_VALUE: Dict[str, Callable[[object], bool]] = {
+    "prefix-list": _is_name,
+    "community-list": _is_name,
+    "aspath-list": _is_name,
+    "prefix": lambda value: isinstance(value, Prefix),
+    "community": _is_community,
+    "nexthop": lambda value: isinstance(value, IPAddress),
+    "protocol": lambda value: value in PROTOCOLS,
+}
+
+#: set kind -> (the :class:`Route` field it writes, the normal-form test of
+#: its value, ``(current field value, clause value) -> new field value``)
+SET_ATTRIBUTE: Dict[str, Tuple[str, Callable, Callable]] = {
+    "local-pref": ("local_pref", _is_number, _assign),
+    "med": ("med", _is_number, _assign),
+    "weight": ("weight", _is_number, _assign),
+    "preference": ("preference", _is_number, _assign),
+    "nexthop": ("nexthop", MATCH_VALUE["nexthop"], _assign),
+    "community-add": ("communities", _is_communities, frozenset.union),
+    "community-set": ("communities", _is_communities, lambda _, v: frozenset(v)),
+    "community-delete": ("communities", _is_communities, frozenset.difference),
+    "aspath-prepend": ("as_path", _is_prepend, lambda path, v: (v[0],) * v[1] + path),
+    "aspath-set": ("as_path", _is_asns, _assign),
+}
+_SET_VALUE = {kind: valid for kind, (_, valid, _) in SET_ATTRIBUTE.items()}
+
+
+def _check_clause(clause: Union[MatchClause, SetClause], valid: Mapping, word: str) -> None:
+    if clause.kind not in valid:
+        raise PolicyError(f"unknown {word} kind {clause.kind!r}")
+    if not valid[clause.kind](clause.value):
+        raise PolicyError(f"bad {clause.kind} value {clause.value!r}")
 
 
 @dataclass(frozen=True)
 class MatchClause:
-    """A single match condition inside a policy node."""
+    """A single match condition inside a policy node.
+
+    ``value`` is in the normal form of its kind (:data:`MATCH_VALUE`), as
+    the config parser writes it; anything else raises :class:`PolicyError`.
+    """
 
     kind: str
-    value: str
+    value: object
 
     def __post_init__(self) -> None:
-        if self.kind not in MATCH_KINDS:
-            raise PolicyError(f"unknown match kind {self.kind!r}")
+        _check_clause(self, MATCH_VALUE, "match")
+
+    def slot(self) -> object:
+        """What a node holds once: an equal clause."""
+        return self
 
 
 @dataclass(frozen=True)
 class SetClause:
-    """A single set action inside a policy node."""
+    """A single set action inside a policy node (:data:`SET_ATTRIBUTE`)."""
 
     kind: str
-    value: str
+    value: object
 
     def __post_init__(self) -> None:
-        if self.kind not in SET_KINDS:
-            raise PolicyError(f"unknown set kind {self.kind!r}")
+        _check_clause(self, _SET_VALUE, "set")
+
+    def slot(self) -> object:
+        """What a node sets once: the attribute written, except that deleting
+        communities is a command of its own beside setting them."""
+        if self.kind == "community-delete":
+            return self.kind
+        return SET_ATTRIBUTE[self.kind][0]
 
 
 @dataclass
@@ -196,7 +294,8 @@ class PolicyNode:
     """A numbered node of a route policy.
 
     ``action`` may be ``None`` — what a matching route then experiences is
-    the "no explicit permit/deny" VSB.
+    the "no explicit permit/deny" VSB. A node holds one clause per slot
+    (:meth:`MatchClause.slot`, :meth:`SetClause.slot`).
     """
 
     seq: int
@@ -204,13 +303,28 @@ class PolicyNode:
     matches: List[MatchClause] = field(default_factory=list)
     sets: List[SetClause] = field(default_factory=list)
 
-    def match(self, kind: str, value: str) -> "PolicyNode":
-        self.matches.append(MatchClause(kind, value))
+    def match(self, kind: str, value: object) -> "PolicyNode":
+        return self.add(MatchClause(kind, value))
+
+    def set(self, kind: str, value: object) -> "PolicyNode":
+        return self.add(SetClause(kind, value))
+
+    def add(self, clause: Union[MatchClause, SetClause]) -> "PolicyNode":
+        """Add a clause in place of the one in its slot."""
+        clauses = self.matches if isinstance(clause, MatchClause) else self.sets
+        for i, old in enumerate(clauses):
+            if old.slot() == clause.slot():
+                clauses[i] = clause
+                return self
+        clauses.append(clause)
         return self
 
-    def set(self, kind: str, value: str) -> "PolicyNode":
-        self.sets.append(SetClause(kind, value))
-        return self
+    def remove(self, clause: Union[MatchClause, SetClause]) -> None:
+        """Remove the equal clause."""
+        clauses = self.matches if isinstance(clause, MatchClause) else self.sets
+        if clause not in clauses:
+            raise PolicyError(f"no {clause.kind} clause {clause.value!r} to remove")
+        clauses.remove(clause)
 
 
 @dataclass
@@ -321,55 +435,24 @@ def _clause_matches(clause: MatchClause, route: Route, ctx: PolicyContext) -> bo
         if alist is None:
             return vendor.undefined_filter_matches
         return alist.evaluate(route, fullmatch=ctx.aspath_fullmatch)
-    if clause.kind == "prefix":
-        return route.prefix == as_prefix(clause.value)
     if clause.kind == "community":
         return clause.value in route.communities
-    if clause.kind == "nexthop":
-        return route.nexthop is not None and str(route.nexthop) == clause.value
-    if clause.kind == "protocol":
-        return route.protocol == clause.value
-    raise PolicyError(f"unhandled match kind {clause.kind!r}")
+    # prefix, nexthop and protocol: the route field of that name equals it
+    return getattr(route, clause.kind) == clause.value
 
 
-def _apply_sets(
-    route: Route, sets: Sequence[SetClause], ctx: PolicyContext
-) -> Tuple[Route, bool]:
+def _apply_sets(route: Route, sets: Sequence[SetClause]) -> Tuple[Route, bool]:
     """Apply a node's set actions in order.
 
     Returns the transformed route and whether the AS path was overwritten.
     """
-    from repro.net.addr import IPAddress
-
-    aspath_overwritten = False
+    changes: Dict[str, object] = {}
     for clause in sets:
-        if clause.kind == "local-pref":
-            route = route.evolve(local_pref=int(clause.value))
-        elif clause.kind == "med":
-            route = route.evolve(med=int(clause.value))
-        elif clause.kind == "weight":
-            route = route.evolve(weight=int(clause.value))
-        elif clause.kind == "preference":
-            route = route.evolve(preference=int(clause.value))
-        elif clause.kind == "nexthop":
-            route = route.evolve(nexthop=IPAddress.parse(clause.value))
-        elif clause.kind == "community-add":
-            route = route.add_communities(tuple(clause.value.split(",")))
-        elif clause.kind == "community-set":
-            route = route.set_communities(tuple(clause.value.split(",")))
-        elif clause.kind == "community-delete":
-            route = route.delete_communities(tuple(clause.value.split(",")))
-        elif clause.kind == "aspath-prepend":
-            asn_text, _, count_text = clause.value.partition("*")
-            count = int(count_text) if count_text else 1
-            route = route.prepend_as_path(int(asn_text), count)
-        elif clause.kind == "aspath-set":
-            path = tuple(int(a) for a in clause.value.split()) if clause.value else ()
-            route = route.evolve(as_path=path)
-            aspath_overwritten = True
-        else:  # pragma: no cover - SET_KINDS is validated at construction
-            raise PolicyError(f"unhandled set kind {clause.kind!r}")
-    return route, aspath_overwritten
+        attribute, _, write = SET_ATTRIBUTE[clause.kind]
+        current = changes.get(attribute, getattr(route, attribute))
+        changes[attribute] = write(current, clause.value)
+    overwritten = any(clause.kind == "aspath-set" for clause in sets)
+    return (route.evolve(**changes) if changes else route), overwritten
 
 
 def apply_policy(
@@ -404,7 +487,7 @@ def apply_policy(
                 return PolicyResult(
                     False, None, matched_node=node.seq, reason="node-deny"
                 )
-            transformed, overwritten = _apply_sets(route, node.sets, ctx)
+            transformed, overwritten = _apply_sets(route, node.sets)
             return PolicyResult(
                 True,
                 transformed,

@@ -44,6 +44,8 @@ PROTO_STATIC = "static"
 PROTO_DIRECT = "direct"
 PROTO_AGGREGATE = "aggregate"
 PROTO_SR = "sr"
+#: every protocol a route may carry (what a ``protocol`` match can name)
+PROTOCOLS = (PROTO_BGP, PROTO_ISIS, PROTO_STATIC, PROTO_DIRECT, PROTO_AGGREGATE, PROTO_SR)
 
 
 def community(text: str) -> str:
@@ -153,22 +155,6 @@ class Route:
         these.
         """
         return _new(prefix, self.attrs)
-
-    # -- helpers used by policies and RCL ------------------------------------
-
-    def add_communities(self, values: Tuple[str, ...]) -> "Route":
-        added = frozenset(community(v) for v in values)
-        return self.evolve(communities=self.communities | added)
-
-    def set_communities(self, values: Tuple[str, ...]) -> "Route":
-        return self.evolve(communities=frozenset(community(v) for v in values))
-
-    def delete_communities(self, values: Tuple[str, ...]) -> "Route":
-        removed = frozenset(community(v) for v in values)
-        return self.evolve(communities=self.communities - removed)
-
-    def prepend_as_path(self, asn: int, count: int = 1) -> "Route":
-        return self.evolve(as_path=(asn,) * count + self.as_path)
 
     def as_path_str(self) -> str:
         """AS path rendered as a space-separated string for regex matching."""

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional
 
 from repro.core.change_plan import ChangePlan
 from repro.core.intents import PrefixReaches, RclIntent
+from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.routing.inputs import InputRoute, inject_external_route
 from repro.workload.wan import WanInventory
@@ -177,7 +178,7 @@ def make_prefix_announcement(
             device = base.edit(rr)
             ctx = device.policy_ctx
             block = ctx.define_policy("LATENT-BLOCK")
-            block.node(10, "deny").match("prefix", prefix)
+            block.node(10, "deny").match("prefix", Prefix.parse(prefix))
             block.node(20, "permit")
             for peer in device.peers:
                 peer.import_policy = "LATENT-BLOCK"

@@ -390,8 +390,8 @@ def _install_policies(model: NetworkModel, inventory: WanInventory) -> None:
         ctx.define_aspath_list("BOGON").add("65013")
         imp = ctx.define_policy("ISP-IN")
         imp.node(8, "deny").match("aspath-list", "BOGON")
-        imp.node(10, "permit").set("community-add", f"{region_tag}:100").set(
-            "local-pref", "120"
+        imp.node(10, "permit").set("community-add", (f"{region_tag}:100",)).set(
+            "local-pref", 120
         )
         exp = ctx.define_policy("ISP-OUT")
         exp.node(10, "permit")
@@ -404,8 +404,8 @@ def _install_policies(model: NetworkModel, inventory: WanInventory) -> None:
         device = model.device(edge)
         ctx = device.policy_ctx
         imp = ctx.define_policy("DC-IN")
-        imp.node(10, "permit").set("community-add", "64512:200").set(
-            "local-pref", "200"
+        imp.node(10, "permit").set("community-add", ("64512:200",)).set(
+            "local-pref", 200
         )
         for peer in device.peers:
             if peer.remote_asn != device.asn:

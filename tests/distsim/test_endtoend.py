@@ -11,6 +11,7 @@ from repro.distsim import (
     MemoryExhausted,
     OrderingPartitioner,
     RandomPartitioner,
+    RetryPolicy,
 )
 from repro.distsim.taskdb import FINISHED
 from repro.distsim.master import TaskFailed
@@ -169,7 +170,7 @@ class TestFailureHandling:
         sim = DistributedRouteSimulation(
             model,
             worker_config=WorkerConfig(failure_hook=lambda m: True),
-            max_retries=2,
+            retry=RetryPolicy(max_retries=2),
         )
         with pytest.raises(TaskFailed):
             sim.run(routes, subtasks=3)

@@ -83,7 +83,7 @@ class TestGrouping:
     def test_exact_prefix_clause_splits(self):
         model = simple_model()
         policy = model.device("B").policy_ctx.define_policy("P")
-        policy.node(10, "deny").match("prefix", "203.0.1.0/24")
+        policy.node(10, "deny").match("prefix", Prefix.parse("203.0.1.0/24"))
         inputs = [
             inject_external_route("A", "203.0.1.0/24", (65010,)),
             inject_external_route("A", "203.0.2.0/24", (65010,)),
@@ -100,7 +100,7 @@ class TestSoundness:
         )
         imp = model.device("B").policy_ctx.define_policy("IMP")
         imp.node(10, "permit").match("prefix-list", "SPECIAL").set(
-            "local-pref", "300"
+            "local-pref", 300
         )
         imp.node(20, "permit")
         model.device("B").peer_to("A").import_policy = "IMP"

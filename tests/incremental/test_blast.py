@@ -138,7 +138,7 @@ class TestNarrowAnalysis:
         base.device("A").policy_ctx.policies["P"] = RoutePolicy("P")
         updated = base.copy()
         node = PolicyNode(
-            seq=5, matches=[MatchClause("prefix", "192.0.2.0/24")]
+            seq=5, matches=[MatchClause("prefix", as_prefix("192.0.2.0/24"))]
         )
         updated.edit("A").policy_ctx.policies["P"].nodes.append(node)
         blast = analyze(base, updated)

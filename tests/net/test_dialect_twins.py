@@ -12,6 +12,7 @@ no row, so a command added to one dialect needs its twin.
 import pytest
 
 from repro.incremental.diff import device_section_fingerprints
+from repro.net.addr import Prefix
 from repro.net.config import ConfigParseError, apply_commands, parse_config
 from repro.net.config.dialects import DIALECTS
 
@@ -112,19 +113,194 @@ interface eth1
 BGP_A, BGP_B = "router bgp 65001\n", "bgp 65001\n"
 NODE_A, NODE_B = "route-map P permit 10\n", "route-policy P permit node 10\n"
 
-#: (row id, vendor-a block, vendor-b block) whose negation lines undo what
-#: the lines before them did: each block leaves its base device unchanged
+RM_A, RM_B = "route-map RM permit 10\n", "route-policy RM permit node 10\n"
+
+#: (row id, vendor-a block, vendor-b block) whose last lines undo what the
+#: lines before them did (mostly by negation): each block leaves its base
+#: device unchanged
 ROUND_TRIPS = [
     (
         "match-undo",
-        "route-map RM permit 10\n match ip prefix-list PL4\n no match ip prefix-list PL4",
-        "route-policy RM permit node 10\n if-match ip-prefix PL4\n undo if-match ip-prefix PL4",
+        RM_A + " match ip prefix-list PL4\n no match ip prefix-list PL4",
+        RM_B + " if-match ip-prefix PL4\n undo if-match ip-prefix PL4",
     ),
     (
         "set-undo",
-        "route-map RM permit 10\n set local-preference 200\n no set local-preference 200",
-        "route-policy RM permit node 10\n apply local-preference 200\n undo apply local-preference 200",
+        RM_A + " set local-preference 200\n no set local-preference 200",
+        RM_B + " apply local-preference 200\n undo apply local-preference 200",
     ),
+    # -- entering a clause twice equals entering it once
+    (
+        "match-twice-undo",
+        RM_A + " match ip prefix-list PL4\n match ip prefix-list PL4\n no match ip prefix-list PL4",
+        RM_B + " if-match ip-prefix PL4\n if-match ip-prefix PL4\n undo if-match ip-prefix PL4",
+    ),
+    (
+        "set-twice-undo",
+        RM_A + " set local-preference 200\n set local-preference 200\n no set local-preference 200",
+        RM_B + " apply local-preference 200\n apply local-preference 200\n"
+        " undo apply local-preference 200",
+    ),
+    (
+        "set-replaced-then-restored",
+        "route-map IMPORT permit 20\n set local-preference 200\n set local-preference 300",
+        "route-policy IMPORT permit node 20\n apply local-preference 200\n apply local-preference 300",
+    ),
+    ("set-med-undo", RM_A + " set med 5\n no set med 5", RM_B + " apply cost 5\n undo apply cost 5"),
+    # the negation names the communities in another order: one normal form
+    (
+        "set-community-undo",
+        RM_A + " set community 2:2 1:1\n no set community 1:1 2:2",
+        RM_B + " apply community 2:2 1:1\n undo apply community 1:1 2:2",
+    ),
+    # -- peers and their options
+    ("peer-add-undo", BGP_A + " neighbor R9 remote-as 65009\n no neighbor R9", BGP_B + " peer R9 as-number 65009\n undo peer R9"),
+    (
+        "peer-add-vrf-undo",
+        BGP_A + " neighbor R9 vrf vrf1 remote-as 65009\n no neighbor R9 vrf vrf1",
+        BGP_B + " peer R9 vpn-instance vrf1 as-number 65009\n undo peer R9 vpn-instance vrf1",
+    ),
+    (
+        "peer-policy-in-add-undo",
+        BGP_A + " neighbor R3 route-map RM in\n no neighbor R3 route-map RM in",
+        BGP_B + " peer R3 route-policy RM import\n undo peer R3 route-policy RM import",
+    ),
+    (
+        "peer-policy-out-add-undo",
+        BGP_A + " neighbor R3 route-map RM out\n no neighbor R3 route-map RM out",
+        BGP_B + " peer R3 route-policy RM export\n undo peer R3 route-policy RM export",
+    ),
+    (
+        "peer-rr-client-add-undo",
+        BGP_A + " neighbor R3 route-reflector-client\n no neighbor R3 route-reflector-client",
+        BGP_B + " peer R3 reflect-client\n undo peer R3 reflect-client",
+    ),
+    (
+        "peer-next-hop-self-add-undo",
+        BGP_A + " neighbor R3 next-hop-self\n no neighbor R3 next-hop-self",
+        BGP_B + " peer R3 next-hop-local\n undo peer R3 next-hop-local",
+    ),
+    (
+        "peer-addpath-add-undo",
+        BGP_A + " neighbor R3 additional-paths 4\n no neighbor R3 additional-paths 4",
+        BGP_B + " peer R3 additional-paths 4\n undo peer R3 additional-paths 4",
+    ),
+    (
+        "peer-shutdown-undo",
+        BGP_A + " neighbor R2 shutdown\n no neighbor R2 shutdown",
+        BGP_B + " peer R2 ignore\n undo peer R2 ignore",
+    ),
+    # -- aggregates, redistribution and statics
+    (
+        "aggregate-add-undo",
+        BGP_A + " aggregate-address 10.4.0.0/16\n no aggregate-address 10.4.0.0/16",
+        BGP_B + " aggregate 10.4.0.0 16\n undo aggregate 10.4.0.0 16",
+    ),
+    (
+        "aggregate-vrf-add-undo",
+        BGP_A + " aggregate-address 10.4.0.0/16 vrf vrf1\n no aggregate-address 10.4.0.0/16 vrf vrf1",
+        BGP_B + " aggregate 10.4.0.0 16 vpn-instance vrf1\n undo aggregate 10.4.0.0 16 vpn-instance vrf1",
+    ),
+    # the base redistributes direct routes in vrf1 only
+    (
+        "redistribute-add-undo",
+        BGP_A + " redistribute direct\n no redistribute direct",
+        BGP_B + " import-route direct\n undo import-route direct",
+    ),
+    (
+        "redistribute-vrf-add-undo",
+        BGP_A + " redistribute static vrf vrf1\n no redistribute static vrf vrf1",
+        BGP_B + " import-route static vpn-instance vrf1\n undo import-route static vpn-instance vrf1",
+    ),
+    (
+        "static-add-undo",
+        "ip route 10.6.0.0/16 192.0.2.3\nno ip route 10.6.0.0/16 192.0.2.3",
+        "ip route-static 10.6.0.0 16 192.0.2.3\nundo ip route-static 10.6.0.0 16 192.0.2.3",
+    ),
+    (
+        "static-vrf-add-undo",
+        "ip route vrf vrf1 10.6.0.0/16 192.0.2.3 7\nno ip route vrf vrf1 10.6.0.0/16 192.0.2.3",
+        "ip route-static vpn-instance vrf1 10.6.0.0 16 192.0.2.3 preference 7\n"
+        "undo ip route-static vpn-instance vrf1 10.6.0.0 16 192.0.2.3",
+    ),
+    # the negation writes the next hop in upper case
+    (
+        "static-v6-add-undo",
+        "ip route 2001:db8:9::/48 2001:db8::1\nno ip route 2001:db8:9::/48 2001:DB8::1",
+        "ip route-static 2001:db8:9:: 48 2001:db8::1\nundo ip route-static 2001:db8:9:: 48 2001:DB8::1",
+    ),
+    # -- prefix, community and as-path lists
+    (
+        "prefix-list-entry-add-undo",
+        "ip prefix-list PL4 seq 30 permit 10.2.0.0/16 ge 20 le 24\nno ip prefix-list PL4 seq 30 permit 10.2.0.0/16",
+        "ip ip-prefix PL4 index 30 permit 10.2.0.0 16 greater-equal 20 less-equal 24\n"
+        "undo ip ip-prefix PL4 index 30 permit 10.2.0.0 16",
+    ),
+    (
+        "prefix-list-unnumbered-add-undo",
+        "ip prefix-list PL4 permit 10.2.0.0/16\nno ip prefix-list PL4 permit 10.2.0.0/16",
+        "ip ip-prefix PL4 permit 10.2.0.0 16\nundo ip ip-prefix PL4 permit 10.2.0.0 16",
+    ),
+    # re-entering a number replaces its entry
+    (
+        "prefix-list-seq-replaced-then-restored",
+        "ip prefix-list PL4 seq 10 deny 10.9.0.0/16\nip prefix-list PL4 seq 10 permit 10.0.0.0/24 ge 25 le 32",
+        "ip ip-prefix PL4 index 10 deny 10.9.0.0 16\n"
+        "ip ip-prefix PL4 index 10 permit 10.0.0.0 24 greater-equal 25 less-equal 32",
+    ),
+    (
+        "prefix-list-add-undo",
+        "ip prefix-list NEW deny 10.3.0.0/16\nno ip prefix-list NEW",
+        "ip ip-prefix NEW deny 10.3.0.0 16\nundo ip ip-prefix NEW",
+    ),
+    (
+        "community-list-add-undo",
+        "ip community-list CL2 permit 1:1\nno ip community-list CL2",
+        "ip community-filter CL2 permit 1:1\nundo ip community-filter CL2",
+    ),
+    (
+        "as-path-list-add-undo",
+        "ip as-path access-list AP2 permit ^65003\nno ip as-path access-list AP2",
+        "ip as-path-filter AP2 permit ^65003\nundo ip as-path-filter AP2",
+    ),
+    # -- policies and their nodes
+    ("node-add-undo", "route-map RM permit 20\nno route-map RM 20", "route-policy RM permit node 20\nundo route-policy RM node 20"),
+    (
+        "policy-add-undo",
+        NODE_A + " set med 5\nno route-map P",
+        NODE_B + " apply cost 5\nundo route-policy P",
+    ),
+    # -- SR policies, PBR, ACLs, VRFs and IS-IS
+    (
+        "sr-policy-add-undo",
+        "segment-routing policy SRP2 endpoint R6\nno segment-routing policy SRP2",
+        "segment-routing policy SRP2 endpoint R6\nundo segment-routing policy SRP2",
+    ),
+    (
+        "pbr-rule-add-undo",
+        "pbr rule 20 dst 10.4.0.0/16 nexthop R2\nno pbr rule 20",
+        "pbr rule 20 dst 10.4.0.0/16 nexthop R2\nundo pbr rule 20",
+    ),
+    ("acl-add-undo", "access-list ACL2 10 deny\nno access-list ACL2", "acl ACL2 10 deny\nundo acl ACL2"),
+    (
+        "acl-bind-undo",
+        "interface eth2\n ip access-group ACL1\n no ip access-group ACL1",
+        "interface eth2\n traffic-filter inbound acl ACL1\n undo traffic-filter inbound acl ACL1",
+    ),
+    (
+        "vrf-add-undo",
+        "vrf definition vrf2\n rd 65001:2\nno vrf definition vrf2",
+        "ip vpn-instance vrf2\n route-distinguisher 65001:2\nundo ip vpn-instance vrf2",
+    ),
+    (
+        "route-target-add-undo",
+        "vrf definition vrf1\n route-target import 300:1\n no route-target import 300:1",
+        "ip vpn-instance vrf1\n vpn-target 300:1 import-extcommunity\n undo vpn-target 300:1 import-extcommunity",
+    ),
+    ("isis-cost-add-undo", "isis cost R3 30\nno isis cost R3", "isis cost R3 30\nundo isis cost R3"),
+    ("isis-enable", "no router isis\nrouter isis", "undo isis\nisis"),
+    ("isis-te", "no isis te\nisis te", "undo isis te\nisis te"),
+    ("isolate-undo", "isolate\nno isolate", "device-isolate\nundo device-isolate"),
 ]
 
 #: (row id, vendor-a block, vendor-b block) leaving twin device models
@@ -182,11 +358,6 @@ TWINS = ROUND_TRIPS + [
         BGP_B + " undo peer R2 additional-paths 2",
     ),
     ("peer-shutdown", BGP_A + " neighbor R2 shutdown", BGP_B + " peer R2 ignore"),
-    (
-        "peer-shutdown-undo",
-        BGP_A + " neighbor R2 shutdown\n no neighbor R2 shutdown",
-        BGP_B + " peer R2 ignore\n undo peer R2 ignore",
-    ),
     ("aggregate", BGP_A + " aggregate-address 10.4.0.0/16", BGP_B + " aggregate 10.4.0.0 16"),
     (
         "aggregate-options",
@@ -335,13 +506,10 @@ TWINS = ROUND_TRIPS + [
     ("interface-undo", "no interface eth1", "undo interface eth1"),
     # -- IS-IS and isolation
     ("isis-undo", "no router isis", "undo isis"),
-    ("isis-enable", "no router isis\nrouter isis", "undo isis\nisis"),
     ("isis-cost", "isis cost R3 30", "isis cost R3 30"),
     ("isis-cost-undo", "no isis cost R2", "undo isis cost R2"),
     ("isis-te-undo", "no isis te", "undo isis te"),
-    ("isis-te", "no isis te\nisis te", "undo isis te\nisis te"),
     ("isolate", "isolate", "device-isolate"),
-    ("isolate-undo", "isolate\nno isolate", "device-isolate\nundo device-isolate"),
     # -- context rules: an unindented sub-command keeps its context
     ("context-unindented-sub", "router bgp 65001\nneighbor R3 shutdown", "bgp 65001\npeer R3 ignore"),
     ("comments-and-blanks", "! note\n\n# note\nisolate", "! note\n\n# note\ndevice-isolate"),
@@ -392,6 +560,23 @@ REJECTED = [
         "route-policy IMPORT permit node 20\n undo apply local-preference 200",
     ),
     ("set-unknown", NODE_A + " set frobnicate 1", NODE_B + " apply frobnicate 1"),
+    # -- malformed values: every clause value is parsed with its line
+    ("set-local-preference-not-a-number", NODE_A + " set local-preference abc", NODE_B + " apply local-preference abc"),
+    ("set-local-preference-negative", NODE_A + " set local-preference -5", NODE_B + " apply local-preference -5"),
+    ("set-as-path-prepend-not-a-number", NODE_A + " set as-path prepend frob", NODE_B + " apply as-path frob"),
+    ("set-next-hop-not-an-address", NODE_A + " set next-hop frob", NODE_B + " apply ip-address next-hop frob"),
+    ("set-community-malformed", NODE_A + " set community frob", NODE_B + " apply community frob"),
+    ("match-prefix-host-bits", NODE_A + " match ip prefix 10.0.0.1/24", NODE_B + " if-match prefix 10.0.0.1/24"),
+    ("match-nexthop-not-an-address", NODE_A + " match ip nexthop frob", NODE_B + " if-match nexthop frob"),
+    ("match-protocol-unknown", NODE_A + " match protocol bgpp", NODE_B + " if-match protocol bgpp"),
+    ("community-list-malformed", "ip community-list CL permit frob", "ip community-filter CL permit frob"),
+    # -- negating an entry that is not there
+    (
+        "prefix-list-entry-undo-absent",
+        "no ip prefix-list PL4 seq 30 permit 10.2.0.0/16",
+        "undo ip ip-prefix PL4 index 30 permit 10.2.0.0 16",
+    ),
+    ("redistribute-undo-absent", BGP_A + " no redistribute isis", BGP_B + " undo import-route isis"),
     ("undo-node-of-missing-policy", "no route-map NOPE 10", "undo route-policy NOPE node 10"),
     ("undo-missing-node", "no route-map RM 20", "undo route-policy RM node 20"),
     ("sr-policy-without-endpoint", "segment-routing policy S color 1", "segment-routing policy S color 1"),
@@ -431,6 +616,65 @@ def test_negation_restores_the_base(a_block, b_block):
         base = _base(vendor)
         updated = apply_commands(base, block.splitlines())
         assert device_section_fingerprints(updated) == device_section_fingerprints(base)
+
+
+#: handlers of the base's route-map, prefix-list, community-list and
+#: as-path-list blocks
+_POLICY_HANDLERS = {
+    "cmd_policy_node",
+    "cmd_prefix_list_v4",
+    "cmd_prefix_list_v6",
+    "cmd_community_list",
+    "cmd_aspath_list",
+    "sub_match",
+    "sub_set",
+}
+
+
+def _policy_lines(vendor):
+    """Each line of the base's policy blocks, after the node header that a
+    match or set line needs."""
+    dialect, header = DIALECTS[vendor], []
+    for line in (BASE_A if vendor == "vendor-a" else BASE_B).splitlines():
+        handler = dialect.command(line)[0]
+        if handler == "cmd_policy_node":
+            header = [line]
+        if handler in _POLICY_HANDLERS:
+            yield (header if handler.startswith("sub_") else []) + [line]
+
+
+@pytest.mark.parametrize("vendor", sorted(DIALECTS))
+def test_reentering_a_base_policy_line_changes_nothing(vendor):
+    base = device_section_fingerprints(_base(vendor))
+    lines = list(_policy_lines(vendor))
+    assert len(lines) == 14
+    changed = [
+        block[-1]
+        for block in lines
+        if device_section_fingerprints(apply_commands(_base(vendor), block)) != base
+    ]
+    assert not changed
+
+
+@pytest.mark.parametrize("vendor", sorted(DIALECTS))
+def test_prefix_list_entries_evaluate_in_sequence_order(vendor):
+    lines = {
+        "vendor-a": [
+            "ip prefix-list PL seq 10 permit 10.0.0.0/8 le 32",
+            "ip prefix-list PL seq 5 deny 10.1.0.0/16",
+            "ip prefix-list PL permit 10.1.0.0/16",
+        ],
+        "vendor-b": [
+            "ip ip-prefix PL index 10 permit 10.0.0.0 8 less-equal 32",
+            "ip ip-prefix PL index 5 deny 10.1.0.0 16",
+            "ip ip-prefix PL permit 10.1.0.0 16",
+        ],
+    }[vendor]
+    config = apply_commands(_base(vendor), lines)
+    plist = config.policy_ctx.prefix_lists["PL"]
+    assert [entry.seq for entry in plist.entries] == [5, 10, 20]
+    assert not plist.evaluate(Prefix.parse("10.1.0.0/16"), config.policy_ctx.vendor)
+    assert plist.evaluate(Prefix.parse("10.2.0.0/16"), config.policy_ctx.vendor)
 
 
 @pytest.mark.parametrize(

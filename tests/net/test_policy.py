@@ -3,13 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.addr import Prefix
+from repro.net.addr import IPAddress, Prefix
+from repro.net.config import parse_config
 from repro.net.policy import (
     AsPathList,
     CommunityList,
+    MatchClause,
     PolicyContext,
     PolicyError,
     PrefixList,
+    SetClause,
     apply_policy,
 )
 from repro.net.vendors import VENDOR_A, VENDOR_B
@@ -132,7 +135,7 @@ class TestPolicyEvaluation:
         ctx.define_community_list("CL").add("100:1")
         policy = ctx.define_policy("POL")
         policy.node(10, "deny").match("community-list", "CL")
-        policy.node(20, "permit").match("prefix-list", "PL").set("local-pref", "300")
+        policy.node(20, "permit").match("prefix-list", "PL").set("local-pref", 300)
         return ctx
 
     def test_deny_node(self):
@@ -188,11 +191,11 @@ class TestPolicyEvaluation:
     def test_set_clauses(self):
         ctx = PolicyContext(vendor=VENDOR_A)
         node = ctx.define_policy("P").node(10, "permit")
-        node.set("med", "50")
-        node.set("weight", "7")
-        node.set("community-add", "1:1,2:2")
-        node.set("aspath-prepend", "65000*3")
-        node.set("nexthop", "192.0.2.9")
+        node.set("med", 50)
+        node.set("weight", 7)
+        node.set("community-add", ("1:1", "2:2"))
+        node.set("aspath-prepend", (65000, 3))
+        node.set("nexthop", IPAddress.parse("192.0.2.9"))
         result = apply_policy("P", route(as_path=(1,)), ctx)
         r = result.route
         assert r.med == 50 and r.weight == 7
@@ -202,16 +205,71 @@ class TestPolicyEvaluation:
 
     def test_community_set_and_delete(self):
         ctx = PolicyContext(vendor=VENDOR_A)
-        ctx.define_policy("SET").node(10, "permit").set("community-set", "5:5")
-        ctx.define_policy("DEL").node(10, "permit").set("community-delete", "1:1")
+        ctx.define_policy("SET").node(10, "permit").set("community-set", ("5:5",))
+        ctx.define_policy("DEL").node(10, "permit").set("community-delete", ("1:1",))
         r = route(communities=frozenset({"1:1", "2:2"}))
         assert apply_policy("SET", r, ctx).route.communities == {"5:5"}
         assert apply_policy("DEL", r, ctx).route.communities == {"2:2"}
 
     def test_aspath_overwrite(self):
         ctx = PolicyContext(vendor=VENDOR_A)
-        ctx.define_policy("P").node(10, "permit").set("aspath-set", "100 200")
+        ctx.define_policy("P").node(10, "permit").set("aspath-set", (100, 200))
         assert apply_policy("P", route(as_path=(1, 2, 3)), ctx).route.as_path == (100, 200)
+
+    def test_set_once_per_attribute(self):
+        node = PolicyContext(vendor=VENDOR_A).define_policy("P").node(10, "permit")
+        node.set("local-pref", 300).set("community-add", ("1:1",))
+        node.set("local-pref", 200).set("local-pref", 200)
+        node.set("community-set", ("2:2",)).set("community-delete", ("3:3",))
+        node.match("prefix-list", "PL").match("prefix-list", "PL")
+        assert node.sets == [
+            SetClause("local-pref", 200),
+            SetClause("community-set", ("2:2",)),
+            SetClause("community-delete", ("3:3",)),
+        ]
+        assert node.matches == [MatchClause("prefix-list", "PL")]
+
+    @pytest.mark.parametrize(
+        "clause, kind, value",
+        [
+            (SetClause, "local-pref", "300"),
+            (SetClause, "local-pref", -1),
+            (SetClause, "nexthop", "192.0.2.9"),
+            (SetClause, "community-add", "1:1,2:2"),
+            (SetClause, "community-add", ("2:2", "1:1")),
+            (SetClause, "community-set", ("65000:0100",)),
+            (SetClause, "aspath-prepend", "65000*3"),
+            (SetClause, "aspath-prepend", (65000, 0)),
+            (SetClause, "aspath-set", "100 200"),
+            (MatchClause, "prefix", "10.0.0.0/8"),
+            (MatchClause, "nexthop", "192.0.2.9"),
+            (MatchClause, "community", "65000:0100"),
+            (MatchClause, "protocol", "bgpp"),
+            (MatchClause, "prefix-list", ""),
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, clause, kind, value):
+        with pytest.raises(PolicyError):
+            clause(kind, value)
+
+    def test_upper_case_ipv6_nexthop_matches(self):
+        config = parse_config(
+            "route-map P permit 10\n match ipv6 nexthop 2001:DB8::1", "R1", vendor="vendor-a"
+        )
+        r = route("2001:db8:1::/48", nexthop=IPAddress.parse("2001:db8::1"))
+        assert apply_policy("P", r, config.policy_ctx).matched_node == 10
+
+    def test_community_list_entry_is_normalised(self):
+        config = parse_config(
+            "ip community-list CL permit 65000:0100\n"
+            "route-map TAG permit 10\n set community 65000:0100\n"
+            "route-map P permit 10\n match community CL",
+            "R1",
+            vendor="vendor-a",
+        )
+        tagged = apply_policy("TAG", route(), config.policy_ctx).route
+        assert tagged.communities == {"65000:100"}
+        assert apply_policy("P", tagged, config.policy_ctx).matched_node == 10
 
     def test_nodes_evaluated_in_seq_order(self):
         ctx = PolicyContext(vendor=VENDOR_A)
@@ -248,8 +306,8 @@ class TestPolicyEvaluation:
 def test_policy_set_roundtrip_property(lp, med):
     ctx = PolicyContext(vendor=VENDOR_A)
     node = ctx.define_policy("P").node(10, "permit")
-    node.set("local-pref", str(lp))
-    node.set("med", str(med))
+    node.set("local-pref", lp)
+    node.set("med", med)
     result = apply_policy("P", route(), ctx)
     assert result.route.local_pref == lp
     assert result.route.med == med

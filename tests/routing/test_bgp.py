@@ -158,7 +158,7 @@ class TestPolicies:
         model = build_model(routers=[("A", 100), ("B", 200)], links=[("A", "B", 10)])
         peer_both(model, "A", "B")
         ctx = model.device("A").policy_ctx
-        ctx.define_policy("EXP").node(10, "permit").set("med", "77")
+        ctx.define_policy("EXP").node(10, "permit").set("med", 77)
         model.device("A").peer_to("B").export_policy = "EXP"
         result = simulate_routes(model, [inject_external_route("A", PFX, (65010,))])
         assert best(result, "B")[0].med == 77
@@ -174,7 +174,7 @@ class TestPolicies:
             )
             peer_both(model, "A", "B")
             ctx = model.device("A").policy_ctx
-            ctx.define_policy("EXP").node(10, "permit").set("aspath-set", "65099")
+            ctx.define_policy("EXP").node(10, "permit").set("aspath-set", (65099,))
             model.device("A").peer_to("B").export_policy = "EXP"
             if vendor == "vendor-b":
                 # vendor-b needs an explicit eBGP import policy (missing-

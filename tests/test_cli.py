@@ -71,6 +71,20 @@ class TestVerify:
         assert main(["verify", str(snapshot), str(plan)]) == 1
         assert "RISK DETECTED" in capsys.readouterr().out
 
+    def test_rejected_plan_line_exits_two(self, snapshot, tmp_path, capsys):
+        plan = self.write_plan(tmp_path, {
+            "name": "bad-value",
+            "change_type": "route-attributes-modification",
+            "device_commands": {"region0-border1": [
+                "route-map ISP-IN permit 10", " set local-preference abc",
+            ]},
+            "rcl_intents": ["PRE = POST"],
+        })
+        assert main(["verify", str(snapshot), str(plan)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("plan rejected: line 2: ")
+        assert "[set local-preference abc]" in out
+
     def test_reachability_and_overload_intents(self, snapshot, tmp_path, capsys):
         plan = self.write_plan(tmp_path, {
             "name": "check",
