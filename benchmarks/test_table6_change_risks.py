@@ -6,15 +6,38 @@ paper's root-cause distribution (incorrect commands 37.5%, design flaws
 correct plans are mixed in. The verifier must flag every faulty plan (the
 risks Hoyan detected) and pass every correct one, and the regenerated table
 reports the detected-risk distribution next to the paper's.
+
+One faulty plan is appended after the seeded corpus (so the generated
+plans do not move): it undoes an SR policy under a mistyped name, the
+undo-command case of "incorrect commands".
 """
 
 import pytest
 
-from repro.core import ChangeVerifier
+from repro.core import ChangePlan, ChangeVerifier, PrefixReaches
+from repro.net.config.dialects import DIALECTS
 from repro.workload import generate_change_corpus, generate_input_routes
-from repro.workload.changes import ROOT_CAUSES
+from repro.workload.changes import ROOT_CAUSES, GeneratedChange
 
 N_RISKY, N_CORRECT = 24, 6
+
+
+def mistyped_undo(model, inventory, routes):
+    """Undo a core's SR policy under a mistyped name. Its intent (a prefix
+    still reaches the RRs) holds for a no-op, so only rejecting the line
+    finds the risk."""
+    core = next(name for name in inventory.cores if model.device(name).sr_policies)
+    negation = DIALECTS[model.device(core).vendor_name].negation
+    return GeneratedChange(
+        plan=ChangePlan(
+            name="undo-sr-policy-typo",
+            change_type="traffic-steering",
+            device_commands={core: [f"{negation} segment-routing policy SR-EXTI"]},
+            intents=[PrefixReaches(str(routes[0].route.prefix), inventory.rrs[:2])],
+        ),
+        root_cause="incorrect-commands",
+        expect_risk=True,
+    )
 
 
 def test_table6_change_risk_detection(wan_world, record, benchmark):
@@ -22,7 +45,7 @@ def test_table6_change_risk_detection(wan_world, record, benchmark):
     routes = generate_input_routes(inventory, n_prefixes=40, redundancy=1, seed=5)
     corpus = generate_change_corpus(
         model, inventory, n_risky=N_RISKY, n_correct=N_CORRECT, seed=21
-    )
+    ) + [mistyped_undo(model, inventory, routes)]
 
     def run_corpus():
         outcomes = []
@@ -63,7 +86,7 @@ def test_table6_change_risk_detection(wan_world, record, benchmark):
         measured = 100.0 * count / total_detected if total_detected else 0.0
         rows.append(f"{cause:28s} {paper_pct:7.1f}% {count:9d} {measured:10.1f}%")
     rows.append(
-        f"\nrisky plans: {N_RISKY}, detected: {total_detected}, "
+        f"\nrisky plans: {N_RISKY + 1}, detected: {total_detected}, "
         f"missed: {len(missed)}"
     )
     rows.append(f"correct plans: {N_CORRECT}, false positives: {len(false_positives)}")

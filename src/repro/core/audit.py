@@ -113,7 +113,7 @@ def audit_static_nexthop_resolvable(
     """Static route next hops should be owned by a known router."""
     problems = []
     for name, device in sorted(model.devices.items()):
-        for static in device.statics:
+        for static in device.statics.values():
             owner = model.owner_of_address(static.nexthop)
             if owner is None:
                 problems.append(

@@ -101,7 +101,7 @@ def _policy_signature(policy_devices, flow: Flow) -> Tuple:
     """
     bits: List[bool] = []
     for device in policy_devices:
-        for rule in device.pbr_rules:
+        for rule in device.pbr_rules.values():
             bits.append(rule.matches_flow(flow))
         for acl in device.acls.values():
             bits.append(acl.permits(flow))

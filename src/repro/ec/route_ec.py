@@ -89,7 +89,7 @@ class PrefixSignatureIndex:
                     for clause in node.matches:
                         if clause.kind == "prefix":
                             exact_prefixes.append(clause.value)
-            for agg in device.aggregates:
+            for agg in device.aggregates.values():
                 aggregates.append(agg.prefix)
         return plists, exact_prefixes, aggregates
 

@@ -246,24 +246,14 @@ def _analyze_device_delta(
     for section in sorted(delta.sections & WIDEN_SECTIONS):
         out.widen(f"{delta.device}: {section} change is not prefix-analyzable")
 
-    if "statics" in delta.sections:
-        base_reprs = _repr_set(base_cfg.statics)
-        updated_reprs = _repr_set(updated_cfg.statics)
-        for cfg, reprs, other in (
-            (base_cfg, base_reprs, updated_reprs),
-            (updated_cfg, updated_reprs, base_reprs),
-        ):
-            out.prefixes.update(
-                s.prefix for s in cfg.statics if repr(s) not in other
-            )
-
-    if "aggregates" in delta.sections:
-        base_reprs = _repr_set(base_cfg.aggregates)
-        updated_reprs = _repr_set(updated_cfg.aggregates)
-        for cfg, other in ((base_cfg, updated_reprs), (updated_cfg, base_reprs)):
-            out.prefixes.update(
-                a.prefix for a in cfg.aggregates if repr(a) not in other
-            )
+    # A static or aggregate key whose entry differs moves the entry's prefix.
+    for section in delta.sections & {"statics", "aggregates"}:
+        before, after = getattr(base_cfg, section), getattr(updated_cfg, section)
+        out.prefixes.update(
+            (before.get(key) or after[key]).prefix
+            for key in before.keys() | after.keys()
+            if before.get(key) != after.get(key)
+        )
 
     if "policies" in delta.sections:
         _analyze_policy_delta(delta.device, base_cfg, updated_cfg, out)
@@ -319,7 +309,7 @@ def aggregate_closure(
     aggregate_prefixes: Set[Prefix] = set()
     for model in models:
         for device in model.devices.values():
-            aggregate_prefixes.update(a.prefix for a in device.aggregates)
+            aggregate_prefixes.update(a.prefix for a in device.aggregates.values())
 
     space = set(prefixes)
     changed = True

@@ -27,8 +27,9 @@ from repro.net.topology import Topology
 from repro.routing.inputs import InputRoute
 
 #: Per-device configuration sections, each with a canonical fingerprint.
-#: Dict-valued sections are rendered with sorted keys so two configs that
-#: define the same objects in different order still compare equal.
+#: Name-keyed sections are rendered with sorted keys so two configs that
+#: define the same objects in different order still compare equal; the other
+#: keyed sections keep their entry order, which their readers follow.
 _SECTION_FINGERPRINTS: Dict[str, Callable[[DeviceConfig], str]] = {
     # vendor profile (VSB behaviour), ASN, multipath, and drain state affect
     # everything a device does — never prefix-analyzable.

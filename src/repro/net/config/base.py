@@ -198,7 +198,7 @@ class ConfigParser:
     def cmd_isis_cost(self, tokens: List[str], negated: bool) -> None:
         neighbor = tokens[0]
         if negated:
-            self.config.isis.cost_overrides.pop(neighbor, None)
+            del self.config.isis.cost_overrides[neighbor]
             return
         self.config.isis.cost_overrides[neighbor] = int(tokens[1])
 
@@ -213,9 +213,7 @@ class ConfigParser:
         policies = self.config.policy_ctx.policies
         if negated:
             if seq is None:
-                policies.pop(name, None)
-            elif name not in policies:
-                raise ValueError(f"no policy {name!r}")
+                del policies[name]
             else:
                 policies[name].remove_node(seq)
             return
@@ -238,7 +236,7 @@ class ConfigParser:
         name, rest = tokens[0], tokens[1:]
         plists = self.config.policy_ctx.prefix_lists
         if negated and not rest:
-            plists.pop(name, None)
+            del plists[name]
             return
         seq = _take_option(rest, self.words["seq"])
         action = rest.pop(0)
@@ -266,7 +264,7 @@ class ConfigParser:
         name = tokens[0]
         clists = self.config.policy_ctx.community_lists
         if negated:
-            clists.pop(name, None)
+            del clists[name]
             return
         if tokens[1] != PERMIT:
             raise ValueError("community lists only support permit")
@@ -278,7 +276,7 @@ class ConfigParser:
         name = tokens[0]
         alists = self.config.policy_ctx.aspath_lists
         if negated:
-            alists.pop(name, None)
+            del alists[name]
             return
         if tokens[1] != PERMIT:
             raise ValueError("as-path lists only support permit")
@@ -290,12 +288,7 @@ class ConfigParser:
         prefix = self.dialect.take_prefix(tokens)
         nexthop = tokens.pop(0)
         if negated:
-            target, address = as_prefix(prefix), IPAddress.parse(nexthop)
-            self.config.statics = [
-                s
-                for s in self.config.statics
-                if not (s.prefix == target and s.nexthop == address and s.vrf == vrf)
-            ]
+            del self.config.statics[(vrf, as_prefix(prefix), IPAddress.parse(nexthop))]
             return
         # A dialect without a ``preference`` word gives it after the next hop.
         keyword = self.words.get("preference")
@@ -308,7 +301,7 @@ class ConfigParser:
     def cmd_vrf(self, tokens: List[str], negated: bool) -> None:
         name = tokens[0]
         if negated:
-            self.config.vrfs.pop(name, None)
+            del self.config.vrfs[name]
             return
         vrf = self.config.vrfs.get(name)
         if vrf is None:
@@ -318,9 +311,7 @@ class ConfigParser:
     def cmd_sr_policy(self, tokens: List[str], negated: bool) -> None:
         name = tokens[0]
         if negated:
-            self.config.sr_policies = [
-                p for p in self.config.sr_policies if p.name != name
-            ]
+            del self.config.sr_policies[name]
             return
         rest = tokens[1:]
         endpoint = _take_option(rest, "endpoint")
@@ -338,7 +329,7 @@ class ConfigParser:
     def cmd_pbr_rule(self, tokens: List[str], negated: bool) -> None:
         seq = int(tokens[0])
         if negated:
-            self.config.pbr_rules = [r for r in self.config.pbr_rules if r.seq != seq]
+            del self.config.pbr_rules[seq]
             return
         rest = tokens[1:]
         src = _take_option(rest, "src")
@@ -360,7 +351,7 @@ class ConfigParser:
     def cmd_acl(self, tokens: List[str], negated: bool) -> None:
         name = tokens[0]
         if negated:
-            self.config.acls.pop(name, None)
+            del self.config.acls[name]
             return
         seq = int(tokens[1])
         action = tokens[2]
@@ -370,7 +361,7 @@ class ConfigParser:
         proto = _take_option(rest, "proto")
         port = _take_option(rest, "port")
         acl = self.config.acls.get(name) or self.config.add_acl(AclConfig(name=name))
-        acl.rules.append(
+        acl.add(
             AclRuleConfig(
                 seq=seq,
                 action=action,
@@ -383,7 +374,7 @@ class ConfigParser:
 
     def cmd_interface(self, tokens: List[str], negated: bool) -> None:
         if negated:
-            self.config.interface_acls.pop(tokens[0], None)
+            del self.config.interface_acls[tokens[0]]
             return
         self._context = ("interface", tokens[0])
 
@@ -433,12 +424,7 @@ class ConfigParser:
         prefix = self.dialect.take_prefix(tokens)
         vrf = self._take_vrf(tokens)
         if negated:
-            target = as_prefix(prefix)
-            self.config.aggregates = [
-                a
-                for a in self.config.aggregates
-                if not (a.prefix == target and a.vrf == vrf)
-            ]
+            del self.config.aggregates[(vrf, as_prefix(prefix))]
             return
         self.config.add_aggregate(
             prefix,
@@ -453,13 +439,7 @@ class ConfigParser:
         policy = _take_option(tokens, self.words["policy"])
         vrf = self._take_vrf(tokens)
         if negated:
-            kept = [
-                r for r in self.config.redistributions
-                if (r.vrf, r.source) != (vrf, source)
-            ]
-            if len(kept) == len(self.config.redistributions):
-                raise ValueError(f"no redistribution of {source!r} in {vrf!r}")
-            self.config.redistributions = kept
+            del self.config.redistributions[(vrf, source)]
             return
         self.config.add_redistribution(source, policy=policy, vrf=vrf)
 
@@ -523,7 +503,7 @@ class ConfigParser:
         else:
             raise ValueError(f"bad route-target direction {direction!r}")
         if negated:
-            target.discard(value)
+            target.remove(value)
         else:
             target.add(value)
 
@@ -536,6 +516,6 @@ class ConfigParser:
     def sub_acl_binding(self, tokens: List[str], negated: bool) -> None:
         interface = self._in_context("interface")
         if negated:
-            self.config.interface_acls.pop(interface, None)
+            del self.config.interface_acls[interface]
         else:
             self.config.bind_acl(interface, self.dialect.acl_name(tokens))

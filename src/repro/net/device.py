@@ -5,6 +5,15 @@ router's configuration: VRFs, BGP sessions, IS-IS, static routes, aggregate
 prefixes, SR policies, PBR rules, ACLs, redistribution, and the device-scoped
 policy definitions (:class:`~repro.net.policy.PolicyContext`).
 
+Every section but ``peers`` is a dict keyed by what its command names: a
+static by ``(vrf, prefix, nexthop)``, an aggregate by ``(vrf, prefix)``, a
+redistribution by ``(vrf, source)``, an SR policy, ACL or VRF by its name,
+and PBR and ACL rules by their sequence number (kept in sequence order).
+Entering an entry again replaces the one under its key, so a repeated line
+changes nothing; a negation deletes its key, so undoing an entry the device
+lacks raises ``KeyError``, which the config parser reports as a
+``ConfigParseError`` carrying the line.
+
 The network model building service (§2.2) produces one of these per router by
 parsing its vendor-dialect configuration (``repro.net.config``); change
 verification applies command deltas to copies of them.
@@ -155,15 +164,24 @@ class AclRuleConfig:
         return True
 
 
+def _in_seq_order(rules: Dict[int, object], rule) -> Dict[int, object]:
+    """``rules`` with ``rule`` under its sequence number, in sequence order."""
+    return dict(sorted({**rules, rule.seq: rule}.items()))
+
+
 @dataclass
 class AclConfig:
     """A named ACL; first matching rule wins, default deny."""
 
     name: str
-    rules: List[AclRuleConfig] = field(default_factory=list)
+    rules: Dict[int, AclRuleConfig] = field(default_factory=dict)
+
+    def add(self, rule: AclRuleConfig) -> AclRuleConfig:
+        self.rules = _in_seq_order(self.rules, rule)
+        return rule
 
     def permits(self, flow) -> bool:
-        for rule in sorted(self.rules, key=lambda r: r.seq):
+        for rule in self.rules.values():
             if rule.matches_flow(flow):
                 return rule.action == "permit"
         return False
@@ -200,14 +218,14 @@ class DeviceConfig:
         self.policy_ctx = PolicyContext(vendor=get_profile(vendor))
         self.peers: List[BgpPeerConfig] = []
         self.vrfs: Dict[str, VrfConfig] = {GLOBAL_VRF: VrfConfig(name=GLOBAL_VRF)}
-        self.statics: List[StaticRouteConfig] = []
-        self.aggregates: List[AggregateConfig] = []
-        self.sr_policies: List[SrPolicyConfig] = []
-        self.pbr_rules: List[PbrRuleConfig] = []
+        self.statics: Dict[Tuple[str, Prefix, IPAddress], StaticRouteConfig] = {}
+        self.aggregates: Dict[Tuple[str, Prefix], AggregateConfig] = {}
+        self.sr_policies: Dict[str, SrPolicyConfig] = {}
+        self.pbr_rules: Dict[int, PbrRuleConfig] = {}
         self.acls: Dict[str, AclConfig] = {}
         self.interface_acls: Dict[str, str] = {}
         self.isis = IsisConfig()
-        self.redistributions: List[RedistributionConfig] = []
+        self.redistributions: Dict[Tuple[str, str], RedistributionConfig] = {}
         #: BGP multipath (maximum-paths); 1 disables ECMP.
         self.max_paths = 8
         #: administratively isolated (drained) device; *how* isolation takes
@@ -264,7 +282,7 @@ class DeviceConfig:
             vrf=vrf,
             preference=preference,
         )
-        self.statics.append(static)
+        self.statics[(vrf, static.prefix, static.nexthop)] = static
         return static
 
     def add_aggregate(self, prefix: str, vrf: str = GLOBAL_VRF,
@@ -272,25 +290,24 @@ class DeviceConfig:
         agg = AggregateConfig(
             prefix=as_prefix(prefix), vrf=vrf, as_set=as_set, summary_only=summary_only
         )
-        self.aggregates.append(agg)
+        self.aggregates[(vrf, agg.prefix)] = agg
         return agg
 
     def add_sr_policy(self, name: str, endpoint: str, color: int = 100,
                       segments: Tuple[str, ...] = ()) -> SrPolicyConfig:
         policy = SrPolicyConfig(name=name, endpoint=endpoint, color=color,
                                 segments=segments)
-        self.sr_policies.append(policy)
+        self.sr_policies[name] = policy
         return policy
 
     def sr_policy_towards(self, endpoint: str) -> Optional[SrPolicyConfig]:
-        for policy in self.sr_policies:
+        for policy in self.sr_policies.values():
             if policy.enabled and policy.endpoint == endpoint:
                 return policy
         return None
 
     def add_pbr_rule(self, rule: PbrRuleConfig) -> PbrRuleConfig:
-        self.pbr_rules.append(rule)
-        self.pbr_rules.sort(key=lambda r: r.seq)
+        self.pbr_rules = _in_seq_order(self.pbr_rules, rule)
         return rule
 
     def add_acl(self, acl: AclConfig) -> AclConfig:
@@ -303,7 +320,7 @@ class DeviceConfig:
     def add_redistribution(self, source: str, policy: Optional[str] = None,
                            vrf: str = GLOBAL_VRF) -> RedistributionConfig:
         redist = RedistributionConfig(source=source, policy=policy, vrf=vrf)
-        self.redistributions.append(redist)
+        self.redistributions[(vrf, source)] = redist
         return redist
 
     # -- copying ---------------------------------------------------------------

@@ -709,7 +709,7 @@ class BgpSimulator:
         # Aggregation (§3.1: prefixes trigger aggregate prefixes on devices).
         # Loc keys are (vrf, prefix.ident); every candidate in a slot carries
         # the slot's prefix, so it is recovered from the best route.
-        for agg in config.aggregates:
+        for agg in config.aggregates.values():
             agg_ident = agg.prefix.ident
             contributors = [
                 selection

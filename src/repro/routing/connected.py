@@ -56,7 +56,7 @@ def _connected_entries(
     model: NetworkModel, name: str, device
 ) -> Dict[Tuple[str, Prefix], Entries]:
     entries: Dict[Tuple[str, Prefix], Entries] = {}
-    for static in device.statics:
+    for static in device.statics.values():
         route = Route(
             prefix=static.prefix,
             nexthop=static.nexthop,

@@ -92,7 +92,7 @@ def build_local_inputs_for_device(
     """
     inputs: List[InputRoute] = []
     vendor = device.vendor
-    for redist in device.redistributions:
+    for redist in device.redistributions.values():
         if redist.source == "direct":
             sources = _direct_prefixes(model, device)
         elif redist.source == "static":
@@ -105,7 +105,7 @@ def build_local_inputs_for_device(
                     origin_router=device.name,
                     origin_vrf=s.vrf,
                 )
-                for s in device.statics
+                for s in device.statics.values()
                 if s.vrf == redist.vrf
             ]
         else:

@@ -292,7 +292,7 @@ class ForwardingEngine:
         owner = self.model.owner_of_address(flow.dst)
         if owner == router:
             return ("terminal", STATUS_DELIVERED)
-        for rule in device.pbr_rules:
+        for rule in device.pbr_rules.values():
             if rule.matches_flow(flow):
                 hops = self._hops_towards(router, rule.nexthop, reads)
                 if not hops:

@@ -54,12 +54,12 @@ class TestPolicySignatureCache:
     def test_acl_still_discriminates_flows(self):
         model = square_model()
         acl = AclConfig(name="SRC-FILTER")
-        acl.rules.append(
+        acl.add(
             AclRuleConfig(
                 seq=10, action="deny", src_prefix=Prefix.parse("10.0.1.0/24")
             )
         )
-        acl.rules.append(AclRuleConfig(seq=20, action="permit"))
+        acl.add(AclRuleConfig(seq=20, action="permit"))
         model.device("B").add_acl(acl)
         universe = universe_for(model)
         denied = make_flow("A", "10.0.1.5", DST, src_port=1)

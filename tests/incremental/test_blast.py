@@ -191,7 +191,7 @@ class TestTrafficOnly:
     def test_pbr_delta_is_traffic_only(self):
         base = base_model()
         updated = base.copy()
-        updated.edit("A").pbr_rules.append("rule-sentinel")
+        updated.edit("A").pbr_rules[99] = "rule-sentinel"
         blast = analyze(base, updated)
         assert blast.is_empty
         assert blast.traffic_affected

@@ -93,8 +93,8 @@ class TestVendorAParsing:
 
     def test_aggregate_and_redistribute(self, dev):
         assert len(dev.aggregates) == 1
-        assert dev.aggregates[0].as_set
-        assert {r.source for r in dev.redistributions} == {"static", "direct"}
+        assert list(dev.aggregates.values())[0].as_set
+        assert {r.source for r in dev.redistributions.values()} == {"static", "direct"}
 
     def test_filters(self, dev):
         ctx = dev.policy_ctx
@@ -112,7 +112,7 @@ class TestVendorAParsing:
 
     def test_statics_with_vrf(self, dev):
         assert len(dev.statics) == 2
-        assert dev.statics[1].vrf == "vrf1"
+        assert list(dev.statics.values())[1].vrf == "vrf1"
 
     def test_vrf(self, dev):
         vrf = dev.vrfs["vrf1"]
@@ -121,8 +121,8 @@ class TestVendorAParsing:
         assert vrf.export_policy == "EXPORT"
 
     def test_sr_pbr_acl_isis(self, dev):
-        assert dev.sr_policies[0].segments == ("R3", "R4")
-        assert dev.pbr_rules[0].nexthop == "R3"
+        assert dev.sr_policies["SRP1"].segments == ("R3", "R4")
+        assert dev.pbr_rules[10].nexthop == "R3"
         assert dev.interface_acls == {"eth1": "ACL1"}
         assert dev.isis.cost_overrides == {"R2": 20}
         assert dev.isis.te_enabled
@@ -293,4 +293,4 @@ class TestAdditionalCommands:
             "R1",
             vendor="vendor-b",
         )
-        assert dev.statics[0].preference == 77
+        assert list(dev.statics.values())[0].preference == 77

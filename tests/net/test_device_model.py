@@ -46,14 +46,14 @@ class TestDeviceConfig:
         device.add_sr_policy("P", endpoint="B")
         assert device.sr_policy_towards("B").name == "P"
         assert device.sr_policy_towards("C") is None
-        device.sr_policies[0].enabled = False
+        device.sr_policies["P"].enabled = False
         assert device.sr_policy_towards("B") is None
 
     def test_pbr_rules_kept_sorted(self):
         device = DeviceConfig("A")
         device.add_pbr_rule(PbrRuleConfig(seq=20, nexthop="X"))
         device.add_pbr_rule(PbrRuleConfig(seq=10, nexthop="Y"))
-        assert [r.seq for r in device.pbr_rules] == [10, 20]
+        assert [r.seq for r in device.pbr_rules.values()] == [10, 20]
 
     def test_copy_is_deep(self):
         device = DeviceConfig("A")
@@ -82,10 +82,10 @@ class TestDeviceConfig:
 class TestAclAndPbrMatching:
     def test_acl_first_match_wins(self):
         acl = AclConfig(name="X")
-        acl.rules.append(
+        acl.add(
             AclRuleConfig(seq=20, action="permit")
         )
-        acl.rules.append(
+        acl.add(
             AclRuleConfig(
                 seq=10, action="deny", dst_prefix=Prefix.parse("10.0.0.0/8")
             )
@@ -101,7 +101,7 @@ class TestAclAndPbrMatching:
 
     def test_acl_port_and_protocol(self):
         acl = AclConfig(name="X")
-        acl.rules.append(AclRuleConfig(seq=10, action="permit", protocol=6, dst_port=443))
+        acl.add(AclRuleConfig(seq=10, action="permit", protocol=6, dst_port=443))
         https = make_flow("A", "1.1.1.1", "2.2.2.2", protocol=6, dst_port=443)
         dns = make_flow("A", "1.1.1.1", "2.2.2.2", protocol=17, dst_port=53)
         assert acl.permits(https)

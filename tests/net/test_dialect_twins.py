@@ -303,8 +303,15 @@ ROUND_TRIPS = [
     ("isolate-undo", "isolate\nno isolate", "device-isolate\nundo device-isolate"),
 ]
 
+#: (row id, vendor-a line, vendor-b line) giving seq 10 of the base's PBR
+#: rules or of ACL1 a new body
+SEQ_REPLACED = [
+    ("pbr-rule-seq-replaced", "pbr rule 10 dst 10.5.0.0/16 nexthop R2", "pbr rule 10 dst 10.5.0.0/16 nexthop R2"),
+    ("acl-rule-seq-replaced", "access-list ACL1 10 deny src 10.6.0.0/16", "acl ACL1 10 deny src 10.6.0.0/16"),
+]
+
 #: (row id, vendor-a block, vendor-b block) leaving twin device models
-TWINS = ROUND_TRIPS + [
+TWINS = ROUND_TRIPS + SEQ_REPLACED + [
     # -- the BGP process and its peers
     ("bgp-asn", "router bgp 65009", "bgp 65009"),
     ("bgp-undo", "no router bgp", "undo bgp"),
@@ -579,6 +586,35 @@ REJECTED = [
     ("redistribute-undo-absent", BGP_A + " no redistribute isis", BGP_B + " undo import-route isis"),
     ("undo-node-of-missing-policy", "no route-map NOPE 10", "undo route-policy NOPE node 10"),
     ("undo-missing-node", "no route-map RM 20", "undo route-policy RM node 20"),
+    ("prefix-list-undo-missing", "no ip prefix-list NOPE", "undo ip ip-prefix NOPE"),
+    ("prefix-list-v6-undo-missing", "no ipv6 prefix-list NOPE", "undo ip ipv6-prefix NOPE"),
+    ("community-list-undo-missing", "no ip community-list NOPE", "undo ip community-filter NOPE"),
+    ("as-path-list-undo-missing", "no ip as-path access-list NOPE", "undo ip as-path-filter NOPE"),
+    ("policy-undo-missing", "no route-map NOPE", "undo route-policy NOPE"),
+    ("vrf-undo-missing", "no vrf definition NOPE", "undo ip vpn-instance NOPE"),
+    ("acl-undo-missing", "no access-list NOPE", "undo acl NOPE"),
+    ("sr-policy-undo-missing", "no segment-routing policy NOPE", "undo segment-routing policy NOPE"),
+    ("pbr-rule-undo-missing", "no pbr rule 99", "undo pbr rule 99"),
+    ("isis-cost-undo-missing", "no isis cost R9", "undo isis cost R9"),
+    ("static-undo-missing", "no ip route 10.77.0.0/16 192.0.2.1", "undo ip route-static 10.77.0.0 16 192.0.2.1"),
+    # the base has this static in the global VRF only
+    (
+        "static-undo-wrong-vrf",
+        "no ip route vrf vrf1 10.0.0.0/24 192.0.2.1",
+        "undo ip route-static vpn-instance vrf1 10.0.0.0 24 192.0.2.1",
+    ),
+    ("aggregate-undo-missing", BGP_A + " no aggregate-address 10.77.0.0/16", BGP_B + " undo aggregate 10.77.0.0 16"),
+    ("interface-undo-missing", "no interface eth9", "undo interface eth9"),
+    (
+        "acl-binding-undo-missing",
+        "interface eth2\n no ip access-group ACL1",
+        "interface eth2\n undo traffic-filter inbound acl ACL1",
+    ),
+    (
+        "route-target-undo-missing",
+        "vrf definition vrf1\n no route-target import 300:1",
+        "ip vpn-instance vrf1\n undo vpn-target 300:1 import-extcommunity",
+    ),
     ("sr-policy-without-endpoint", "segment-routing policy S color 1", "segment-routing policy S color 1"),
     ("pbr-rule-without-nexthop", "pbr rule 5 dst 10.0.0.0/8", "pbr rule 5 dst 10.0.0.0/8"),
     ("bad-number", "router bgp x", "bgp x"),
@@ -586,8 +622,12 @@ REJECTED = [
 ]
 
 
+def _base_text(vendor):
+    return BASE_A if vendor == "vendor-a" else BASE_B
+
+
 def _base(vendor):
-    return parse_config(BASE_A if vendor == "vendor-a" else BASE_B, "R1", vendor=vendor)
+    return parse_config(_base_text(vendor), "R1", vendor=vendor)
 
 
 def _model(config):
@@ -618,42 +658,46 @@ def test_negation_restores_the_base(a_block, b_block):
         assert device_section_fingerprints(updated) == device_section_fingerprints(base)
 
 
-#: handlers of the base's route-map, prefix-list, community-list and
-#: as-path-list blocks
-_POLICY_HANDLERS = {
-    "cmd_policy_node",
-    "cmd_prefix_list_v4",
-    "cmd_prefix_list_v6",
-    "cmd_community_list",
-    "cmd_aspath_list",
-    "sub_match",
-    "sub_set",
-}
-
-
-def _policy_lines(vendor):
-    """Each line of the base's policy blocks, after the node header that a
-    match or set line needs."""
+def _base_lines(vendor):
+    """Each line of the base, after the context header that a sub-command
+    needs."""
     dialect, header = DIALECTS[vendor], []
-    for line in (BASE_A if vendor == "vendor-a" else BASE_B).splitlines():
-        handler = dialect.command(line)[0]
-        if handler == "cmd_policy_node":
+    for line in _base_text(vendor).splitlines():
+        if dialect.command(line)[0].startswith("sub_"):
+            yield header + [line]
+        else:
             header = [line]
-        if handler in _POLICY_HANDLERS:
-            yield (header if handler.startswith("sub_") else []) + [line]
+            yield header
 
 
 @pytest.mark.parametrize("vendor", sorted(DIALECTS))
-def test_reentering_a_base_policy_line_changes_nothing(vendor):
+def test_reentering_a_base_line_changes_nothing(vendor):
     base = device_section_fingerprints(_base(vendor))
-    lines = list(_policy_lines(vendor))
-    assert len(lines) == 14
+    blocks = list(_base_lines(vendor))
+    assert len(blocks) == len(_base_text(vendor).splitlines())
     changed = [
         block[-1]
-        for block in lines
+        for block in blocks
         if device_section_fingerprints(apply_commands(_base(vendor), block)) != base
     ]
     assert not changed
+
+
+@pytest.mark.parametrize("vendor", sorted(DIALECTS))
+@pytest.mark.parametrize("row", SEQ_REPLACED, ids=[row[0] for row in SEQ_REPLACED])
+def test_a_same_seq_line_replaces_its_rule(vendor, row):
+    """Applying the line equals writing the base with the line in place of
+    the seq-10 line it names: one seq-10 rule is left, the new one."""
+    line = row[1] if vendor == "vendor-a" else row[2]
+    named = line.split()[:3]
+    text = _base_text(vendor)
+    rewritten = "\n".join(
+        line if old.split()[:3] == named else old for old in text.splitlines()
+    )
+    assert rewritten != text
+    expected = parse_config(rewritten, "R1", vendor=vendor)
+    updated = apply_commands(_base(vendor), [line])
+    assert device_section_fingerprints(updated) == device_section_fingerprints(expected)
 
 
 @pytest.mark.parametrize("vendor", sorted(DIALECTS))

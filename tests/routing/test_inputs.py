@@ -58,7 +58,7 @@ class TestDirectRedistribution:
         ctx.define_prefix_list("LOOPS").add("10.255.0.0/16", le=32)
         policy = ctx.define_policy("RED")
         policy.node(10, "permit").match("prefix-list", "LOOPS")
-        model.device("A").redistributions[0].policy = "RED"
+        model.device("A").redistributions[("global", "direct")].policy = "RED"
         model.topology.connect("A", "B", a_addr="192.0.2.0", b_addr="192.0.2.1")
         inputs = build_local_input_routes(model)
         prefixes = {str(i.route.prefix) for i in inputs}

@@ -51,10 +51,10 @@ def ecmp_scenario():
 def acl_scenario():
     model = square_model()
     acl = AclConfig(name="EDGE")
-    acl.rules.append(
+    acl.add(
         AclRuleConfig(seq=10, action="deny", dst_prefix=Prefix.parse(PFX))
     )
-    acl.rules.append(AclRuleConfig(seq=20, action="permit"))
+    acl.add(AclRuleConfig(seq=20, action="permit"))
     device_b = model.device("B")
     device_b.add_acl(acl)
     link = model.topology.find_link("A", "B")

@@ -212,7 +212,7 @@ class TestExplicitInvalidate:
         spread_all(engine)  # memoize the unblocked decisions
 
         acl = AclConfig(name="LATE")
-        acl.rules.append(
+        acl.add(
             AclRuleConfig(seq=10, action="deny", dst_prefix=Prefix.parse(PFX))
         )
         device_b = model.device("B")

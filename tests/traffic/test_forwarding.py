@@ -154,10 +154,10 @@ class TestPbrAndAcl:
     def test_acl_blocks_flow(self):
         model = square_model()
         acl = AclConfig(name="BLOCK")
-        acl.rules.append(
+        acl.add(
             AclRuleConfig(seq=10, action="deny", dst_prefix=Prefix.parse(PFX))
         )
-        acl.rules.append(AclRuleConfig(seq=20, action="permit"))
+        acl.add(AclRuleConfig(seq=20, action="permit"))
         device_b = model.device("B")
         device_b.add_acl(acl)
         link = model.topology.find_link("A", "B")
@@ -172,10 +172,10 @@ class TestPbrAndAcl:
     def test_acl_permits_other_flows(self):
         model = square_model()
         acl = AclConfig(name="BLOCK")
-        acl.rules.append(
+        acl.add(
             AclRuleConfig(seq=10, action="deny", dst_prefix=Prefix.parse("9.9.9.0/24"))
         )
-        acl.rules.append(AclRuleConfig(seq=20, action="permit"))
+        acl.add(AclRuleConfig(seq=20, action="permit"))
         device_b = model.device("B")
         device_b.add_acl(acl)
         link = model.topology.find_link("A", "B")
