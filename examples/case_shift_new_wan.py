@@ -104,8 +104,8 @@ def change_plan() -> ChangePlan:
         change_type="traffic-steering",
         description="delete deny node 10 so route R from B is used",
         device_commands={
-            "M1": ["no route-map FROM-B permit 10"],
-            "M2": ["no route-map FROM-B permit 10"],
+            "M1": ["no route-map FROM-B deny 10"],
+            "M2": ["no route-map FROM-B deny 10"],
         },
         intents=[
             # (1) Route R installed as best on both M1 and M2.

@@ -14,6 +14,7 @@ new top-level command replaces the context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.addr import IPAddress, Prefix, as_prefix
@@ -21,13 +22,16 @@ from repro.net.device import (
     AclConfig,
     AclRuleConfig,
     BgpPeerConfig,
-    ConfigModelError,
     DeviceConfig,
     GLOBAL_VRF,
-    PbrRuleConfig,
+    SECTIONS,
     VrfConfig,
+    held,
 )
-from repro.net.policy import DENY, PERMIT, MatchClause, PolicyError, SetClause
+from repro.net.policy import (
+    DENY, PERMIT, AsPathList, CommunityList, MatchClause, PolicyError, PrefixList, RoutePolicy,
+    SetClause,
+)
 from repro.routing.attributes import community
 
 #: keyword-table entries are at most this many tokens long
@@ -45,21 +49,27 @@ class ConfigParseError(Exception):
         self.line = line
 
 
-def _take_option(tokens: List[str], key: str) -> Optional[str]:
-    """Pop ``key <value>`` from a token list, returning the value."""
+def _take_option(tokens: List[str], key: str, kind: Callable = str, required: bool = False):
+    """Pop ``key <value>`` from a token list, returning the value as
+    ``kind`` (None when the list names no ``key``, unless ``required``)."""
     if key in tokens:
         i = tokens.index(key)
         value = tokens[i + 1]
         del tokens[i : i + 2]
-        return value
+        return kind(value)
+    if required:
+        raise ValueError(f"missing {key}")
     return None
 
 
-def _take_flag(tokens: List[str], key: str) -> bool:
-    if key in tokens:
-        tokens.remove(key)
-        return True
-    return False
+def _arg(tokens: List[str], i: int, negated: bool, kind: Callable = str):
+    """Token ``i`` as ``kind``; an undo may leave it out (None)."""
+    return kind(tokens[i]) if i < len(tokens) or not negated else None
+
+
+def _named(**fields) -> dict:
+    """The fields a line names: those it does not name are None."""
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 #: match kind -> its value from the line's argument text; list names and
@@ -95,8 +105,8 @@ class Dialect:
     set_kinds: Mapping[Tuple[str, ...], str]
     #: pops one prefix off the front of a token list, returning ``A/L`` text
     take_prefix: Callable[[List[str]], str]
-    #: ``(tokens, negated) -> (name, action word, seq)``; seq None names the
-    #: whole policy
+    #: ``(tokens, negated) -> (name, action word, seq)``; the action is None
+    #: when the line names none, and a seq of None names the whole policy
     policy_header: Callable[[List[str], bool], Tuple[str, str, Optional[int]]]
     #: route-target tokens -> ``(direction, value)``
     route_target: Callable[[List[str]], Tuple[str, str]]
@@ -131,6 +141,13 @@ class ConfigParser:
     them) and the negation flag; a rejection raises ``ValueError`` (or the
     device or policy model's own error), which :meth:`apply` reports as
     :class:`ConfigParseError` with the line.
+
+    A negated line is parsed by the same code as its add line (a value it
+    does not name is None) and ends in :meth:`_entry` for a keyed section's
+    entry or :func:`_value` for a single value; an undo must name what the
+    device holds (:func:`~repro.net.device.held`). Sub-entries (ACL rules,
+    list members, policy nodes, clauses) keep the rule, and a list, ACL or
+    policy goes with its last one. A negated flag (``shutdown``) is cleared.
     """
 
     def __init__(self, dialect: Dialect) -> None:
@@ -166,12 +183,10 @@ class ConfigParser:
             self._context = None
         try:
             getattr(self, handler)(args, negated)
-        except (
-            ValueError, KeyError, IndexError, ConfigModelError, PolicyError
-        ) as exc:
-            raise ConfigParseError(
-                f"{type(exc).__name__}: {exc}", self._line_no, line
-            ) from exc
+        except IndexError as exc:
+            raise ConfigParseError("incomplete command", self._line_no, line) from exc
+        except (ValueError, PolicyError) as exc:
+            raise ConfigParseError(str(exc), self._line_no, line) from exc
 
     def _in_context(self, kind: str):
         if self._context is None or self._context[0] != kind:
@@ -181,26 +196,38 @@ class ConfigParser:
     def _take_vrf(self, tokens: List[str]) -> str:
         return _take_option(tokens, self.words["vrf"]) or GLOBAL_VRF
 
+    def _entry(self, section: str, negated: bool, **fields) -> None:
+        """Add the entry a line names to a keyed section, or undo it."""
+        named = _named(**fields)
+        if negated:
+            self.config.delete(section, **named)
+        else:
+            self.config.put(section, SECTIONS[section].entry(**named))
+
+    def _sub_entry(self, table, kind: str, name: str, negated: bool, make):
+        """The list, ACL or policy a line adds to (made if absent) or undoes from."""
+        if negated:
+            return held(f"{kind} {name}", table.get(name), {})
+        return table.get(name) or table.setdefault(name, make(name))
+
     # -- top-level commands ----------------------------------------------------
 
     def cmd_bgp(self, tokens: List[str], negated: bool) -> None:
+        asn = _arg(tokens, 0, negated, int)
         if negated:
-            self.config.peers.clear()
-            self.config.aggregates.clear()
-            self.config.redistributions.clear()
+            config = held("BGP process", self.config, _named(asn=asn))
+            for section in (config.peers, config.aggregates, config.redistributions):
+                section.clear()
             return
-        self.config.asn = int(tokens[0])
+        self.config.asn = asn
         self._context = ("bgp", None)
 
     def cmd_isis(self, tokens: List[str], negated: bool) -> None:
         self.config.isis.enabled = not negated
 
     def cmd_isis_cost(self, tokens: List[str], negated: bool) -> None:
-        neighbor = tokens[0]
-        if negated:
-            del self.config.isis.cost_overrides[neighbor]
-            return
-        self.config.isis.cost_overrides[neighbor] = int(tokens[1])
+        cost = _arg(tokens, 1, negated, int)
+        _value(self.config.isis.cost_overrides, tokens[0], cost, negated, f"isis cost {tokens[0]}")
 
     def cmd_isis_te(self, tokens: List[str], negated: bool) -> None:
         self.config.isis.te_enabled = not negated
@@ -210,171 +237,134 @@ class ConfigParser:
 
     def cmd_policy_node(self, tokens: List[str], negated: bool) -> None:
         name, action, seq = self.dialect.policy_header(tokens, negated)
-        policies = self.config.policy_ctx.policies
-        if negated:
-            if seq is None:
-                del policies[name]
-            else:
-                policies[name].remove_node(seq)
-            return
-        node_action = None if action == "none" else action
-        policy = policies.get(name) or self.config.policy_ctx.define_policy(name)
+        ctx = self.config.policy_ctx
+        named = {} if action is None else {"action": None if action == "none" else action}
+        policy = self._sub_entry(ctx.policies, "policy", name, negated, RoutePolicy)
         node = next((n for n in policy.nodes if n.seq == seq), None)
-        if node is None:
-            node = policy.node(seq, node_action)
-        else:
-            node.action = node_action
-        self._context = ("policy-node", node)
-
-    def cmd_prefix_list_v4(self, tokens: List[str], negated: bool) -> None:
-        self._prefix_list(tokens, negated, family=4)
-
-    def cmd_prefix_list_v6(self, tokens: List[str], negated: bool) -> None:
-        self._prefix_list(tokens, negated, family=6)
+        if not negated:
+            node = node or policy.node(seq)
+            node.action = named.get("action", PERMIT)
+            self._context = ("policy-node", node)
+            return
+        if seq is not None:
+            policy.nodes.remove(held(f"policy {name} node {seq}", node, named))
+        if seq is None or not policy.nodes:
+            del ctx.policies[name]
 
     def _prefix_list(self, tokens: List[str], negated: bool, family: int) -> None:
         name, rest = tokens[0], tokens[1:]
-        plists = self.config.policy_ctx.prefix_lists
+        ctx = self.config.policy_ctx
+        # The family is fixed by the *command*, not by the address given: this
+        # is the §6.1 trap — ``ip ip-prefix`` with IPv6 addresses still
+        # creates an IPv4-family list.
+        plist = self._sub_entry(ctx.prefix_lists, "prefix list", name, negated,
+                                lambda n: PrefixList(n, family=family))
         if negated and not rest:
-            del plists[name]
+            del ctx.prefix_lists[name]
             return
-        seq = _take_option(rest, self.words["seq"])
+        seq = _take_option(rest, self.words["seq"], int)
         action = rest.pop(0)
         if action not in (PERMIT, DENY):
             raise ValueError(f"expected permit/deny, got {action!r}")
-        prefix = self.dialect.take_prefix(rest)
-        ge = _take_option(rest, self.words["ge"])
-        le = _take_option(rest, self.words["le"])
-        seq = int(seq) if seq is not None else None
-        rule = (as_prefix(prefix), action, int(ge) if ge else None, int(le) if le else None)
-        plist = plists.get(name)
-        if negated:
-            if plist is None:
-                raise ValueError(f"no prefix list {name!r}")
-            plist.remove(seq, rule)
+        prefix = as_prefix(self.dialect.take_prefix(rest))
+        ge, le = (_take_option(rest, self.words[word], int) for word in ("ge", "le"))
+        rule = (prefix, action, ge, le)
+        if not negated:
+            plist.add(*rule, seq=seq)
             return
-        if plist is None:
-            # The family is fixed by the *command*, not by the address given:
-            # this is the §6.1 trap — ``ip ip-prefix`` with IPv6 addresses
-            # still creates an IPv4-family list.
-            plist = self.config.policy_ctx.define_prefix_list(name, family=family)
-        plist.add(*rule, seq=seq)
+        # a numbered line names its entry by number, an unnumbered one by rule
+        entry = next((e for e in plist.entries if (
+            e.seq == seq if seq is not None else e.rule == rule)), None)
+        named = _named(**dict(zip(("prefix", "action", "ge", "le"), rule)))
+        plist.entries.remove(held(f"prefix list {' '.join(tokens)}", entry, named))
+        if not plist.entries:
+            del ctx.prefix_lists[name]
 
-    def cmd_community_list(self, tokens: List[str], negated: bool) -> None:
-        name = tokens[0]
-        clists = self.config.policy_ctx.community_lists
-        if negated:
-            del clists[name]
-            return
-        if tokens[1] != PERMIT:
-            raise ValueError("community lists only support permit")
-        clist = clists.get(name) or self.config.policy_ctx.define_community_list(name)
-        for value in tokens[2:]:
-            clist.add(value)
+    cmd_prefix_list_v4 = partialmethod(_prefix_list, family=4)
+    cmd_prefix_list_v6 = partialmethod(_prefix_list, family=6)
 
-    def cmd_aspath_list(self, tokens: List[str], negated: bool) -> None:
-        name = tokens[0]
-        alists = self.config.policy_ctx.aspath_lists
-        if negated:
-            del alists[name]
-            return
-        if tokens[1] != PERMIT:
-            raise ValueError("as-path lists only support permit")
-        alist = alists.get(name) or self.config.policy_ctx.define_aspath_list(name)
-        alist.add(" ".join(tokens[2:]))
+    def _member_list(self, tokens, negated, kind, lists, make, members, parse) -> None:
+        """A community or as-path list line, ``NAME permit MEMBER...``; a
+        negated ``NAME`` undoes the whole list."""
+        table = getattr(self.config.policy_ctx, lists)
+        name, rest = tokens[0], tokens[1:]
+        if (rest or not negated) and rest[0] != PERMIT:
+            raise ValueError(f"{kind}s only support permit")
+        listed = self._sub_entry(table, kind, name, negated, make)
+        held_members = getattr(listed, members)
+        for member in parse(rest[1:]) if rest else ():
+            if negated:
+                what = f"{member} in {kind} {name}"
+                held_members.remove(held(what, member if member in held_members else None, {}))
+            else:
+                listed.add(member)
+        if negated and not (rest and held_members):
+            del table[name]
+
+    cmd_community_list = partialmethod(
+        _member_list, kind="community list", lists="community_lists", members="values",
+        make=CommunityList, parse=lambda texts: [community(t) for t in texts])
+    cmd_aspath_list = partialmethod(
+        _member_list, kind="as-path list", lists="aspath_lists", members="patterns",
+        make=AsPathList, parse=lambda texts: [" ".join(texts)])
 
     def cmd_static(self, tokens: List[str], negated: bool) -> None:
         vrf = self._take_vrf(tokens)
-        prefix = self.dialect.take_prefix(tokens)
-        nexthop = tokens.pop(0)
-        if negated:
-            del self.config.statics[(vrf, as_prefix(prefix), IPAddress.parse(nexthop))]
-            return
+        prefix = as_prefix(self.dialect.take_prefix(tokens))
+        nexthop = IPAddress.parse(tokens.pop(0))
         # A dialect without a ``preference`` word gives it after the next hop.
         keyword = self.words.get("preference")
-        if keyword:
-            preference = _take_option(tokens, keyword)
-        else:
-            preference = tokens[0] if tokens else None
-        self.config.add_static(prefix, nexthop, vrf=vrf, preference=int(preference or 1))
+        preference = _take_option(tokens, keyword, int) if keyword else _arg(tokens, 0, True, int)
+        self._entry("statics", negated, vrf=vrf, prefix=prefix, nexthop=nexthop,
+                    preference=preference)
 
     def cmd_vrf(self, tokens: List[str], negated: bool) -> None:
         name = tokens[0]
         if negated:
-            del self.config.vrfs[name]
+            self.config.delete("vrfs", name=name)
             return
-        vrf = self.config.vrfs.get(name)
-        if vrf is None:
-            vrf = self.config.add_vrf(VrfConfig(name=name))
+        vrf = self.config.vrfs.get(name) or self.config.put("vrfs", VrfConfig(name=name))
         self._context = ("vrf", vrf)
 
     def cmd_sr_policy(self, tokens: List[str], negated: bool) -> None:
-        name = tokens[0]
-        if negated:
-            del self.config.sr_policies[name]
-            return
         rest = tokens[1:]
-        endpoint = _take_option(rest, "endpoint")
-        if endpoint is None:
-            raise ValueError("segment-routing policy requires endpoint")
-        color = _take_option(rest, "color")
-        segments = _take_option(rest, "segments")
-        self.config.add_sr_policy(
-            name,
-            endpoint,
-            color=int(color) if color else 100,
-            segments=tuple(segments.split(",")) if segments else (),
-        )
+        segments = _take_option(rest, "segments", lambda text: tuple(text.split(",")))
+        self._entry("sr_policies", negated, name=tokens[0], segments=segments,
+                    endpoint=_take_option(rest, "endpoint", required=not negated),
+                    color=_take_option(rest, "color", int))
 
     def cmd_pbr_rule(self, tokens: List[str], negated: bool) -> None:
-        seq = int(tokens[0])
-        if negated:
-            del self.config.pbr_rules[seq]
-            return
         rest = tokens[1:]
-        src = _take_option(rest, "src")
-        dst = _take_option(rest, "dst")
-        proto = _take_option(rest, "proto")
-        nexthop = _take_option(rest, "nexthop")
-        if nexthop is None:
-            raise ValueError("pbr rule requires nexthop")
-        self.config.add_pbr_rule(
-            PbrRuleConfig(
-                seq=seq,
-                nexthop=nexthop,
-                src_prefix=as_prefix(src) if src else None,
-                dst_prefix=as_prefix(dst) if dst else None,
-                protocol=int(proto) if proto else None,
-            )
-        )
+        self._entry("pbr_rules", negated, seq=int(tokens[0]),
+                    src_prefix=_take_option(rest, "src", as_prefix),
+                    dst_prefix=_take_option(rest, "dst", as_prefix),
+                    protocol=_take_option(rest, "proto", int),
+                    nexthop=_take_option(rest, "nexthop", required=not negated))
 
     def cmd_acl(self, tokens: List[str], negated: bool) -> None:
-        name = tokens[0]
-        if negated:
-            del self.config.acls[name]
+        name, rest = tokens[0], tokens[1:]
+        acls = self.config.acls
+        if negated and not rest:
+            self.config.delete("acls", name=name)
             return
-        seq = int(tokens[1])
-        action = tokens[2]
-        rest = tokens[3:]
-        src = _take_option(rest, "src")
-        dst = _take_option(rest, "dst")
-        proto = _take_option(rest, "proto")
-        port = _take_option(rest, "port")
-        acl = self.config.acls.get(name) or self.config.add_acl(AclConfig(name=name))
-        acl.add(
-            AclRuleConfig(
-                seq=seq,
-                action=action,
-                src_prefix=as_prefix(src) if src else None,
-                dst_prefix=as_prefix(dst) if dst else None,
-                protocol=int(proto) if proto else None,
-                dst_port=int(port) if port else None,
-            )
-        )
+        seq = int(rest.pop(0))
+        rule = _named(seq=seq, action=rest.pop(0), src_prefix=_take_option(rest, "src", as_prefix),
+                      dst_prefix=_take_option(rest, "dst", as_prefix),
+                      protocol=_take_option(rest, "proto", int),
+                      dst_port=_take_option(rest, "port", int))
+        acl = self._sub_entry(acls, "acl", name, negated, AclConfig)
+        if not negated:
+            acl.add(AclRuleConfig(**rule))
+            return
+        held(f"acl {name} rule {seq}", acl.rules.get(seq), rule)
+        del acl.rules[seq]
+        if not acl.rules:
+            del acls[name]
 
     def cmd_interface(self, tokens: List[str], negated: bool) -> None:
         if negated:
-            del self.config.interface_acls[tokens[0]]
+            _value(self.config.interface_acls, tokens[0], None, True,
+                   f"acl binding of interface {tokens[0]}")
             return
         self._context = ("interface", tokens[0])
 
@@ -385,67 +375,54 @@ class ConfigParser:
         words = self.words
         name = tokens.pop(0)
         vrf = self._take_vrf(tokens)
-        if negated and not tokens:
-            self.config.remove_peer(name, vrf)
-            return
-        option = tokens.pop(0)
+        what = f"BGP peer {name} in vrf {vrf}"
         peer = self.config.peer_to(name, vrf)
+        option = tokens.pop(0) if tokens or not negated else words["remote-as"]  # bare undo
         if option == words["remote-as"]:
-            if peer is None:
-                self.config.add_peer(
-                    BgpPeerConfig(peer=name, remote_asn=int(tokens[0]), vrf=vrf)
-                )
+            asn = _arg(tokens, 0, negated, int)
+            if negated:
+                self.config.peers.remove(held(what, peer, _named(remote_asn=asn)))
+            elif peer is None:
+                self.config.add_peer(BgpPeerConfig(peer=name, remote_asn=asn, vrf=vrf))
             else:
-                peer.remote_asn = int(tokens[0])
+                peer.remote_asn = asn
             return
-        if peer is None:
-            raise ValueError(f"peer {name!r} not declared with {words['remote-as']}")
-        if option == words["policy"]:
-            policy, direction = tokens[0], tokens[1]
-            if direction == words["import"]:
-                peer.import_policy = None if negated else policy
-            elif direction == words["export"]:
-                peer.export_policy = None if negated else policy
-            else:
-                raise ValueError(f"bad direction {direction!r}")
-        elif option == words["rr-client"]:
+        held(what, peer, {})
+        if option == words["rr-client"]:
             peer.route_reflector_client = not negated
         elif option == words["next-hop-self"]:
             peer.next_hop_self = not negated
-        elif option == "additional-paths":
-            peer.addpath = 1 if negated else int(tokens[0])
         elif option == words["shutdown"]:
             peer.enabled = negated
+        elif option == words["policy"]:
+            direction = {words["import"]: "import", words["export"]: "export"}.get(tokens[1])
+            if direction is None:
+                raise ValueError(f"bad direction {tokens[1]!r}")
+            _value(peer, f"{direction}_policy", tokens[0], negated, f"{direction} policy of {what}")
+        elif option == "additional-paths":
+            paths = _arg(tokens, 0, negated, int)
+            _value(peer, "addpath", paths, negated, f"additional-paths of {what}", unset=1)
         else:
             raise ValueError(f"unknown peer option {option!r}")
 
     def sub_aggregate(self, tokens: List[str], negated: bool) -> None:
         self._in_context("bgp")
-        prefix = self.dialect.take_prefix(tokens)
-        vrf = self._take_vrf(tokens)
-        if negated:
-            del self.config.aggregates[(vrf, as_prefix(prefix))]
-            return
-        self.config.add_aggregate(
-            prefix,
-            vrf=vrf,
-            as_set=_take_flag(tokens, "as-set"),
-            summary_only=_take_flag(tokens, self.words["summary-only"]),
-        )
+        prefix = as_prefix(self.dialect.take_prefix(tokens))
+        self._entry("aggregates", negated, prefix=prefix, vrf=self._take_vrf(tokens),
+                    as_set=("as-set" in tokens) or None,
+                    summary_only=(self.words["summary-only"] in tokens) or None)
 
     def sub_redistribute(self, tokens: List[str], negated: bool) -> None:
         self._in_context("bgp")
         source = tokens.pop(0)
         policy = _take_option(tokens, self.words["policy"])
-        vrf = self._take_vrf(tokens)
-        if negated:
-            del self.config.redistributions[(vrf, source)]
-            return
-        self.config.add_redistribution(source, policy=policy, vrf=vrf)
+        self._entry("redistributions", negated, source=source, policy=policy,
+                    vrf=self._take_vrf(tokens))
 
     def sub_max_paths(self, tokens: List[str], negated: bool) -> None:
         self._in_context("bgp")
-        self.config.max_paths = 1 if negated else int(tokens[0])
+        paths = _arg(tokens, 0, negated, int)
+        _value(self.config, "max_paths", paths, negated, "maximum-paths", unset=1)
 
     # -- policy-node context ---------------------------------------------------
 
@@ -491,7 +468,7 @@ class ConfigParser:
 
     def sub_rd(self, tokens: List[str], negated: bool) -> None:
         vrf = self._in_context("vrf")
-        vrf.rd = "" if negated else tokens[0]
+        _value(vrf, "rd", _arg(tokens, 0, negated), negated, f"rd of vrf {vrf.name}", unset="")
 
     def sub_route_target(self, tokens: List[str], negated: bool) -> None:
         vrf = self._in_context("vrf")
@@ -503,19 +480,37 @@ class ConfigParser:
         else:
             raise ValueError(f"bad route-target direction {direction!r}")
         if negated:
-            target.remove(value)
+            what = f"{direction} route target {value} in vrf {vrf.name}"
+            target.remove(held(what, value if value in target else None, {}))
         else:
             target.add(value)
 
     def sub_export_policy(self, tokens: List[str], negated: bool) -> None:
         vrf = self._in_context("vrf")
-        vrf.export_policy = None if negated else tokens[0]
+        policy = _arg(tokens, 0, negated)
+        _value(vrf, "export_policy", policy, negated, f"export policy of vrf {vrf.name}")
 
     # -- interface context -----------------------------------------------------
 
     def sub_acl_binding(self, tokens: List[str], negated: bool) -> None:
         interface = self._in_context("interface")
-        if negated:
-            del self.config.interface_acls[interface]
-        else:
-            self.config.bind_acl(interface, self.dialect.acl_name(tokens))
+        _value(self.config.interface_acls, interface, self.dialect.acl_name(tokens),
+               negated, f"acl binding of interface {interface}")
+
+
+def _value(owner, name: str, value, negated: bool, what: str, unset=None) -> None:
+    """Set attribute ``name`` of ``owner`` (its entry, for a dict) to
+    ``value``. An undo must name the held value or none; it puts back
+    ``unset`` (deletes the entry)."""
+    table = owner if isinstance(owner, dict) else vars(owner)
+    current = table.get(name, unset)
+    if not negated:
+        table[name] = value
+    elif current == unset:
+        raise ValueError(f"no {what}")
+    elif value not in (None, current):
+        raise ValueError(f"{what} is {current}, not {value}")
+    elif table is owner:
+        del table[name]
+    else:
+        table[name] = unset

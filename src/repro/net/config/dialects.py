@@ -37,31 +37,28 @@ def _spaced_prefix(tokens: List[str]) -> str:
 
 def _route_map_header(
     tokens: List[str], negated: bool
-) -> Tuple[str, str, Optional[int]]:
-    """``route-map NAME [permit|deny|none] [SEQ]``, a permit node 10 by
-    default; ``no route-map NAME`` names the whole map."""
+) -> Tuple[str, Optional[str], Optional[int]]:
+    """``route-map NAME [permit|deny|none] [SEQ]``, node 10 by default;
+    ``no route-map NAME`` names the whole map."""
     name, rest = tokens[0], tokens[1:]
     if negated and not rest:
-        return name, PERMIT, None
-    action = rest.pop(0) if rest and rest[0] in _NODE_ACTIONS else PERMIT
+        return name, None, None
+    action = rest.pop(0) if rest and rest[0] in _NODE_ACTIONS else None
     return name, action, int(rest[0]) if rest else 10
 
 
 def _route_policy_header(
     tokens: List[str], negated: bool
-) -> Tuple[str, str, Optional[int]]:
-    """``route-policy NAME {permit|deny|none} node SEQ``; ``undo`` takes
-    ``NAME [ACTION] node SEQ`` or ``NAME`` for the whole policy."""
-    name = tokens[0]
-    if negated:
-        if len(tokens) == 1:
-            return name, PERMIT, None
-        return name, PERMIT, int(tokens[tokens.index("node", 1) + 1])
-    if tokens[1] not in _NODE_ACTIONS:
-        raise ValueError(f"expected permit/deny, got {tokens[1]!r}")
-    if tokens[2] != "node":
-        raise ValueError("expected 'node SEQ'")
-    return name, tokens[1], int(tokens[3])
+) -> Tuple[str, Optional[str], Optional[int]]:
+    """``route-policy NAME {permit|deny|none} node SEQ``; ``undo`` may leave
+    out the action, or name just ``NAME`` for the whole policy."""
+    name, rest = tokens[0], tokens[1:]
+    if negated and not rest:
+        return name, None, None
+    action = None if negated and rest[0] == "node" else rest.pop(0)
+    if action not in _NODE_ACTIONS + (None,) or rest[0] != "node":
+        raise ValueError(f"expected '{{permit|deny|none}} node SEQ', got {' '.join(tokens[1:])!r}")
+    return name, action, int(rest[1])
 
 
 def _aspath_mode_first(tokens: List[str]) -> Tuple[str, List[str]]:

@@ -5,14 +5,18 @@ router's configuration: VRFs, BGP sessions, IS-IS, static routes, aggregate
 prefixes, SR policies, PBR rules, ACLs, redistribution, and the device-scoped
 policy definitions (:class:`~repro.net.policy.PolicyContext`).
 
-Every section but ``peers`` is a dict keyed by what its command names: a
-static by ``(vrf, prefix, nexthop)``, an aggregate by ``(vrf, prefix)``, a
-redistribution by ``(vrf, source)``, an SR policy, ACL or VRF by its name,
-and PBR and ACL rules by their sequence number (kept in sequence order).
-Entering an entry again replaces the one under its key, so a repeated line
-changes nothing; a negation deletes its key, so undoing an entry the device
-lacks raises ``KeyError``, which the config parser reports as a
-``ConfigParseError`` carrying the line.
+Every section but ``peers`` is a dict keyed by what its command names, as
+:data:`SECTIONS` says: a static by ``(vrf, prefix, nexthop)``, an aggregate
+by ``(vrf, prefix)``, a redistribution by ``(vrf, source)``, an SR policy,
+ACL or VRF by its name, and PBR rules (like an ACL's rules) by their
+sequence number, in sequence order. A change has one meaning. Adding an
+entry (:meth:`DeviceConfig.put`) replaces the one under its key, so a
+repeated line changes nothing. Undoing one (:meth:`DeviceConfig.delete`)
+names its key and perhaps some of its values; it deletes the entry only
+when the device holds it with those values, and otherwise raises a
+:class:`ConfigModelError` that names the target (:func:`held`). The config
+parser gives single values, dict entries and sub-entries the same rule and
+reports each error as a ``ConfigParseError`` carrying the line.
 
 The network model building service (§2.2) produces one of these per router by
 parsing its vendor-dialect configuration (``repro.net.config``); change
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.net.addr import IPAddress, Prefix, as_address, as_prefix
 from repro.net.policy import PolicyContext
@@ -32,7 +36,7 @@ from repro.net.vendors import VendorProfile, get_profile
 GLOBAL_VRF = "global"
 
 
-class ConfigModelError(Exception):
+class ConfigModelError(ValueError):
     """Raised for inconsistent device configuration operations."""
 
 
@@ -122,19 +126,7 @@ class PbrRuleConfig:
 
     def matches_flow(self, flow) -> bool:
         """Whether a traffic flow (``repro.traffic.flow.Flow``) matches."""
-        if not self.enabled:
-            return False
-        if self.src_prefix is not None and not self.src_prefix.contains_address(
-            flow.src
-        ):
-            return False
-        if self.dst_prefix is not None and not self.dst_prefix.contains_address(
-            flow.dst
-        ):
-            return False
-        if self.protocol is not None and flow.protocol != self.protocol:
-            return False
-        return True
+        return self.enabled and _matches(self, flow)
 
 
 @dataclass
@@ -149,24 +141,17 @@ class AclRuleConfig:
     dst_port: Optional[int] = None
 
     def matches_flow(self, flow) -> bool:
-        if self.src_prefix is not None and not self.src_prefix.contains_address(
-            flow.src
-        ):
-            return False
-        if self.dst_prefix is not None and not self.dst_prefix.contains_address(
-            flow.dst
-        ):
-            return False
-        if self.protocol is not None and flow.protocol != self.protocol:
-            return False
-        if self.dst_port is not None and flow.dst_port != self.dst_port:
-            return False
-        return True
+        return _matches(self, flow) and self.dst_port in (None, flow.dst_port)
 
 
-def _in_seq_order(rules: Dict[int, object], rule) -> Dict[int, object]:
-    """``rules`` with ``rule`` under its sequence number, in sequence order."""
-    return dict(sorted({**rules, rule.seq: rule}.items()))
+def _matches(rule, flow) -> bool:
+    """Whether ``flow`` is in the source and destination prefixes and has the
+    protocol that ``rule`` names (None names any)."""
+    return (
+        (rule.src_prefix is None or rule.src_prefix.contains_address(flow.src))
+        and (rule.dst_prefix is None or rule.dst_prefix.contains_address(flow.dst))
+        and rule.protocol in (None, flow.protocol)
+    )
 
 
 @dataclass
@@ -177,7 +162,7 @@ class AclConfig:
     rules: Dict[int, AclRuleConfig] = field(default_factory=dict)
 
     def add(self, rule: AclRuleConfig) -> AclRuleConfig:
-        self.rules = _in_seq_order(self.rules, rule)
+        self.rules = dict(sorted({**self.rules, rule.seq: rule}.items()))
         return rule
 
     def permits(self, flow) -> bool:
@@ -208,6 +193,42 @@ class RedistributionConfig:
     vrf: str = GLOBAL_VRF
 
 
+class Section(NamedTuple):
+    """How one keyed section of a :class:`DeviceConfig` holds its entries."""
+
+    label: str  # names an entry in messages
+    entry: type
+    key: Tuple[str, ...]  # the entry fields its key is made of; ("seq",) keeps seq order
+
+    def key_of(self, fields: Mapping[str, object]) -> object:
+        key = tuple(fields[name] for name in self.key)
+        return key if len(key) > 1 else key[0]
+
+
+SECTIONS: Dict[str, Section] = {
+    "statics": Section("static", StaticRouteConfig, ("vrf", "prefix", "nexthop")),
+    "aggregates": Section("aggregate", AggregateConfig, ("vrf", "prefix")),
+    "redistributions": Section("redistribution", RedistributionConfig, ("vrf", "source")),
+    "sr_policies": Section("sr-policy", SrPolicyConfig, ("name",)),
+    "pbr_rules": Section("pbr", PbrRuleConfig, ("seq",)),
+    "acls": Section("acl", AclConfig, ("name",)),
+    "vrfs": Section("vrf", VrfConfig, ("name",)),
+}
+
+
+def held(what: str, entry, named: Mapping[str, object]):
+    """``entry``, which an undo line names as ``what`` and whose fields
+    ``named`` must hold: a missing entry (None) or another value is a
+    :class:`ConfigModelError` saying so."""
+    if entry is None:
+        raise ConfigModelError(f"no {what}")
+    for field_name, value in named.items():
+        have = getattr(entry, field_name)
+        if have != value:
+            raise ConfigModelError(f"{what} has {field_name} {have}, not {value}")
+    return entry
+
+
 class DeviceConfig:
     """Complete parsed configuration of one router."""
 
@@ -217,15 +238,12 @@ class DeviceConfig:
         self.asn = asn
         self.policy_ctx = PolicyContext(vendor=get_profile(vendor))
         self.peers: List[BgpPeerConfig] = []
-        self.vrfs: Dict[str, VrfConfig] = {GLOBAL_VRF: VrfConfig(name=GLOBAL_VRF)}
-        self.statics: Dict[Tuple[str, Prefix, IPAddress], StaticRouteConfig] = {}
-        self.aggregates: Dict[Tuple[str, Prefix], AggregateConfig] = {}
-        self.sr_policies: Dict[str, SrPolicyConfig] = {}
-        self.pbr_rules: Dict[int, PbrRuleConfig] = {}
-        self.acls: Dict[str, AclConfig] = {}
+        # statics, aggregates, redistributions, sr_policies, pbr_rules, acls, vrfs
+        for section in SECTIONS:
+            setattr(self, section, {})
+        self.vrfs[GLOBAL_VRF] = VrfConfig(name=GLOBAL_VRF)
         self.interface_acls: Dict[str, str] = {}
         self.isis = IsisConfig()
-        self.redistributions: Dict[Tuple[str, str], RedistributionConfig] = {}
         #: BGP multipath (maximum-paths); 1 disables ECMP.
         self.max_paths = 8
         #: administratively isolated (drained) device; *how* isolation takes
@@ -259,46 +277,44 @@ class DeviceConfig:
         return None
 
     def remove_peer(self, name: str, vrf: str = GLOBAL_VRF) -> None:
-        peer = self.peer_to(name, vrf)
-        if peer is None:
-            raise ConfigModelError(f"{self.name}: no BGP peer {name!r} in {vrf!r}")
-        self.peers.remove(peer)
+        self.peers.remove(held(f"BGP peer {name} in vrf {vrf}", self.peer_to(name, vrf), {}))
 
-    # -- VRFs ----------------------------------------------------------------
+    # -- keyed sections ----------------------------------------------------------
+
+    def put(self, section: str, entry):
+        """Put ``entry`` under its key in ``section``, replacing any entry there."""
+        spec = SECTIONS[section]
+        table = getattr(self, section)
+        table[spec.key_of(vars(entry))] = entry
+        if spec.key == ("seq",):
+            setattr(self, section, dict(sorted(table.items())))
+        return entry
+
+    def delete(self, section: str, **named) -> None:
+        """Delete the entry of ``section`` that ``named`` keys, which must hold
+        every value ``named`` gives (see :func:`held`)."""
+        spec = SECTIONS[section]
+        table, key = getattr(self, section), spec.key_of(named)
+        held(" ".join([spec.label] + [f"{n} {named[n]}" for n in spec.key]), table.get(key), named)
+        del table[key]
 
     def add_vrf(self, vrf: VrfConfig) -> VrfConfig:
         if vrf.name in self.vrfs:
             raise ConfigModelError(f"{self.name}: duplicate vrf {vrf.name!r}")
-        self.vrfs[vrf.name] = vrf
-        return vrf
-
-    # -- other subsystems ------------------------------------------------------
+        return self.put("vrfs", vrf)
 
     def add_static(self, prefix: str, nexthop: str, vrf: str = GLOBAL_VRF,
                    preference: int = 1) -> StaticRouteConfig:
-        static = StaticRouteConfig(
-            prefix=as_prefix(prefix),
-            nexthop=as_address(nexthop),
-            vrf=vrf,
-            preference=preference,
-        )
-        self.statics[(vrf, static.prefix, static.nexthop)] = static
-        return static
+        static = StaticRouteConfig(as_prefix(prefix), as_address(nexthop), vrf, preference)
+        return self.put("statics", static)
 
     def add_aggregate(self, prefix: str, vrf: str = GLOBAL_VRF,
                       as_set: bool = False, summary_only: bool = False) -> AggregateConfig:
-        agg = AggregateConfig(
-            prefix=as_prefix(prefix), vrf=vrf, as_set=as_set, summary_only=summary_only
-        )
-        self.aggregates[(vrf, agg.prefix)] = agg
-        return agg
+        return self.put("aggregates", AggregateConfig(as_prefix(prefix), vrf, as_set, summary_only))
 
     def add_sr_policy(self, name: str, endpoint: str, color: int = 100,
                       segments: Tuple[str, ...] = ()) -> SrPolicyConfig:
-        policy = SrPolicyConfig(name=name, endpoint=endpoint, color=color,
-                                segments=segments)
-        self.sr_policies[name] = policy
-        return policy
+        return self.put("sr_policies", SrPolicyConfig(name, endpoint, color, segments))
 
     def sr_policy_towards(self, endpoint: str) -> Optional[SrPolicyConfig]:
         for policy in self.sr_policies.values():
@@ -307,21 +323,17 @@ class DeviceConfig:
         return None
 
     def add_pbr_rule(self, rule: PbrRuleConfig) -> PbrRuleConfig:
-        self.pbr_rules = _in_seq_order(self.pbr_rules, rule)
-        return rule
+        return self.put("pbr_rules", rule)
 
     def add_acl(self, acl: AclConfig) -> AclConfig:
-        self.acls[acl.name] = acl
-        return acl
+        return self.put("acls", acl)
 
     def bind_acl(self, interface: str, acl_name: str) -> None:
         self.interface_acls[interface] = acl_name
 
     def add_redistribution(self, source: str, policy: Optional[str] = None,
                            vrf: str = GLOBAL_VRF) -> RedistributionConfig:
-        redist = RedistributionConfig(source=source, policy=policy, vrf=vrf)
-        self.redistributions[(vrf, source)] = redist
-        return redist
+        return self.put("redistributions", RedistributionConfig(source, policy, vrf))
 
     # -- copying ---------------------------------------------------------------
 
@@ -330,15 +342,10 @@ class DeviceConfig:
         clone = DeviceConfig(self.name, self.vendor_name, self.asn)
         clone.policy_ctx = self.policy_ctx.copy()
         clone.peers = copy.deepcopy(self.peers)
-        clone.vrfs = copy.deepcopy(self.vrfs)
-        clone.statics = copy.deepcopy(self.statics)
-        clone.aggregates = copy.deepcopy(self.aggregates)
-        clone.sr_policies = copy.deepcopy(self.sr_policies)
-        clone.pbr_rules = copy.deepcopy(self.pbr_rules)
-        clone.acls = copy.deepcopy(self.acls)
+        for section in SECTIONS:
+            setattr(clone, section, copy.deepcopy(getattr(self, section)))
         clone.interface_acls = dict(self.interface_acls)
         clone.isis = copy.deepcopy(self.isis)
-        clone.redistributions = copy.deepcopy(self.redistributions)
         clone.max_paths = self.max_paths
         clone.isolated = self.isolated
         return clone

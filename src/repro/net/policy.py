@@ -98,16 +98,6 @@ class PrefixList:
         )
         return self
 
-    def remove(self, seq: Optional[int], rule: Tuple) -> None:
-        """Remove entry ``seq``; without a number, the entry of that
-        :attr:`~PrefixListEntry.rule`."""
-        for entry in self.entries:
-            if (entry.seq == seq) if seq is not None else (entry.rule == rule):
-                self.entries.remove(entry)
-                return
-        missing = seq if seq is not None else rule
-        raise PolicyError(f"no entry {missing} in prefix list {self.name!r}")
-
     def evaluate(self, candidate: Prefix, vendor: VendorProfile) -> bool:
         """True if the candidate prefix is permitted by this list."""
         if candidate.family != self.family:
@@ -320,11 +310,15 @@ class PolicyNode:
         return self
 
     def remove(self, clause: Union[MatchClause, SetClause]) -> None:
-        """Remove the equal clause."""
+        """Remove the clause in ``clause``'s slot, which must be equal to it."""
         clauses = self.matches if isinstance(clause, MatchClause) else self.sets
-        if clause not in clauses:
-            raise PolicyError(f"no {clause.kind} clause {clause.value!r} to remove")
-        clauses.remove(clause)
+        held = next((c for c in clauses if c.slot() == clause.slot()), None)
+        if held is None:
+            raise PolicyError(f"no {clause.kind} clause {clause.value!r} in node {self.seq}")
+        if held != clause:
+            raise PolicyError(f"node {self.seq} has {held.kind} {held.value!r}, "
+                              f"not {clause.kind} {clause.value!r}")
+        clauses.remove(held)
 
 
 @dataclass

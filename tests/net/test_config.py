@@ -191,7 +191,7 @@ def _plan(device_commands):
 class TestNegationAndApply:
     def test_delete_route_map_node(self):
         dev = parse_config(VENDOR_A_CONFIG, "R1", vendor="vendor-a")
-        updated = apply_commands(dev, ["no route-map IMPORT permit 10"])
+        updated = apply_commands(dev, ["no route-map IMPORT deny 10"])
         assert [n.seq for n in updated.policy_ctx.policies["IMPORT"].nodes] == [20]
         # original untouched
         assert [n.seq for n in dev.policy_ctx.policies["IMPORT"].nodes] == [10, 20]

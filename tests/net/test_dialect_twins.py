@@ -6,10 +6,14 @@ model: equal section fingerprints for every section but ``identity`` (which
 names the vendor), and equal ASN, multipath and drain state. Each rejected
 row must raise :class:`ConfigParseError` in both dialects. The coverage
 guard fails when a handler of either dialect's keyword table is reached by
-no row, so a command added to one dialect needs its twin.
+no row, so a command added to one dialect needs its twin. Two generated
+laws draw the rows' add lines: entering a line twice equals entering it
+once, and the mechanical negations (``no``/``undo`` + the line) of lines
+that each add something new, in reverse order, leave their headers' model.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.incremental.diff import device_section_fingerprints
 from repro.net.addr import Prefix
@@ -118,17 +122,7 @@ RM_A, RM_B = "route-map RM permit 10\n", "route-policy RM permit node 10\n"
 #: (row id, vendor-a block, vendor-b block) whose last lines undo what the
 #: lines before them did (mostly by negation): each block leaves its base
 #: device unchanged
-ROUND_TRIPS = [
-    (
-        "match-undo",
-        RM_A + " match ip prefix-list PL4\n no match ip prefix-list PL4",
-        RM_B + " if-match ip-prefix PL4\n undo if-match ip-prefix PL4",
-    ),
-    (
-        "set-undo",
-        RM_A + " set local-preference 200\n no set local-preference 200",
-        RM_B + " apply local-preference 200\n undo apply local-preference 200",
-    ),
+HAND_ROUND_TRIPS = [
     # -- entering a clause twice equals entering it once
     (
         "match-twice-undo",
@@ -146,76 +140,18 @@ ROUND_TRIPS = [
         "route-map IMPORT permit 20\n set local-preference 200\n set local-preference 300",
         "route-policy IMPORT permit node 20\n apply local-preference 200\n apply local-preference 300",
     ),
-    ("set-med-undo", RM_A + " set med 5\n no set med 5", RM_B + " apply cost 5\n undo apply cost 5"),
     # the negation names the communities in another order: one normal form
     (
         "set-community-undo",
         RM_A + " set community 2:2 1:1\n no set community 1:1 2:2",
         RM_B + " apply community 2:2 1:1\n undo apply community 1:1 2:2",
     ),
-    # -- peers and their options
+    # -- a negation that leaves out values the entry holds
     ("peer-add-undo", BGP_A + " neighbor R9 remote-as 65009\n no neighbor R9", BGP_B + " peer R9 as-number 65009\n undo peer R9"),
     (
         "peer-add-vrf-undo",
         BGP_A + " neighbor R9 vrf vrf1 remote-as 65009\n no neighbor R9 vrf vrf1",
         BGP_B + " peer R9 vpn-instance vrf1 as-number 65009\n undo peer R9 vpn-instance vrf1",
-    ),
-    (
-        "peer-policy-in-add-undo",
-        BGP_A + " neighbor R3 route-map RM in\n no neighbor R3 route-map RM in",
-        BGP_B + " peer R3 route-policy RM import\n undo peer R3 route-policy RM import",
-    ),
-    (
-        "peer-policy-out-add-undo",
-        BGP_A + " neighbor R3 route-map RM out\n no neighbor R3 route-map RM out",
-        BGP_B + " peer R3 route-policy RM export\n undo peer R3 route-policy RM export",
-    ),
-    (
-        "peer-rr-client-add-undo",
-        BGP_A + " neighbor R3 route-reflector-client\n no neighbor R3 route-reflector-client",
-        BGP_B + " peer R3 reflect-client\n undo peer R3 reflect-client",
-    ),
-    (
-        "peer-next-hop-self-add-undo",
-        BGP_A + " neighbor R3 next-hop-self\n no neighbor R3 next-hop-self",
-        BGP_B + " peer R3 next-hop-local\n undo peer R3 next-hop-local",
-    ),
-    (
-        "peer-addpath-add-undo",
-        BGP_A + " neighbor R3 additional-paths 4\n no neighbor R3 additional-paths 4",
-        BGP_B + " peer R3 additional-paths 4\n undo peer R3 additional-paths 4",
-    ),
-    (
-        "peer-shutdown-undo",
-        BGP_A + " neighbor R2 shutdown\n no neighbor R2 shutdown",
-        BGP_B + " peer R2 ignore\n undo peer R2 ignore",
-    ),
-    # -- aggregates, redistribution and statics
-    (
-        "aggregate-add-undo",
-        BGP_A + " aggregate-address 10.4.0.0/16\n no aggregate-address 10.4.0.0/16",
-        BGP_B + " aggregate 10.4.0.0 16\n undo aggregate 10.4.0.0 16",
-    ),
-    (
-        "aggregate-vrf-add-undo",
-        BGP_A + " aggregate-address 10.4.0.0/16 vrf vrf1\n no aggregate-address 10.4.0.0/16 vrf vrf1",
-        BGP_B + " aggregate 10.4.0.0 16 vpn-instance vrf1\n undo aggregate 10.4.0.0 16 vpn-instance vrf1",
-    ),
-    # the base redistributes direct routes in vrf1 only
-    (
-        "redistribute-add-undo",
-        BGP_A + " redistribute direct\n no redistribute direct",
-        BGP_B + " import-route direct\n undo import-route direct",
-    ),
-    (
-        "redistribute-vrf-add-undo",
-        BGP_A + " redistribute static vrf vrf1\n no redistribute static vrf vrf1",
-        BGP_B + " import-route static vpn-instance vrf1\n undo import-route static vpn-instance vrf1",
-    ),
-    (
-        "static-add-undo",
-        "ip route 10.6.0.0/16 192.0.2.3\nno ip route 10.6.0.0/16 192.0.2.3",
-        "ip route-static 10.6.0.0 16 192.0.2.3\nundo ip route-static 10.6.0.0 16 192.0.2.3",
     ),
     (
         "static-vrf-add-undo",
@@ -229,17 +165,11 @@ ROUND_TRIPS = [
         "ip route 2001:db8:9::/48 2001:db8::1\nno ip route 2001:db8:9::/48 2001:DB8::1",
         "ip route-static 2001:db8:9:: 48 2001:db8::1\nundo ip route-static 2001:db8:9:: 48 2001:DB8::1",
     ),
-    # -- prefix, community and as-path lists
     (
         "prefix-list-entry-add-undo",
         "ip prefix-list PL4 seq 30 permit 10.2.0.0/16 ge 20 le 24\nno ip prefix-list PL4 seq 30 permit 10.2.0.0/16",
         "ip ip-prefix PL4 index 30 permit 10.2.0.0 16 greater-equal 20 less-equal 24\n"
         "undo ip ip-prefix PL4 index 30 permit 10.2.0.0 16",
-    ),
-    (
-        "prefix-list-unnumbered-add-undo",
-        "ip prefix-list PL4 permit 10.2.0.0/16\nno ip prefix-list PL4 permit 10.2.0.0/16",
-        "ip ip-prefix PL4 permit 10.2.0.0 16\nundo ip ip-prefix PL4 permit 10.2.0.0 16",
     ),
     # re-entering a number replaces its entry
     (
@@ -248,6 +178,7 @@ ROUND_TRIPS = [
         "ip ip-prefix PL4 index 10 deny 10.9.0.0 16\n"
         "ip ip-prefix PL4 index 10 permit 10.0.0.0 24 greater-equal 25 less-equal 32",
     ),
+    # -- a negation of the whole object
     (
         "prefix-list-add-undo",
         "ip prefix-list NEW deny 10.3.0.0/16\nno ip prefix-list NEW",
@@ -263,14 +194,12 @@ ROUND_TRIPS = [
         "ip as-path access-list AP2 permit ^65003\nno ip as-path access-list AP2",
         "ip as-path-filter AP2 permit ^65003\nundo ip as-path-filter AP2",
     ),
-    # -- policies and their nodes
     ("node-add-undo", "route-map RM permit 20\nno route-map RM 20", "route-policy RM permit node 20\nundo route-policy RM node 20"),
     (
         "policy-add-undo",
         NODE_A + " set med 5\nno route-map P",
         NODE_B + " apply cost 5\nundo route-policy P",
     ),
-    # -- SR policies, PBR, ACLs, VRFs and IS-IS
     (
         "sr-policy-add-undo",
         "segment-routing policy SRP2 endpoint R6\nno segment-routing policy SRP2",
@@ -283,24 +212,74 @@ ROUND_TRIPS = [
     ),
     ("acl-add-undo", "access-list ACL2 10 deny\nno access-list ACL2", "acl ACL2 10 deny\nundo acl ACL2"),
     (
-        "acl-bind-undo",
-        "interface eth2\n ip access-group ACL1\n no ip access-group ACL1",
-        "interface eth2\n traffic-filter inbound acl ACL1\n undo traffic-filter inbound acl ACL1",
-    ),
-    (
         "vrf-add-undo",
         "vrf definition vrf2\n rd 65001:2\nno vrf definition vrf2",
         "ip vpn-instance vrf2\n route-distinguisher 65001:2\nundo ip vpn-instance vrf2",
     ),
-    (
-        "route-target-add-undo",
-        "vrf definition vrf1\n route-target import 300:1\n no route-target import 300:1",
-        "ip vpn-instance vrf1\n vpn-target 300:1 import-extcommunity\n undo vpn-target 300:1 import-extcommunity",
-    ),
     ("isis-cost-add-undo", "isis cost R3 30\nno isis cost R3", "isis cost R3 30\nundo isis cost R3"),
+    # -- a flag cleared, then set again
     ("isis-enable", "no router isis\nrouter isis", "undo isis\nisis"),
     ("isis-te", "no isis te\nisis te", "undo isis te\nisis te"),
-    ("isolate-undo", "isolate\nno isolate", "device-isolate\nundo device-isolate"),
+]
+
+#: (row id, vendor-a block, vendor-b block) whose last line adds something
+#: the base lacks; its round trip appends that line's mechanical negation
+#: (:func:`_negation`), and :func:`test_negating_each_line_in_reverse_restores_the_headers`
+#: draws these lines
+NEGATED = [
+    ("match-undo", RM_A + " match ip prefix-list PL4", RM_B + " if-match ip-prefix PL4"),
+    ("set-undo", RM_A + " set local-preference 200", RM_B + " apply local-preference 200"),
+    ("set-med-undo", RM_A + " set med 5", RM_B + " apply cost 5"),
+    ("peer-remote-as-add-undo", BGP_A + " neighbor R9 remote-as 65009", BGP_B + " peer R9 as-number 65009"),
+    ("peer-policy-in-add-undo", BGP_A + " neighbor R3 route-map RM in", BGP_B + " peer R3 route-policy RM import"),
+    ("peer-policy-out-add-undo", BGP_A + " neighbor R3 route-map RM out", BGP_B + " peer R3 route-policy RM export"),
+    ("peer-rr-client-add-undo", BGP_A + " neighbor R3 route-reflector-client", BGP_B + " peer R3 reflect-client"),
+    ("peer-next-hop-self-add-undo", BGP_A + " neighbor R3 next-hop-self", BGP_B + " peer R3 next-hop-local"),
+    ("peer-addpath-add-undo", BGP_A + " neighbor R3 additional-paths 4", BGP_B + " peer R3 additional-paths 4"),
+    ("peer-shutdown-undo", BGP_A + " neighbor R2 shutdown", BGP_B + " peer R2 ignore"),
+    ("aggregate-add-undo", BGP_A + " aggregate-address 10.4.0.0/16", BGP_B + " aggregate 10.4.0.0 16"),
+    (
+        "aggregate-vrf-add-undo",
+        BGP_A + " aggregate-address 10.4.0.0/16 vrf vrf1",
+        BGP_B + " aggregate 10.4.0.0 16 vpn-instance vrf1",
+    ),
+    # the base redistributes direct routes in vrf1 only
+    ("redistribute-add-undo", BGP_A + " redistribute direct", BGP_B + " import-route direct"),
+    (
+        "redistribute-vrf-add-undo",
+        BGP_A + " redistribute static vrf vrf1",
+        BGP_B + " import-route static vpn-instance vrf1",
+    ),
+    ("static-add-undo", "ip route 10.6.0.0/16 192.0.2.3", "ip route-static 10.6.0.0 16 192.0.2.3"),
+    ("prefix-list-unnumbered-add-undo", "ip prefix-list PL4 permit 10.2.0.0/16", "ip ip-prefix PL4 permit 10.2.0.0 16"),
+    # undoing the only entry of a list undoes the list
+    ("prefix-list-new-add-undo", "ip prefix-list NEW deny 10.3.0.0/16", "ip ip-prefix NEW deny 10.3.0.0 16"),
+    ("community-list-member-add-undo", "ip community-list CL permit 300:1", "ip community-filter CL permit 300:1"),
+    ("as-path-list-member-add-undo", "ip as-path access-list AP permit ^65003", "ip as-path-filter AP permit ^65003"),
+    ("acl-rule-add-undo", "access-list ACL1 30 permit", "acl ACL1 30 permit"),
+    ("acl-bind-undo", "interface eth2\n ip access-group ACL1", "interface eth2\n traffic-filter inbound acl ACL1"),
+    (
+        "route-target-add-undo",
+        "vrf definition vrf1\n route-target import 300:1",
+        "ip vpn-instance vrf1\n vpn-target 300:1 import-extcommunity",
+    ),
+    ("isolate-undo", "isolate", "device-isolate"),
+]
+
+
+def _negation(line, vendor):
+    """``line`` negated by the dialect's negation word, indentation kept."""
+    indent = line[: len(line) - len(line.lstrip())]
+    return f"{indent}{DIALECTS[vendor].negation} {line.strip()}"
+
+
+ROUND_TRIPS = HAND_ROUND_TRIPS + [
+    (
+        row_id,
+        f"{a_block}\n{_negation(a_block.splitlines()[-1], 'vendor-a')}",
+        f"{b_block}\n{_negation(b_block.splitlines()[-1], 'vendor-b')}",
+    )
+    for row_id, a_block, b_block in NEGATED
 ]
 
 #: (row id, vendor-a line, vendor-b line) giving seq 10 of the base's PBR
@@ -322,10 +301,11 @@ TWINS = ROUND_TRIPS + SEQ_REPLACED + [
         BGP_B + " peer R9 vpn-instance vrf1 as-number 65009",
     ),
     ("peer-remote-as-update", BGP_A + " neighbor R2 remote-as 65012", BGP_B + " peer R2 as-number 65012"),
+    # naming the held remote AS undoes the peer, like ``peer-remove``
     (
         "peer-remote-as-undo",
-        BGP_A + " no neighbor R2 remote-as 65012",
-        BGP_B + " undo peer R2 as-number 65012",
+        BGP_A + " no neighbor R2 remote-as 65002",
+        BGP_B + " undo peer R2 as-number 65002",
     ),
     ("peer-remove", BGP_A + " no neighbor R2", BGP_B + " undo peer R2"),
     ("peer-remove-vrf", BGP_A + " no neighbor R4 vrf vrf1", BGP_B + " undo peer R4 vpn-instance vrf1"),
@@ -615,6 +595,70 @@ REJECTED = [
         "vrf definition vrf1\n no route-target import 300:1",
         "ip vpn-instance vrf1\n undo vpn-target 300:1 import-extcommunity",
     ),
+    # -- negating a value other than the one the device holds
+    ("bgp-undo-wrong-asn", "no router bgp 99", "undo bgp 99"),
+    (
+        "peer-remote-as-undo-wrong-value",
+        BGP_A + " no neighbor R2 remote-as 65099",
+        BGP_B + " undo peer R2 as-number 65099",
+    ),
+    ("peer-remote-as-undo-missing", BGP_A + " no neighbor R9 remote-as 65009", BGP_B + " undo peer R9 as-number 65009"),
+    (
+        "peer-policy-undo-wrong-name",
+        BGP_A + " no neighbor R2 route-map NOPE in",
+        BGP_B + " undo peer R2 route-policy NOPE import",
+    ),
+    ("peer-policy-undo-absent", BGP_A + " no neighbor R3 route-map RM in", BGP_B + " undo peer R3 route-policy RM import"),
+    (
+        "peer-addpath-undo-wrong-value",
+        BGP_A + " no neighbor R2 additional-paths 7",
+        BGP_B + " undo peer R2 additional-paths 7",
+    ),
+    ("maximum-paths-undo-wrong-value", BGP_A + " no maximum-paths 9", BGP_B + " undo maximum load-balancing 9"),
+    (
+        "redistribute-undo-wrong-policy",
+        BGP_A + " no redistribute static route-map NOPE",
+        BGP_B + " undo import-route static route-policy NOPE",
+    ),
+    (
+        "aggregate-undo-wrong-option",
+        BGP_A + " no aggregate-address 10.8.0.0/16 vrf vrf1 as-set",
+        BGP_B + " undo aggregate 10.8.0.0 16 vpn-instance vrf1 as-set",
+    ),
+    (
+        "static-undo-wrong-preference",
+        "no ip route 10.0.0.0/24 192.0.2.1 7",
+        "undo ip route-static 10.0.0.0 24 192.0.2.1 preference 7",
+    ),
+    ("isis-cost-undo-wrong-value", "no isis cost R2 99", "undo isis cost R2 99"),
+    ("node-undo-wrong-action", "no route-map IMPORT permit 10", "undo route-policy IMPORT permit node 10"),
+    (
+        "prefix-list-entry-undo-wrong-action",
+        "no ip prefix-list PL4 seq 20 permit 10.1.0.0/16",
+        "undo ip ip-prefix PL4 index 20 permit 10.1.0.0 16",
+    ),
+    ("community-list-member-undo-missing", "no ip community-list CL permit 300:1", "undo ip community-filter CL permit 300:1"),
+    ("as-path-list-member-undo-missing", "no ip as-path access-list AP permit ^65003", "undo ip as-path-filter AP permit ^65003"),
+    ("acl-rule-undo-missing", "no access-list ACL1 99 permit", "undo acl ACL1 99 permit"),
+    ("acl-rule-undo-absent-seq", "no access-list ACL1 30 permit", "undo acl ACL1 30 permit"),
+    ("acl-rule-undo-wrong-action", "no access-list ACL1 10 deny", "undo acl ACL1 10 deny"),
+    (
+        "acl-unbind-wrong-name",
+        "interface eth1\n no ip access-group ACL9",
+        "interface eth1\n undo traffic-filter inbound acl ACL9",
+    ),
+    ("rd-undo-wrong-value", "vrf definition vrf1\n no rd 9:9", "ip vpn-instance vrf1\n undo route-distinguisher 9:9"),
+    (
+        "export-policy-undo-wrong-name",
+        "vrf definition vrf1\n no export-policy NOPE",
+        "ip vpn-instance vrf1\n undo export route-policy NOPE",
+    ),
+    (
+        "sr-policy-undo-wrong-endpoint",
+        "no segment-routing policy SRP endpoint R9",
+        "undo segment-routing policy SRP endpoint R9",
+    ),
+    ("pbr-rule-undo-wrong-nexthop", "no pbr rule 10 nexthop R9", "undo pbr rule 10 nexthop R9"),
     ("sr-policy-without-endpoint", "segment-routing policy S color 1", "segment-routing policy S color 1"),
     ("pbr-rule-without-nexthop", "pbr rule 5 dst 10.0.0.0/8", "pbr rule 5 dst 10.0.0.0/8"),
     ("bad-number", "router bgp x", "bgp x"),
@@ -728,6 +772,97 @@ def test_rejected_in_both_dialects(a_block, b_block):
     for vendor, block in (("vendor-a", a_block), ("vendor-b", b_block)):
         with pytest.raises(ConfigParseError):
             apply_commands(_base(vendor), block.splitlines())
+
+
+#: row id -> what its rejection says, in both dialects
+MESSAGES = {
+    "static-undo-missing": "line 1: no static vrf global prefix 10.77.0.0/16 nexthop 192.0.2.1 [",
+    "truncated": "line 1: incomplete command [",
+    "static-undo-wrong-preference":
+        "static vrf global prefix 10.0.0.0/24 nexthop 192.0.2.1 has preference 1, not 7",
+    "bgp-undo-wrong-asn": "BGP process has asn 65001, not 99",
+    "peer-remote-as-undo-wrong-value": "BGP peer R2 in vrf global has remote_asn 65002, not 65099",
+    "peer-remote-as-undo-missing": "no BGP peer R9 in vrf global",
+    "peer-policy-undo-wrong-name": "import policy of BGP peer R2 in vrf global is IMPORT, not NOPE",
+    "maximum-paths-undo-wrong-value": "maximum-paths is 4, not 9",
+    "node-undo-wrong-action": "policy IMPORT node 10 has action deny, not permit",
+    "acl-rule-undo-missing": "no acl ACL1 rule 99",
+    "acl-unbind-wrong-name": "acl binding of interface eth1 is ACL1, not ACL9",
+    "rd-undo-wrong-value": "rd of vrf vrf1 is 65001:1, not 9:9",
+    "community-list-member-undo-missing": "no 300:1 in community list CL",
+}
+
+
+@pytest.mark.parametrize("row_id", sorted(MESSAGES))
+def test_a_rejection_names_its_target(row_id):
+    row = next(row for row in REJECTED if row[0] == row_id)
+    for vendor, block in (("vendor-a", row[1]), ("vendor-b", row[2])):
+        with pytest.raises(ConfigParseError) as info:
+            apply_commands(_base(vendor), block.splitlines())
+        message = str(info.value)
+        assert MESSAGES[row_id] in message
+        assert "KeyError" not in message and "IndexError" not in message
+
+
+def _applied(vendor, lines):
+    """The section fingerprints of the base device after ``lines``."""
+    return device_section_fingerprints(apply_commands(_base(vendor), lines))
+
+
+@pytest.mark.parametrize("vendor", sorted(DIALECTS))
+def test_undoing_the_held_remote_as_removes_the_peer(vendor):
+    side = 1 if vendor == "vendor-a" else 2
+    undo, remove = (next(row[side] for row in TWINS if row[0] == row_id)
+                    for row_id in ("peer-remote-as-undo", "peer-remove"))
+    assert _applied(vendor, undo.splitlines()) == _applied(vendor, remove.splitlines())
+
+
+def _add_blocks(vendor, rows):
+    """Each line of ``rows`` that adds (is not negated), after the context
+    header a sub-command needs, as ``(header..., line)``."""
+    dialect, side, blocks = DIALECTS[vendor], 1 if vendor == "vendor-a" else 2, set()
+    for row in rows:
+        header = ()
+        for line in row[side].splitlines():
+            handler, _, negated = dialect.command(line)
+            if handler is None or negated:
+                continue
+            if handler.startswith("sub_"):
+                blocks.add(header + (line,))
+            else:
+                header = (line,)
+                blocks.add(header)
+    return sorted(blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("vendor", sorted(DIALECTS))
+def test_entering_a_line_twice_equals_entering_it_once(vendor, data):
+    blocks = data.draw(st.lists(st.sampled_from(_add_blocks(vendor, TWINS)), max_size=6))
+    once = [line for block in blocks for line in block]
+    twice = [line for block in blocks for line in block + block]
+    assert _applied(vendor, twice) == _applied(vendor, once)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("vendor", sorted(DIALECTS))
+def test_negating_each_line_in_reverse_restores_the_headers(vendor, data):
+    """Lines that each add something the base lacks (the ``NEGATED`` rows),
+    then each line's mechanical negation in reverse order, leave the model
+    of their context headers alone."""
+    side = 1 if vendor == "vendor-a" else 2
+    pool = [tuple(row[side].splitlines()) for row in NEGATED]
+    blocks = data.draw(st.lists(st.sampled_from(pool), unique=True))
+    lines = [line for block in blocks for line in block]
+    undo = [
+        line
+        for block in reversed(blocks)
+        for line in block[:-1] + (_negation(block[-1], vendor),)
+    ]
+    headers = [line for block in blocks for line in block[:-1]]
+    assert _applied(vendor, lines + undo) == _applied(vendor, headers)
 
 
 @pytest.mark.parametrize("vendor", sorted(DIALECTS))
