@@ -11,7 +11,6 @@ verifier holds by reference.
 """
 
 from repro.incremental.blast import (
-    ANALYZABLE_SECTIONS,
     BlastRadius,
     TRAFFIC_ONLY_SECTIONS,
     WIDEN_SECTIONS,
@@ -26,9 +25,8 @@ from repro.incremental.diff import (
     LOCAL_INPUT_SECTIONS,
     ModelDiff,
     SECTIONS,
-    device_section_fingerprints,
+    changed_sections,
     diff_models,
-    topology_fingerprint,
 )
 from repro.incremental.engine import (
     IncrementalEngine,
@@ -41,7 +39,6 @@ from repro.incremental.engine import (
 )
 
 __all__ = [
-    "ANALYZABLE_SECTIONS",
     "BlastRadius",
     "DeviceDelta",
     "FORWARDING_SECTIONS",
@@ -61,7 +58,6 @@ __all__ = [
     "aggregate_closure",
     "analyze_blast_radius",
     "blast_radius_for_prefixes",
-    "device_section_fingerprints",
+    "changed_sections",
     "diff_models",
-    "topology_fingerprint",
 ]

@@ -44,11 +44,6 @@ WIDEN_SECTIONS: FrozenSet[str] = frozenset({"identity", "peers", "vrfs", "isis",
 #: Sections that affect traffic simulation but not route propagation.
 TRAFFIC_ONLY_SECTIONS: FrozenSet[str] = frozenset({"acls", "pbr"})
 
-#: Sections the analyzer narrows to a prefix set.
-ANALYZABLE_SECTIONS: FrozenSet[str] = frozenset(
-    {"statics", "aggregates", "redistributions", "policies"}
-)
-
 
 @dataclass
 class BlastRadius:
@@ -117,8 +112,10 @@ class BlastRadius:
         return ", ".join(parts)
 
 
-def _repr_set(items: Iterable[object]) -> Set[str]:
-    return {repr(item) for item in items}
+def changed(before: Dict, after: Dict) -> List:
+    """The keys of ``before`` and ``after`` whose entries differ (an entry
+    one side lacks differs), ``before``'s keys first."""
+    return [key for key in {**before, **after} if before.get(key) != after.get(key)]
 
 
 def _node_prefix_constraint(
@@ -169,13 +166,9 @@ def _analyze_policy_delta(
 
     # Community / as-path filters select on attributes orthogonal to the
     # prefix — a change to them cannot be bounded by a prefix set.
-    if repr(sorted(base_ctx.community_lists.items(), key=lambda kv: kv[0])) != repr(
-        sorted(updated_ctx.community_lists.items(), key=lambda kv: kv[0])
-    ):
+    if changed(base_ctx.community_lists, updated_ctx.community_lists):
         out.widen(f"{device}: community-list change is not prefix-analyzable")
-    if repr(sorted(base_ctx.aspath_lists.items(), key=lambda kv: kv[0])) != repr(
-        sorted(updated_ctx.aspath_lists.items(), key=lambda kv: kv[0])
-    ):
+    if changed(base_ctx.aspath_lists, updated_ctx.aspath_lists):
         out.widen(f"{device}: as-path-list change is not prefix-analyzable")
     if base_ctx.aspath_fullmatch != updated_ctx.aspath_fullmatch:
         out.widen(f"{device}: as-path match semantics changed")
@@ -183,11 +176,9 @@ def _analyze_policy_delta(
     # Prefix-list edits: only routes inside the old or new entries can see a
     # different match outcome (``PrefixListEntry.matches`` requires
     # containment regardless of ge/le).
-    for name in set(base_ctx.prefix_lists) | set(updated_ctx.prefix_lists):
+    for name in changed(base_ctx.prefix_lists, updated_ctx.prefix_lists):
         old = base_ctx.prefix_lists.get(name)
         new = updated_ctx.prefix_lists.get(name)
-        if repr(old) == repr(new):
-            continue
         for plist, ctx in ((old, base_ctx), (new, updated_ctx)):
             if plist is None:
                 continue
@@ -207,18 +198,13 @@ def _analyze_policy_delta(
             # VSB for every route on sessions referencing it.
             out.widen(f"{device}: policy {name!r} added or removed")
             continue
-        old_nodes = {repr(n): n for n in old_policy.nodes}
-        new_nodes = {repr(n): n for n in new_policy.nodes}
-        changed = [
-            (node, base_ctx)
-            for text, node in old_nodes.items()
-            if text not in new_nodes
-        ] + [
-            (node, updated_ctx)
-            for text, node in new_nodes.items()
-            if text not in old_nodes
+        old_nodes = {node.seq: node for node in old_policy.nodes}
+        new_nodes = {node.seq: node for node in new_policy.nodes}
+        seqs = changed(old_nodes, new_nodes)
+        moved = [(old_nodes[seq], base_ctx) for seq in seqs if seq in old_nodes] + [
+            (new_nodes[seq], updated_ctx) for seq in seqs if seq in new_nodes
         ]
-        for node, ctx in changed:
+        for node, ctx in moved:
             constraint = _node_prefix_constraint(node, ctx)
             if constraint is None:
                 out.widen(
@@ -250,9 +236,7 @@ def _analyze_device_delta(
     for section in delta.sections & {"statics", "aggregates"}:
         before, after = getattr(base_cfg, section), getattr(updated_cfg, section)
         out.prefixes.update(
-            (before.get(key) or after[key]).prefix
-            for key in before.keys() | after.keys()
-            if before.get(key) != after.get(key)
+            (before.get(key) or after[key]).prefix for key in changed(before, after)
         )
 
     if "policies" in delta.sections:
@@ -262,17 +246,11 @@ def _analyze_device_delta(
         # Locally originated inputs may move (redistributed statics/directs,
         # possibly filtered by an edited redistribution policy). Recompute
         # both sides for this one device and diff exactly.
-        base_locals = build_local_inputs_for_device(base, base_cfg)
-        updated_locals = build_local_inputs_for_device(updated, updated_cfg)
-        base_reprs = _repr_set(base_locals)
-        updated_reprs = _repr_set(updated_locals)
-        for items, other in (
-            (base_locals, updated_reprs),
-            (updated_locals, base_reprs),
-        ):
-            out.prefixes.update(
-                item.route.prefix for item in items if repr(item) not in other
-            )
+        base_locals = set(build_local_inputs_for_device(base, base_cfg))
+        updated_locals = set(build_local_inputs_for_device(updated, updated_cfg))
+        out.prefixes.update(
+            item.route.prefix for item in base_locals ^ updated_locals
+        )
 
     return traffic
 

@@ -9,10 +9,9 @@ the plan's new input routes — so the blast-radius analyzer
 (:mod:`repro.incremental.blast`) can decide how much of the base simulation
 survives.
 
-Sections are compared by canonical text fingerprints (stable ``repr`` of the
-section's dataclasses). Two configurations that render differently are
-treated as changed even if semantically equal — the conservative direction:
-a false "changed" only costs re-simulation, never correctness.
+Sections are compared by value (``==`` on the dataclasses the model holds),
+so two configurations that differ only in the iteration order of a set are
+equal. Sections whose readers follow entry order compare in that order.
 """
 
 from __future__ import annotations
@@ -26,39 +25,35 @@ from repro.net.model import NetworkModel
 from repro.net.topology import Topology
 from repro.routing.inputs import InputRoute
 
-#: Per-device configuration sections, each with a canonical fingerprint.
-#: Name-keyed sections are rendered with sorted keys so two configs that
-#: define the same objects in different order still compare equal; the other
-#: keyed sections keep their entry order, which their readers follow.
-_SECTION_FINGERPRINTS: Dict[str, Callable[[DeviceConfig], str]] = {
+#: Per-device configuration sections, each as the values it compares.
+#: Name-keyed sections compare as dicts, so two configs that define the same
+#: objects in different order are equal; the other keyed sections compare
+#: their entries in order, which their readers follow.
+_SECTION_VALUES: Dict[str, Callable[[DeviceConfig], object]] = {
     # vendor profile (VSB behaviour), ASN, multipath, and drain state affect
     # everything a device does — never prefix-analyzable.
-    "identity": lambda d: repr(
-        (d.vendor_name, d.asn, d.max_paths, d.isolated, d.policy_ctx.vendor)
+    "identity": lambda d: (
+        d.vendor_name, d.asn, d.max_paths, d.isolated, d.policy_ctx.vendor
     ),
-    "peers": lambda d: repr(d.peers),
-    "vrfs": lambda d: repr(sorted(d.vrfs.items())),
-    "statics": lambda d: repr(d.statics),
-    "aggregates": lambda d: repr(d.aggregates),
-    "sr": lambda d: repr(d.sr_policies),
-    "pbr": lambda d: repr(d.pbr_rules),
-    "acls": lambda d: repr(
-        (sorted(d.acls.items()), sorted(d.interface_acls.items()))
-    ),
-    "isis": lambda d: repr((d.isis, sorted(d.isis.cost_overrides.items()))),
-    "redistributions": lambda d: repr(d.redistributions),
-    "policies": lambda d: repr(
-        (
-            sorted(d.policy_ctx.prefix_lists.items(), key=lambda kv: kv[0]),
-            sorted(d.policy_ctx.community_lists.items(), key=lambda kv: kv[0]),
-            sorted(d.policy_ctx.aspath_lists.items(), key=lambda kv: kv[0]),
-            sorted(d.policy_ctx.policies.items(), key=lambda kv: kv[0]),
-            d.policy_ctx.aspath_fullmatch,
-        )
+    "peers": lambda d: d.peers,
+    "vrfs": lambda d: d.vrfs,
+    "statics": lambda d: list(d.statics.items()),
+    "aggregates": lambda d: list(d.aggregates.items()),
+    "sr": lambda d: list(d.sr_policies.items()),
+    "pbr": lambda d: list(d.pbr_rules.items()),
+    "acls": lambda d: (d.acls, d.interface_acls),
+    "isis": lambda d: d.isis,
+    "redistributions": lambda d: list(d.redistributions.items()),
+    "policies": lambda d: (
+        d.policy_ctx.prefix_lists,
+        d.policy_ctx.community_lists,
+        d.policy_ctx.aspath_lists,
+        d.policy_ctx.policies,
+        d.policy_ctx.aspath_fullmatch,
     ),
 }
 
-SECTIONS: Tuple[str, ...] = tuple(_SECTION_FINGERPRINTS)
+SECTIONS: Tuple[str, ...] = tuple(_SECTION_VALUES)
 
 #: Sections whose change can move IGP state (compute_igp inputs).
 IGP_SECTIONS: FrozenSet[str] = frozenset({"isis", "identity"})
@@ -77,20 +72,12 @@ FORWARDING_SECTIONS: FrozenSet[str] = frozenset(
 )
 
 
-def device_section_fingerprints(config: DeviceConfig) -> Dict[str, str]:
-    """Canonical per-section fingerprints of one device configuration."""
-    return {name: fp(config) for name, fp in _SECTION_FINGERPRINTS.items()}
-
-
-def topology_fingerprint(topology: Topology) -> str:
-    """Canonical fingerprint of the topology (links, routers, failures)."""
-    return repr(
-        (
-            sorted(repr(link) for link in topology.links),
-            sorted(repr(router) for router in topology.routers),
-            sorted(repr(key) for key in topology._failed_links),
-            sorted(topology._failed_routers),
-        )
+def changed_sections(base: DeviceConfig, updated: DeviceConfig) -> FrozenSet[str]:
+    """The sections whose values differ between two configs of one device."""
+    return frozenset(
+        section
+        for section, values in _SECTION_VALUES.items()
+        if values(base) != values(updated)
     )
 
 
@@ -228,20 +215,14 @@ def diff_models(
     """
     base_names = set(base.devices)
     updated_names = set(updated.devices)
-    topology_changed = not updated.topology.is_untouched_copy_of(base.topology) and (
-        topology_fingerprint(base.topology) != topology_fingerprint(updated.topology)
-    )
+    topology_changed = base.topology != updated.topology
     deltas: Dict[str, DeviceDelta] = {}
     for name in base_names & updated_names:
         base_cfg = base.devices[name]
         updated_cfg = updated.devices[name]
         if base_cfg is updated_cfg:
             continue
-        changed = frozenset(
-            section
-            for section, fp in _SECTION_FINGERPRINTS.items()
-            if fp(base_cfg) != fp(updated_cfg)
-        )
+        changed = changed_sections(base_cfg, updated_cfg)
         if changed:
             deltas[name] = DeviceDelta(device=name, sections=changed)
 

@@ -2,15 +2,15 @@
 
 Public surface of the k-failure engine, which replaced an exhaustive
 per-scenario checker: solve the base fixpoint once, bound every failure
-scenario's blast radius against it, dedupe scenarios into blast-fingerprint
-equivalence classes, and solve each surviving class once as a warm delta.
+scenario's blast radius against it, dedupe scenarios into equivalence
+classes by their blast key, and solve each surviving class once as a warm
+delta.
 """
 
 from repro.kfailure.blast import (
     ClassKey,
     FailureBlastAnalyzer,
     ScenarioEffect,
-    adjacency_digest,
 )
 from repro.kfailure.engine import KFailureEngine
 from repro.kfailure.result import (
@@ -35,7 +35,6 @@ __all__ = [
     "KFailureViolation",
     "PropertyCheck",
     "ScenarioEffect",
-    "adjacency_digest",
     "apply_scenario",
     "enumerate_scenarios",
     "reachability_property",

@@ -1,4 +1,4 @@
-"""Topology-failure blast analysis and equivalence-class fingerprints.
+"""Topology-failure blast analysis and equivalence-class keys.
 
 The config-delta analyzer (:mod:`repro.incremental.blast`) widens to a full
 re-simulation whenever topology moves, because an arbitrary topology edit
@@ -32,14 +32,13 @@ determines the IGP (and through it iBGP liveness and every ingress cost),
 the failed-router set determines assembly, and dead eBGP sessions capture
 the one liveness input the adjacency cannot see (eBGP links need not be
 IS-IS participants; parallel bundle members collapse into one min-cost
-adjacency edge). Scenarios with equal fingerprints — e.g. failing either
+adjacency edge). Scenarios with equal keys — e.g. failing either
 member of a redundant parallel bundle, or a router plus any of its own
 links — share one simulation.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -52,19 +51,20 @@ from repro.routing.bgp import Session, build_sessions, ingress_igp_cost
 from repro.routing.isis import IgpState, build_adjacency, compute_igp
 from repro.routing.simulator import SimulationResult
 
-#: (failed routers, adjacency digest, dead eBGP session keys)
-ClassKey = Tuple[FrozenSet[str], str, FrozenSet[Tuple[str, str, str, str]]]
+#: The IS-IS adjacency as its directed ``(router, neighbor, cost)`` edges.
+Adjacency = FrozenSet[Tuple[str, str, float]]
+
+#: (failed routers, IS-IS adjacency, dead eBGP session keys)
+ClassKey = Tuple[FrozenSet[str], Adjacency, FrozenSet[Tuple[str, str, str, str]]]
 
 
-def adjacency_digest(model: NetworkModel) -> str:
-    """Stable digest of the IS-IS adjacency under the current overlay."""
-    adjacency = build_adjacency(model)
-    canonical = tuple(
+def _adjacency(model: NetworkModel) -> Adjacency:
+    """The IS-IS adjacency under the current overlay."""
+    return frozenset(
         (a, b, cost)
-        for a in sorted(adjacency)
-        for b, cost in sorted(adjacency[a].items())
+        for a, neighbors in build_adjacency(model).items()
+        for b, cost in neighbors.items()
     )
-    return hashlib.blake2b(repr(canonical).encode(), digest_size=16).hexdigest()
 
 
 @dataclass
@@ -97,7 +97,7 @@ class FailureBlastAnalyzer:
         self.base_igp = base_result.igp
         ctx = ensure_context(ctx, "kfailure")
         with ctx.span("kfailure.analyzer_prepare"):
-            self.base_digest = adjacency_digest(model)
+            self.base_adjacency = _adjacency(model)
             self.base_sessions: List[Session] = build_sessions(
                 model, self.base_igp
             )
@@ -116,8 +116,8 @@ class FailureBlastAnalyzer:
             #: their ingress cost through that owner.
             self._cost_deps: Dict[str, Dict[str, Set[Prefix]]] = {}
             self._collect_base_dependencies(base_result)
-            self._igp_by_digest: Dict[str, IgpState] = {
-                self.base_digest: self.base_igp
+            self._igp_by_adjacency: Dict[Adjacency, IgpState] = {
+                self.base_adjacency: self.base_igp
             }
 
     def _collect_base_dependencies(self, base_result: SimulationResult) -> None:
@@ -154,12 +154,12 @@ class FailureBlastAnalyzer:
                         continue  # constant ingress cost across scenarios
                     deps.setdefault(owner, set()).update(prefixes)
 
-    # -- per-scenario fingerprint (cheap: no IGP solve) ---------------------
+    # -- per-scenario class key (cheap: no IGP solve) -----------------------
 
     def class_key(
         self, work_model: NetworkModel, scenario: FailureScenario
     ) -> ClassKey:
-        """Equivalence-class fingerprint; overlay must already be applied."""
+        """Equivalence-class key; overlay must already be applied."""
         topology = work_model.topology
         dead_ebgp = frozenset(
             session.key
@@ -172,20 +172,20 @@ class FailureBlastAnalyzer:
         )
         return (
             frozenset(scenario.failed_routers),
-            adjacency_digest(work_model),
+            _adjacency(work_model),
             dead_ebgp,
         )
 
-    # -- per-class effect (IGP solve, cached by adjacency digest) -----------
+    # -- per-class effect (IGP solve, cached by adjacency) -------------------
 
     def effect(self, work_model: NetworkModel, key: ClassKey) -> ScenarioEffect:
         """Bound one equivalence class; overlay must already be applied."""
-        failed_routers, digest, _dead_ebgp = key
-        igp = self._igp_by_digest.get(digest)
+        failed_routers, adjacency, _dead_ebgp = key
+        igp = self._igp_by_adjacency.get(adjacency)
         if igp is None:
             igp = compute_igp(work_model)
-            self._igp_by_digest[digest] = igp
-        igp_unchanged = digest == self.base_digest
+            self._igp_by_adjacency[adjacency] = igp
+        igp_unchanged = adjacency == self.base_adjacency
 
         scenario_keys = {
             s.key for s in build_sessions(work_model, igp)

@@ -13,7 +13,7 @@ against it:
   from the base RIBs. The covered subset is solved by the engine's own
   ``backend`` (centralized by default).
 * **Equivalence-class pruning** — scenarios are canonicalized by their
-  blast fingerprint (failed routers, IS-IS adjacency digest, dead eBGP
+  class key (failed routers, IS-IS adjacency, dead eBGP
   sessions); one simulation serves every scenario in a class. The pruning
   contract: properties must be functions of the device RIBs and the failed
   element sets (both identical within a class) — true of every shipped

@@ -75,6 +75,14 @@ def _aspath_mode_last(tokens: List[str]) -> Tuple[str, List[str]]:
     return "prepend", tokens
 
 
+def _inbound_acl(tokens: List[str]) -> str:
+    """The NAME of ``traffic-filter inbound acl NAME``."""
+    name = tokens[2]
+    if tokens[:2] != ["inbound", "acl"]:
+        raise ValueError(f"expected 'inbound acl NAME', got {' '.join(tokens)!r}")
+    return name
+
+
 VENDOR_A = Dialect(
     name="vendor-a",
     negation="no",
@@ -214,8 +222,7 @@ VENDOR_B = Dialect(
     policy_header=_route_policy_header,
     route_target=lambda tokens: (tokens[1], tokens[0]),
     aspath=_aspath_mode_last,
-    # ``traffic-filter inbound acl NAME``: the name comes last
-    acl_name=lambda tokens: tokens[-1],
+    acl_name=_inbound_acl,
 )
 
 DIALECTS: Dict[str, Dialect] = {d.name: d for d in (VENDOR_A, VENDOR_B)}

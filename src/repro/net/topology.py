@@ -140,8 +140,6 @@ class Topology:
         self._ingress_iface_version = -1
         self._up_link_cache: Dict[Tuple[str, str], bool] = {}
         self._up_link_version = -1
-        #: ``(source, source version)`` when this topology is a :meth:`copy`
-        self._copied_from: Optional[Tuple["Topology", int]] = None
 
     @property
     def version(self) -> int:
@@ -393,13 +391,18 @@ class Topology:
         clone._failed_routers = set(self._failed_routers)
         clone._next_iface = self._next_iface
         clone._version = self._version
-        clone._copied_from = (self, self._version)
         return clone
 
-    def is_untouched_copy_of(self, source: "Topology") -> bool:
-        """True when this is a copy of ``source`` and neither was mutated."""
-        version = source._version
-        return self._copied_from == (source, version) and self._version == version
+    def __eq__(self, other: object) -> bool:
+        """Equal routers, links and failure overlay (what a change can move)."""
+        if not isinstance(other, Topology):
+            return NotImplemented
+        return (
+            self._routers == other._routers
+            and self._links == other._links
+            and self._failed_links == other._failed_links
+            and self._failed_routers == other._failed_routers
+        )
 
     def stats(self) -> Dict[str, int]:
         return {
