@@ -57,6 +57,7 @@ from repro.routing.inputs import (
     build_local_input_routes,
     build_local_inputs_for_device,
 )
+from repro.routing.bgp import Session
 from repro.routing.isis import IgpState, compute_igp
 from repro.routing.rib import DeviceRib, GlobalRib, GlobalRibView
 from repro.traffic.flow import Flow
@@ -72,6 +73,7 @@ _STATS_COUNTERS = (
     "spliced_slots",
     "reused_slots",
     "reused_devices",
+    "sessions_reused",
     "skipped_subtasks",
 )
 
@@ -217,6 +219,8 @@ class ChangeVerifier:
         self._base_world: Optional[World] = None
         self._base_igp: Optional[IgpState] = None
         self._base_local_inputs: Optional[Dict[str, List[InputRoute]]] = None
+        #: the base run's BGP sessions (None when its backend keeps them)
+        self._base_sessions: Optional[Sequence[Session]] = None
         self._engine = IncrementalEngine(base_model)
         if backend is None:
             backend = CentralizedBackend()
@@ -228,10 +232,11 @@ class ChangeVerifier:
     def prepare_base(self, ctx: Optional[RunContext] = None) -> None:
         """Simulate the base network (the daily pre-processing run).
 
-        Besides the base world itself, this caches the base IGP state and
-        per-device local input routes (reused by later ``verify()`` calls
-        whenever the plan cannot move them) and freezes the base world for
-        the cyclic collector (:meth:`IncrementalEngine.snapshot_base`).
+        Besides the base world itself, this caches the base IGP state,
+        per-device local input routes and the BGP sessions the base run
+        built (reused by later ``verify()`` calls whenever the plan cannot
+        move them) and freezes the base world for the cyclic collector
+        (:meth:`IncrementalEngine.snapshot_base`).
         """
         ctx = ctx if ctx is not None else self.ctx
         with ctx.span("prepare_base"):
@@ -244,7 +249,7 @@ class ChangeVerifier:
             base_locals = [
                 item for items in self._base_local_inputs.values() for item in items
             ]
-            self._base_world = self._simulate(
+            self._base_world, self._base_sessions = self._simulate(
                 self.base_model,
                 self.input_routes,
                 igp=self._base_igp,
@@ -352,7 +357,7 @@ class ChangeVerifier:
                 )[0]
                 igp, igp_reused = self._updated_igp(updated_model, diff)
                 local_inputs = self._updated_local_inputs(updated_model, diff)
-                world = self._simulate(
+                world, _ = self._simulate(
                     updated_model,
                     updated_inputs,
                     igp=igp,
@@ -382,7 +387,7 @@ class ChangeVerifier:
         for name in _STATS_COUNTERS:
             value = getattr(stats, name)
             if value:
-                ctx.count(f"incremental.{name}", value)
+                ctx.count(f"incremental.{name}", int(value))
 
     def _simulate_incremental(
         self,
@@ -432,14 +437,21 @@ class ChangeVerifier:
                 "pipeline.widened", level=30,
                 plan=plan.name, reasons=";".join(blast.reasons),
             )
-        # a widened radius covers every input: a full run, spliced the same way
+        # A widened radius covers every input: a full run, spliced the same
+        # way. Otherwise the plan moves no session (every edit that can
+        # widens) and, with the base IGP, the base sessions still hold.
+        sessions = None
+        if not blast.widened and igp_reused:
+            sessions = self._base_sessions
         outcome = self.backend.run_routes(
             RouteSimRequest(
                 model=updated_model,
                 inputs=all_inputs,
                 igp=igp,
                 max_rounds=self.max_rounds,
-                warm_start=WarmStart(blast=blast, base_ribs=base.device_ribs),
+                warm_start=WarmStart(
+                    blast=blast, base_ribs=base.device_ribs, sessions=sessions
+                ),
             ),
             ctx,
         )
@@ -478,6 +490,9 @@ class ChangeVerifier:
             reused_slots=splice.reused_slots,
             reused_devices=splice.reused_devices,
             igp_reused=igp_reused,
+            sessions_reused=sessions is not None
+            and outcome.result is not None
+            and outcome.result.bgp.sessions is sessions,
             skipped_subtasks=outcome.skipped_subtasks,
         )
 
@@ -589,7 +604,9 @@ class ChangeVerifier:
         local_inputs: Optional[List[InputRoute]] = None,
         ctx: Optional[RunContext] = None,
         reuse_declined: Optional[str] = None,
-    ) -> World:
+    ) -> Tuple[World, Optional[Sequence[Session]]]:
+        """A cold simulation of ``model``, and the BGP sessions its route
+        simulation ran over (None when the backend keeps them)."""
         ctx = ctx if ctx is not None else self.ctx
         all_inputs = list(input_routes) + (
             local_inputs
@@ -599,18 +616,25 @@ class ChangeVerifier:
         if igp is None:
             with ctx.span("compute_igp"):
                 igp = compute_igp(model)
-        device_ribs = self._route_sim(model, all_inputs, igp, ctx)
+        device_ribs, sessions = self._route_sim(model, all_inputs, igp, ctx)
         traffic = self._traffic_sim(
             model, device_ribs, igp, ctx, reuse_declined=reuse_declined
         )
-        return World(
+        world = World(
             model=model,
             device_ribs=device_ribs,
             global_rib=GlobalRib.from_device_ribs(device_ribs.values()).best_routes(),
             traffic=traffic,
         )
+        return world, sessions
 
-    def _route_sim(self, model, inputs, igp, ctx) -> Dict[str, DeviceRib]:
-        """The device RIBs of a cold route simulation of ``model``."""
+    def _route_sim(
+        self, model, inputs, igp, ctx
+    ) -> Tuple[Dict[str, DeviceRib], Optional[Sequence[Session]]]:
+        """The device RIBs of a cold route simulation of ``model``, and its
+        sessions. The rest of the outcome (the fixpoint state) is dropped
+        here, before traffic runs."""
         request = RouteSimRequest(model, inputs, igp, max_rounds=self.max_rounds)
-        return self.backend.run_routes(request, ctx).device_ribs
+        outcome = self.backend.run_routes(request, ctx)
+        result = outcome.result
+        return outcome.device_ribs, result.bgp.sessions if result is not None else None

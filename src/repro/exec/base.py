@@ -24,12 +24,14 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
 from repro.obs import RunContext, peak_rss_bytes
 from repro.routing import interning
 from repro.routing.inputs import InputRoute
+from repro.routing.bgp import Session
 from repro.routing.isis import IgpState
 from repro.routing.rib import DeviceRib, WithGlobalRib
 from repro.traffic.flow import Flow
@@ -67,7 +69,10 @@ class RouteSimRequest:
     ``subtasks``/``workers``/``partitioner``/``worker_config`` override the
     backend's configured defaults for this call (distributed backends only);
     ``warm_start`` is honored by :class:`IncrementalBackend` and ignored by
-    the terminal backends.
+    the terminal backends. ``sessions`` — ``build_sessions(model, igp)``
+    known beforehand — spares an in-process, unchunked run deriving them;
+    other runs build their own. ``connected_filter``, a prefix predicate,
+    limits the static and loopback routes every backend installs.
     """
 
     model: NetworkModel
@@ -81,6 +86,8 @@ class RouteSimRequest:
     worker_config: Any = None
     task_name: str = "route-task"
     warm_start: Any = None
+    sessions: Optional[Sequence[Session]] = None
+    connected_filter: Optional[Callable[[Prefix], bool]] = None
 
 
 @dataclass

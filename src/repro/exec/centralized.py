@@ -67,7 +67,9 @@ class CentralizedBackend(ExecutionBackend):
                 )
                 chunked = runner.run(inputs, ctx=ctx)
                 ctx.count("route_sim.rib_rows", chunked.rib_rows)
-                install_connected_routes(request.model, chunked.device_ribs)
+                install_connected_routes(
+                    request.model, chunked.device_ribs, request.connected_filter
+                )
                 return RouteSimOutcome(
                     device_ribs=chunked.device_ribs,
                     igp=igp,
@@ -75,7 +77,11 @@ class CentralizedBackend(ExecutionBackend):
                     rib_rows=chunked.rib_rows,
                 )
             simulator = RouteSimulator(
-                request.model, igp=igp, max_rounds=request.max_rounds
+                request.model,
+                igp=igp,
+                max_rounds=request.max_rounds,
+                sessions=request.sessions,
+                connected_filter=request.connected_filter,
             )
             result = simulator.simulate(inputs, include_local_inputs=False, ctx=ctx)
             ctx.count("route_sim.cost_units", result.cost_units)

@@ -88,7 +88,9 @@ class DistributedBackend(ExecutionBackend):
                 task_name=request.task_name,
                 ctx=ctx,
             )
-            install_connected_routes(request.model, task.device_ribs)
+            install_connected_routes(
+                request.model, task.device_ribs, request.connected_filter
+            )
             return RouteSimOutcome(
                 device_ribs=task.device_ribs,
                 igp=sim.igp,

@@ -11,12 +11,15 @@ result into the unaffected base state via the
 :class:`~repro.incremental.engine.IncrementalEngine`. A widened radius
 covers every input: the run is a full one, and the splice still keeps the
 base RIB of every device whose slots it leaves unchanged.
+A bounded run installs connected routes only at covered prefixes, takes
+the base run's BGP sessions in-process (:attr:`WarmStart.sessions`), and is
+spliced by comparing only the covered prefixes where a slot can differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.distsim.partition import CoveredSubsetPartitioner
 from repro.exec.base import (
@@ -29,6 +32,7 @@ from repro.exec.base import (
 from repro.incremental.blast import BlastRadius
 from repro.incremental.engine import IncrementalEngine
 from repro.obs import RunContext, ensure_context
+from repro.routing.bgp import Session
 from repro.routing.inputs import InputRoute
 from repro.routing.rib import DeviceRib
 
@@ -43,6 +47,9 @@ class WarmStart:
     #: ones — failed routers in k-failure scenarios, whose cold-run RIBs
     #: are empty at every prefix, covered or not.
     full_devices: FrozenSet[str] = frozenset()
+    #: the base run's BGP sessions, when the change cannot move them: an
+    #: in-process partial run uses them instead of deriving its own
+    sessions: Optional[Sequence[Session]] = None
 
 
 class IncrementalBackend(ExecutionBackend):
@@ -64,9 +71,13 @@ class IncrementalBackend(ExecutionBackend):
         if warm is None:
             return self.inner.run_routes(request, ctx)
         ctx = ensure_context(ctx)
+        blast = warm.blast
+        # the covered input prefixes, asking the radius once per prefix
+        inside = {item.route.prefix for item in request.inputs}
+        inside = set(filter(blast.covers, inside))
         # the inputs inside the blast radius, in original (full-run) order
         covered: List[InputRoute] = [
-            item for item in request.inputs if warm.blast.covers(item.route.prefix)
+            item for item in request.inputs if item.route.prefix in inside
         ]
         with ctx.span(
             "incremental_route_sim",
@@ -74,25 +85,34 @@ class IncrementalBackend(ExecutionBackend):
             covered=len(covered),
             total=len(request.inputs),
         ):
+            partial_request = replace(
+                request,
+                warm_start=None,
+                connected_filter=None if blast.widened else blast.covers,
+            )
             if self.inner.is_distributed:
                 # Split the full input list, then filter per chunk: chunk
                 # assignment matches a full run and empty chunks are skipped.
-                partitioner = CoveredSubsetPartitioner(
-                    lambda item: warm.blast.covers(item.route.prefix),
+                partial_request.partitioner = CoveredSubsetPartitioner(
+                    lambda item: item.route.prefix in inside,
                     inner=request.partitioner,
                 )
-                inner_request = replace(
-                    request, partitioner=partitioner, warm_start=None
-                )
             else:
-                inner_request = replace(request, inputs=covered, warm_start=None)
-            partial = self.inner.run_routes(inner_request, ctx)
+                partial_request.inputs = covered
+                partial_request.sessions = warm.sessions
+            partial = self.inner.run_routes(partial_request, ctx)
+            # A slot at a covered prefix that is neither an input's nor in
+            # the radius (where changed statics and every covered aggregate
+            # are) holds only its device's unchanged connected routes, the
+            # same in both runs: the splice compares the other covered ones.
+            at = None if blast.widened else inside.union(blast.affected_prefixes)
             splice = self.engine.splice(
                 warm.base_ribs,
                 partial.device_ribs,
-                warm.blast,
+                blast,
                 ctx=ctx,
                 full_devices=warm.full_devices,
+                prefixes=at,
             )
             return RouteSimOutcome(
                 device_ribs=splice.device_ribs,

@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.incremental.diff import DeviceDelta, ModelDiff
-from repro.net.addr import Prefix
+from repro.net.addr import Prefix, family_bits
 from repro.net.device import DeviceConfig
 from repro.net.model import NetworkModel
 from repro.net.policy import PolicyContext, PolicyNode
-from repro.net.trie import PrefixTrie
 from repro.routing.inputs import build_local_inputs_for_device
 
 #: Sections whose deltas the analyzer never tries to narrow. Identity and
@@ -65,8 +64,9 @@ class BlastRadius:
     #: affected-device stats are derived from covered slots).
     changed_devices: FrozenSet[str] = frozenset()
 
-    _trie: Optional[PrefixTrie] = field(default=None, repr=False, compare=False)
-    _covers_cache: Optional[Dict[Prefix, bool]] = field(
+    #: per (family, length) of the space: (family, length, host bits,
+    #: network values), built on the first ``covers`` call
+    _groups: Optional[List[Tuple[int, int, int, Set[int]]]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -76,27 +76,34 @@ class BlastRadius:
         return not (self.widened or self.affected_prefixes or self.include_all_v6)
 
     def covers(self, prefix: Prefix) -> bool:
-        """Whether a RIB slot at ``prefix`` may differ from the base run."""
+        """Whether a RIB slot at ``prefix`` may differ from the base run.
+
+        One masked probe per prefix length the space holds: cheaper than
+        a memo lookup, so callers that ask again need no cache.
+        """
         if self.widened:
             return True
         if self.include_all_v6 and prefix.family == 6:
             return True
-        if not self.affected_prefixes:
-            return False
-        if self._trie is None:
-            trie = PrefixTrie()
+        groups = self._groups
+        if groups is None:
+            values: Dict[Tuple[int, int], Set[int]] = {}
             for space_prefix in self.affected_prefixes:
-                trie.insert(space_prefix, True)
-            self._trie = trie
-            self._covers_cache = {}
-        cache = self._covers_cache
-        covered = cache.get(prefix)
-        if covered is None:
-            # Input filters ask about the same prefixes again (the k-failure
-            # engine twice per class), so each prefix is probed once.
-            covered = bool(self._trie.covering_values(prefix))
-            cache[prefix] = covered
-        return covered
+                key = (space_prefix.family, space_prefix.length)
+                values.setdefault(key, set()).add(space_prefix.value)
+            groups = self._groups = [
+                (family, length, family_bits(family) - length, networks)
+                for (family, length), networks in values.items()
+            ]
+        family, length, value = prefix.family, prefix.length, prefix.value
+        for space_family, space_length, shift, networks in groups:
+            if (
+                family == space_family
+                and length >= space_length
+                and value >> shift << shift in networks
+            ):
+                return True
+        return False
 
     def summary(self) -> str:
         if self.widened:
@@ -265,8 +272,7 @@ def blast_radius_for_prefixes(
     Entry point for analyzers that bound the affected space themselves —
     the k-failure engine derives it from session deaths and IGP movement
     rather than from a config diff — while reusing this module's aggregate
-    closure (the only cross-prefix propagation channel) and trie-backed
-    ``covers`` machinery.
+    closure (the only cross-prefix propagation channel) and ``covers``.
     """
     space = aggregate_closure(set(prefixes), False, models)
     return BlastRadius(

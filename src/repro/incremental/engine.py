@@ -21,10 +21,11 @@ The engine ties the subsystem together for ``ChangeVerifier``:
 
 A spliced device RIB is *derived* (:meth:`DeviceRib.derive`): base VRF
 tables are copied at C speed, the differing base slots deleted, the
-differing partial slots appended; the radius is asked once per distinct
-prefix, and only covered slots are compared, so the cost follows the
-change, not the RIB. A derived RIB shares entry lists with the base and
-partial RIBs; no ``DeviceRib`` method mutates one in place.
+differing partial slots appended; a bounded run is compared only at its
+covered input prefixes and the radius, and a derived RIB builds its FIB
+index from its base RIB's, so the cost follows the change, not the RIB.
+A derived RIB shares entry lists with the base and partial RIBs; no
+``DeviceRib`` method mutates one in place.
 
 Correctness rests on the blast-radius guarantee: a slot whose prefix the
 radius does not cover is byte-identical between base and updated runs, so
@@ -37,7 +38,7 @@ import gc
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Mapping, Set, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.incremental.blast import BlastRadius, analyze_blast_radius
 from repro.incremental.diff import ModelDiff, diff_models
@@ -70,6 +71,8 @@ class IncrementalStats:
     reused_slots: int = 0
     reused_devices: int = 0
     igp_reused: bool = False
+    #: the partial run took the base run's BGP sessions as they were
+    sessions_reused: bool = False
     skipped_subtasks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -97,6 +100,8 @@ class IncrementalStats:
             parts.append(f"skipped {self.skipped_subtasks} subtasks")
         if self.igp_reused:
             parts.append("IGP reused")
+        if self.sessions_reused:
+            parts.append("sessions reused")
         return "incremental: " + ", ".join(parts)
 
 
@@ -183,6 +188,7 @@ class IncrementalEngine:
         blast: BlastRadius,
         ctx=None,
         full_devices: Iterable[str] = (),
+        prefixes: Optional[Collection[Prefix]] = None,
     ) -> SpliceResult:
         """Merge a partial re-simulation into the unaffected base state.
 
@@ -198,6 +204,10 @@ class IncrementalEngine:
         is empty in a cold run even at prefixes the blast radius never
         covers (assembly skips down devices), so keeping base slots there
         would resurrect routes the cold run dropped.
+
+        ``prefixes`` — covered prefixes that include every one at which
+        the two runs can differ — lets every other device be compared at
+        those alone.
         """
         with (
             ctx.span("incremental.splice", devices=len(base_ribs))
@@ -209,6 +219,7 @@ class IncrementalEngine:
                 partial_ribs,
                 None if blast.widened else blast.covers,
                 whole=frozenset(full_devices),
+                prefixes=prefixes,
             )
             result = SpliceResult({}, dropped=dropped, installed=installed)
             for name, partial_rib in partial_ribs.items():

@@ -40,7 +40,7 @@ links — share one simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.incremental.blast import BlastRadius, blast_radius_for_prefixes
 from repro.kfailure.scenarios import FailureScenario
@@ -98,9 +98,8 @@ class FailureBlastAnalyzer:
         ctx = ensure_context(ctx, "kfailure")
         with ctx.span("kfailure.analyzer_prepare"):
             self.base_adjacency = _adjacency(model)
-            self.base_sessions: List[Session] = build_sessions(
-                model, self.base_igp
-            )
+            # the sessions the base fixpoint ran over: no scenario adds one
+            self.base_sessions: Sequence[Session] = base_result.bgp.sessions
             topology = model.topology
             #: eBGP sessions with their candidate links, for per-scenario
             #: liveness checks without re-deriving the session graph.

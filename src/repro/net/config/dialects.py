@@ -75,11 +75,26 @@ def _aspath_mode_last(tokens: List[str]) -> Tuple[str, List[str]]:
     return "prepend", tokens
 
 
+def _access_group(tokens: List[str]) -> str:
+    """The NAME of ``ip access-group NAME [in]``. Only inbound bindings are
+    modelled: another direction or a trailing word is rejected, not read as
+    an inbound binding (in both dialects)."""
+    name = tokens[0]
+    if tokens[1:] not in ([], ["in"]):
+        raise ValueError(
+            f"expected 'NAME [in]' (inbound filters only), got {' '.join(tokens)!r}"
+        )
+    return name
+
+
 def _inbound_acl(tokens: List[str]) -> str:
     """The NAME of ``traffic-filter inbound acl NAME``."""
     name = tokens[2]
-    if tokens[:2] != ["inbound", "acl"]:
-        raise ValueError(f"expected 'inbound acl NAME', got {' '.join(tokens)!r}")
+    if tokens[:2] != ["inbound", "acl"] or len(tokens) > 3:
+        raise ValueError(
+            "expected 'inbound acl NAME' (inbound filters only), "
+            f"got {' '.join(tokens)!r}"
+        )
     return name
 
 
@@ -150,7 +165,7 @@ VENDOR_A = Dialect(
     policy_header=_route_map_header,
     route_target=lambda tokens: (tokens[0], tokens[1]),
     aspath=_aspath_mode_first,
-    acl_name=lambda tokens: tokens[0],
+    acl_name=_access_group,
 )
 
 VENDOR_B = Dialect(

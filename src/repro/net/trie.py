@@ -50,6 +50,25 @@ class PrefixTrie(Generic[V]):
             values.append(value)
         self._size += 1
 
+    def remove(self, prefix: Prefix) -> None:
+        """Drop every value stored under ``prefix`` (none is no error)."""
+        table = self._tables.get(prefix.family, {}).get(prefix.length)
+        values = table.pop(prefix.value, None) if table is not None else None
+        if values is not None:
+            self._size -= len(values)
+
+    def copy(self) -> "PrefixTrie[V]":
+        """A trie whose tables are copies (at C speed) of this one's; the
+        value lists stay shared, so insert only under prefixes it lacks."""
+        clone: PrefixTrie[V] = PrefixTrie()
+        clone._tables = {
+            family: {length: dict(table) for length, table in by_length.items()}
+            for family, by_length in self._tables.items()
+        }
+        clone._lengths = dict(self._lengths)  # insert replaces, never appends
+        clone._size = self._size
+        return clone
+
     def _matches(
         self, family: int, value: int, max_length: int
     ) -> List[Tuple[int, int, List[V]]]:
@@ -100,8 +119,8 @@ class PrefixTrie(Generic[V]):
         """Values stored at prefixes that contain ``prefix`` (including equal).
 
         Shortest prefix first; values under one prefix keep insertion
-        order. This is the primitive behind blast-radius membership and
-        the touched-slot tables of a spread reuse.
+        order. This is the primitive behind the touched-slot tables of a
+        spread reuse.
         """
         found: List[V] = []
         for _, _, values in self._matches(prefix.family, prefix.value, prefix.length):

@@ -250,6 +250,9 @@ class BgpResult:
     selections: Dict[str, Dict[LocKey, Selection]]
     suppressed: Dict[str, Dict[str, Set[Prefix]]]
     stats: BgpStats
+    #: the session directions the fixpoint ran over (``build_sessions``
+    #: of the model and IGP it was given, or the list it was handed)
+    sessions: Sequence[Session] = ()
 
     def best_routes(self, device: str, vrf: str, prefix: Prefix) -> List[Route]:
         selection = self.selections.get(device, {}).get((vrf, prefix))
@@ -259,18 +262,25 @@ class BgpResult:
 
 
 class BgpSimulator:
-    """Runs the fixpoint for a set of input routes on a network model."""
+    """Runs the fixpoint for a set of input routes on a network model.
+
+    ``sessions``, when given, is ``build_sessions(model, igp)`` computed
+    before (read, never changed).
+    """
 
     def __init__(
         self,
         model: NetworkModel,
         igp: IgpState,
         max_rounds: int = 50,
+        sessions: Optional[Sequence[Session]] = None,
     ) -> None:
         self.model = model
         self.igp = igp
         self.max_rounds = max_rounds
-        self.sessions = build_sessions(model, igp)
+        self.sessions = (
+            sessions if sessions is not None else build_sessions(model, igp)
+        )
         # Indexed by (sender, sender_vrf): _advertise previously filtered a
         # per-sender list by VRF on every dirty slot.
         self._sessions_from: Dict[Tuple[str, str], List[Session]] = {}
@@ -389,6 +399,7 @@ class BgpSimulator:
             selections=selections,
             suppressed=self._suppressed,
             stats=self._stats,
+            sessions=self.sessions,
         )
 
     # -- internals ----------------------------------------------------------------

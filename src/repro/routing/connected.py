@@ -13,7 +13,7 @@ cloned onto their equivalence-class members.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
@@ -26,6 +26,8 @@ from repro.routing.rib import (
 )
 
 Entries = List[Tuple[Route, str]]
+#: a prefix predicate (a blast radius's ``covers``)
+Covers = Callable[[Prefix], bool]
 
 
 def resolve_contenders(entries: Entries) -> Entries:
@@ -53,10 +55,15 @@ def resolve_contenders(entries: Entries) -> Entries:
 
 
 def _connected_entries(
-    model: NetworkModel, name: str, device
+    model: NetworkModel, name: str, device, covers: Optional[Covers] = None
 ) -> Dict[Tuple[str, Prefix], Entries]:
+    """The static and loopback-direct rows of one device, per slot; with
+    ``covers``, only at the prefixes it accepts (asked before a row is
+    built)."""
     entries: Dict[Tuple[str, Prefix], Entries] = {}
     for static in device.statics.values():
+        if covers is not None and not covers(static.prefix):
+            continue
         route = Route(
             prefix=static.prefix,
             nexthop=static.nexthop,
@@ -70,27 +77,30 @@ def _connected_entries(
             (route, ROUTE_TYPE_BEST)
         )
     loopback = model.loopback_of(name)
-    if loopback is not None:
-        direct = Route(
-            prefix=Prefix.from_address(loopback),
+    direct = Prefix.from_address(loopback) if loopback is not None else None
+    if direct is not None and (covers is None or covers(direct)):
+        route = Route(
+            prefix=direct,
             protocol="direct",
             source=SOURCE_LOCAL,
             preference=0,
             origin_router=name,
         )
-        entries.setdefault(("global", direct.prefix), []).append(
-            (direct, ROUTE_TYPE_BEST)
-        )
+        entries.setdefault(("global", direct), []).append((route, ROUTE_TYPE_BEST))
     return entries
 
 
 def install_connected_routes(
-    model: NetworkModel, device_ribs: Dict[str, DeviceRib]
+    model: NetworkModel,
+    device_ribs: Dict[str, DeviceRib],
+    covers: Optional[Covers] = None,
 ) -> Dict[str, DeviceRib]:
     """Install static/loopback-direct routes into BGP-only device RIBs in place.
 
     Also materializes an (empty) RIB for every device in the model, so a
     merged distributed result has the device key space of an in-process one.
+    ``covers`` limits the routes to the prefixes it accepts: a partial run
+    installs them only at its covered slots, the only ones a splice reads.
     """
     for name, device in model.devices.items():
         rib = device_ribs.get(name)
@@ -99,7 +109,7 @@ def install_connected_routes(
         if not model.topology.router_is_up(name):
             continue
         for (vrf, prefix), connected in _connected_entries(
-            model, name, device
+            model, name, device, covers
         ).items():
             combined = connected + rib.entries_for(prefix, vrf)
             rib.replace_prefix(vrf, prefix, resolve_contenders(combined))

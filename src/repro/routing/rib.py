@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Collection,
     Container,
     Dict,
     FrozenSet,
@@ -26,6 +27,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.net.addr import IPAddress, Prefix
@@ -72,6 +74,9 @@ _NO_FIB: Tuple[PrefixTrie, Tuple[Prefix, ...]] = (PrefixTrie(), ())
 
 #: Per VRF with a slot, a RIB's slot prefixes in table order (an ordered set)
 Slots = Dict[str, Dict[Prefix, None]]
+
+#: Per VRF, a RIB's FIB index: (LPM table, FIB prefixes in table order)
+Fib = Dict[str, Tuple[PrefixTrie, Tuple[Prefix, ...]]]
 
 
 class UnknownFieldError(KeyError):
@@ -132,8 +137,9 @@ class DeviceRib:
         self.device = device
         # vrf -> prefix -> list of (route, route_type)
         self._tables: Dict[str, Dict[Prefix, List[Tuple[Route, str]]]] = {}
-        # vrf -> (LPM table, FIB prefixes); None until read after a mutation
-        self._fib: Optional[Dict[str, Tuple[PrefixTrie, Tuple[Prefix, ...]]]] = None
+        # the FIB index; None until read after a mutation. Until a derived
+        # RIB's is read: (base RIB's index, dropped slots, installed slots)
+        self._fib: Union[None, Fib, Tuple[Fib, Slots, Slots]] = None
         # number of best/ECMP rows; None until read after a mutation
         self._best_rows: Optional[int] = None
         self._generation = next(_GENERATIONS)
@@ -213,7 +219,9 @@ class DeviceRib:
 
         Copy-on-write: each VRF table is copied at C speed, less the
         dropped slots (a table left empty is left out); installed slots
-        follow in ``installed`` order. Entry lists stay shared.
+        follow in ``installed`` order. Entry lists stay shared. When this
+        RIB's FIB index is built, the derived RIB's is built from it on
+        first read (:meth:`_index`).
         """
         derived = DeviceRib(self.device)
         tables = derived._tables
@@ -227,7 +235,10 @@ class DeviceRib:
             entries = source._tables[vrf]
             table = tables.setdefault(vrf, {})
             for prefix in prefixes:
+                table.pop(prefix, None)  # an installed slot follows the rest
                 table[prefix] = entries[prefix]
+        if type(self._fib) is dict:
+            derived._fib = (self._fib, dropped, installed)
         return derived
 
     # -- queries -----------------------------------------------------------
@@ -261,21 +272,38 @@ class DeviceRib:
 
         The FIB prefixes are those with a best/ECMP row, in table order;
         the LPM table maps each to itself. Built for every VRF on the
-        first read after a mutation.
+        first read after a mutation. A derived RIB's is the base index
+        less the dropped and installed prefixes, plus the installed FIB
+        prefixes: its table order is the base order less those, then the
+        installed slots.
         """
-        if self._fib is None:
-            self._fib = {}
+        fib = self._fib
+        if type(fib) is not dict:
+            base_fib, dropped, installed = fib or ({}, {}, {})
+            fib = self._fib = {}
             for vname, table in self._tables.items():
-                prefixes = tuple(
+                base = base_fib.get(vname)
+                if base is None:
+                    trie, kept, new = PrefixTrie(), (), table.items()
+                else:
+                    installed_slots = installed.get(vname, {})
+                    moved = (*dropped.get(vname, ()), *installed_slots)
+                    trie, kept = base[0].copy(), base[1]
+                    if moved:
+                        idents = {prefix.ident for prefix in moved}
+                        kept = tuple(p for p in kept if p.ident not in idents)
+                        for prefix in moved:
+                            trie.remove(prefix)
+                    new = [(prefix, table[prefix]) for prefix in installed_slots]
+                added = tuple(
                     prefix
-                    for prefix, entries in table.items()
+                    for prefix, entries in new
                     if any(t in _BEST_TYPES for _, t in entries)
                 )
-                trie = PrefixTrie()
-                for prefix in prefixes:
+                for prefix in added:
                     trie.insert(prefix, prefix)
-                self._fib[vname] = (trie, prefixes)
-        return self._fib.get(vrf, _NO_FIB)
+                fib[vname] = (trie, kept + added)
+        return fib.get(vrf, _NO_FIB)
 
     def fib_prefixes(self, vrf: str = "global") -> Tuple[Prefix, ...]:
         """Prefixes of ``vrf`` with a best/ECMP row, in table order."""
@@ -355,6 +383,7 @@ def rib_diff(
     updated_ribs: Mapping[str, DeviceRib],
     covers: Optional[Callable[[Prefix], bool]] = None,
     whole: Container[str] = (),
+    prefixes: Optional[Collection[Prefix]] = None,
 ) -> Tuple[Dict[str, Slots], Dict[str, Slots]]:
     """``(dropped, installed)``: the slots where two device-RIB maps differ.
 
@@ -368,7 +397,10 @@ def rib_diff(
     ``covers`` limits the comparison of a device both maps hold to the
     slots at the prefixes it accepts (asked once per distinct prefix),
     unless the device is one of ``whole``; a device one map lacks differs
-    at every slot.
+    at every slot. ``prefixes`` — covered prefixes that include every one
+    at which the two maps can differ — limits it further: such a device
+    is compared at those prefixes alone, and no set over its tables is
+    built.
     """
     pick = _prefix_filter(covers) if covers is not None else None
     differing: Dict[Tuple[str, str], Set[Prefix]] = {}
@@ -379,8 +411,9 @@ def rib_diff(
             continue
         theirs = other._tables if other is not None else {}
         keep = None if other is None or name in whole else pick
+        at = prefixes if keep is not None else None
         for vrf, table in rib._tables.items():
-            differ = _differing(table, theirs.get(vrf, {}), keep)
+            differ = _differing(table, theirs.get(vrf, {}), keep, at)
             if differ:
                 differing[name, vrf] = differ
                 gone = _in_order(table, differ)
@@ -393,20 +426,23 @@ def rib_diff(
             continue
         mine = base._tables if base is not None else {}
         keep = None if base is None or name in whole else pick
+        at = prefixes if keep is not None else None
         for vrf, table in rib._tables.items():
             if vrf in mine:  # compared from the base side already
                 differ = differing.get((name, vrf), ())
             else:
-                differ = _differing({}, table, keep)
+                differ = _differing({}, table, keep, at)
             new = _in_order(table, differ)
             if new:
                 installed.setdefault(name, {})[vrf] = new
     return dropped, installed
 
 
-def _differing(table: dict, their: dict, pick) -> Set[Prefix]:
-    """The prefixes (of those ``pick`` keeps) whose entries two tables
-    hold differently."""
+def _differing(table: dict, their: dict, pick, at=None) -> Set[Prefix]:
+    """The prefixes (of those ``pick`` keeps, or of ``at``) whose entries
+    two tables hold differently."""
+    if at is not None:
+        return {prefix for prefix in at if table.get(prefix) != their.get(prefix)}
     if table is their or table == their:
         return set()
     keys = set(table)  # from the tables' stored hashes, at C speed

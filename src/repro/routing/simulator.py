@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import perfopts
 from repro.ec.route_ec import (
@@ -22,8 +22,9 @@ from repro.ec.route_ec import (
     compute_prefix_group_ecs,
     expand_device_ribs,
 )
+from repro.net.addr import Prefix
 from repro.net.model import NetworkModel
-from repro.routing.bgp import BgpResult, BgpSimulator, BgpStats
+from repro.routing.bgp import BgpResult, BgpSimulator, BgpStats, Session
 from repro.routing.connected import install_connected_routes, resolve_contenders
 from repro.routing.inputs import InputRoute, build_local_input_routes
 from repro.routing.isis import IgpState, compute_igp
@@ -74,6 +75,8 @@ class RouteSimulator:
         max_rounds: int = 50,
         keep_candidates: bool = False,
         include_connected: bool = True,
+        sessions: Optional[Sequence[Session]] = None,
+        connected_filter: Optional[Callable[[Prefix], bool]] = None,
     ) -> None:
         self.model = model
         self.igp = igp if igp is not None else compute_igp(model)
@@ -84,6 +87,10 @@ class RouteSimulator:
         #: every subtask's result file, widening its recorded address range
         #: and defeating the ordering heuristic's dependency reduction.
         self.include_connected = include_connected
+        #: ``build_sessions(model, igp)`` when the caller has it
+        self.sessions = sessions
+        #: a partial run's covered-prefix predicate for connected routes
+        self.connected_filter = connected_filter
         #: §3.1 prefix signatures of ``model``, shared by every ``simulate``
         #: call (like ``igp``, valid while the model's configuration is)
         self._signatures = PrefixSignatureIndex(model)
@@ -113,7 +120,9 @@ class RouteSimulator:
             inputs.extend(build_local_input_routes(self.model))
 
         index = self.route_ecs(inputs, ctx)
-        bgp = BgpSimulator(self.model, self.igp, max_rounds=self.max_rounds)
+        bgp = BgpSimulator(
+            self.model, self.igp, max_rounds=self.max_rounds, sessions=self.sessions
+        )
         with (
             ctx.span(
                 "bgp_fixpoint",
@@ -175,7 +184,7 @@ class RouteSimulator:
                 with ctx.span("expand_ribs") if ctx else nullcontext():
                     expand_device_ribs(route_ecs, ribs)
             if self.include_connected:
-                install_connected_routes(self.model, ribs)
+                install_connected_routes(self.model, ribs, self.connected_filter)
         return ribs
 
     def _assemble_bgp_ribs(self, bgp: BgpResult) -> Dict[str, DeviceRib]:

@@ -271,6 +271,25 @@ def check(base_ribs, partial_ribs, blast, full=()):
     assert_is_the_covered_diff(new, base_ribs, partial_ribs, blast, full)
     ref = reference_splice(base_ribs, partial_ribs, blast, full)
     assert_same_splice(new, ref, base_ribs)
+    if not blast.widened:
+        # compared only at the covered prefixes a slot of either map sits
+        # at (and the radius's own), as a partial run hands them over
+        held = {
+            prefix
+            for ribs in (base_ribs, partial_ribs)
+            for rib in ribs.values()
+            for vrf in rib.vrfs
+            for prefix in rib.prefixes(vrf)
+            if blast.covers(prefix)
+        }
+        at = engine.splice(
+            base_ribs,
+            partial_ribs,
+            blast,
+            full_devices=full,
+            prefixes=held.union(blast.affected_prefixes),
+        )
+        assert_same_splice(at, ref, base_ribs)
     return new
 
 

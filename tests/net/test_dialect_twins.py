@@ -485,6 +485,7 @@ TWINS = ROUND_TRIPS + SEQ_REPLACED + [
     ("acl-rule-append", "access-list ACL1 30 permit", "acl ACL1 30 permit"),
     ("acl-undo", "no access-list ACL1", "undo acl ACL1"),
     ("acl-bind", "interface eth2\n ip access-group ACL1", "interface eth2\n traffic-filter inbound acl ACL1"),
+    ("acl-bind-in", "interface eth2\n ip access-group ACL1 in", "interface eth2\n traffic-filter inbound acl ACL1"),
     (
         "acl-unbind",
         "interface eth1\n no ip access-group ACL1",
@@ -654,6 +655,28 @@ REJECTED = [
         "interface eth1\n no ip access-group",
         "interface eth1\n undo traffic-filter inbound acl",
     ),
+    # only inbound filters are modelled: an outbound binding or a trailing
+    # word is not read as an inbound binding of the named ACL
+    (
+        "acl-bind-outbound",
+        "interface eth2\n ip access-group ACL1 out",
+        "interface eth2\n traffic-filter outbound acl ACL1",
+    ),
+    (
+        "acl-bind-extra-token",
+        "interface eth2\n ip access-group ACL1 in extra",
+        "interface eth2\n traffic-filter inbound acl ACL1 extra",
+    ),
+    (
+        "acl-unbind-outbound",
+        "interface eth1\n no ip access-group ACL1 out",
+        "interface eth1\n undo traffic-filter outbound acl ACL1",
+    ),
+    (
+        "acl-unbind-extra-token",
+        "interface eth1\n no ip access-group ACL1 in extra",
+        "interface eth1\n undo traffic-filter inbound acl ACL1 extra",
+    ),
     ("rd-undo-wrong-value", "vrf definition vrf1\n no rd 9:9", "ip vpn-instance vrf1\n undo route-distinguisher 9:9"),
     (
         "export-policy-undo-wrong-name",
@@ -800,6 +823,10 @@ MESSAGES = {
     "acl-bind-without-name": "line 2: incomplete command [",
     "acl-bind-without-acl": "line 2: incomplete command [",
     "acl-unbind-without-name": "line 2: incomplete command [",
+    "acl-bind-outbound": "(inbound filters only), got '",
+    "acl-bind-extra-token": "(inbound filters only), got '",
+    "acl-unbind-outbound": "(inbound filters only), got '",
+    "acl-unbind-extra-token": "(inbound filters only), got '",
     "rd-undo-wrong-value": "rd of vrf vrf1 is 65001:1, not 9:9",
     "community-list-member-undo-missing": "no 300:1 in community list CL",
 }

@@ -47,6 +47,20 @@ class TestBasics:
         matches = trie.all_matches(A("10.0.0.1"))
         assert [p.length for p, _ in matches] == [8, 16, 24]
 
+    def test_copy_and_remove_leave_the_source_intact(self):
+        trie = PrefixTrie()
+        trie.insert(P("10.0.0.0/8"), "short")
+        trie.insert(P("10.0.0.0/24"), "long")
+        clone = trie.copy()
+        clone.remove(P("10.0.0.0/24"))
+        clone.remove(P("192.0.2.0/24"))  # absent: no error
+        clone.insert(P("10.0.1.0/24"), "other")
+        assert len(clone) == 2 and len(trie) == 2
+        assert clone.lookup_lpm(A("10.0.0.1")) == (P("10.0.0.0/8"), ["short"])
+        assert clone.lookup_lpm(A("10.0.1.1")) == (P("10.0.1.0/24"), ["other"])
+        assert trie.lookup_lpm(A("10.0.0.1")) == (P("10.0.0.0/24"), ["long"])
+        assert trie.lookup_lpm(A("10.0.1.1")) == (P("10.0.0.0/8"), ["short"])
+
     def test_families_are_independent(self):
         trie = PrefixTrie()
         trie.insert(P("::/0"), "v6")

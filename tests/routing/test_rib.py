@@ -15,6 +15,7 @@ from repro.routing.rib import (
     RIB_FIELDS,
     UnknownFieldError,
     device_rib_fingerprint,
+    rib_diff,
 )
 
 
@@ -289,3 +290,47 @@ def test_fib_index_tracks_every_mutation(ops):
     for op in ops:
         _apply(rib, op, clones)
         _assert_index_matches_scan(rib)
+
+
+def _rib_from(ops):
+    rib = DeviceRib("A")
+    clones = {}
+    for op in ops:
+        _apply(rib, op, clones)
+    return rib
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base_ops=_rib_ops,
+    partial_ops=_rib_ops,
+    covered=st.sets(st.sampled_from(_POOL)),
+    base_indexed=st.booleans(),
+    probes=st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1), max_size=8),
+)
+def test_derived_fib_index_equals_a_fresh_one(
+    base_ops, partial_ops, covered, base_indexed, probes
+):
+    """A RIB derived from a base whose index is built derives its index from
+    it; either way ``lpm`` and ``fib_prefixes`` answer as the same tables
+    indexed from scratch do."""
+    base, partial = _rib_from(base_ops), _rib_from(partial_ops)
+    if base_indexed:
+        base.fib_prefixes()
+    dropped, installed = rib_diff(
+        {"A": base}, {"A": partial}, covers=covered.__contains__
+    )
+    derived = base.derive(dropped.get("A", {}), partial, installed.get("A", {}))
+    assert isinstance(derived._fib, tuple) == base_indexed
+    fresh = DeviceRib("A")
+    for vrf in derived.vrfs:
+        for prefix in derived.prefixes(vrf):
+            fresh.replace_prefix(vrf, prefix, derived.entries_for(prefix, vrf))
+    addresses = [IPAddress(4, probe) for probe in probes] + [
+        p.first_address for p in _POOL
+    ]
+    for vrf in _VRFS + ["ghost"]:
+        assert derived.fib_prefixes(vrf) == fresh.fib_prefixes(vrf)
+        for address in addresses:
+            assert derived.lpm(address, vrf) == fresh.lpm(address, vrf)
+    _assert_index_matches_scan(derived)
