@@ -449,9 +449,8 @@ class ChangeVerifier:
                 inputs=all_inputs,
                 igp=igp,
                 max_rounds=self.max_rounds,
-                warm_start=WarmStart(
-                    blast=blast, base_ribs=base.device_ribs, sessions=sessions
-                ),
+                warm_start=WarmStart(blast=blast, base_ribs=base.device_ribs),
+                sessions=sessions,
             ),
             ctx,
         )

@@ -11,15 +11,14 @@ result into the unaffected base state via the
 :class:`~repro.incremental.engine.IncrementalEngine`. A widened radius
 covers every input: the run is a full one, and the splice still keeps the
 base RIB of every device whose slots it leaves unchanged.
-A bounded run installs connected routes only at covered prefixes, takes
-the base run's BGP sessions in-process (:attr:`WarmStart.sessions`), and is
+A bounded run installs connected routes only at covered prefixes and is
 spliced by comparing only the covered prefixes where a slot can differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.distsim.partition import CoveredSubsetPartitioner
 from repro.exec.base import (
@@ -32,7 +31,6 @@ from repro.exec.base import (
 from repro.incremental.blast import BlastRadius
 from repro.incremental.engine import IncrementalEngine
 from repro.obs import RunContext, ensure_context
-from repro.routing.bgp import Session
 from repro.routing.inputs import InputRoute
 from repro.routing.rib import DeviceRib
 
@@ -47,9 +45,6 @@ class WarmStart:
     #: ones — failed routers in k-failure scenarios, whose cold-run RIBs
     #: are empty at every prefix, covered or not.
     full_devices: FrozenSet[str] = frozenset()
-    #: the base run's BGP sessions, when the change cannot move them: an
-    #: in-process partial run uses them instead of deriving its own
-    sessions: Optional[Sequence[Session]] = None
 
 
 class IncrementalBackend(ExecutionBackend):
@@ -99,20 +94,14 @@ class IncrementalBackend(ExecutionBackend):
                 )
             else:
                 partial_request.inputs = covered
-                partial_request.sessions = warm.sessions
             partial = self.inner.run_routes(partial_request, ctx)
-            # A slot at a covered prefix that is neither an input's nor in
-            # the radius (where changed statics and every covered aggregate
-            # are) holds only its device's unchanged connected routes, the
-            # same in both runs: the splice compares the other covered ones.
-            at = None if blast.widened else inside.union(blast.affected_prefixes)
             splice = self.engine.splice(
                 warm.base_ribs,
                 partial.device_ribs,
                 blast,
                 ctx=ctx,
                 full_devices=warm.full_devices,
-                prefixes=at,
+                covered=inside,
             )
             return RouteSimOutcome(
                 device_ribs=splice.device_ribs,

@@ -38,7 +38,7 @@ import gc
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Collection, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Set, Tuple
 
 from repro.incremental.blast import BlastRadius, analyze_blast_radius
 from repro.incremental.diff import ModelDiff, diff_models
@@ -188,7 +188,7 @@ class IncrementalEngine:
         blast: BlastRadius,
         ctx=None,
         full_devices: Iterable[str] = (),
-        prefixes: Optional[Collection[Prefix]] = None,
+        covered: Collection[Prefix] = (),
     ) -> SpliceResult:
         """Merge a partial re-simulation into the unaffected base state.
 
@@ -205,9 +205,11 @@ class IncrementalEngine:
         covers (assembly skips down devices), so keeping base slots there
         would resurrect routes the cold run dropped.
 
-        ``prefixes`` — covered prefixes that include every one at which
-        the two runs can differ — lets every other device be compared at
-        those alone.
+        Every other device is compared at the ``covered`` input prefixes
+        and the radius's own alone (a widened radius compares every slot):
+        a slot at a covered prefix that is neither holds only its device's
+        connected routes, unchanged, since changed statics and every
+        covered aggregate sit at the radius's prefixes.
         """
         with (
             ctx.span("incremental.splice", devices=len(base_ribs))
@@ -217,9 +219,8 @@ class IncrementalEngine:
             dropped, installed = rib_diff(
                 base_ribs,
                 partial_ribs,
-                None if blast.widened else blast.covers,
+                None if blast.widened else {*blast.affected_prefixes, *covered},
                 whole=frozenset(full_devices),
-                prefixes=prefixes,
             )
             result = SpliceResult({}, dropped=dropped, installed=installed)
             for name, partial_rib in partial_ribs.items():

@@ -219,7 +219,9 @@ class DeviceRib:
 
         Copy-on-write: each VRF table is copied at C speed, less the
         dropped slots (a table left empty is left out); installed slots
-        follow in ``installed`` order. Entry lists stay shared. When this
+        follow in ``installed`` order, so a slot this RIB holds is installed
+        only if it is dropped too (as :func:`rib_diff` gives them). Entry
+        lists stay shared. When this
         RIB's FIB index is built, the derived RIB's is built from it on
         first read (:meth:`_index`).
         """
@@ -235,7 +237,6 @@ class DeviceRib:
             entries = source._tables[vrf]
             table = tables.setdefault(vrf, {})
             for prefix in prefixes:
-                table.pop(prefix, None)  # an installed slot follows the rest
                 table[prefix] = entries[prefix]
         if type(self._fib) is dict:
             derived._fib = (self._fib, dropped, installed)
@@ -273,9 +274,9 @@ class DeviceRib:
         The FIB prefixes are those with a best/ECMP row, in table order;
         the LPM table maps each to itself. Built for every VRF on the
         first read after a mutation. A derived RIB's is the base index
-        less the dropped and installed prefixes, plus the installed FIB
-        prefixes: its table order is the base order less those, then the
-        installed slots.
+        less the dropped prefixes, plus the installed FIB prefixes: its
+        table order is the base order less the dropped slots, then the
+        installed ones.
         """
         fib = self._fib
         if type(fib) is not dict:
@@ -286,15 +287,14 @@ class DeviceRib:
                 if base is None:
                     trie, kept, new = PrefixTrie(), (), table.items()
                 else:
-                    installed_slots = installed.get(vname, {})
-                    moved = (*dropped.get(vname, ()), *installed_slots)
+                    gone = dropped.get(vname, ())
                     trie, kept = base[0].copy(), base[1]
-                    if moved:
-                        idents = {prefix.ident for prefix in moved}
+                    if gone:
+                        idents = {prefix.ident for prefix in gone}
                         kept = tuple(p for p in kept if p.ident not in idents)
-                        for prefix in moved:
+                        for prefix in gone:
                             trie.remove(prefix)
-                    new = [(prefix, table[prefix]) for prefix in installed_slots]
+                    new = [(p, table[p]) for p in installed.get(vname, ())]
                 added = tuple(
                     prefix
                     for prefix, entries in new
@@ -381,9 +381,8 @@ def touched_slots(*maps: Dict[str, Slots]) -> Dict[str, Set[Tuple[str, Prefix]]]
 def rib_diff(
     base_ribs: Mapping[str, DeviceRib],
     updated_ribs: Mapping[str, DeviceRib],
-    covers: Optional[Callable[[Prefix], bool]] = None,
+    at: Optional[Collection[Prefix]] = None,
     whole: Container[str] = (),
-    prefixes: Optional[Collection[Prefix]] = None,
 ) -> Tuple[Dict[str, Slots], Dict[str, Slots]]:
     """``(dropped, installed)``: the slots where two device-RIB maps differ.
 
@@ -394,15 +393,10 @@ def rib_diff(
     table is compared whole first; only an unequal one is compared slot by
     slot.
 
-    ``covers`` limits the comparison of a device both maps hold to the
-    slots at the prefixes it accepts (asked once per distinct prefix),
-    unless the device is one of ``whole``; a device one map lacks differs
-    at every slot. ``prefixes`` — covered prefixes that include every one
-    at which the two maps can differ — limits it further: such a device
-    is compared at those prefixes alone, and no set over its tables is
-    built.
+    ``at`` limits the comparison of a device both maps hold to the slots
+    at those prefixes, unless the device is one of ``whole``: no set over
+    its tables is built. A device one map lacks differs at every slot.
     """
-    pick = _prefix_filter(covers) if covers is not None else None
     differing: Dict[Tuple[str, str], Set[Prefix]] = {}
     dropped: Dict[str, Slots] = {}
     for name, rib in base_ribs.items():
@@ -410,10 +404,9 @@ def rib_diff(
         if other is rib:
             continue
         theirs = other._tables if other is not None else {}
-        keep = None if other is None or name in whole else pick
-        at = prefixes if keep is not None else None
+        limit = None if other is None or name in whole else at
         for vrf, table in rib._tables.items():
-            differ = _differing(table, theirs.get(vrf, {}), keep, at)
+            differ = _differing(table, theirs.get(vrf, {}), limit)
             if differ:
                 differing[name, vrf] = differ
                 gone = _in_order(table, differ)
@@ -425,30 +418,28 @@ def rib_diff(
         if base is rib:
             continue
         mine = base._tables if base is not None else {}
-        keep = None if base is None or name in whole else pick
-        at = prefixes if keep is not None else None
+        limit = None if base is None or name in whole else at
         for vrf, table in rib._tables.items():
             if vrf in mine:  # compared from the base side already
                 differ = differing.get((name, vrf), ())
             else:
-                differ = _differing({}, table, keep, at)
+                differ = _differing({}, table, limit)
             new = _in_order(table, differ)
             if new:
                 installed.setdefault(name, {})[vrf] = new
     return dropped, installed
 
 
-def _differing(table: dict, their: dict, pick, at=None) -> Set[Prefix]:
-    """The prefixes (of those ``pick`` keeps, or of ``at``) whose entries
-    two tables hold differently."""
+def _differing(table: dict, their: dict, at=None) -> Set[Prefix]:
+    """The prefixes (of ``at``, when given) whose entries two tables hold
+    differently."""
     if at is not None:
-        return {prefix for prefix in at if table.get(prefix) != their.get(prefix)}
-    if table is their or table == their:
+        keys = at
+    elif table is their or table == their:
         return set()
-    keys = set(table)  # from the tables' stored hashes, at C speed
-    keys.update(their)
-    if pick is not None:
-        keys = pick(keys)
+    else:
+        keys = set(table)  # from the tables' stored hashes, at C speed
+        keys.update(their)
     return {prefix for prefix in keys if table.get(prefix) != their.get(prefix)}
 
 
@@ -461,24 +452,6 @@ def _in_order(table: dict, prefixes) -> Dict[Prefix, None]:
     if len(held) <= 1:
         return dict.fromkeys(held)
     return {prefix: None for prefix in table if prefix in held}
-
-
-def _prefix_filter(
-    covers: Callable[[Prefix], bool],
-) -> Callable[[Set[Prefix]], Set[Prefix]]:
-    """``covers`` as a set filter, asking once per distinct prefix."""
-    seen: Set[Prefix] = set()
-    kept: Set[Prefix] = set()
-
-    def pick(prefixes: Set[Prefix]) -> Set[Prefix]:
-        fresh = prefixes - seen
-        if fresh:
-            seen.update(fresh)
-            kept.update(filter(covers, fresh))
-        prefixes &= kept  # set operations: stored hashes, C speed
-        return prefixes
-
-    return pick
 
 
 class StaleViewError(RuntimeError):

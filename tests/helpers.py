@@ -52,3 +52,16 @@ def peer_both(model: NetworkModel, a: str, b: str, **kwargs) -> None:
     model.device(b).add_peer(
         BgpPeerConfig(peer=a, remote_asn=model.device(a).asn, **kwargs)
     )
+
+
+def covered_prefixes(blast, *rib_maps) -> set:
+    """The prefixes ``blast`` covers that a slot of any of ``rib_maps`` sits
+    at: what a partial run hands ``IncrementalEngine.splice`` as ``covered``."""
+    return {
+        prefix
+        for ribs in rib_maps
+        for rib in ribs.values()
+        for vrf in rib.vrfs
+        for prefix in rib.prefixes(vrf)
+        if blast.covers(prefix)
+    }

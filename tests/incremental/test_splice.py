@@ -32,7 +32,7 @@ from repro.routing.rib import (
     rib_diff,
 )
 
-from tests.helpers import build_model
+from tests.helpers import build_model, covered_prefixes
 
 # -- the references -------------------------------------------------------------
 
@@ -266,30 +266,17 @@ def compare(base, partial, affected, all_v6=False, full=(), cover_all=False):
 
 def check(base_ribs, partial_ribs, blast, full=()):
     engine = IncrementalEngine(build_model([("A", 100)], []))
-    new = engine.splice(base_ribs, partial_ribs, blast, full_devices=full)
+    new = engine.splice(
+        base_ribs,
+        partial_ribs,
+        blast,
+        full_devices=full,
+        covered=covered_prefixes(blast, base_ribs, partial_ribs),
+    )
     full = frozenset(full)
     assert_is_the_covered_diff(new, base_ribs, partial_ribs, blast, full)
     ref = reference_splice(base_ribs, partial_ribs, blast, full)
     assert_same_splice(new, ref, base_ribs)
-    if not blast.widened:
-        # compared only at the covered prefixes a slot of either map sits
-        # at (and the radius's own), as a partial run hands them over
-        held = {
-            prefix
-            for ribs in (base_ribs, partial_ribs)
-            for rib in ribs.values()
-            for vrf in rib.vrfs
-            for prefix in rib.prefixes(vrf)
-            if blast.covers(prefix)
-        }
-        at = engine.splice(
-            base_ribs,
-            partial_ribs,
-            blast,
-            full_devices=full,
-            prefixes=held.union(blast.affected_prefixes),
-        )
-        assert_same_splice(at, ref, base_ribs)
     return new
 
 
@@ -385,9 +372,13 @@ def test_writes_to_a_spliced_rib_leave_base_and_partial_alone():
     partial = make_rib("A", [row("global", P24, 101), row("global", P16, 102)])
     before = contents(base), contents(partial)
     engine = IncrementalEngine(build_model([("A", 100)], []))
-    spliced = engine.splice({"A": base}, {"A": partial}, BlastRadius(
-        affected_prefixes=(as_prefix(P16),)
-    )).device_ribs["A"]
+    blast = BlastRadius(affected_prefixes=(as_prefix(P16),))
+    spliced = engine.splice(
+        {"A": base},
+        {"A": partial},
+        blast,
+        covered=covered_prefixes(blast, {"A": base}, {"A": partial}),
+    ).device_ribs["A"]
     assert spliced is not base
 
     # one write per kind of slot: kept from the base, taken from the

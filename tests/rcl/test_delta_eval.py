@@ -42,7 +42,7 @@ from repro.workload import (
     generate_wan,
 )
 
-from tests.helpers import build_model
+from tests.helpers import build_model, covered_prefixes
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +295,7 @@ def hand_made(base_slots, partial_slots, covered):
             ribs["A"].install(inject_external_route("A", prefix, (asn,)).route, vrf)
     blast = BlastRadius(affected_prefixes=tuple(as_prefix(p) for p in covered))
     splice = IncrementalEngine(build_model([("A", 100)], [])).splice(
-        base_ribs, partial, blast
+        base_ribs, partial, blast, covered=covered_prefixes(blast, base_ribs, partial)
     )
     base = GlobalRib.from_device_ribs(base_ribs.values()).best_routes()
     view = GlobalRibView(
@@ -458,7 +458,11 @@ def test_drawn_touched_slots_agree(small_base, data):
                 rib.replace_prefix("global", prefix, entries)
     blast = BlastRadius(affected_prefixes=tuple(covered))
     splice = IncrementalEngine(model).splice(
-        base_ribs, partial, blast, full_devices=full
+        base_ribs,
+        partial,
+        blast,
+        full_devices=full,
+        covered=covered_prefixes(blast, base_ribs, partial),
     )
     view = GlobalRibView(
         base, base_ribs, splice.device_ribs, splice.dropped, splice.installed

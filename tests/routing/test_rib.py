@@ -317,9 +317,7 @@ def test_derived_fib_index_equals_a_fresh_one(
     base, partial = _rib_from(base_ops), _rib_from(partial_ops)
     if base_indexed:
         base.fib_prefixes()
-    dropped, installed = rib_diff(
-        {"A": base}, {"A": partial}, covers=covered.__contains__
-    )
+    dropped, installed = rib_diff({"A": base}, {"A": partial}, covered)
     derived = base.derive(dropped.get("A", {}), partial, installed.get("A", {}))
     assert isinstance(derived._fib, tuple) == base_indexed
     fresh = DeviceRib("A")

@@ -74,7 +74,7 @@ def eager(ribs):
 
 def splice(base_ribs, partial_ribs, covered):
     """Each RIB with the partial run's entries at its ``covered`` slots, derived."""
-    dropped, installed = rib_diff(base_ribs, partial_ribs, covered.__contains__)
+    dropped, installed = rib_diff(base_ribs, partial_ribs, covered)
     ribs = {
         name: base.derive(
             dropped.get(name, {}), partial_ribs[name], installed.get(name, {})
